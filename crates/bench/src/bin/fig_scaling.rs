@@ -85,7 +85,7 @@ fn main() {
     .modes(&[ExecutionMode::Reunion])
     .patches(patches)
     .build();
-    let Some(report) = run_and_emit(&grid).into_report() else {
+    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
         return;
     };
 

@@ -32,7 +32,7 @@ fn main() {
             .collect(),
     )
     .build();
-    let Some(report) = run_and_emit(&grid).into_report() else {
+    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
         return;
     };
 

@@ -11,25 +11,16 @@
 //! cargo run --release -p reunion-bench --bin perf -- --grid fig5
 //! ```
 //!
-//! Options: `--grid fig5|counters|scaling|kernels` (default `fig5`), plus
-//! the shared `--profile full|fast` (default `fast` here — throughput does
-//! not need the paper's full sampling depth), `--engine dense|skip` and
-//! `--intracell-threads <n>`.
+//! Options: `--grid fig5|counters` (default `fig5`), plus the shared
+//! `--profile full|fast` (default `fast` here — throughput does not need
+//! the paper's full sampling depth) and `--engine dense|skip`.
 //!
 //! Cells are executed serially on one thread so the reported throughput
 //! is a stable per-core number, unaffected by host load or worker count.
-//!
-//! The `scaling` and `kernels` grids measure the intra-cell parallel tick
-//! engine: every point is timed twice — once with the per-pair compute
-//! phase in-place (serial), once with it fanned out to
-//! `--intracell-threads` workers (default: all cores) — and the recorded
-//! `speedup` is the cells/sec ratio. Both passes must simulate identical
-//! instruction and cycle totals; the binary asserts that, so a throughput
-//! record can never come from a diverged simulation.
 
 use std::time::Instant;
 
-use reunion_bench::{banner, kernel_workloads, workloads, RunOptions};
+use reunion_bench::{banner, workloads, RunOptions};
 use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
 use reunion_sim::{out_dir, ConfigPatch, ExperimentGrid};
 use reunion_workloads::Workload;
@@ -42,13 +33,6 @@ enum GridChoice {
     /// The small deterministic-counters grid (2 workloads, 2 modes,
     /// 2 latencies) — the one the CI perf-smoke job runs.
     Counters,
-    /// Intra-cell scaling sweep: 8- and 16-pair contended cells, each
-    /// timed serial vs intra-cell-parallel.
-    Scaling,
-    /// The real-code kernel suite, timed serial vs intra-cell-parallel
-    /// (a 1-pair system, so the expected speedup is ~1 — the point is
-    /// recording that the engine does not *slow down* small cells).
-    Kernels,
 }
 
 struct PerfOpts {
@@ -66,7 +50,6 @@ fn parse_args() -> Result<PerfOpts, String> {
             .ok()
             .or_else(|| (k == "REUNION_PROFILE").then(|| "fast".to_string()))
     })?;
-    run.apply_env();
     let mut grid = GridChoice::Fig5;
     let mut it = leftovers.into_iter();
     while let Some(arg) = it.next() {
@@ -86,161 +69,8 @@ fn parse_grid(s: &str) -> Result<GridChoice, String> {
     match s {
         "fig5" => Ok(GridChoice::Fig5),
         "counters" => Ok(GridChoice::Counters),
-        "scaling" => Ok(GridChoice::Scaling),
-        "kernels" => Ok(GridChoice::Kernels),
-        other => Err(format!(
-            "unknown grid {other:?} (expected fig5|counters|scaling|kernels)"
-        )),
+        other => Err(format!("unknown grid {other:?} (expected fig5|counters)")),
     }
-}
-
-/// Table 1 plus the contention models of the scaling study (`fig_scaling`):
-/// a 4-port L1↔L2 crossbar and 4-deep per-bank queues.
-fn scaling_base(mode: ExecutionMode) -> SystemConfig {
-    let cfg = SystemConfig::table1(mode).with_seed(0x5EED_0009);
-    let mem = cfg.mem.clone().with_xbar_ports(4).with_bank_queue_depth(4);
-    cfg.with_mem(mem)
-}
-
-/// One point of the intra-cell sweep: a label plus the grid it times.
-struct SweepPoint {
-    label: String,
-    grid: ExperimentGrid,
-}
-
-/// The grids the intra-cell sweep times, one per point.
-fn sweep_points(opts: &PerfOpts) -> Vec<SweepPoint> {
-    match opts.grid {
-        GridChoice::Scaling => [8usize, 16]
-            .iter()
-            .map(|&pairs| {
-                let label = format!("p{pairs}:bw2:lat=10");
-                let grid = ExperimentGrid::builder(
-                    format!("perf-scaling-p{pairs}"),
-                    "perf: intra-cell scaling point",
-                )
-                .run_options(&opts.run)
-                .base(scaling_base)
-                .sample(opts.run.profile.sample())
-                .workloads(vec![Workload::by_name("apache").unwrap()])
-                .modes(&[ExecutionMode::Reunion])
-                .patches(vec![ConfigPatch::new(label.clone())
-                    .logical_processors(pairs)
-                    .check_bandwidth(2)
-                    .latency(10)])
-                .build();
-                SweepPoint { label, grid }
-            })
-            .collect(),
-        GridChoice::Kernels => vec![SweepPoint {
-            label: "kernels".to_string(),
-            grid: ExperimentGrid::builder("perf-kernels", "perf: kernel suite")
-                .run_options(&opts.run)
-                .base(SystemConfig::kernel_pair)
-                .sample(opts.run.profile.sample())
-                .workloads(kernel_workloads())
-                .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-                .build(),
-        }],
-        GridChoice::Fig5 | GridChoice::Counters => unreachable!("not a sweep grid"),
-    }
-}
-
-/// Times one serial walk over `grid` with the per-pair compute phase on
-/// `intracell` workers (0 = in place). Returns the wall seconds and the
-/// simulated (instructions, cycles) totals for the cross-pass parity check.
-fn time_grid(grid: &ExperimentGrid, intracell: usize) -> (f64, u64, u64) {
-    let mut instructions = 0u64;
-    let mut cycles = 0u64;
-    let start = Instant::now();
-    for cell in grid.cells() {
-        let mut cfg = grid.cell_config(cell);
-        cfg.intracell_threads = intracell;
-        let n = reunion_core::normalized_ipc(&cfg, &cell.workload, grid.cell_sample(cell));
-        for side in [&n.model, &n.baseline] {
-            instructions += side.totals.user_instructions;
-            cycles += side.totals.cycles;
-        }
-    }
-    (
-        start.elapsed().as_secs_f64().max(1e-9),
-        instructions,
-        cycles,
-    )
-}
-
-/// The intra-cell sweep: every point timed serial then parallel, with the
-/// speedup recorded to `BENCH_perf.json`. Never gated — but the two passes'
-/// simulated totals must agree exactly, so the record is honest.
-fn run_sweep(opts: &PerfOpts) {
-    let threads = opts.run.intracell.filter(|&t| t >= 2).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    });
-    let grid_name = match opts.grid {
-        GridChoice::Scaling => "scaling",
-        _ => "kernels",
-    };
-    println!(
-        "{:<16} {:>6} {:>14} {:>14} {:>9}",
-        "point", "cells", "serial c/s", "intracell c/s", "speedup"
-    );
-    let mut points_json = Vec::new();
-    for point in sweep_points(opts) {
-        let cells = point.grid.cells().len();
-        let (serial_wall, si, sc) = time_grid(&point.grid, 0);
-        let (par_wall, pi, pc) = time_grid(&point.grid, threads);
-        assert_eq!(
-            (si, sc),
-            (pi, pc),
-            "{}: intra-cell pass diverged from serial",
-            point.label
-        );
-        let serial_cps = cells as f64 / serial_wall;
-        let par_cps = cells as f64 / par_wall;
-        let speedup = serial_wall / par_wall;
-        println!(
-            "{:<16} {:>6} {:>14.3} {:>14.3} {:>8.2}x",
-            point.label, cells, serial_cps, par_cps, speedup
-        );
-        points_json.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"label\": \"{}\",\n",
-                "      \"cells\": {},\n",
-                "      \"serial_wall_seconds\": {:.6},\n",
-                "      \"serial_cells_per_sec\": {:.3},\n",
-                "      \"intracell_wall_seconds\": {:.6},\n",
-                "      \"intracell_cells_per_sec\": {:.3},\n",
-                "      \"speedup\": {:.3}\n",
-                "    }}",
-            ),
-            point.label, cells, serial_wall, serial_cps, par_wall, par_cps, speedup,
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"id\": \"perf\",\n",
-            "  \"grid\": \"{}\",\n",
-            "  \"engine\": \"{}\",\n",
-            "  \"profile\": \"{}\",\n",
-            "  \"intracell_threads\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"points\": [\n{}\n  ],\n",
-            "  \"peak_rss_bytes\": {}\n",
-            "}}\n",
-        ),
-        grid_name,
-        opts.run.engine,
-        opts.run.profile,
-        threads,
-        std::thread::available_parallelism().map_or(1, usize::from),
-        points_json.join(",\n"),
-        peak_rss_bytes(),
-    );
-    write_report(&json);
 }
 
 /// Writes `BENCH_perf.json` into the artifact directory.
@@ -277,9 +107,6 @@ fn build_grid(opts: &PerfOpts) -> ExperimentGrid {
                 ])
                 .build()
         }
-        GridChoice::Scaling | GridChoice::Kernels => {
-            unreachable!("sweep grids go through run_sweep")
-        }
     }
 }
 
@@ -309,18 +136,13 @@ fn main() {
         Err(e) => {
             eprintln!("{e}");
             eprintln!(
-                "usage: perf [--grid fig5|counters|scaling|kernels] {}",
+                "usage: perf [--grid fig5|counters] {}",
                 reunion_bench::RUN_OPTIONS_USAGE
             );
             std::process::exit(2);
         }
     };
     banner("perf", "host throughput (wall-clock) over a reference grid");
-
-    if matches!(opts.grid, GridChoice::Scaling | GridChoice::Kernels) {
-        run_sweep(&opts);
-        return;
-    }
 
     let grid = build_grid(&opts);
     let cells = grid.cells().len();

@@ -14,7 +14,7 @@ fn main() {
         .workloads(workloads())
         .modes(&[ExecutionMode::NonRedundant])
         .build();
-    let Some(report) = run_and_emit(&grid).into_report() else {
+    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
         return;
     };
 

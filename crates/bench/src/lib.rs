@@ -25,11 +25,6 @@
 //! * `--serial` / `REUNION_SERIAL=1` — single-threaded execution
 //!   (determinism checks).
 //! * `--threads <n>` / `REUNION_THREADS=<n>` — cap the worker threads.
-//! * `--intracell-threads <n>` / `REUNION_INTRACELL_THREADS=<n>` — compute
-//!   workers *inside* each simulated system's tick (the cell-level worker
-//!   count shrinks so the product stays within the thread budget). Purely
-//!   a scheduling choice: artifacts are byte-identical for every setting
-//!   (gated by the intra-cell parity CI steps).
 //! * `--obs` / `REUNION_OBS=1` and `--trace-cap <n>` /
 //!   `REUNION_TRACE_CAP=<n>` — opt into the observability layer (latency
 //!   histograms, stall/skip summaries and the bounded per-pair event
@@ -71,10 +66,8 @@ pub fn keyed_latency_label(key: &str, latency: u64) -> String {
 /// The single entry point of the figure/table binaries: resolve via
 /// [`RunOptions::parse_cli`] (flags win over `REUNION_*` fallbacks),
 /// treat leftovers as usage errors (a typo must never silently run the
-/// expensive default configuration), and export the winning choices back
-/// into the environment so every [`reunion_core::SystemConfig`] and
-/// [`reunion_sim::Runner`] constructed anywhere in the process — on any
-/// worker thread — picks them up. Binaries with extra flags of their own
+/// expensive default configuration), and hand the result to the grid
+/// builder and [`run_and_emit`]. Binaries with extra flags of their own
 /// (`perf`, `dispatch`, the merge/compare tools) call
 /// [`run_options_with_extras`] instead and consume the leftovers.
 pub fn run_options() -> RunOptions {
@@ -87,6 +80,8 @@ pub fn run_options() -> RunOptions {
 
 /// Like [`run_options`], but hands back the arguments the shared surface
 /// did not recognize (in their original order) for the caller to parse.
+/// The winning choices are also exported back into the environment, which
+/// is how the dispatcher's child processes inherit them.
 pub fn run_options_with_extras() -> (RunOptions, Vec<String>) {
     match RunOptions::parse_cli() {
         Ok((opts, leftovers)) => {
@@ -132,18 +127,16 @@ pub fn kernel_workloads() -> Vec<Workload> {
 }
 
 /// What [`run_and_emit`] did, stated explicitly instead of `Option`'s
-/// ambiguous `None`: either a complete in-process run with its report (and
-/// the artifact path, when writing it succeeded), or one shard of a
-/// campaign whose report does not exist until `merge_shards` combines the
-/// manifests.
+/// ambiguous `None`: either a complete in-process run with its report and
+/// artifact path, or one shard of a campaign whose report does not exist
+/// until `merge_shards` combines the manifests.
 #[derive(Clone, Debug)]
 pub enum RunOutcome {
     /// The whole grid ran in-process; `BENCH_<id>.json` was written to
-    /// `path` (`None` if the write failed — already warned about, and the
-    /// in-memory report is still complete).
+    /// `path`.
     Emitted {
-        /// Where the artifact landed, if the write succeeded.
-        path: Option<PathBuf>,
+        /// Where the artifact landed.
+        path: PathBuf,
         /// The complete report, for table printing.
         report: ExperimentReport,
     },
@@ -162,7 +155,7 @@ impl RunOutcome {
 
     /// Consumes the outcome into the complete report, if any — the pattern
     /// the table-printing binaries use:
-    /// `let Some(report) = run_and_emit(&grid).into_report() else { return }`.
+    /// `let Some(report) = run_and_emit(&grid, &opts).into_report() else { return }`.
     pub fn into_report(self) -> Option<ExperimentReport> {
         match self {
             RunOutcome::Emitted { report, .. } => Some(report),
@@ -176,36 +169,31 @@ impl RunOutcome {
 /// This is the single entry point every experiment binary funnels through:
 /// no binary runs simulations in a hand-rolled loop.
 ///
-/// Without `REUNION_SHARD`, the whole grid runs on an
-/// environment-configured [`reunion_sim::Runner`], `BENCH_<id>.json` lands
-/// in [`out_dir`], and [`RunOutcome::Emitted`] carries the report for
-/// table printing.
+/// Without a shard selection in `opts`, the whole grid runs on
+/// [`RunOptions::runner`], `BENCH_<id>.json` lands in [`out_dir`] (created
+/// if missing; a failed write exits with status 1), and
+/// [`RunOutcome::Emitted`] carries the report for table printing.
 ///
-/// With `REUNION_SHARD=i/N`, only shard `i`'s cells run; each finished
+/// With `--shard i/N`, only shard `i`'s cells run; each finished
 /// cell streams to the shard's resumable manifest under [`out_dir`] and
 /// [`RunOutcome::Sharded`] is returned — there is no complete report to
 /// print until every shard has run and `merge_shards` has combined the
 /// manifests (the merged `BENCH_<id>.json` is byte-identical to a
 /// single-process run's).
-pub fn run_and_emit(grid: &ExperimentGrid) -> RunOutcome {
-    let opts = match RunOptions::resolve(std::iter::empty(), &|k| std::env::var(k).ok()) {
-        Ok((opts, _)) => opts,
-        Err(e) => usage_error(&e),
-    };
+pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> RunOutcome {
     let runner = opts.runner();
     let Some(shard) = opts.shard else {
         let report = runner.run(grid);
-        let path = match report.write_json_default() {
+        match report.write_json_default() {
             Ok(path) => {
                 println!("[report: {}]", path.display());
-                Some(path)
+                return RunOutcome::Emitted { path, report };
             }
             Err(e) => {
-                eprintln!("warning: could not write BENCH_{}.json: {e}", report.id);
-                None
+                eprintln!("could not write BENCH_{}.json: {e}", report.id);
+                std::process::exit(1);
             }
-        };
-        return RunOutcome::Emitted { path, report };
+        }
     };
     let dir = out_dir();
     match runner.run_shard(grid, shard, &dir) {

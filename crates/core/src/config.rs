@@ -81,27 +81,6 @@ pub enum Engine {
     Skip,
 }
 
-impl Engine {
-    /// The engine selected by `REUNION_ENGINE=dense|skip` (default:
-    /// [`Engine::Skip`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `REUNION_ENGINE` value — a typo must not
-    /// silently run the wrong engine.
-    #[deprecated(
-        note = "SystemConfig constructors are env-free; resolve the engine once \
-                (e.g. via reunion_sim::RunOptions) and inject it with \
-                SystemConfig::with_engine"
-    )]
-    pub fn from_env() -> Engine {
-        match std::env::var("REUNION_ENGINE") {
-            Ok(v) => v.parse().unwrap_or_else(|e| panic!("REUNION_ENGINE: {e}")),
-            Err(_) => Engine::default(),
-        }
-    }
-}
-
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -183,14 +162,6 @@ pub struct SystemConfig {
     /// byte-stable; inject via [`with_observability`](Self::with_observability)
     /// or `RunOptions::apply`.
     pub obs: ObsConfig,
-    /// Worker threads for the intra-cell parallel compute phase (`0` or
-    /// `1` = run everything on the simulating thread, the default).
-    /// Outputs are thread-count-invariant: only memory-free per-core work
-    /// runs off-thread, and all shared-resource arbitration commits
-    /// serially in logical-processor order. Inject via
-    /// [`with_intracell_threads`](Self::with_intracell_threads) or
-    /// `RunOptions::apply`.
-    pub intracell_threads: usize,
 }
 
 impl SystemConfig {
@@ -211,7 +182,6 @@ impl SystemConfig {
             seed: 0x5EED_0001,
             engine: Engine::default(),
             obs: ObsConfig::default(),
-            intracell_threads: 0,
         }
     }
 
@@ -287,12 +257,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the intra-cell compute-phase worker count (`0` disables).
-    pub fn with_intracell_threads(mut self, threads: usize) -> Self {
-        self.intracell_threads = threads;
-        self
-    }
-
     /// Replaces the memory hierarchy parameters.
     pub fn with_mem(mut self, mem: MemConfig) -> Self {
         self.mem = mem;
@@ -349,11 +313,9 @@ mod tests {
             .with_fingerprint_interval(8)
             .with_seed(0xABCD)
             .with_engine(Engine::Dense)
-            .with_mem(MemConfig::small())
-            .with_intracell_threads(4);
+            .with_mem(MemConfig::small());
         assert_eq!(grown.logical_processors, 16);
         assert_eq!(grown.physical_cores(), 32);
-        assert_eq!(grown.intracell_threads, 4);
         assert_eq!(grown.comparison_latency, 40);
         assert_eq!(grown.check_bus_occupancy, 2);
         assert_eq!(grown.fingerprint_interval, 8);

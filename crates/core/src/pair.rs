@@ -242,36 +242,12 @@ impl PairDriver {
     /// (occupancy 0) every grant is the identity and the pair behaves as if
     /// it owned a private comparison channel.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
-        self.tick_compute(now);
-        self.tick_commit(now, mem, bus);
-    }
-
-    /// The pure compute half of [`tick`](Self::tick): transfers the
-    /// leader's load values into the trailing LVQ (pair-private state) and
-    /// runs both cores' [`Core::tick_compute`]. Touches nothing outside
-    /// this pair, so many pairs' compute phases may run concurrently — on
-    /// worker threads — in any order.
-    pub fn tick_compute(&mut self, now: Cycle) {
         if self.strict {
             self.vocal.drain_load_values_into(&mut self.lvq_xfer);
             self.mute.push_lvq(self.lvq_xfer.drain(..));
         }
-        self.vocal.tick_compute(now);
-        self.mute.tick_compute(now);
-    }
-
-    /// The serial half of [`tick`](Self::tick): finishes both cores'
-    /// ticks (every memory access, in vocal-then-mute order), then runs
-    /// comparison, release-grant arbitration on the shared check bus, and
-    /// recovery — exactly the shared-resource work whose order defines the
-    /// simulation's counters. Must run for each pair in logical-processor
-    /// order after every pair's [`tick_compute`](Self::tick_compute) at
-    /// the same cycle; that schedule is byte-identical to serial
-    /// execution because a memory-free core tick commutes with everything
-    /// outside its own core.
-    pub fn tick_commit(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
-        self.vocal.tick_commit(now, mem);
-        self.mute.tick_commit(now, mem);
+        self.vocal.tick(now, mem);
+        self.mute.tick(now, mem);
 
         self.collect_events();
         if let Some(detect_at) = self.pending_mismatch {
@@ -533,9 +509,6 @@ impl PairDriver {
             }
             // Both halves have reached the first memory read: issue one
             // synchronizing request on behalf of the pair.
-            if std::env::var("REUNION_DEBUG_SYNC").is_ok() {
-                eprintln!("sync addr={:#x}", v.addr.as_u64());
-            }
             self.stats.sync_requests.incr();
             let outcome = mem.sync_access(now, self.vocal.l1(), self.mute.l1(), v.addr, v.rmw);
             // The fulfilled instruction's fingerprint interval is the one

@@ -1,6 +1,5 @@
 //! Whole-CMP assembly and simulation loop.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use reunion_cpu::{Core, CoreConfig};
@@ -16,19 +15,13 @@ use crate::{CheckBus, Engine, ExecutionMode, PairDriver, SystemConfig};
 enum Proc {
     Single(Box<Core>),
     Pair(Box<PairDriver>),
-    /// Placeholder left in the proc table while the real processor is on a
-    /// compute-pool worker thread; restored before the compute phase ends.
-    /// Never observable from any public method.
-    InFlight,
 }
 
 impl Proc {
-    /// Runs the pure compute phase (core-private state only).
-    fn tick_compute(&mut self, now: Cycle) {
+    fn tick(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
         match self {
-            Proc::Single(core) => core.tick_compute(now),
-            Proc::Pair(pair) => pair.tick_compute(now),
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
+            Proc::Single(core) => core.tick(now, mem),
+            Proc::Pair(pair) => pair.tick(now, mem, bus),
         }
     }
 
@@ -38,7 +31,6 @@ impl Proc {
         match self {
             Proc::Single(core) => core.next_activity_at(from),
             Proc::Pair(pair) => pair.next_activity_at(from),
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
         }
     }
 
@@ -46,92 +38,6 @@ impl Proc {
         match self {
             Proc::Single(core) => core.is_quiescent(),
             Proc::Pair(pair) => pair.is_quiescent(),
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
-        }
-    }
-}
-
-/// A batch of processors shipped to one compute worker for a cycle.
-type ComputeBatch = Vec<(usize, Proc)>;
-
-/// Bounded busy-wait before blocking on a channel. Ticks arrive
-/// back-to-back in the engines' hot loops, so a worker that just finished
-/// a cycle will almost always see the next one within a few microseconds —
-/// a futex sleep/wake round trip costs more than the compute phase of a
-/// small batch. The bound keeps an idle (or oversubscribed) pool from
-/// burning a core: after it, the thread parks in a normal blocking recv.
-const RECV_POLLS: u32 = 64;
-
-/// Whether busy-waiting can possibly help: on a single hardware thread the
-/// peer cannot run while we spin, so spinning only burns the timeslice the
-/// peer needs.
-fn spin_pays_off() -> bool {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-        > 1
-}
-
-/// Spin-then-block receive: see [`RECV_POLLS`]. `spin` comes from
-/// [`spin_pays_off`], computed once per pool.
-fn spin_recv<T>(rx: &mpsc::Receiver<T>, spin: bool) -> Option<T> {
-    if spin {
-        for _ in 0..RECV_POLLS {
-            match rx.try_recv() {
-                Ok(msg) => return Some(msg),
-                Err(mpsc::TryRecvError::Empty) => {
-                    for _ in 0..64 {
-                        std::hint::spin_loop();
-                    }
-                }
-                Err(mpsc::TryRecvError::Disconnected) => return None,
-            }
-        }
-    }
-    rx.recv().ok()
-}
-
-/// Detached worker threads running the memory-free compute phase.
-///
-/// Ownership, not sharing: processors are *moved* to a worker over a
-/// channel, ticked there, and moved back — no locks, no `unsafe`, and the
-/// crate-wide `#![forbid(unsafe_code)]` stays intact. Workers exit when
-/// the pool (and with it every sender) drops.
-#[derive(Debug)]
-struct ComputePool {
-    senders: Vec<mpsc::Sender<(Cycle, ComputeBatch)>>,
-    results: mpsc::Receiver<ComputeBatch>,
-    /// Recycled batch allocations (one per lane).
-    spare: Vec<ComputeBatch>,
-    /// Whether receive paths busy-wait before blocking.
-    spin: bool,
-}
-
-impl ComputePool {
-    fn new(workers: usize) -> Self {
-        let spin = spin_pays_off();
-        let (result_tx, results) = mpsc::channel::<ComputeBatch>();
-        let mut senders = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<(Cycle, ComputeBatch)>();
-            let out = result_tx.clone();
-            std::thread::spawn(move || {
-                while let Some((now, mut batch)) = spin_recv(&rx, spin) {
-                    for (_, proc) in &mut batch {
-                        proc.tick_compute(now);
-                    }
-                    if out.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-            senders.push(tx);
-        }
-        ComputePool {
-            senders,
-            results,
-            spare: Vec::new(),
-            spin,
         }
     }
 }
@@ -242,10 +148,6 @@ pub struct CmpSystem {
     horizon: HorizonTree,
     /// Scratch list of ready processor slots (recycled across ticks).
     ready: Vec<usize>,
-    /// Intra-cell compute-phase workers (`< 2` = compute inline).
-    intracell: usize,
-    /// Worker pool, spawned lazily on the first parallel compute phase.
-    pool: Option<ComputePool>,
 }
 
 impl CmpSystem {
@@ -267,8 +169,6 @@ impl CmpSystem {
             fingerprint_interval: cfg.fingerprint_interval,
             itlb_miss_per_million: workload.spec().itlb_miss_per_million,
             check_latency: cfg.comparison_latency,
-            // Cached so store-forwarded and strict-LVQ loads bind without
-            // touching the memory system (the compute phase depends on it).
             l1_hit_latency,
             ..CoreConfig::default()
         };
@@ -342,8 +242,6 @@ impl CmpSystem {
             skip_runs: EpisodeSummary::new(),
             horizon: HorizonTree::new(slots),
             ready: Vec::with_capacity(slots),
-            intracell: cfg.intracell_threads,
-            pool: None,
         }
     }
 
@@ -374,7 +272,6 @@ impl CmpSystem {
         match &mut self.procs[lp] {
             Proc::Pair(p) => Some(p),
             Proc::Single(_) => None,
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
         }
     }
 
@@ -383,7 +280,6 @@ impl CmpSystem {
         match &mut self.procs[lp] {
             Proc::Single(c) => Some(c),
             Proc::Pair(_) => None,
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
         }
     }
 
@@ -400,92 +296,15 @@ impl CmpSystem {
         self.skipped
     }
 
-    /// Advances the whole CMP by one cycle, ticking every logical
-    /// processor. Shared-resource arbitration happens in the serial commit
-    /// phase, in fixed logical-processor order — which also fixes the
-    /// order in which comparators are granted shared-check-bus slots —
-    /// deterministic and identical under both engines and any intra-cell
-    /// thread count.
+    /// Advances the whole CMP by one cycle. Pairs tick in fixed
+    /// logical-processor order, which also fixes the order in which their
+    /// comparators are granted shared-check-bus slots — deterministic and
+    /// identical under both engines.
     pub fn tick(&mut self) {
-        let mut all = std::mem::take(&mut self.ready);
-        all.clear();
-        all.extend(0..self.procs.len());
-        self.tick_procs(&all);
-        self.ready = all;
+        for proc in &mut self.procs {
+            proc.tick(self.now, &mut self.mem, &mut self.check_bus);
+        }
         self.now += 1;
-    }
-
-    /// Ticks the processors in `slots` (ascending) at the current cycle:
-    /// first every compute phase — inline, or fanned out to the worker
-    /// pool — then every commit phase serially in slot order. Memory-free
-    /// compute work commutes with everything outside its own processor, so
-    /// this two-phase schedule is byte-identical to ticking each processor
-    /// fully in slot order.
-    fn tick_procs(&mut self, slots: &[usize]) {
-        if self.intracell >= 2 && slots.len() >= 2 {
-            self.parallel_compute(slots);
-        } else {
-            for &i in slots {
-                self.procs[i].tick_compute(self.now);
-            }
-        }
-        for &i in slots {
-            match &mut self.procs[i] {
-                Proc::Single(core) => core.tick_commit(self.now, &mut self.mem),
-                Proc::Pair(pair) => pair.tick_commit(self.now, &mut self.mem, &mut self.check_bus),
-                Proc::InFlight => unreachable!("proc is on a compute worker"),
-            }
-        }
-    }
-
-    /// Fans the compute phase out to the worker pool: processors are moved
-    /// to workers round-robin, ticked, and moved back, with the calling
-    /// thread computing the final share itself while the workers run. The
-    /// assignment is irrelevant to the output (compute phases are
-    /// independent); only the serial commit order matters, and `tick_procs`
-    /// fixes it.
-    fn parallel_compute(&mut self, slots: &[usize]) {
-        // `intracell` counts compute lanes *including* this thread, so a
-        // knob of N costs N-1 extra threads and N-way compute.
-        let lanes = self.intracell.min(slots.len());
-        let pool = self
-            .pool
-            .get_or_insert_with(|| ComputePool::new(self.intracell - 1));
-        let mut batches: Vec<ComputeBatch> = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let mut b = pool.spare.pop().unwrap_or_default();
-            b.clear();
-            batches.push(b);
-        }
-        for (k, &i) in slots.iter().enumerate() {
-            let proc = std::mem::replace(&mut self.procs[i], Proc::InFlight);
-            batches[k % lanes].push((i, proc));
-        }
-        // The last lane is this thread's own share; the rest ship out.
-        let mut own = batches.pop().expect("at least one lane");
-        let mut outstanding = 0;
-        for (lane, batch) in batches.into_iter().enumerate() {
-            debug_assert!(!batch.is_empty(), "lanes are capped at slot count");
-            pool.senders[lane]
-                .send((self.now, batch))
-                .expect("compute worker alive");
-            outstanding += 1;
-        }
-        for (_, proc) in &mut own {
-            proc.tick_compute(self.now);
-        }
-        for (i, proc) in own.drain(..) {
-            self.procs[i] = proc;
-        }
-        let pool = self.pool.as_mut().expect("pool in use");
-        pool.spare.push(own);
-        for _ in 0..outstanding {
-            let mut batch = spin_recv(&pool.results, pool.spin).expect("compute worker alive");
-            for (i, proc) in batch.drain(..) {
-                self.procs[i] = proc;
-            }
-            pool.spare.push(batch);
-        }
     }
 
     /// The earliest cycle `>= now` at which any logical processor reports
@@ -607,16 +426,16 @@ impl CmpSystem {
     /// Ticks every processor whose bound has arrived at the current cycle
     /// and re-indexes their bounds for the next one.
     fn tick_ready(&mut self) {
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        self.horizon.ready_slots(self.now, &mut ready);
-        self.tick_procs(&ready);
+        self.ready.clear();
+        self.horizon.ready_slots(self.now, &mut self.ready);
+        for &i in &self.ready {
+            self.procs[i].tick(self.now, &mut self.mem, &mut self.check_bus);
+        }
         self.now += 1;
-        for &i in &ready {
+        for &i in &self.ready {
             self.horizon
                 .set(i, self.procs[i].next_activity_at(self.now));
         }
-        self.ready = ready;
     }
 
     /// Reports every processor's bound into the indexed horizon. Run-entry
@@ -637,7 +456,6 @@ impl CmpSystem {
             .map(|p| match p {
                 Proc::Single(core) => core.retired_user(),
                 Proc::Pair(pair) => pair.retired_user(),
-                Proc::InFlight => unreachable!("proc is on a compute worker"),
             })
             .sum()
     }
@@ -651,7 +469,6 @@ impl CmpSystem {
                 core.schedule_interrupt_at(at);
             }
             Proc::Pair(pair) => pair.deliver_interrupt(),
-            Proc::InFlight => unreachable!("proc is on a compute worker"),
         }
     }
 
@@ -670,7 +487,6 @@ impl CmpSystem {
                     pair.vocal_mut().stats_mut().reset();
                     pair.mute_mut().stats_mut().reset();
                 }
-                Proc::InFlight => unreachable!("proc is on a compute worker"),
             }
         }
         self.mem.stats_mut().reset();
@@ -703,7 +519,6 @@ impl CmpSystem {
                         obs.stall_episodes.merge(&core.stats().stall_episodes);
                     }
                 }
-                Proc::InFlight => unreachable!("proc is on a compute worker"),
             }
         }
         obs.skip_runs.merge(&self.skip_runs);
@@ -766,7 +581,6 @@ impl CmpSystem {
                         stats.note_allocation_probes(core.stats());
                     }
                 }
-                Proc::InFlight => unreachable!("proc is on a compute worker"),
             }
         }
         stats.phantom_garbage_fills = self.mem.stats().phantom_garbage_fills.value();
@@ -887,8 +701,6 @@ mod tests {
             skip_runs: EpisodeSummary::new(),
             horizon: HorizonTree::new(1),
             ready: Vec::new(),
-            intracell: 0,
-            pool: None,
         }
     }
 

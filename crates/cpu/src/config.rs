@@ -83,9 +83,7 @@ pub struct CoreConfig {
     pub serializing_round_trip: bool,
     /// L1 hit latency in cycles, charged by loads that never reach the
     /// memory system (store-buffer forwards and strict-LVQ consumption).
-    /// Must match the memory system's configured hit latency; caching it
-    /// here keeps those bindings memory-free, so a pure compute phase can
-    /// run them off-thread.
+    /// Must match the memory system's configured hit latency.
     pub l1_hit_latency: u64,
 }
 
@@ -122,12 +120,6 @@ impl CoreConfig {
     /// consistency model.
     pub fn store_serializes(&self) -> bool {
         matches!(self.consistency, Consistency::Sc)
-    }
-
-    /// Sets the cached L1 hit latency (must match the memory system).
-    pub fn with_l1_hit_latency(mut self, cycles: u64) -> Self {
-        self.l1_hit_latency = cycles;
-        self
     }
 }
 

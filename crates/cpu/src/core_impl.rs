@@ -115,10 +115,6 @@ pub struct Core {
     /// where it ends.
     stall_run: u64,
 
-    /// Whether [`tick_compute`](Self::tick_compute) already performed this
-    /// cycle's tick memory-free (making the commit phase a no-op).
-    computed: bool,
-
     stats: CoreStats,
 }
 
@@ -168,7 +164,6 @@ impl Core {
             predictor: Gshare::new(12),
             error_at: None,
             stall_run: 0,
-            computed: false,
             stats: CoreStats::new(),
         }
     }
@@ -473,92 +468,8 @@ impl Core {
 
     /// Advances the core by one cycle: retire, then dispatch.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        self.tick_compute(now);
-        self.tick_commit(now, mem);
-    }
-
-    /// The pure compute half of [`tick`](Self::tick): if this cycle's tick
-    /// provably never touches the shared memory system (the private
-    /// `tick_touches_mem` classifier), runs it entirely on
-    /// core-private state and records that it did. Safe to run for many
-    /// cores concurrently — nothing outside `self` is read or written.
-    ///
-    /// Must be paired with a [`tick_commit`](Self::tick_commit) at the same
-    /// cycle, which becomes a no-op when the compute phase already did the
-    /// work.
-    pub fn tick_compute(&mut self, now: Cycle) {
-        if self.tick_touches_mem(now) {
-            self.computed = false;
-        } else {
-            self.computed = true;
-            self.retire(now, None);
-            self.dispatch(now, None);
-        }
-    }
-
-    /// The serial half of [`tick`](Self::tick): performs the full tick —
-    /// including every memory-system access, in program order — unless the
-    /// preceding [`tick_compute`](Self::tick_compute) already ran this
-    /// cycle's work memory-free. Calling `tick_compute` for every core (in
-    /// any order, or in parallel) and then `tick_commit` in logical-
-    /// processor order is byte-identical to calling [`tick`](Self::tick)
-    /// serially: a memory-free tick reads and writes only its own core, so
-    /// it commutes with every other core's tick and with all shared-
-    /// resource arbitration.
-    pub fn tick_commit(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        if !self.computed {
-            self.retire(now, Some(mem));
-            self.dispatch(now, Some(mem));
-        }
-        self.computed = false;
-    }
-
-    /// Conservatively decides whether `tick(now)` could access the shared
-    /// memory system this cycle. `false` is a proof of isolation; `true`
-    /// merely routes the tick to the serial commit phase.
-    ///
-    /// * A strict-LVQ (trailing oracle) core never touches memory: loads
-    ///   and atomics consume the load-value queue at the cached L1 hit
-    ///   latency, stores skip the drain, and the synthetic ITLB walks in
-    ///   hardware without memory traffic.
-    /// * Otherwise, retirement is replayed read-only over the ≤`width`
-    ///   eligible ROB heads: a retiring store drains to memory, and a
-    ///   retiring atomic commits to it (unless this is a mute L1).
-    /// * Finally, if the front end could dispatch at all this cycle it may
-    ///   bind a load or atomic from memory. Only gates that retirement
-    ///   cannot change mid-tick are consulted here (`halted`,
-    ///   `pending_sync`, `fetch_free`) — a serializing block or a full ROB
-    ///   can clear during this very cycle's retire, so they prove nothing.
-    fn tick_touches_mem(&self, now: Cycle) -> bool {
-        if self.cfg.strict_lvq {
-            return false;
-        }
-        let now_raw = now.as_u64();
-        let mut idx = 0;
-        while idx < self.cfg.width {
-            let Some(head) = self.rob.get(idx) else { break };
-            if head.completion == u64::MAX || head.check_time > now_raw {
-                break;
-            }
-            if self.cfg.checking {
-                let Some(granted_at) = self.granted_at(head.interval_id) else {
-                    break;
-                };
-                let release_at = if head.serializing && self.cfg.serializing_round_trip {
-                    granted_at + self.cfg.check_latency
-                } else {
-                    granted_at
-                };
-                if release_at > now_raw {
-                    break;
-                }
-            }
-            if head.store.is_some() || (head.atomic_commit.is_some() && !self.is_mute_l1) {
-                return true;
-            }
-            idx += 1;
-        }
-        !(self.halted || self.pending_sync.is_some() || self.fetch_free > now_raw)
+        self.retire(now, mem);
+        self.dispatch(now, mem);
     }
 
     /// The earliest cycle `>= from` at which this core could make forward
@@ -652,11 +563,7 @@ impl Core {
         }
     }
 
-    /// `mem` is `None` only when called from the compute phase, after
-    /// [`tick_touches_mem`](Self::tick_touches_mem) proved no retiring
-    /// entry drains a store or commits an atomic; reaching a memory access
-    /// without it is a classifier bug and panics.
-    fn retire(&mut self, now: Cycle, mut mem: Option<&mut MemorySystem>) {
+    fn retire(&mut self, now: Cycle, mem: &mut MemorySystem) {
         let now_raw = now.as_u64();
         let mut retired = 0;
         while retired < self.cfg.width {
@@ -694,17 +601,12 @@ impl Core {
             self.retired.pc = entry.next_pc;
             if let Some((addr, op, operand, old)) = entry.atomic_commit {
                 if !self.cfg.strict_lvq && !self.is_mute_l1 {
-                    mem.as_deref_mut()
-                        .expect("atomic commit in compute phase")
-                        .atomic_commit(self.l1, addr, op, operand, old);
+                    mem.atomic_commit(self.l1, addr, op, operand, old);
                 }
             }
             if let Some((addr, value)) = entry.store {
                 if !self.cfg.strict_lvq {
-                    let acc = mem
-                        .as_deref_mut()
-                        .expect("store drain in compute phase")
-                        .drain_store(now, self.l1, addr, value);
+                    let acc = mem.drain_store(now, self.l1, addr, value);
                     self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
                 } else {
                     self.last_drain_done = self.last_drain_done.max(now_raw);
@@ -739,10 +641,7 @@ impl Core {
     // Dispatch: functional execution plus forward timing.
     // ------------------------------------------------------------------
 
-    /// `mem` is `None` only from the compute phase (strict-LVQ cores,
-    /// whose loads and atomics never leave the core); a memory access with
-    /// `None` is a classifier bug and panics.
-    fn dispatch(&mut self, now: Cycle, mut mem: Option<&mut MemorySystem>) {
+    fn dispatch(&mut self, now: Cycle, mem: &mut MemorySystem) {
         if self.halted {
             return;
         }
@@ -921,8 +820,7 @@ impl Core {
                         completion = u64::MAX;
                         awaiting_sync = true;
                     } else {
-                        let (value, done) =
-                            self.load_value(now, mem.as_deref_mut(), addr, exec_start);
+                        let (value, done) = self.load_value(now, mem, addr, exec_start);
                         let value = self.maybe_corrupt(user, value);
                         completion = done;
                         self.spec.regs.write(dst, value);
@@ -970,17 +868,14 @@ impl Core {
                         record = UpdateRecord::load(dst.index() as u8, old, addr.as_u64());
                         record.data = Some(reunion_isa::atomic_update(op, old, operand));
                     } else {
-                        let acc = mem
-                            .as_deref_mut()
-                            .expect("atomic read in compute phase")
-                            .atomic_read(
-                                Cycle::new(exec_start),
-                                self.l1,
-                                addr,
-                                op,
-                                operand,
-                                self.cfg.phantom,
-                            );
+                        let acc = mem.atomic_read(
+                            Cycle::new(exec_start),
+                            self.l1,
+                            addr,
+                            op,
+                            operand,
+                            self.cfg.phantom,
+                        );
                         let old = acc.value;
                         completion = acc.done_at.as_u64();
                         // Mute atomics update the private view at read time;
@@ -1072,7 +967,7 @@ impl Core {
     fn load_value(
         &mut self,
         _now: Cycle,
-        mem: Option<&mut MemorySystem>,
+        mem: &mut MemorySystem,
         addr: Addr,
         exec_start: u64,
     ) -> (u64, u64) {
@@ -1089,12 +984,7 @@ impl Core {
                 return (value, exec_start + self.cfg.l1_hit_latency);
             }
         }
-        let acc = mem.expect("coherent load in compute phase").load(
-            Cycle::new(exec_start),
-            self.l1,
-            addr,
-            self.cfg.phantom,
-        );
+        let acc = mem.load(Cycle::new(exec_start), self.l1, addr, self.cfg.phantom);
         (acc.value, acc.done_at.as_u64())
     }
 

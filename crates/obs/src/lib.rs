@@ -11,14 +11,11 @@
 //!   skip runs).
 //! - [`EventTrace`] — a bounded ring buffer of check-protocol events
 //!   ([`TraceEvent`]) with cycle stamps, dumpable per cell as JSONL.
-//! - [`ObsConfig`] — the opt-in switch ([`REUNION_OBS`]/[`REUNION_TRACE_CAP`]
-//!   env knobs); everything is off by default so baseline artifacts stay
-//!   byte-stable.
+//! - [`ObsConfig`] — the opt-in switch (`REUNION_OBS`/`REUNION_TRACE_CAP`
+//!   env knobs, resolved by `reunion_sim::RunOptions`); everything is off by
+//!   default so baseline artifacts stay byte-stable.
 //! - [`ObsReport`] — the merged per-measurement summary surfaced through the
 //!   BENCH JSON schema's `observability` block.
-//!
-//! [`REUNION_OBS`]: ObsConfig::from_env
-//! [`REUNION_TRACE_CAP`]: ObsConfig::from_env
 //!
 //! Everything here is engine-agnostic: the recording *sites* in
 //! `reunion-cpu`/`reunion-core` decide which series are dense↔skip
@@ -356,32 +353,6 @@ impl Default for ObsConfig {
             enabled: false,
             trace_cap: DEFAULT_TRACE_CAP,
         }
-    }
-}
-
-impl ObsConfig {
-    /// Resolve from the environment: `REUNION_OBS=1` enables recording,
-    /// `REUNION_TRACE_CAP=<n>` bounds the per-pair event trace (default
-    /// [`DEFAULT_TRACE_CAP`]).
-    ///
-    /// Panics on an unparseable `REUNION_TRACE_CAP`, matching how the other
-    /// `REUNION_*` knobs fail fast on bad input.
-    #[deprecated(
-        note = "configuration construction is env-free; resolve observability once \
-                (e.g. via reunion_sim::RunOptions) and inject it with \
-                SystemConfig::with_observability or GridBuilder::run_options"
-    )]
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("REUNION_OBS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        let trace_cap = match std::env::var("REUNION_TRACE_CAP") {
-            Ok(v) => v
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("REUNION_TRACE_CAP must be an integer, got {v:?}")),
-            Err(_) => DEFAULT_TRACE_CAP,
-        };
-        Self { enabled, trace_cap }
     }
 }
 

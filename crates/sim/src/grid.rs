@@ -66,7 +66,6 @@ pub struct ExperimentGrid {
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
-    intracell: usize,
     dump_traces: bool,
     cells: Vec<Cell>,
 }
@@ -84,7 +83,6 @@ impl ExperimentGrid {
             base: SystemConfig::table1,
             engine: Engine::default(),
             obs: ObsConfig::default(),
-            intracell: 0,
             dump_traces: false,
             workloads: Vec::new(),
             modes: vec![ExecutionMode::Reunion],
@@ -145,13 +143,6 @@ impl ExperimentGrid {
         &self.obs
     }
 
-    /// Compute workers each cell's system ticks its pairs on (set by
-    /// [`GridBuilder::run_options`]; default: 0 = in-place serial compute).
-    /// Purely a scheduling choice — reports are byte-identical either way.
-    pub fn intracell_threads(&self) -> usize {
-        self.intracell
-    }
-
     /// Whether the runner writes retained event traces to
     /// `TRACE_<id>_<cell>.jsonl` files. Only the command-line surface —
     /// [`GridBuilder::run_options`] with observability enabled — turns
@@ -176,7 +167,6 @@ impl ExperimentGrid {
         cell.patch.apply(&mut cfg);
         cfg.engine = self.engine;
         cfg.obs = self.obs;
-        cfg.intracell_threads = self.intracell;
         cfg
     }
 }
@@ -192,7 +182,6 @@ pub struct GridBuilder {
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
-    intracell: usize,
     dump_traces: bool,
     workloads: Vec<Workload>,
     modes: Vec<ExecutionMode>,
@@ -246,7 +235,6 @@ impl GridBuilder {
     pub fn run_options(mut self, opts: &RunOptions) -> Self {
         self.engine = opts.engine;
         self.obs = opts.observability;
-        self.intracell = opts.intracell.unwrap_or(0);
         self.dump_traces = opts.observability.enabled;
         self
     }
@@ -257,16 +245,6 @@ impl GridBuilder {
     /// without a command line.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the intra-cell compute worker count directly (default: 0 =
-    /// in-place serial compute). Purely a scheduling choice: reports are
-    /// byte-identical at any worker count.
-    /// [`run_options`](Self::run_options) is the usual entry point; this
-    /// exists for embedders sweeping schedules without a command line.
-    pub fn intracell_threads(mut self, workers: usize) -> Self {
-        self.intracell = workers;
         self
     }
 
@@ -356,7 +334,6 @@ impl GridBuilder {
             base: self.base,
             engine: self.engine,
             obs: self.obs,
-            intracell: self.intracell,
             dump_traces: self.dump_traces,
             cells,
         }
@@ -417,7 +394,6 @@ mod tests {
                 enabled: true,
                 trace_cap: 7,
             },
-            intracell: Some(3),
             ..RunOptions::default()
         };
         let grid = ExperimentGrid::builder("t", "t")
@@ -428,14 +404,12 @@ mod tests {
             .build();
         assert_eq!(grid.engine(), Engine::Dense);
         assert!(grid.observability().enabled);
-        assert_eq!(grid.intracell_threads(), 3);
         assert!(grid.dumps_traces(), "the CLI surface opts into trace files");
         for cell in grid.cells() {
             let cfg = grid.cell_config(cell);
             assert_eq!(cfg.engine, Engine::Dense);
             assert!(cfg.obs.enabled);
             assert_eq!(cfg.obs.trace_cap, 7);
-            assert_eq!(cfg.intracell_threads, 3);
             assert_eq!(cfg.comparison_latency, 5, "patches still apply");
         }
     }
@@ -467,17 +441,6 @@ mod tests {
             "library callers must not litter the working directory"
         );
         assert!(grid.cell_config(&grid.cells()[0]).obs.enabled);
-    }
-
-    #[test]
-    fn programmatic_intracell_reaches_cell_configs() {
-        let grid = ExperimentGrid::builder("t", "t")
-            .base(SystemConfig::small_test)
-            .intracell_threads(5)
-            .workloads(two_workloads())
-            .build();
-        assert_eq!(grid.intracell_threads(), 5);
-        assert_eq!(grid.cell_config(&grid.cells()[0]).intracell_threads, 5);
     }
 
     #[test]

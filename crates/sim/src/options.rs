@@ -10,7 +10,6 @@
 //! | engine        | `--engine dense\|skip`    | `REUNION_ENGINE`            |
 //! | serial        | `--serial`                | `REUNION_SERIAL=1`          |
 //! | threads       | `--threads <n>`           | `REUNION_THREADS`           |
-//! | intra-cell    | `--intracell-threads <n>` | `REUNION_INTRACELL_THREADS` |
 //! | shard         | `--shard i/N`             | `REUNION_SHARD`             |
 //! | observability | `--obs`                   | `REUNION_OBS=1`             |
 //! | trace cap     | `--trace-cap <n>`         | `REUNION_TRACE_CAP`         |
@@ -55,14 +54,6 @@ pub struct RunOptions {
     /// Worker-thread cap (`--threads`, `REUNION_THREADS`); `None` means
     /// all cores. Ignored when `serial` is set.
     pub threads: Option<usize>,
-    /// Intra-cell compute workers per simulated system
-    /// (`--intracell-threads`, `REUNION_INTRACELL_THREADS`); `None` or
-    /// values below 2 keep the per-pair compute phase on the ticking
-    /// thread. Purely a scheduling choice: artifacts are byte-identical
-    /// for every setting. [`RunOptions::runner`] divides the thread
-    /// budget so cell-level workers × intra-cell workers stays within
-    /// `threads`.
-    pub intracell: Option<usize>,
     /// Shard slice to execute (`--shard i/N`, `REUNION_SHARD=i/N`);
     /// `None` runs the whole grid in-process.
     pub shard: Option<ShardSpec>,
@@ -74,7 +65,7 @@ pub struct RunOptions {
 
 /// One-line usage summary of the shared flags, for drivers' usage errors.
 pub const RUN_OPTIONS_USAGE: &str = "[--profile full|fast] [--engine dense|skip] [--serial] \
-     [--threads <n>] [--intracell-threads <n>] [--shard i/N] [--obs] [--trace-cap <n>]";
+     [--threads <n>] [--shard i/N] [--obs] [--trace-cap <n>]";
 
 impl RunOptions {
     /// Resolves the shared options from an argument list and an environment
@@ -95,7 +86,6 @@ impl RunOptions {
         let mut engine: Option<Engine> = None;
         let mut serial = false;
         let mut threads: Option<usize> = None;
-        let mut intracell: Option<usize> = None;
         let mut shard: Option<ShardSpec> = None;
         let mut obs = false;
         let mut trace_cap: Option<usize> = None;
@@ -121,8 +111,6 @@ impl RunOptions {
                 engine = Some(v?.parse()?);
             } else if let Some(v) = take("--threads", "a worker count") {
                 threads = Some(parse_count("--threads", &v?)?);
-            } else if let Some(v) = take("--intracell-threads", "compute workers per cell") {
-                intracell = Some(parse_usize("--intracell-threads", &v?)?);
             } else if let Some(v) = take("--shard", "i/N") {
                 shard = Some(v?.parse::<ShardSpec>()?);
             } else if let Some(v) = take("--trace-cap", "events per pair") {
@@ -159,13 +147,6 @@ impl RunOptions {
                 None => None,
             },
         };
-        let intracell = match intracell {
-            Some(t) => Some(t),
-            None => match env("REUNION_INTRACELL_THREADS") {
-                Some(v) => Some(parse_usize("REUNION_INTRACELL_THREADS", &v)?),
-                None => None,
-            },
-        };
         let shard = match shard {
             Some(s) => Some(s),
             None => match env("REUNION_SHARD") {
@@ -191,7 +172,6 @@ impl RunOptions {
                 engine,
                 serial,
                 threads,
-                intracell,
                 shard,
                 observability: ObsConfig {
                     enabled: obs,
@@ -226,7 +206,6 @@ impl RunOptions {
     pub fn apply(&self, cfg: &mut SystemConfig) {
         cfg.engine = self.engine;
         cfg.obs = self.observability;
-        cfg.intracell_threads = self.intracell.unwrap_or(0);
     }
 
     /// Exports every winning choice back into the process environment, so
@@ -241,10 +220,6 @@ impl RunOptions {
         match self.threads {
             Some(t) => std::env::set_var("REUNION_THREADS", t.to_string()),
             None => std::env::remove_var("REUNION_THREADS"),
-        }
-        match self.intracell {
-            Some(t) => std::env::set_var("REUNION_INTRACELL_THREADS", t.to_string()),
-            None => std::env::remove_var("REUNION_INTRACELL_THREADS"),
         }
         match self.shard {
             Some(s) => std::env::set_var("REUNION_SHARD", s.to_string()),
@@ -265,26 +240,17 @@ impl RunOptions {
         self.profile.sample()
     }
 
-    /// A [`Runner`] honouring the resolved `serial`/`threads`/`intracell`
-    /// choice.
-    ///
-    /// When intra-cell compute workers are enabled, the cell-level worker
-    /// count is the thread budget divided by the per-cell worker count
-    /// (floor, at least 1), so cells × intra-cell workers never
-    /// oversubscribes the budget. With intra-cell parallelism off the
-    /// budget goes entirely to cell-level workers, as before.
+    /// A [`Runner`] honouring the resolved `serial`/`threads` choice.
     pub fn runner(&self) -> Runner {
         if self.serial {
             return Runner::serial();
         }
-        let total = match self.threads {
-            Some(t) => t.max(1),
-            None => std::thread::available_parallelism()
+        let threads = self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
                 .map(usize::from)
-                .unwrap_or(1),
-        };
-        let per_cell = self.intracell.unwrap_or(0).max(1);
-        Runner::with_threads((total / per_cell).max(1))
+                .unwrap_or(1)
+        });
+        Runner::with_threads(threads.max(1))
     }
 }
 
@@ -297,7 +263,6 @@ impl Default for RunOptions {
             engine: Engine::default(),
             serial: false,
             threads: None,
-            intracell: None,
             shard: None,
             observability: ObsConfig::default(),
         }
@@ -359,7 +324,6 @@ mod tests {
                 "--engine=dense",
                 "--serial",
                 "--threads=3",
-                "--intracell-threads=2",
                 "--shard",
                 "2/4",
                 "--obs",
@@ -371,7 +335,6 @@ mod tests {
         assert_eq!(o.engine, Engine::Dense);
         assert!(o.serial);
         assert_eq!(o.threads, Some(3));
-        assert_eq!(o.intracell, Some(2));
         assert_eq!(o.shard, Some(ShardSpec::new(2, 4)));
         assert!(o.observability.enabled);
         assert_eq!(o.observability.trace_cap, 16);
@@ -386,7 +349,6 @@ mod tests {
                 ("REUNION_ENGINE", "dense"),
                 ("REUNION_SERIAL", "1"),
                 ("REUNION_THREADS", "2"),
-                ("REUNION_INTRACELL_THREADS", "4"),
                 ("REUNION_SHARD", "1/2"),
                 ("REUNION_OBS", "1"),
                 ("REUNION_TRACE_CAP", "8"),
@@ -396,7 +358,6 @@ mod tests {
         assert_eq!(o.engine, Engine::Dense);
         assert!(o.serial);
         assert_eq!(o.threads, Some(2));
-        assert_eq!(o.intracell, Some(4));
         assert_eq!(o.shard, Some(ShardSpec::new(1, 2)));
         assert!(o.observability.enabled);
         assert_eq!(o.observability.trace_cap, 8);
@@ -445,9 +406,7 @@ mod tests {
         assert!(resolve(&["--threads", "many"], &[]).is_err());
         assert!(resolve(&["--shard", "3"], &[]).is_err());
         assert!(resolve(&["--trace-cap", "-1"], &[]).is_err());
-        assert!(resolve(&["--intracell-threads", "some"], &[]).is_err());
         assert!(resolve(&[], &[("REUNION_ENGINE", "warp")]).is_err());
-        assert!(resolve(&[], &[("REUNION_INTRACELL_THREADS", "x")]).is_err());
         assert!(resolve(&[], &[("REUNION_THREADS", "0")]).is_err());
         assert!(resolve(&[], &[("REUNION_SHARD", "0/0")]).is_err());
         assert!(resolve(&[], &[("REUNION_TRACE_CAP", "lots")]).is_err());
@@ -469,19 +428,14 @@ mod tests {
     }
 
     #[test]
-    fn intracell_workers_split_the_thread_budget() {
-        // 8 total / 4 per cell = 2 cell workers.
-        let o = opts(&["--threads", "8", "--intracell-threads", "4"], &[]);
-        assert!(!o.runner().is_serial());
-        // 4 total / 8 per cell rounds down to one cell worker.
-        let o = opts(&["--threads", "4", "--intracell-threads", "8"], &[]);
-        assert!(o.runner().is_serial());
-        // Disabled (0) or degenerate (1) intra-cell settings leave the
-        // whole budget to cell-level workers.
-        for knob in ["0", "1"] {
-            let o = opts(&["--threads", "2", "--intracell-threads", knob], &[]);
-            assert!(!o.runner().is_serial());
-        }
+    fn removed_intracell_knob_is_an_unrecognized_argument() {
+        let (o, leftovers) = resolve(
+            &["--intracell-threads", "2"],
+            &[("REUNION_INTRACELL_THREADS", "2")],
+        )
+        .unwrap();
+        assert_eq!(leftovers, vec!["--intracell-threads", "2"]);
+        assert_eq!(o, RunOptions::default());
     }
 
     #[test]
@@ -495,17 +449,6 @@ mod tests {
         assert_eq!(cfg.engine, Engine::Dense);
         assert!(cfg.obs.enabled);
         assert_eq!(cfg.obs.trace_cap, 16);
-    }
-
-    #[test]
-    fn apply_stamps_intracell_workers_onto_a_config() {
-        use reunion_core::ExecutionMode;
-        let mut cfg = SystemConfig::table1(ExecutionMode::Reunion);
-        assert_eq!(cfg.intracell_threads, 0, "env-free constructor default");
-        opts(&["--intracell-threads", "4"], &[]).apply(&mut cfg);
-        assert_eq!(cfg.intracell_threads, 4);
-        opts(&[], &[]).apply(&mut cfg);
-        assert_eq!(cfg.intracell_threads, 0, "unset knob resets the overlay");
     }
 
     #[test]

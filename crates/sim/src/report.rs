@@ -1,7 +1,7 @@
 //! Structured experiment results and their JSON serialization.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use reunion_core::{
     EpisodeSummary, ExecutionMode, LatencyHistogram, Measurement, NormalizedResult, ObsReport,
@@ -561,9 +561,15 @@ impl ExperimentReport {
         s
     }
 
-    /// Writes `BENCH_<id>.json` under [`out_dir`] and returns the path.
+    /// Writes `BENCH_<id>.json` under [`out_dir`], creating the directory
+    /// if needed, and returns the path.
     pub fn write_json_default(&self) -> io::Result<PathBuf> {
-        let path = out_dir().join(format!("BENCH_{}.json", self.id));
+        self.write_json_in(&out_dir())
+    }
+
+    fn write_json_in(&self, dir: &Path) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("BENCH_{}.json", self.id));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
@@ -669,5 +675,19 @@ mod tests {
         assert!(a.contains("\"normalized_ipc\": 0.9"));
         assert!(a.contains("\"mode\": \"strict\""));
         assert!(a.ends_with("}\n"));
+    }
+
+    #[test]
+    fn write_creates_a_missing_output_directory() {
+        let root = std::env::temp_dir().join(format!("reunion-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let r = report();
+        let path = r
+            .write_json_in(&root.join("not").join("yet"))
+            .expect("write into a missing nested directory");
+        let text = std::fs::read_to_string(&path).expect("artifact readable");
+        let parsed = crate::json::parse_json(&text).expect("artifact parses");
+        assert_eq!(parsed.get("id").and_then(JsonValue::as_str), Some("t"));
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -9,7 +9,7 @@
 //! quick sampling profile, so a violation fails `cargo test` long before
 //! the CI artifact gate sees it.
 
-use reunion_core::{Engine, ExecutionMode, ObsConfig, SampleConfig, SystemConfig};
+use reunion_core::{Engine, ExecutionMode, SampleConfig, SystemConfig};
 use reunion_mem::MemConfig;
 use reunion_sim::{ConfigPatch, ExperimentGrid, Runner};
 use reunion_workloads::Workload;
@@ -71,48 +71,6 @@ fn scaling_reports_are_schedule_invariant() {
     let serial = Runner::serial().run(&grid).to_json();
     let parallel = Runner::with_threads(4).run(&grid).to_json();
     assert_eq!(serial, parallel);
-}
-
-/// Serial ↔ intra-cell-parallel byte-identity at the report level, up to
-/// 32 pairs, under both engines, with observability collecting: the whole
-/// `BENCH_<id>.json` surface — normalized IPC, counters, obs histograms —
-/// must be unchanged when every cell's compute phase fans out to worker
-/// threads. The worker count is deliberately left prime and mismatched to
-/// the pair counts so batches split unevenly.
-#[test]
-fn scaling_reports_are_intracell_invariant() {
-    let grid_with = |engine: Engine, intracell: usize| {
-        ExperimentGrid::builder("scalingtest-intracell", "intra-cell determinism grid")
-            .engine(engine)
-            .observability(ObsConfig {
-                enabled: true,
-                trace_cap: 8,
-            })
-            .base(scaling_base)
-            .intracell_threads(intracell)
-            .sample(SampleConfig::quick())
-            .workloads(vec![Workload::by_name("apache").expect("in suite")])
-            .modes(&[ExecutionMode::Reunion])
-            .patches(vec![
-                ConfigPatch::new("p8:bw2:lat=10")
-                    .logical_processors(8)
-                    .check_bandwidth(2)
-                    .latency(10),
-                ConfigPatch::new("p32:bw2:lat=10")
-                    .logical_processors(32)
-                    .check_bandwidth(2)
-                    .latency(10),
-            ])
-            .build()
-    };
-    for engine in [Engine::Dense, Engine::Skip] {
-        let serial = Runner::serial().run(&grid_with(engine, 0)).to_json();
-        let parallel = Runner::serial().run(&grid_with(engine, 3)).to_json();
-        assert_eq!(
-            serial, parallel,
-            "{engine}: intra-cell compute changed a report"
-        );
-    }
 }
 
 /// The scaling knobs are not silent no-ops: at 16 pairs a shared 2-cycle
