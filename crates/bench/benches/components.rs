@@ -25,13 +25,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reunion_core::{CmpSystem, ExecutionMode, SampleConfig, SystemConfig};
+use reunion_bench::{counters_grid, Profile, RunOptions};
+use reunion_core::{CmpSystem, ExecutionMode, SystemConfig};
 use reunion_cpu::{Core, CoreConfig};
 use reunion_fingerprint::{Crc, FingerprintUnit, TwoStageCompressor, UpdateRecord};
 use reunion_isa::{Addr, Instruction, Program, RegId};
 use reunion_kernel::Cycle;
 use reunion_mem::{CacheArray, MemConfig, MemorySystem, Owner, PhantomStrength};
-use reunion_sim::{CellQueue, ConfigPatch, ExperimentGrid, RunOptions};
+use reunion_sim::CellQueue;
 use reunion_workloads::Workload;
 
 /// Minimal stand-in for criterion's driver: `bench_function` + `Bencher::iter`.
@@ -56,16 +57,8 @@ impl Bencher {
 }
 
 impl Criterion {
-    fn new() -> Self {
-        // Same typed resolution as the experiment binaries; a bench
-        // harness has no flags of its own, so only the `REUNION_*`
-        // environment (with its canonical precedence, legacy
-        // `REUNION_FAST` spelling included) feeds the choice.
-        let opts = match RunOptions::resolve(std::iter::empty(), &|k| std::env::var(k).ok()) {
-            Ok((opts, _)) => opts,
-            Err(e) => panic!("bad REUNION_* environment: {e}"),
-        };
-        let quick = opts.profile == reunion_core::Profile::Fast;
+    fn new(opts: &RunOptions) -> Self {
+        let quick = opts.profile == Profile::Fast;
         Criterion {
             samples: if quick { 3 } else { 10 },
             budget: Duration::from_millis(if quick { 5 } else { 50 }),
@@ -213,36 +206,6 @@ fn bench_system_tick(c: &mut Criterion) {
     c.bench_function("system_tick_reunion", |b| b.iter(|| reunion.tick()));
 }
 
-/// The fixed reference grid the counters mode executes: two workloads of
-/// different classes, both paired modes, two comparison latencies, under
-/// the quick sampling profile — small enough for CI, wide enough that a
-/// change to any hot path moves at least one counter.
-fn counters_grid() -> ExperimentGrid {
-    // The counters harness has no command line of its own, but the gate's
-    // dense/skip contract (identical work counters, differing
-    // `skipped_cycles`) is exercised by re-running under
-    // `REUNION_ENGINE=dense`; resolve the run surface from the environment
-    // and overlay it on the grid, exactly as the experiment binaries do.
-    let opts = match RunOptions::resolve(std::iter::empty(), &|k| std::env::var(k).ok()) {
-        Ok((opts, _)) => opts,
-        Err(e) => panic!("bad REUNION_* environment: {e}"),
-    };
-    ExperimentGrid::builder("counters", "deterministic bench counters")
-        .run_options(&opts)
-        .base(SystemConfig::small_test)
-        .sample(SampleConfig::quick())
-        .workloads(vec![
-            Workload::by_name("sparse").unwrap(),
-            Workload::by_name("apache").unwrap(),
-        ])
-        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-        .patches(vec![
-            ConfigPatch::new("lat=0").latency(0),
-            ConfigPatch::new("lat=10").latency(10),
-        ])
-        .build()
-}
-
 /// Deterministic-counters mode: machine-independent work counters over
 /// the reference grid, printed as `counter <name> <value>` lines (and
 /// nothing else on stdout, so CI can diff the output verbatim against
@@ -254,8 +217,8 @@ fn counters_grid() -> ExperimentGrid {
 /// simulated-work counter must be identical between `REUNION_ENGINE=dense`
 /// and `skip`, while `skipped_cycles` is the one line allowed to differ
 /// (zero under dense, nonzero under the default skip engine).
-fn report_counters() {
-    let grid = counters_grid();
+fn report_counters(opts: &RunOptions) {
+    let grid = counters_grid(opts);
     let mut instructions = 0u64;
     let mut cycles = 0u64;
     let mut incoherence = 0u64;
@@ -316,11 +279,18 @@ fn report_counters() {
 }
 
 fn main() {
-    if reunion_sim::env_flag("REUNION_BENCH_COUNTERS") {
-        report_counters();
+    // Same typed resolution as every other binary, once, here. Cargo hands
+    // a bench harness flags of its own (`--bench`), so unrecognized
+    // arguments are ignored rather than rejected.
+    let opts = match RunOptions::parse_cli(RunOptions::default()) {
+        Ok((opts, _)) => opts,
+        Err(e) => panic!("bad run options: {e}"),
+    };
+    if std::env::var("REUNION_BENCH_COUNTERS").is_ok_and(|v| v == "1") {
+        report_counters(&opts);
         return;
     }
-    let mut c = Criterion::new();
+    let mut c = Criterion::new(&opts);
     bench_cache_array(&mut c);
     bench_fingerprint(&mut c);
     bench_memory_system(&mut c);

@@ -23,7 +23,7 @@
 //! To accept an intentional change, regenerate the baselines locally:
 //!
 //! ```text
-//! REUNION_OUT_DIR=baselines cargo run --release -p reunion-bench --bin <id> -- --profile fast
+//! REUNION_OUT_DIR=baselines cargo run --release -p reunion-bench -- run <id> --profile fast
 //! ```
 
 use std::collections::BTreeMap;

@@ -10,12 +10,17 @@
 //!
 //! The pool spec lists hosts (`name`, `transport = "local"|"ssh"`,
 //! `capacity`, ssh `addr`/`remote_dir`, optional `command` argv template
-//! with `{grid}`/`{profile}` placeholders). Shards `1/N … N/N` of the
-//! named grid are assigned to hosts up to capacity and launched through
-//! each host's transport: `local` spawns the experiment binary named
-//! after the grid (from `--bin-dir`, default: next to this executable)
-//! with `REUNION_SHARD=i/N`; `ssh` runs the same command remotely with
-//! the manifest format as the only contract. Progress is monitored by
+//! with `{grid}`/`{profile}` placeholders). `<id>` must be a row of the
+//! experiment registry (checked before any host is contacted). Shards
+//! `1/N … N/N` of the named grid are assigned to hosts up to capacity and
+//! launched through each host's transport: `local` spawns
+//! `reunion-bench run <id>` (from `--bin-dir`, default: next to this
+//! executable) with `REUNION_SHARD=i/N`, followed by this invocation's
+//! resolved run options as explicit flags (`RunOptions::to_args`), so
+//! `--engine`, `--obs`, `--threads`, … reach every worker; `ssh` runs the
+//! same command remotely with the manifest format as the only contract
+//! (name the remote `reunion-bench` in the host's `command` if it is not
+//! on the remote `PATH` at the same location). Progress is monitored by
 //! tailing each worker's crash-safe manifest; a worker that dies, or
 //! gains no cell within the lease, is killed and its shard re-dispatched
 //! to a healthy host, seeded with the partial manifest so completed cells
@@ -37,14 +42,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use reunion_bench::{run_options_with_extras, Profile, RUN_OPTIONS_USAGE};
+use reunion_bench::{registry, run_options_with_extras, RunOptions, RUN_OPTIONS_USAGE};
 use reunion_dispatch::{DispatchConfig, Dispatcher, FailureInjection, HostPool, TransportDefaults};
 
 struct Opts {
     grid: String,
     shards: usize,
     pool: PathBuf,
-    profile: Profile,
     out: PathBuf,
     work_root: Option<PathBuf>,
     bin_dir: Option<PathBuf>,
@@ -78,11 +82,11 @@ fn parse_inject(s: &str) -> Result<FailureInjection, String> {
     })
 }
 
-fn parse_args(args: impl Iterator<Item = String>, profile: Profile) -> Result<Opts, String> {
+fn parse_args(args: impl Iterator<Item = String>, run: &RunOptions) -> Result<Opts, String> {
     let mut grid = None;
     let mut shards = None;
     let mut pool = None;
-    let mut out = reunion_sim::out_dir();
+    let mut out = run.out_dir.clone();
     let mut work_root = None;
     let mut bin_dir = None;
     let mut lease = Duration::from_secs(600);
@@ -132,11 +136,13 @@ fn parse_args(args: impl Iterator<Item = String>, profile: Profile) -> Result<Op
             other => return Err(format!("unrecognized argument {other:?}")),
         }
     }
+    // Fail fast, with the id list, before any host is contacted.
+    let grid = grid.ok_or("--grid is required")?;
+    registry::find(&grid)?;
     Ok(Opts {
-        grid: grid.ok_or("--grid is required")?,
+        grid,
         shards: shards.ok_or("--shards is required")?,
         pool: pool.ok_or("--pool is required")?,
-        profile,
         out,
         work_root,
         bin_dir,
@@ -148,11 +154,10 @@ fn parse_args(args: impl Iterator<Item = String>, profile: Profile) -> Result<Op
 }
 
 fn main() -> ExitCode {
-    // Shared surface first (profile/engine/obs/...; exported to the
-    // environment so locally spawned workers inherit the choices), then
-    // the dispatcher's own flags from the leftovers.
+    // Shared surface first (profile/engine/obs/...), then the
+    // dispatcher's own flags from the leftovers.
     let (run, leftovers) = run_options_with_extras();
-    let opts = match parse_args(leftovers.into_iter(), run.profile) {
+    let opts = match parse_args(leftovers.into_iter(), &run) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("{e}");
@@ -169,24 +174,34 @@ fn main() -> ExitCode {
         }
     };
 
-    // Local workers default to the sibling experiment binary named after
-    // the grid: `dispatch` and `fig5` both live in target/<profile>/.
+    // Workers default to the sibling front door — `dispatch` and
+    // `reunion-bench` both live in target/<profile>/ — told what this
+    // invocation resolved as explicit flags, which (unlike the process
+    // environment) also reach ssh workers. The shard is the transport's to
+    // assign, per worker.
     let bin_dir = opts.bin_dir.clone().unwrap_or_else(|| {
         std::env::current_exe()
             .ok()
             .and_then(|p| p.parent().map(PathBuf::from))
             .unwrap_or_else(|| PathBuf::from("."))
     });
+    let worker_options = RunOptions {
+        shard: None,
+        ..run.clone()
+    };
     let defaults = TransportDefaults {
         work_root: opts
             .work_root
             .clone()
             .unwrap_or_else(|| opts.out.join("hosts")),
-        command: vec![
-            bin_dir.join("{grid}").display().to_string(),
-            "--profile".to_string(),
-            "{profile}".to_string(),
-        ],
+        command: [
+            bin_dir.join("reunion-bench").display().to_string(),
+            "run".to_string(),
+            "{grid}".to_string(),
+        ]
+        .into_iter()
+        .chain(worker_options.to_args())
+        .collect(),
     };
     let transports = match pool.build_transports(&defaults) {
         Ok(t) => t,
@@ -202,10 +217,10 @@ fn main() -> ExitCode {
         opts.grid,
         pool.hosts().len(),
         pool.capacity(),
-        opts.profile,
+        run.profile,
     );
     let mut cfg = DispatchConfig::new(&opts.grid, opts.shards, &opts.out)
-        .profile(opts.profile.to_string())
+        .profile(run.profile.to_string())
         .lease(opts.lease)
         .poll(opts.poll)
         .max_host_failures(opts.max_host_failures);

@@ -1,9 +1,9 @@
 //! Combines shard manifests back into `BENCH_<id>.json` artifacts.
 //!
 //! The second half of a sharded campaign: after every shard of a grid has
-//! run (`REUNION_SHARD=i/N <binary>`, on any mix of machines), collect the
-//! `MANIFEST_<id>.shard<i>of<N>.jsonl` files into one directory and merge
-//! them:
+//! run (`reunion-bench run <id> --shard i/N`, on any mix of machines),
+//! collect the `MANIFEST_<id>.shard<i>of<N>.jsonl` files into one directory
+//! and merge them:
 //!
 //! ```text
 //! merge_shards <manifest_dir>
@@ -25,10 +25,9 @@ use reunion_bench::run_options_with_extras;
 use reunion_sim::{find_manifests, merge_manifests};
 
 fn main() -> ExitCode {
-    // Shared surface first (this tool only reads manifests, but resolving
-    // uniformly keeps `REUNION_*`/flag handling identical across binaries);
-    // the manifest directory is the sole positional leftover.
-    let (_, args) = run_options_with_extras();
+    // Shared surface first (`REUNION_OUT_DIR` names where the merged
+    // reports go); the manifest directory is the sole positional leftover.
+    let (opts, args) = run_options_with_extras();
     let [dir] = args.as_slice() else {
         eprintln!("usage: merge_shards <manifest_dir>");
         return ExitCode::FAILURE;
@@ -48,7 +47,7 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (id, paths) in &groups {
         match merge_manifests(paths) {
-            Ok(report) => match report.write_json_default() {
+            Ok(report) => match report.write_json(&opts.out_dir) {
                 Ok(path) => println!(
                     "OK   {id}: merged {} manifest(s), {} records -> {}",
                     paths.len(),

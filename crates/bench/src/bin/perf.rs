@@ -1,112 +1,65 @@
 //! Host-throughput harness: wall-clock cells/sec over a reference grid.
 //!
-//! Unlike the eight figure/table binaries (which measure *simulated*
-//! performance and whose `BENCH_<id>.json` artifacts are fidelity-gated),
-//! this binary measures how fast the *simulator itself* chews through
-//! grid cells on the host. Its artifact, `BENCH_perf.json`, is
-//! machine-dependent by design and therefore excluded from baseline
-//! gating — CI uploads it as an inspection artifact only.
+//! Unlike `reunion-bench run <id>` (which measures *simulated* performance
+//! and whose `BENCH_<id>.json` artifacts are fidelity-gated), this binary
+//! measures how fast the *simulator itself* chews through grid cells on
+//! the host. Its artifact, `BENCH_perf.json`, is machine-dependent by
+//! design and therefore excluded from baseline gating — CI uploads it as
+//! an inspection artifact only.
 //!
 //! ```text
 //! cargo run --release -p reunion-bench --bin perf -- --grid fig5
 //! ```
 //!
-//! Options: `--grid fig5|counters` (default `fig5`), plus the shared
-//! `--profile full|fast` (default `fast` here — throughput does not need
-//! the paper's full sampling depth) and `--engine dense|skip`.
+//! Options: `--grid <id>|counters` (default `fig5`; any normalized-IPC
+//! grid of the experiment registry, or the small deterministic-counters
+//! grid the CI perf-smoke job runs), plus the shared `--profile full|fast`
+//! (default `fast` here — throughput does not need the paper's full
+//! sampling depth) and `--engine dense|skip`.
 //!
 //! Cells are executed serially on one thread so the reported throughput
 //! is a stable per-core number, unaffected by host load or worker count.
 
 use std::time::Instant;
 
-use reunion_bench::{banner, workloads, RunOptions};
-use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-use reunion_sim::{out_dir, ConfigPatch, ExperimentGrid};
-use reunion_workloads::Workload;
+use reunion_bench::{banner, counters_grid, registry, Profile, RunOptions};
+use reunion_sim::{ExperimentGrid, Metric};
 
-/// Which reference grid to time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum GridChoice {
-    /// The full Figure 5 grid: all 11 workloads, Strict and Reunion.
-    Fig5,
-    /// The small deterministic-counters grid (2 workloads, 2 modes,
-    /// 2 latencies) — the one the CI perf-smoke job runs.
-    Counters,
-}
-
-struct PerfOpts {
-    grid: GridChoice,
-    run: RunOptions,
-}
-
-fn parse_args() -> Result<PerfOpts, String> {
-    // The shared surface resolves everything but `--grid`; throughput does
-    // not need the paper's full sampling depth, so this binary defaults the
-    // profile to `fast` (a `--profile` flag or REUNION_PROFILE/REUNION_FAST
-    // environment setting still wins, as everywhere else).
-    let (run, leftovers) = RunOptions::resolve(std::env::args().skip(1), &|k| {
-        std::env::var(k)
-            .ok()
-            .or_else(|| (k == "REUNION_PROFILE").then(|| "fast".to_string()))
+/// Resolves the run options (this binary's default profile is `fast`; a
+/// `--profile` flag or `REUNION_PROFILE` still wins, as everywhere else)
+/// and builds the grid `--grid` names.
+fn parse_args() -> Result<(RunOptions, ExperimentGrid), String> {
+    let (run, leftovers) = RunOptions::parse_cli(RunOptions {
+        profile: Profile::Fast,
+        ..RunOptions::default()
     })?;
-    let mut grid = GridChoice::Fig5;
+    let mut id = "fig5".to_string();
     let mut it = leftovers.into_iter();
     while let Some(arg) = it.next() {
         if arg == "--grid" {
-            let v = it.next().ok_or("--grid requires a value")?;
-            grid = parse_grid(&v)?;
+            id = it.next().ok_or("--grid requires a value")?;
         } else if let Some(v) = arg.strip_prefix("--grid=") {
-            grid = parse_grid(v)?;
+            id = v.to_string();
         } else {
             return Err(format!("unrecognized argument {arg:?}"));
         }
     }
-    Ok(PerfOpts { grid, run })
-}
-
-fn parse_grid(s: &str) -> Result<GridChoice, String> {
-    match s {
-        "fig5" => Ok(GridChoice::Fig5),
-        "counters" => Ok(GridChoice::Counters),
-        other => Err(format!("unknown grid {other:?} (expected fig5|counters)")),
+    let grid = match id.as_str() {
+        "counters" => counters_grid(&run),
+        id => registry::find(id)?.grid(&run),
+    };
+    if grid.metric() != Metric::Normalized {
+        return Err(format!("grid {id:?} does not measure normalized IPC"));
     }
+    Ok((run, grid))
 }
 
 /// Writes `BENCH_perf.json` into the artifact directory.
-fn write_report(json: &str) {
-    let dir = out_dir();
-    let path = dir.join("BENCH_perf.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+fn write_report(opts: &RunOptions, json: &str) {
+    let path = opts.out_dir.join("BENCH_perf.json");
+    match std::fs::create_dir_all(&opts.out_dir).and_then(|()| std::fs::write(&path, json)) {
         Ok(()) => println!("[report: {}]", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_perf.json: {e}"),
-    }
-}
-
-fn build_grid(opts: &PerfOpts) -> ExperimentGrid {
-    match opts.grid {
-        GridChoice::Fig5 => ExperimentGrid::builder("perf-fig5", "perf: fig5 reference grid")
-            .run_options(&opts.run)
-            .sample(opts.run.profile.sample())
-            .workloads(workloads())
-            .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-            .build(),
-        GridChoice::Counters => {
-            ExperimentGrid::builder("perf-counters", "perf: counters reference grid")
-                .run_options(&opts.run)
-                .base(SystemConfig::small_test)
-                .sample(SampleConfig::quick())
-                .workloads(vec![
-                    Workload::by_name("sparse").unwrap(),
-                    Workload::by_name("apache").unwrap(),
-                ])
-                .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-                .patches(vec![
-                    ConfigPatch::new("lat=0").latency(0),
-                    ConfigPatch::new("lat=10").latency(10),
-                ])
-                .build()
-        }
     }
 }
 
@@ -131,12 +84,12 @@ fn peak_rss_bytes() -> u64 {
 }
 
 fn main() {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let (opts, grid) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             eprintln!(
-                "usage: perf [--grid fig5|counters] {}",
+                "usage: perf [--grid <id>|counters] {}",
                 reunion_bench::RUN_OPTIONS_USAGE
             );
             std::process::exit(2);
@@ -144,7 +97,6 @@ fn main() {
     };
     banner("perf", "host throughput (wall-clock) over a reference grid");
 
-    let grid = build_grid(&opts);
     let cells = grid.cells().len();
     let mut instructions = 0u64;
     let mut cycles = 0u64;
@@ -164,10 +116,7 @@ fn main() {
     let insns_per_sec = instructions as f64 / wall;
     let cycles_per_sec = cycles as f64 / wall;
     println!("grid               {} ({cells} cells)", grid.id());
-    println!(
-        "engine/profile     {}/{}",
-        opts.run.engine, opts.run.profile
-    );
+    println!("engine/profile     {}/{}", opts.engine, opts.profile);
     println!("wall seconds       {wall:.3}");
     println!("cells/sec          {cells_per_sec:.3}");
     println!("instructions/sec   {insns_per_sec:.0}");
@@ -192,8 +141,8 @@ fn main() {
             "}}\n",
         ),
         grid.id(),
-        opts.run.engine,
-        opts.run.profile,
+        opts.engine,
+        opts.profile,
         cells,
         wall,
         cells_per_sec,
@@ -203,5 +152,5 @@ fn main() {
         cycles_per_sec,
         rss,
     );
-    write_report(&json);
+    write_report(&opts, &json);
 }

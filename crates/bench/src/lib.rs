@@ -1,19 +1,21 @@
-//! Shared harness for the experiment binaries.
+//! The experiment front door and its shared harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation by declaring an [`ExperimentGrid`] and handing it to
-//! [`run_and_emit`]; the grid's cells execute in parallel
+//! Every table and figure of the paper's evaluation is one row of the
+//! [`registry`]: an id, a caption, how to declare its [`ExperimentGrid`]
+//! and how to print its table. `reunion-bench run <id>` looks the row up
+//! and hands it to [`run_and_emit`]; the grid's cells execute in parallel
 //! through [`reunion_sim::Runner`] and the resulting report both drives the
 //! printed table and lands on disk as `BENCH_<id>.json`.
-//! Run e.g. `cargo run --release -p reunion-bench --bin fig5`.
+//! Run e.g. `cargo run --release -p reunion-bench -- run fig5`.
 //!
-//! Command line and environment (shared by every binary through
-//! [`run_options`] / [`reunion_sim::RunOptions`]) — a flag always wins
-//! over its environment fallback:
+//! Command line and environment — resolved exactly once, at `main`, by
+//! [`run_options_with_extras`] / [`RunOptions::parse_cli`], and passed
+//! down as a value from there; a flag always wins over its environment
+//! fallback:
 //!
-//! * `--profile full|fast` / `REUNION_PROFILE` (legacy `REUNION_FAST=1`)
-//!   — sampling profile: the paper's full methodology, or the shortened
-//!   smoke/CI profile (see [`Profile`]).
+//! * `--profile full|fast` / `REUNION_PROFILE` — sampling profile: the
+//!   paper's full methodology, or the shortened smoke/CI profile (see
+//!   [`Profile`]).
 //! * `--engine dense|skip` / `REUNION_ENGINE` — timing engine: dense cycle
 //!   stepping, or the default event-driven time-skipping engine.
 //!   `BENCH_<id>.json` output is byte-identical between the two (gated by
@@ -31,16 +33,16 @@
 //!   trace); off by default so the gated artifacts stay byte-stable.
 //! * `REUNION_OUT_DIR=<dir>` — where `BENCH_<id>.json` reports,
 //!   `MANIFEST_*.jsonl` shard manifests and `TRACE_*.jsonl` dumps are
-//!   written.
+//!   written (resolved with the rest, into [`RunOptions::out_dir`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::path::PathBuf;
-
-use reunion_core::ClassSummary;
-use reunion_sim::{out_dir, ExperimentGrid, ExperimentReport, ShardRunOutcome};
+use reunion_core::{ClassSummary, ExecutionMode, SampleConfig, SystemConfig};
+use reunion_sim::{ConfigPatch, ExperimentGrid, ExperimentReport};
 use reunion_workloads::{kernel_suite, suite, Workload, WorkloadClass};
+
+pub mod registry;
 
 pub use reunion_core::{Engine, Profile};
 pub use reunion_sim::{RunOptions, RUN_OPTIONS_USAGE};
@@ -61,35 +63,13 @@ pub fn keyed_latency_label(key: &str, latency: u64) -> String {
 }
 
 /// Resolves the shared run options from the real command line and
-/// environment, rejecting any argument the shared surface does not know.
-///
-/// The single entry point of the figure/table binaries: resolve via
-/// [`RunOptions::parse_cli`] (flags win over `REUNION_*` fallbacks),
-/// treat leftovers as usage errors (a typo must never silently run the
-/// expensive default configuration), and hand the result to the grid
-/// builder and [`run_and_emit`]. Binaries with extra flags of their own
-/// (`perf`, `dispatch`, the merge/compare tools) call
-/// [`run_options_with_extras`] instead and consume the leftovers.
-pub fn run_options() -> RunOptions {
-    let (opts, leftovers) = run_options_with_extras();
-    if let Some(extra) = leftovers.first() {
-        usage_error(&format!("unrecognized argument {extra:?}"));
-    }
-    opts
-}
-
-/// Like [`run_options`], but hands back the arguments the shared surface
-/// did not recognize (in their original order) for the caller to parse.
-/// The winning choices are also exported back into the environment, which
-/// is how the dispatcher's child processes inherit them.
+/// environment — the one call every binary's `main` starts with — and
+/// hands back the arguments the shared surface did not recognize (in their
+/// original order) for the caller to parse. A malformed flag or `REUNION_*`
+/// value is a usage error (exit 2): a typo must never silently run the
+/// expensive default configuration.
 pub fn run_options_with_extras() -> (RunOptions, Vec<String>) {
-    match RunOptions::parse_cli() {
-        Ok((opts, leftovers)) => {
-            opts.apply_env();
-            (opts, leftovers)
-        }
-        Err(e) => usage_error(&e),
-    }
+    RunOptions::parse_cli(RunOptions::default()).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Prints `message` plus the shared usage line and exits with status 2.
@@ -121,73 +101,34 @@ pub fn commercial_workloads() -> Vec<Workload> {
 }
 
 /// The real-code kernel suite (`asm/`), in presentation order — the
-/// population of the `fig_kernels` binary.
+/// population of the `kernels` experiment.
 pub fn kernel_workloads() -> Vec<Workload> {
     kernel_suite()
 }
 
-/// What [`run_and_emit`] did, stated explicitly instead of `Option`'s
-/// ambiguous `None`: either a complete in-process run with its report and
-/// artifact path, or one shard of a campaign whose report does not exist
-/// until `merge_shards` combines the manifests.
-#[derive(Clone, Debug)]
-pub enum RunOutcome {
-    /// The whole grid ran in-process; `BENCH_<id>.json` was written to
-    /// `path`.
-    Emitted {
-        /// Where the artifact landed.
-        path: PathBuf,
-        /// The complete report, for table printing.
-        report: ExperimentReport,
-    },
-    /// Only one shard ran; its cells streamed to a resumable manifest.
-    Sharded(ShardRunOutcome),
-}
-
-impl RunOutcome {
-    /// The complete report, if this run produced one.
-    pub fn report(&self) -> Option<&ExperimentReport> {
-        match self {
-            RunOutcome::Emitted { report, .. } => Some(report),
-            RunOutcome::Sharded(_) => None,
-        }
-    }
-
-    /// Consumes the outcome into the complete report, if any — the pattern
-    /// the table-printing binaries use:
-    /// `let Some(report) = run_and_emit(&grid, &opts).into_report() else { return }`.
-    pub fn into_report(self) -> Option<ExperimentReport> {
-        match self {
-            RunOutcome::Emitted { report, .. } => Some(report),
-            RunOutcome::Sharded(_) => None,
-        }
-    }
-}
-
 /// Executes the grid and persists its artifact.
 ///
-/// This is the single entry point every experiment binary funnels through:
-/// no binary runs simulations in a hand-rolled loop.
+/// This is the single entry point every experiment funnels through: no
+/// driver runs simulations in a hand-rolled loop.
 ///
 /// Without a shard selection in `opts`, the whole grid runs on
-/// [`RunOptions::runner`], `BENCH_<id>.json` lands in [`out_dir`] (created
-/// if missing; a failed write exits with status 1), and
-/// [`RunOutcome::Emitted`] carries the report for table printing.
+/// [`RunOptions::runner`], `BENCH_<id>.json` lands in `opts.out_dir`
+/// (created if missing; a failed write exits with status 1), and the
+/// report is returned for table printing.
 ///
-/// With `--shard i/N`, only shard `i`'s cells run; each finished
-/// cell streams to the shard's resumable manifest under [`out_dir`] and
-/// [`RunOutcome::Sharded`] is returned — there is no complete report to
-/// print until every shard has run and `merge_shards` has combined the
-/// manifests (the merged `BENCH_<id>.json` is byte-identical to a
-/// single-process run's).
-pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> RunOutcome {
+/// With `--shard i/N`, only shard `i`'s cells run; each finished cell
+/// streams to the shard's resumable manifest under `opts.out_dir` and
+/// `None` is returned — there is no complete report to print until every
+/// shard has run and `merge_shards` has combined the manifests (the merged
+/// `BENCH_<id>.json` is byte-identical to a single-process run's).
+pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> Option<ExperimentReport> {
     let runner = opts.runner();
     let Some(shard) = opts.shard else {
         let report = runner.run(grid);
-        match report.write_json_default() {
+        match report.write_json(&opts.out_dir) {
             Ok(path) => {
                 println!("[report: {}]", path.display());
-                return RunOutcome::Emitted { path, report };
+                return Some(report);
             }
             Err(e) => {
                 eprintln!("could not write BENCH_{}.json: {e}", report.id);
@@ -195,8 +136,7 @@ pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> RunOutcome {
             }
         }
     };
-    let dir = out_dir();
-    match runner.run_shard(grid, shard, &dir) {
+    match runner.run_shard(grid, shard, &opts.out_dir) {
         Ok(outcome) => {
             println!(
                 "[shard {shard} of {}: {} cells owned, {} resumed, {} executed]",
@@ -209,15 +149,37 @@ pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> RunOutcome {
             println!(
                 "[once all {} shards have run: merge_shards {}]",
                 shard.count(),
-                dir.display(),
+                opts.out_dir.display(),
             );
-            RunOutcome::Sharded(outcome)
+            None
         }
         Err(e) => {
             eprintln!("shard {shard} of {} failed: {e}", grid.id());
             std::process::exit(1);
         }
     }
+}
+
+/// The fixed reference grid behind the deterministic bench counters
+/// (`baselines/BENCH_counters.txt`) and `perf --grid counters`: two
+/// workloads of different classes, both paired modes, two comparison
+/// latencies, under the quick sampling profile — small enough for CI, wide
+/// enough that a change to any hot path moves at least one counter.
+pub fn counters_grid(opts: &RunOptions) -> ExperimentGrid {
+    ExperimentGrid::builder("counters", "deterministic bench counters")
+        .run_options(opts)
+        .base(SystemConfig::small_test)
+        .sample(SampleConfig::quick())
+        .workloads(vec![
+            Workload::by_name("sparse").expect("in suite"),
+            Workload::by_name("apache").expect("in suite"),
+        ])
+        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
+        .patches(vec![
+            ConfigPatch::new("lat=0").latency(0),
+            ConfigPatch::new("lat=10").latency(10),
+        ])
+        .build()
 }
 
 /// Averages `(class, value)` pairs per class, in presentation order.

@@ -1,29 +1,17 @@
 //! Figure 5: baseline performance of Strict and Reunion, normalized to the
 //! non-redundant CMP, at a 10-cycle comparison latency.
 
-use reunion_bench::{banner, commercial_scientific_averages, run_and_emit, run_options, workloads};
 use reunion_core::ExecutionMode;
-use reunion_sim::ExperimentGrid;
+use reunion_sim::{ExperimentReport, GridBuilder};
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Figure 5",
-        "Normalized IPC of Strict and Reunion (10-cycle comparison latency)",
-    );
-    let grid = ExperimentGrid::builder(
-        "fig5",
-        "Normalized IPC of Strict and Reunion (10-cycle comparison latency)",
-    )
-    .run_options(&opts)
-    .sample(opts.sample())
-    .workloads(workloads())
-    .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+use crate::{commercial_scientific_averages, workloads, RunOptions};
 
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
+    grid.workloads(workloads())
+        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
+}
+
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<12} {:<11} {:>9} {:>9} {:>12} {:>9}",
         "workload", "class", "strict", "reunion", "incoh/1M", "base-IPC"

@@ -1,12 +1,11 @@
 //! Figure 6: sensitivity of (a) Strict and (b) Reunion to the inter-core
 //! comparison latency (0–40 cycles), averaged per workload class.
 
-use reunion_bench::{
-    banner, class_averages, latency_label, run_and_emit, run_options, workloads, SWEEP_LATENCIES,
-};
 use reunion_core::ExecutionMode;
-use reunion_sim::{ConfigPatch, ExperimentGrid, ExperimentReport};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 use reunion_workloads::WorkloadClass;
+
+use crate::{banner, class_averages, latency_label, workloads, RunOptions, SWEEP_LATENCIES};
 
 fn panel(report: &ExperimentReport, mode: ExecutionMode) {
     println!(
@@ -29,38 +28,29 @@ fn panel(report: &ExperimentReport, mode: ExecutionMode) {
     }
 }
 
-fn main() {
-    let opts = run_options();
-    let grid = ExperimentGrid::builder(
-        "fig6",
-        "Strict and Reunion vs comparison latency (normalized IPC)",
-    )
-    .run_options(&opts)
-    .sample(opts.sample())
-    .workloads(workloads())
-    .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-    .patches(
-        SWEEP_LATENCIES
-            .iter()
-            .map(|&l| ConfigPatch::new(latency_label(l)).latency(l))
-            .collect(),
-    )
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
+    grid.workloads(workloads())
+        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
+        .patches(
+            SWEEP_LATENCIES
+                .iter()
+                .map(|&l| ConfigPatch::new(latency_label(l)).latency(l))
+                .collect(),
+        )
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     banner(
         "Figure 6(a)",
         "Strict input replication vs comparison latency (normalized IPC)",
     );
-    panel(&report, ExecutionMode::Strict);
+    panel(report, ExecutionMode::Strict);
     println!();
     banner(
         "Figure 6(b)",
         "Reunion vs comparison latency (normalized IPC)",
     );
-    panel(&report, ExecutionMode::Reunion);
+    panel(report, ExecutionMode::Reunion);
     println!();
     println!("(paper: both degrade roughly linearly; Strict ~1.0 at lat 0,");
     println!(" Reunion below 1.0 at lat 0 from loose coupling + contention;");

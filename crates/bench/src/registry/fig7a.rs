@@ -1,42 +1,31 @@
 //! Figure 7(a): Reunion performance under each phantom-request strength
 //! (10-cycle comparison latency), normalized to the non-redundant baseline.
 
-use reunion_bench::{banner, run_and_emit, run_options, workloads};
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
-use reunion_sim::{ConfigPatch, ExperimentGrid};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 
-const STRENGTHS: [PhantomStrength; 3] = [
+use crate::{workloads, RunOptions};
+
+/// The phantom-request strengths, strongest first (shared with Table 3).
+pub(super) const STRENGTHS: [PhantomStrength; 3] = [
     PhantomStrength::Global,
     PhantomStrength::Shared,
     PhantomStrength::Null,
 ];
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Figure 7(a)",
-        "Reunion normalized IPC per phantom strength (10-cycle latency)",
-    );
-    let grid = ExperimentGrid::builder(
-        "fig7a",
-        "Reunion normalized IPC per phantom strength (10-cycle latency)",
-    )
-    .run_options(&opts)
-    .sample(opts.sample())
-    .workloads(workloads())
-    .modes(&[ExecutionMode::Reunion])
-    .patches(
-        STRENGTHS
-            .iter()
-            .map(|&s| ConfigPatch::new(s.to_string()).phantom(s))
-            .collect(),
-    )
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
+    grid.workloads(workloads())
+        .modes(&[ExecutionMode::Reunion])
+        .patches(
+            STRENGTHS
+                .iter()
+                .map(|&s| ConfigPatch::new(s.to_string()).phantom(s))
+                .collect(),
+        )
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<12} {:>9} {:>9} {:>9}",
         "workload", "global", "shared", "null"

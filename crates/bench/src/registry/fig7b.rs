@@ -1,12 +1,11 @@
 //! Figure 7(b): Reunion commercial-workload average with hardware-managed
 //! vs UltraSPARC III software-managed TLBs, across comparison latencies.
 
-use reunion_bench::{
-    banner, commercial_workloads, keyed_latency_label, run_and_emit, run_options, SWEEP_LATENCIES,
-};
 use reunion_core::ExecutionMode;
 use reunion_cpu::TlbMode;
-use reunion_sim::{ConfigPatch, ExperimentGrid};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
+
+use crate::{commercial_workloads, keyed_latency_label, RunOptions, SWEEP_LATENCIES};
 
 const TLBS: [(&str, &str, TlbMode); 2] = [
     (
@@ -17,12 +16,7 @@ const TLBS: [(&str, &str, TlbMode); 2] = [
     ("sw", "US III software TLB", TlbMode::Software),
 ];
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Figure 7(b)",
-        "Commercial average: hardware vs software-managed TLB (Reunion)",
-    );
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     let mut patches = Vec::new();
     for (key, _, tlb) in TLBS {
         for &latency in &SWEEP_LATENCIES {
@@ -33,20 +27,12 @@ fn main() {
             );
         }
     }
-    let grid = ExperimentGrid::builder(
-        "fig7b",
-        "Commercial average: hardware vs software-managed TLB (Reunion)",
-    )
-    .run_options(&opts)
-    .sample(opts.sample())
-    .workloads(commercial_workloads())
-    .modes(&[ExecutionMode::Reunion])
-    .patches(patches)
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+    grid.workloads(commercial_workloads())
+        .modes(&[ExecutionMode::Reunion])
+        .patches(patches)
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<22} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "tlb model", "lat=0", "lat=10", "lat=20", "lat=30", "lat=40"

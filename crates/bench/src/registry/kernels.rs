@@ -6,30 +6,18 @@
 //! algorithmic kernels and two racy multi-threaded protocols whose data
 //! races drive genuine input incoherence.
 
-use reunion_bench::{banner, kernel_workloads, run_and_emit, run_options};
 use reunion_core::{ExecutionMode, SystemConfig};
-use reunion_sim::ExperimentGrid;
+use reunion_sim::{ExperimentReport, GridBuilder};
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Kernel suite",
-        "Real-code kernels under Strict and Reunion (2 logical processors)",
-    );
-    let grid = ExperimentGrid::builder(
-        "kernels",
-        "Normalized IPC of Strict and Reunion on the real-code kernel suite",
-    )
-    .run_options(&opts)
-    .base(SystemConfig::kernel_pair)
-    .sample(opts.sample())
-    .workloads(kernel_workloads())
-    .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+use crate::{kernel_workloads, RunOptions};
 
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
+    grid.base(SystemConfig::kernel_pair)
+        .workloads(kernel_workloads())
+        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
+}
+
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<16} {:<11} {:>7} {:>9} {:>9} {:>12} {:>9}",
         "kernel", "class", "threads", "strict", "reunion", "incoh/1M", "base-IPC"

@@ -2,24 +2,18 @@
 //! store carries membar semantics and serializes retirement; the paper
 //! reports >60% average loss at a 40-cycle comparison latency.
 
-use reunion_bench::{
-    banner, commercial_workloads, keyed_latency_label, run_and_emit, run_options, SWEEP_LATENCIES,
-};
 use reunion_core::ExecutionMode;
 use reunion_cpu::Consistency;
-use reunion_sim::{ConfigPatch, ExperimentGrid};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
+
+use crate::{commercial_workloads, keyed_latency_label, RunOptions, SWEEP_LATENCIES};
 
 const MODELS: [(&str, &str, Consistency); 2] = [
     ("tso", "Sun TSO", Consistency::Tso),
     ("sc", "SC", Consistency::Sc),
 ];
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "SC ablation (§5.5)",
-        "Reunion commercial average under TSO vs sequential consistency",
-    );
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     let mut patches = Vec::new();
     for (key, _, model) in MODELS {
         for &latency in &SWEEP_LATENCIES {
@@ -30,20 +24,12 @@ fn main() {
             );
         }
     }
-    let grid = ExperimentGrid::builder(
-        "sc_ablation",
-        "Reunion commercial average under TSO vs sequential consistency",
-    )
-    .run_options(&opts)
-    .sample(opts.sample())
-    .workloads(commercial_workloads())
-    .modes(&[ExecutionMode::Reunion])
-    .patches(patches)
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+    grid.workloads(commercial_workloads())
+        .modes(&[ExecutionMode::Reunion])
+        .patches(patches)
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<14} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "consistency", "lat=0", "lat=10", "lat=20", "lat=30", "lat=40"

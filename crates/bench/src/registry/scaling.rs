@@ -21,10 +21,11 @@
 //! [`reunion_mem::MemConfig::scaled_for_cores`], so the study isolates
 //! *contention and arbitration* effects rather than capacity starvation.
 
-use reunion_bench::{banner, run_and_emit, run_options};
 use reunion_core::{ExecutionMode, SystemConfig};
-use reunion_sim::{ConfigPatch, ExperimentGrid};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 use reunion_workloads::Workload;
+
+use crate::RunOptions;
 
 /// Pair counts of the sweep; 4 is the paper's CMP.
 const PAIRS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -55,12 +56,7 @@ fn workload_pair() -> Vec<Workload> {
     ]
 }
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Scaling study",
-        "Reunion normalized IPC vs pair count, check bandwidth and latency",
-    );
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     let mut patches = Vec::with_capacity(PAIRS.len() * CHECK_BW.len() * LATENCIES.len());
     for &pairs in &PAIRS {
         for &bw in &CHECK_BW {
@@ -74,21 +70,13 @@ fn main() {
             }
         }
     }
-    let grid = ExperimentGrid::builder(
-        "scaling",
-        "Reunion normalized IPC vs pair count, check bandwidth and latency",
-    )
-    .run_options(&opts)
-    .base(scaling_base)
-    .sample(opts.sample())
-    .workloads(workload_pair())
-    .modes(&[ExecutionMode::Reunion])
-    .patches(patches)
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+    grid.base(scaling_base)
+        .workloads(workload_pair())
+        .modes(&[ExecutionMode::Reunion])
+        .patches(patches)
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     for w in workload_pair() {
         println!();
         println!("{} ({})", w.name(), w.class());

@@ -1,23 +1,17 @@
 //! Table 2: application parameters of the workload suite.
 
-use reunion_bench::{banner, run_and_emit, run_options, workloads};
 use reunion_core::ExecutionMode;
-use reunion_sim::{ExperimentGrid, Metric};
+use reunion_sim::{ExperimentReport, GridBuilder, Metric};
 
-fn main() {
-    let opts = run_options();
-    banner("Table 2", "Application parameters (synthetic suite)");
-    let grid = ExperimentGrid::builder("table2", "Application parameters (synthetic suite)")
-        .metric(Metric::Static)
-        .run_options(&opts)
-        .sample(opts.sample())
+use crate::{workloads, RunOptions};
+
+pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
+    grid.metric(Metric::Static)
         .workloads(workloads())
         .modes(&[ExecutionMode::NonRedundant])
-        .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<12} {:<11} {:>9} {:>9} {:>6} {:>7} {:>9} {:>10}",
         "workload", "class", "priv(MB)", "shrd(MB)", "locks", "cs-len", "itlb/1M", "static-len"

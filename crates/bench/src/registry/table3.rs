@@ -1,16 +1,12 @@
 //! Table 3: input-incoherence events per million instructions for each
 //! phantom-request strength, juxtaposed with TLB misses.
 
-use reunion_bench::{banner, run_and_emit, run_options, workloads};
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
-use reunion_sim::{ConfigPatch, ExperimentGrid, Metric};
+use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder, Metric};
 
-const STRENGTHS: [PhantomStrength; 3] = [
-    PhantomStrength::Global,
-    PhantomStrength::Shared,
-    PhantomStrength::Null,
-];
+use super::fig7a::STRENGTHS;
+use crate::{workloads, RunOptions};
 
 /// How many cycles em3d's widened measured window must cover.
 ///
@@ -23,36 +19,23 @@ const STRENGTHS: [PhantomStrength; 3] = [
 /// absorbs the extra cost by scheduling the em3d cells first.
 const EM3D_MEASURED_CYCLES: u64 = 32_000_000;
 
-fn main() {
-    let opts = run_options();
-    banner(
-        "Table 3",
-        "Input incoherence per 1M instructions by phantom strength; TLB misses",
-    );
-    let grid = ExperimentGrid::builder(
-        "table3",
-        "Input incoherence per 1M instructions by phantom strength; TLB misses",
-    )
-    .metric(Metric::Raw)
-    .run_options(&opts)
-    .sample(opts.sample())
-    .sample_override(
-        "em3d",
-        opts.sample().widened_to_cycles(EM3D_MEASURED_CYCLES),
-    )
-    .workloads(workloads())
-    .modes(&[ExecutionMode::Reunion])
-    .patches(
-        STRENGTHS
-            .iter()
-            .map(|&s| ConfigPatch::new(s.to_string()).phantom(s))
-            .collect(),
-    )
-    .build();
-    let Some(report) = run_and_emit(&grid, &opts).into_report() else {
-        return;
-    };
+pub(super) fn axes(grid: GridBuilder, opts: &RunOptions) -> GridBuilder {
+    grid.metric(Metric::Raw)
+        .sample_override(
+            "em3d",
+            opts.sample().widened_to_cycles(EM3D_MEASURED_CYCLES),
+        )
+        .workloads(workloads())
+        .modes(&[ExecutionMode::Reunion])
+        .patches(
+            STRENGTHS
+                .iter()
+                .map(|&s| ConfigPatch::new(s.to_string()).phantom(s))
+                .collect(),
+        )
+}
 
+pub(super) fn print(report: &ExperimentReport) {
     println!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
         "workload", "global", "shared", "null", "tlb/1M"

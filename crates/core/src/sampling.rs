@@ -18,8 +18,8 @@ use crate::{CmpSystem, ExecutionMode, Measurement, NormalizedResult, SystemConfi
 
 /// The two sampling profiles of the evaluation.
 ///
-/// Every experiment binary accepts `--profile full|fast` (and the
-/// `REUNION_FAST=1` / `REUNION_PROFILE` environment overrides) and maps the
+/// Every experiment run accepts `--profile full|fast` (with
+/// `REUNION_PROFILE` as the environment fallback) and maps the
 /// choice onto a [`SampleConfig`] via [`Profile::sample`]:
 ///
 /// * [`Profile::Full`] — the paper's methodology (100k-cycle warm-up,
@@ -108,7 +108,7 @@ impl SampleConfig {
         SampleConfig::default()
     }
 
-    /// The shortened profile used by `REUNION_FAST=1` smoke runs and the CI
+    /// The shortened profile used by `--profile fast` smoke runs and the CI
     /// trajectory gate: 20k-cycle warm-up, two 20k-cycle windows.
     pub fn fast() -> Self {
         SampleConfig {

@@ -24,7 +24,7 @@ pub struct FailureInjection {
 /// Campaign parameters for one [`Dispatcher`] run.
 #[derive(Clone, Debug)]
 pub struct DispatchConfig {
-    /// Grid identifier (names the experiment binary and the artifacts).
+    /// Grid identifier (names the registry experiment and the artifacts).
     pub grid_id: String,
     /// Partition width: shards `1/N … N/N` are dispatched.
     pub shards: usize,

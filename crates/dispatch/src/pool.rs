@@ -20,7 +20,7 @@
 //! addr = "user@beta.cluster"
 //! remote_dir = "scratch/reunion"
 //! capacity = 4
-//! command = ["reunion/bin/{grid}", "--profile", "{profile}"]
+//! command = ["reunion/bin/reunion-bench", "run", "{grid}", "--profile", "{profile}"]
 //! ```
 //!
 //! JSON (the same fields under a top-level `hosts` array), parsed with
@@ -95,11 +95,9 @@ impl Default for TransportDefaults {
     fn default() -> Self {
         TransportDefaults {
             work_root: PathBuf::from("dispatch-work"),
-            command: vec![
-                "{grid}".to_string(),
-                "--profile".to_string(),
-                "{profile}".to_string(),
-            ],
+            command: ["reunion-bench", "run", "{grid}", "--profile", "{profile}"]
+                .map(String::from)
+                .to_vec(),
         }
     }
 }

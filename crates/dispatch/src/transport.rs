@@ -21,7 +21,7 @@ use reunion_sim::ShardSpec;
 /// One unit of dispatchable work: shard `i/N` of one experiment grid.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardTask {
-    /// Grid identifier (the experiment binary's `BENCH_<id>` id).
+    /// Grid identifier (the experiment's `BENCH_<id>` id).
     pub grid_id: String,
     /// Which slice of the grid's partition this task runs.
     pub shard: ShardSpec,
@@ -191,9 +191,9 @@ fn substitute(template: &[String], task: &ShardTask) -> Vec<String> {
 /// CI's end-to-end dispatch job uses, and the degenerate pool a laptop
 /// campaign starts from. The worker command is an argv template whose
 /// `{grid}` and `{profile}` placeholders are substituted per task
-/// (default: the experiment binary named after the grid, next to the
-/// dispatcher's own executable); the worker inherits `REUNION_SHARD` and
-/// `REUNION_OUT_DIR` from the launch.
+/// (default: `reunion-bench run {grid}` next to the dispatcher's own
+/// executable); the worker is handed `REUNION_SHARD` and `REUNION_OUT_DIR`
+/// by the launch and resolves them with the rest of its run options.
 pub struct LocalProcess {
     host: String,
     work_dir: PathBuf,
@@ -295,7 +295,7 @@ impl Transport for LocalProcess {
 /// Runs shard workers on a remote host by shelling out to `ssh`/`scp`.
 ///
 /// The only contract with the remote side is the manifest format: the
-/// remote command is the same experiment binary, the manifest is tailed
+/// remote command is the same `reunion-bench run`, the manifest is tailed
 /// with `ssh … cat`, seeded with `ssh … cat > path`, and collected with
 /// `scp`. The handle is the local `ssh` client process — if the
 /// connection dies, the handle reports a failed exit and the lease logic

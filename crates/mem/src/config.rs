@@ -11,7 +11,7 @@
 /// [`bank_queue_depth`] — default to `0`, the *unmodeled* sentinel: the
 /// crossbar has as many request ports as it has requesters and every bank
 /// queue is unbounded, which reproduces the paper-scale timing exactly.
-/// The many-core scaling study (`fig_scaling`) sets both to finite values.
+/// The many-core scaling study (`run scaling`) sets both to finite values.
 ///
 /// [`xbar_ports`]: MemConfig::xbar_ports
 /// [`bank_queue_depth`]: MemConfig::bank_queue_depth

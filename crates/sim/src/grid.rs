@@ -1,5 +1,7 @@
 //! Declarative experiment grids.
 
+use std::path::{Path, PathBuf};
+
 use reunion_core::{Engine, ExecutionMode, ObsConfig, SampleConfig, SystemConfig};
 use reunion_workloads::Workload;
 
@@ -66,7 +68,7 @@ pub struct ExperimentGrid {
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
-    dump_traces: bool,
+    trace_dir: Option<PathBuf>,
     cells: Vec<Cell>,
 }
 
@@ -83,7 +85,7 @@ impl ExperimentGrid {
             base: SystemConfig::table1,
             engine: Engine::default(),
             obs: ObsConfig::default(),
-            dump_traces: false,
+            trace_dir: None,
             workloads: Vec::new(),
             modes: vec![ExecutionMode::Reunion],
             patches: vec![ConfigPatch::baseline()],
@@ -143,14 +145,15 @@ impl ExperimentGrid {
         &self.obs
     }
 
-    /// Whether the runner writes retained event traces to
-    /// `TRACE_<id>_<cell>.jsonl` files. Only the command-line surface —
-    /// [`GridBuilder::run_options`] with observability enabled — turns
-    /// this on; a library caller enabling collection through
-    /// [`GridBuilder::observability`] gets the in-memory trace and the
-    /// report block without files appearing in the working directory.
-    pub fn dumps_traces(&self) -> bool {
-        self.dump_traces
+    /// The directory the runner writes retained event traces to, as
+    /// `TRACE_<id>_<cell>.jsonl` files, or `None` for no dump. Only the
+    /// command-line surface — [`GridBuilder::run_options`] with
+    /// observability enabled — names one (its `out_dir`); a library caller
+    /// enabling collection through [`GridBuilder::observability`] gets the
+    /// in-memory trace and the report block without files appearing in the
+    /// working directory.
+    pub fn trace_dir(&self) -> Option<&Path> {
+        self.trace_dir.as_deref()
     }
 
     /// All cells in deterministic enumeration order.
@@ -182,7 +185,7 @@ pub struct GridBuilder {
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
-    dump_traces: bool,
+    trace_dir: Option<PathBuf>,
     workloads: Vec<Workload>,
     modes: Vec<ExecutionMode>,
     patches: Vec<ConfigPatch>,
@@ -229,13 +232,14 @@ impl GridBuilder {
     /// [`RunOptions`] so `--engine` / `--obs` reach the simulated systems;
     /// the execution-scoped choices (profile, threads, shard) are consumed
     /// by the runner, not the grid. Enabling observability here — and only
-    /// here — also opts the run into `TRACE_*.jsonl` file dumps (see
-    /// [`ExperimentGrid::dumps_traces`]): trace files are part of the
-    /// command-line artifact contract, not of in-memory collection.
+    /// here — also opts the run into `TRACE_*.jsonl` file dumps under
+    /// `opts.out_dir` (see [`ExperimentGrid::trace_dir`]): trace files are
+    /// part of the command-line artifact contract, not of in-memory
+    /// collection.
     pub fn run_options(mut self, opts: &RunOptions) -> Self {
         self.engine = opts.engine;
         self.obs = opts.observability;
-        self.dump_traces = opts.observability.enabled;
+        self.trace_dir = opts.observability.enabled.then(|| opts.out_dir.clone());
         self
     }
 
@@ -334,7 +338,7 @@ impl GridBuilder {
             base: self.base,
             engine: self.engine,
             obs: self.obs,
-            dump_traces: self.dump_traces,
+            trace_dir: self.trace_dir,
             cells,
         }
     }
@@ -394,6 +398,7 @@ mod tests {
                 enabled: true,
                 trace_cap: 7,
             },
+            out_dir: PathBuf::from("artifacts"),
             ..RunOptions::default()
         };
         let grid = ExperimentGrid::builder("t", "t")
@@ -404,7 +409,11 @@ mod tests {
             .build();
         assert_eq!(grid.engine(), Engine::Dense);
         assert!(grid.observability().enabled);
-        assert!(grid.dumps_traces(), "the CLI surface opts into trace files");
+        assert_eq!(
+            grid.trace_dir(),
+            Some(opts.out_dir.as_path()),
+            "the CLI surface opts into trace files, under its artifact directory"
+        );
         for cell in grid.cells() {
             let cfg = grid.cell_config(cell);
             assert_eq!(cfg.engine, Engine::Dense);
@@ -422,7 +431,7 @@ mod tests {
             .build();
         assert_eq!(grid.engine(), Engine::default());
         assert!(!grid.observability().enabled);
-        assert!(!grid.dumps_traces());
+        assert!(grid.trace_dir().is_none());
     }
 
     #[test]
@@ -437,7 +446,7 @@ mod tests {
             .build();
         assert!(grid.observability().enabled, "collection is on");
         assert!(
-            !grid.dumps_traces(),
+            grid.trace_dir().is_none(),
             "library callers must not litter the working directory"
         );
         assert!(grid.cell_config(&grid.cells()[0]).obs.enabled);

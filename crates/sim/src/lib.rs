@@ -14,15 +14,15 @@
 //!   phantom strength, TLB model, consistency, fingerprint interval, …).
 //! * [`Runner`] — executes cells across OS threads, pulling work from a
 //!   work-stealing [`CellQueue`] so heterogeneous cells don't straggle.
-//!   `REUNION_SERIAL=1` forces the single-threaded fallback and
-//!   `REUNION_THREADS=<n>` caps the workers.
 //! * [`RunOptions`] — one typed resolution of the run surface every
 //!   experiment driver shares (profile, engine, serial/threads, shard,
-//!   observability): command-line flags with `REUNION_*` environment
-//!   fallbacks, flags winning, unrecognized arguments handed back to the
-//!   caller.
+//!   observability, artifact directory): command-line flags with
+//!   `REUNION_*` environment fallbacks, flags winning, unrecognized
+//!   arguments handed back to the caller. [`RunOptions::parse_cli`],
+//!   called once at `main`, is the only reader of the process
+//!   environment; everything below takes the resolved value.
 //! * [`ShardSpec`] / [`ShardManifest`] / [`merge_manifests`] — sharded,
-//!   resumable execution: `REUNION_SHARD=i/N` (or the programmatic
+//!   resumable execution: `--shard i/N` (or the programmatic
 //!   [`ShardSpec`] API) selects a deterministic round-robin slice of the
 //!   grid, [`Runner::run_shard`] streams each finished cell to a crash-safe
 //!   manifest so an interrupted run resumes instead of restarting, and
@@ -33,7 +33,7 @@
 //!   `reunion-dispatch` host-pool dispatcher and its workers — build on.
 //! * [`ExperimentReport`] / [`RunRecord`] — results in grid enumeration
 //!   order with lookup and aggregation helpers, plus a deterministic JSON
-//!   serializer; [`ExperimentReport::write_json_default`] emits the
+//!   serializer; [`ExperimentReport::write_json`] emits the
 //!   `BENCH_<id>.json` trajectory artifact the benchmarks are tracked by.
 //!
 //! Determinism is a hard invariant: a parallel run, a serial run, and any
@@ -47,7 +47,7 @@
 //!
 //! ```
 //! use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-//! use reunion_sim::{ConfigPatch, ExperimentGrid, Runner};
+//! use reunion_sim::{ConfigPatch, ExperimentGrid, RunOptions};
 //! use reunion_workloads::Workload;
 //!
 //! // Figure-6-shaped sweep, shrunk to doc-test scale.
@@ -61,7 +61,7 @@
 //!         ConfigPatch::new("lat=40").latency(40),
 //!     ])
 //!     .build();
-//! let report = Runner::from_env().run(&grid);
+//! let report = RunOptions::default().runner().run(&grid);
 //! let fast = report.get("sparse", ExecutionMode::Reunion, "lat=0").unwrap();
 //! assert!(fast.normalized_ipc().unwrap() > 0.0);
 //! ```
@@ -114,8 +114,8 @@ pub use merge::{find_manifests, merge_manifests, MergeError};
 pub use options::{RunOptions, RUN_OPTIONS_USAGE};
 pub use patch::ConfigPatch;
 pub use report::{
-    out_dir, ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
+    ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
-pub use runner::{env_flag, measure_cell, Runner, ShardRunOutcome};
+pub use runner::{measure_cell, Runner, ShardRunOutcome};
 pub use scheduler::{cell_cost, CellQueue};
 pub use shard::ShardSpec;

@@ -1,18 +1,19 @@
 //! Unified run-options resolution for experiment drivers.
 //!
-//! Every experiment binary historically grew its own partial mix of flags
-//! and `REUNION_*` environment reads; [`RunOptions`] replaces that with one
-//! typed resolution of the shared run surface:
+//! [`RunOptions`] is the one typed resolution of the run surface every
+//! driver shares, and [`RunOptions::parse_cli`] — called once, at `main` —
+//! is the only place the workspace reads the process environment:
 //!
 //! | option        | flag                      | environment fallback        |
 //! |---------------|---------------------------|-----------------------------|
-//! | profile       | `--profile full\|fast`    | `REUNION_PROFILE` (legacy `REUNION_FAST=1`) |
+//! | profile       | `--profile full\|fast`    | `REUNION_PROFILE`           |
 //! | engine        | `--engine dense\|skip`    | `REUNION_ENGINE`            |
 //! | serial        | `--serial`                | `REUNION_SERIAL=1`          |
 //! | threads       | `--threads <n>`           | `REUNION_THREADS`           |
 //! | shard         | `--shard i/N`             | `REUNION_SHARD`             |
 //! | observability | `--obs`                   | `REUNION_OBS=1`             |
 //! | trace cap     | `--trace-cap <n>`         | `REUNION_TRACE_CAP`         |
+//! | artifact dir  | —                         | `REUNION_OUT_DIR`           |
 //!
 //! A flag always wins over its environment fallback. Resolution is
 //! *hermetic* — [`RunOptions::resolve`] takes the argument list and an
@@ -22,16 +23,19 @@
 //! manifest paths, …); callers that accept no extra arguments treat a
 //! non-empty leftover list as a usage error.
 //!
-//! After resolving, a driver injects the winning choices where they are
-//! needed: [`RunOptions::apply`] stamps the engine and observability
-//! selection onto a [`SystemConfig`] (the constructors are env-free —
-//! they never read `REUNION_*` themselves), and
+//! After resolving, a driver hands the value down to where each choice is
+//! needed — nothing below `main` re-reads the environment:
+//! [`RunOptions::apply`] stamps the engine and observability selection
+//! onto a [`SystemConfig`] (the constructors are env-free),
 //! [`GridBuilder::run_options`](crate::GridBuilder::run_options) does the
-//! same for every cell of an experiment grid. [`RunOptions::apply_env`]
-//! additionally exports the choices back into the process environment for
-//! the legacy env-reading entry points ([`Runner::from_env`],
-//! [`ShardSpec::from_env`]) and for child processes spawned by the
-//! dispatcher.
+//! same for every cell of an experiment grid, [`RunOptions::runner`]
+//! builds the [`Runner`], and `out_dir` is passed to
+//! [`ExperimentReport::write_json`](crate::ExperimentReport::write_json)
+//! and [`Runner::run_shard`]. A parent that launches workers (the
+//! dispatcher) forwards its choices as explicit flags with
+//! [`RunOptions::to_args`], the inverse of [`RunOptions::resolve`].
+
+use std::path::PathBuf;
 
 use reunion_core::{Engine, ObsConfig, Profile, SampleConfig, SystemConfig};
 
@@ -42,9 +46,9 @@ use crate::shard::ShardSpec;
 ///
 /// Construct via [`RunOptions::parse_cli`] (real argv + environment) or
 /// [`RunOptions::resolve`] (hermetic, for tests and embedders).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Sampling profile (`--profile`, `REUNION_PROFILE`, `REUNION_FAST=1`).
+    /// Sampling profile (`--profile`, `REUNION_PROFILE`).
     pub profile: Profile,
     /// Timing engine (`--engine`, `REUNION_ENGINE`). `BENCH_<id>.json`
     /// output is byte-identical between the two engines.
@@ -61,6 +65,11 @@ pub struct RunOptions {
     /// `--trace-cap` / `REUNION_TRACE_CAP`). Off by default so the
     /// `BENCH_<id>.json` artifacts stay byte-stable.
     pub observability: ObsConfig,
+    /// Where `BENCH_<id>.json` reports, `MANIFEST_*.jsonl` shard manifests
+    /// and `TRACE_*.jsonl` dumps are written (`REUNION_OUT_DIR`, default
+    /// the current directory). Environment-only: it is also the wire
+    /// format a dispatch transport hands each worker its directory in.
+    pub out_dir: PathBuf,
 }
 
 /// One-line usage summary of the shared flags, for drivers' usage errors.
@@ -79,6 +88,16 @@ impl RunOptions {
     /// is an error even though it is merely a fallback — silently ignoring
     /// it would run the (expensive) default configuration.
     pub fn resolve(
+        args: impl IntoIterator<Item = String>,
+        env: &dyn Fn(&str) -> Option<String>,
+    ) -> Result<(Self, Vec<String>), String> {
+        Self::default().resolve_over(args, env)
+    }
+
+    /// [`resolve`](Self::resolve) with `self` supplying the value of every
+    /// option neither a flag nor the environment chose.
+    fn resolve_over(
+        self,
         args: impl IntoIterator<Item = String>,
         env: &dyn Fn(&str) -> Option<String>,
     ) -> Result<(Self, Vec<String>), String> {
@@ -128,23 +147,22 @@ impl RunOptions {
             Some(p) => p,
             None => match env("REUNION_PROFILE") {
                 Some(v) => v.parse().map_err(|e| format!("REUNION_PROFILE: {e}"))?,
-                None if env_is_one(env, "REUNION_FAST") => Profile::Fast,
-                None => Profile::Full,
+                None => self.profile,
             },
         };
         let engine = match engine {
             Some(e) => e,
             None => match env("REUNION_ENGINE") {
                 Some(v) => v.parse().map_err(|e| format!("REUNION_ENGINE: {e}"))?,
-                None => Engine::default(),
+                None => self.engine,
             },
         };
-        let serial = serial || env_is_one(env, "REUNION_SERIAL");
+        let serial = serial || env_is_one(env, "REUNION_SERIAL") || self.serial;
         let threads = match threads {
             Some(t) => Some(t),
             None => match env("REUNION_THREADS") {
                 Some(v) => Some(parse_count("REUNION_THREADS", &v)?),
-                None => None,
+                None => self.threads,
             },
         };
         let shard = match shard {
@@ -154,17 +172,18 @@ impl RunOptions {
                     v.parse::<ShardSpec>()
                         .map_err(|e| format!("REUNION_SHARD: {e}"))?,
                 ),
-                None => None,
+                None => self.shard,
             },
         };
-        let obs = obs || env_is_one(env, "REUNION_OBS");
+        let obs = obs || env_is_one(env, "REUNION_OBS") || self.observability.enabled;
         let trace_cap = match trace_cap {
             Some(c) => c,
             None => match env("REUNION_TRACE_CAP") {
                 Some(v) => parse_usize("REUNION_TRACE_CAP", &v)?,
-                None => ObsConfig::default().trace_cap,
+                None => self.observability.trace_cap,
             },
         };
+        let out_dir = env("REUNION_OUT_DIR").map_or(self.out_dir, PathBuf::from);
 
         Ok((
             RunOptions {
@@ -177,20 +196,51 @@ impl RunOptions {
                     enabled: obs,
                     trace_cap,
                 },
+                out_dir,
             },
             leftovers,
         ))
     }
 
     /// Resolves from the real command line (`std::env::args`, skipping the
-    /// binary name) and process environment.
+    /// binary name) and process environment, on top of the calling
+    /// binary's `defaults`. Call it once, at `main`, and pass the value
+    /// down: this is the workspace's only read of the process environment.
     ///
     /// # Errors
     ///
     /// Propagates [`RunOptions::resolve`] errors; the caller decides how to
     /// report them (the bench harness prints usage and exits 2).
-    pub fn parse_cli() -> Result<(Self, Vec<String>), String> {
-        Self::resolve(std::env::args().skip(1), &|k| std::env::var(k).ok())
+    pub fn parse_cli(defaults: Self) -> Result<(Self, Vec<String>), String> {
+        defaults.resolve_over(std::env::args().skip(1), &|k| std::env::var(k).ok())
+    }
+
+    /// The flag spelling of every flag-settable choice — the inverse of
+    /// [`RunOptions::resolve`]: resolving these arguments with only
+    /// `REUNION_OUT_DIR` in the environment yields `self` again. Valued
+    /// choices are always spelled out, so they outrank whatever fallback
+    /// the receiving side's environment holds. How a parent process (the
+    /// dispatcher) forwards its choices to the workers it launches, local
+    /// or remote; `out_dir` has no flag and travels as `REUNION_OUT_DIR`.
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = vec![
+            format!("--profile={}", self.profile),
+            format!("--engine={}", self.engine),
+            format!("--trace-cap={}", self.observability.trace_cap),
+        ];
+        if self.serial {
+            args.push("--serial".to_string());
+        }
+        if let Some(threads) = self.threads {
+            args.push(format!("--threads={threads}"));
+        }
+        if let Some(shard) = self.shard {
+            args.push(format!("--shard={shard}"));
+        }
+        if self.observability.enabled {
+            args.push("--obs".to_string());
+        }
+        args
     }
 
     /// Stamps the per-system choices — timing engine and observability —
@@ -206,33 +256,6 @@ impl RunOptions {
     pub fn apply(&self, cfg: &mut SystemConfig) {
         cfg.engine = self.engine;
         cfg.obs = self.observability;
-    }
-
-    /// Exports every winning choice back into the process environment, so
-    /// the legacy env-reading entry points — [`Runner::from_env`],
-    /// [`ShardSpec::from_env`] — and any child process spawned by the
-    /// dispatcher observe exactly what this resolution decided.
-    /// ([`SystemConfig`] itself is env-free; see [`RunOptions::apply`].)
-    pub fn apply_env(&self) {
-        std::env::set_var("REUNION_PROFILE", self.profile.to_string());
-        std::env::set_var("REUNION_ENGINE", self.engine.to_string());
-        std::env::set_var("REUNION_SERIAL", if self.serial { "1" } else { "0" });
-        match self.threads {
-            Some(t) => std::env::set_var("REUNION_THREADS", t.to_string()),
-            None => std::env::remove_var("REUNION_THREADS"),
-        }
-        match self.shard {
-            Some(s) => std::env::set_var("REUNION_SHARD", s.to_string()),
-            None => std::env::remove_var("REUNION_SHARD"),
-        }
-        std::env::set_var(
-            "REUNION_OBS",
-            if self.observability.enabled { "1" } else { "0" },
-        );
-        std::env::set_var(
-            "REUNION_TRACE_CAP",
-            self.observability.trace_cap.to_string(),
-        );
     }
 
     /// The sampling parameters the selected profile maps to.
@@ -256,7 +279,7 @@ impl RunOptions {
 
 impl Default for RunOptions {
     /// The paper's defaults: full profile, skip engine, parallel in-process
-    /// execution, observability off.
+    /// execution, observability off, artifacts in the current directory.
     fn default() -> Self {
         RunOptions {
             profile: Profile::default(),
@@ -265,6 +288,7 @@ impl Default for RunOptions {
             threads: None,
             shard: None,
             observability: ObsConfig::default(),
+            out_dir: PathBuf::from("."),
         }
     }
 }
@@ -352,6 +376,7 @@ mod tests {
                 ("REUNION_SHARD", "1/2"),
                 ("REUNION_OBS", "1"),
                 ("REUNION_TRACE_CAP", "8"),
+                ("REUNION_OUT_DIR", "/tmp/artifacts"),
             ],
         );
         assert_eq!(o.profile, Profile::Fast);
@@ -361,6 +386,7 @@ mod tests {
         assert_eq!(o.shard, Some(ShardSpec::new(1, 2)));
         assert!(o.observability.enabled);
         assert_eq!(o.observability.trace_cap, 8);
+        assert_eq!(o.out_dir, PathBuf::from("/tmp/artifacts"));
     }
 
     #[test]
@@ -376,17 +402,6 @@ mod tests {
         assert_eq!(o.profile, Profile::Full);
         assert_eq!(o.engine, Engine::Skip);
         assert_eq!(o.observability.trace_cap, 32);
-    }
-
-    #[test]
-    fn legacy_fast_spelling_applies_only_without_profile() {
-        assert_eq!(opts(&[], &[("REUNION_FAST", "1")]).profile, Profile::Fast);
-        assert_eq!(
-            opts(&[], &[("REUNION_FAST", "1"), ("REUNION_PROFILE", "full")]).profile,
-            Profile::Full,
-            "REUNION_PROFILE outranks the legacy spelling"
-        );
-        assert_eq!(opts(&[], &[("REUNION_FAST", "0")]).profile, Profile::Full);
     }
 
     #[test]
@@ -408,6 +423,7 @@ mod tests {
         assert!(resolve(&["--trace-cap", "-1"], &[]).is_err());
         assert!(resolve(&[], &[("REUNION_ENGINE", "warp")]).is_err());
         assert!(resolve(&[], &[("REUNION_THREADS", "0")]).is_err());
+        assert!(resolve(&[], &[("REUNION_THREADS", "junk")]).is_err());
         assert!(resolve(&[], &[("REUNION_SHARD", "0/0")]).is_err());
         assert!(resolve(&[], &[("REUNION_TRACE_CAP", "lots")]).is_err());
     }
@@ -436,6 +452,66 @@ mod tests {
         .unwrap();
         assert_eq!(leftovers, vec!["--intracell-threads", "2"]);
         assert_eq!(o, RunOptions::default());
+    }
+
+    #[test]
+    fn to_args_is_the_inverse_of_resolve() {
+        let non_default = RunOptions {
+            profile: Profile::Fast,
+            engine: Engine::Dense,
+            serial: true,
+            threads: Some(3),
+            shard: Some(ShardSpec::new(2, 4)),
+            observability: ObsConfig {
+                enabled: true,
+                trace_cap: 16,
+            },
+            out_dir: PathBuf::from("/tmp/artifacts"),
+        };
+        for o in [RunOptions::default(), non_default] {
+            let args: Vec<String> = o.to_args();
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let out_dir = o.out_dir.to_str().unwrap();
+            assert_eq!(opts(&args, &[("REUNION_OUT_DIR", out_dir)]), o);
+        }
+    }
+
+    #[test]
+    fn forwarded_flags_outrank_the_receiving_environment() {
+        let o = RunOptions::default();
+        let args: Vec<String> = o.to_args();
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let hostile = [
+            ("REUNION_PROFILE", "fast"),
+            ("REUNION_ENGINE", "dense"),
+            ("REUNION_TRACE_CAP", "1"),
+        ];
+        assert_eq!(opts(&args, &hostile), o);
+    }
+
+    #[test]
+    fn binary_defaults_rank_below_flags_and_environment() {
+        let fast = || RunOptions {
+            profile: Profile::Fast,
+            ..RunOptions::default()
+        };
+        let resolve = |args: &[&str], env: &[(&str, &str)]| {
+            let env: HashMap<String, String> = env
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let args = args.iter().map(|s| s.to_string());
+            fast()
+                .resolve_over(args, &move |k| env.get(k).cloned())
+                .unwrap()
+                .0
+        };
+        assert_eq!(resolve(&[], &[]), fast());
+        assert_eq!(
+            resolve(&[], &[("REUNION_PROFILE", "full")]).profile,
+            Profile::Full
+        );
+        assert_eq!(resolve(&["--profile", "full"], &[]).profile, Profile::Full);
     }
 
     #[test]

@@ -464,12 +464,10 @@ impl RunRecord {
 /// All records of one experiment, in grid enumeration order.
 ///
 /// The report is the *only* artifact of a run: the experiment binaries
-/// print their tables from it, and [`write_json_default`]
+/// print their tables from it, and [`write_json`](Self::write_json)
 /// (`BENCH_<id>.json`) persists it as the performance trajectory future
 /// changes are compared against. Serialization is deterministic, so a
 /// parallel and a serial run of the same grid produce byte-identical files.
-///
-/// [`write_json_default`]: ExperimentReport::write_json_default
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentReport {
     /// Grid identifier (`BENCH_<id>.json`).
@@ -561,27 +559,15 @@ impl ExperimentReport {
         s
     }
 
-    /// Writes `BENCH_<id>.json` under [`out_dir`], creating the directory
-    /// if needed, and returns the path.
-    pub fn write_json_default(&self) -> io::Result<PathBuf> {
-        self.write_json_in(&out_dir())
-    }
-
-    fn write_json_in(&self, dir: &Path) -> io::Result<PathBuf> {
+    /// Writes `BENCH_<id>.json` under `dir` (a command-line driver passes
+    /// its resolved [`RunOptions::out_dir`](crate::RunOptions::out_dir)),
+    /// creating the directory if needed, and returns the path.
+    pub fn write_json(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.id));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-}
-
-/// The artifact directory every experiment binary reads and writes:
-/// `$REUNION_OUT_DIR`, or the current directory when unset. Holds both the
-/// `BENCH_<id>.json` reports and the `MANIFEST_*.jsonl` shard manifests.
-pub fn out_dir() -> PathBuf {
-    std::env::var_os("REUNION_OUT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 #[cfg(test)]
@@ -683,7 +669,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let r = report();
         let path = r
-            .write_json_in(&root.join("not").join("yet"))
+            .write_json(&root.join("not").join("yet"))
             .expect("write into a missing nested directory");
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         let parsed = crate::json::parse_json(&text).expect("artifact parses");

@@ -10,7 +10,7 @@ use crate::grid::{Cell, ExperimentGrid, Metric};
 use crate::json::JsonWriter;
 use crate::manifest::{ManifestHeader, ShardManifest};
 use crate::report::{
-    out_dir, ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
+    ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
 use crate::scheduler::CellQueue;
 use crate::shard::ShardSpec;
@@ -33,26 +33,12 @@ use crate::shard::ShardSpec;
 /// [`crate::merge_manifests`]) later combines the manifests into the same
 /// byte-identical `BENCH_<id>.json`.
 ///
-/// # Environment
-///
-/// [`Runner::from_env`] honours:
-///
-/// * `REUNION_SERIAL=1` — force single-threaded execution,
-/// * `REUNION_THREADS=<n>` — cap the worker count (default: all cores).
-///
-/// The shard slice itself comes from `REUNION_SHARD=i/N` via
-/// [`ShardSpec::from_env`] (read by the bench harness, not by the runner).
+/// The runner never reads the environment: a command-line driver gets its
+/// runner from [`RunOptions::runner`](crate::RunOptions::runner), which
+/// honours the resolved `--serial` / `--threads` choice.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     threads: usize,
-}
-
-/// Whether the environment variable `name` is set to `"1"`.
-///
-/// The canonical on/off convention for every `REUNION_*` boolean knob:
-/// `FOO=1` enables, anything else (including `FOO=0` or unset) disables.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v == "1").unwrap_or(false)
 }
 
 /// What [`Runner::run_shard`] did: where the manifest lives and how much of
@@ -72,22 +58,6 @@ pub struct ShardRunOutcome {
 }
 
 impl Runner {
-    /// A runner configured from the environment (see type docs).
-    pub fn from_env() -> Self {
-        if env_flag("REUNION_SERIAL") {
-            return Runner::serial();
-        }
-        let default_threads = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        let threads = std::env::var("REUNION_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(default_threads);
-        Runner { threads }
-    }
-
     /// A single-threaded runner.
     pub fn serial() -> Self {
         Runner { threads: 1 }
@@ -110,18 +80,22 @@ impl Runner {
 
     /// Executes every cell of `grid` and returns the assembled report.
     pub fn run(&self, grid: &ExperimentGrid) -> ExperimentReport {
-        let cells = grid.cells();
-        let records = if self.threads <= 1 || cells.len() <= 1 {
-            cells.iter().map(|c| run_cell(grid, c)).collect()
-        } else {
-            self.run_parallel(grid, cells)
-        };
+        let indices: Vec<usize> = (0..grid.cells().len()).collect();
+        let mut slots: Vec<Option<RunRecord>> = indices.iter().map(|_| None).collect();
+        self.execute(grid, &indices, |i, record| {
+            slots[i] = Some(record);
+            Ok(())
+        })
+        .expect("collecting records in memory cannot fail");
         ExperimentReport {
             id: grid.id().to_string(),
             caption: grid.caption().to_string(),
             sample: *grid.sample(),
             sample_overrides: grid.sample_overrides().to_vec(),
-            records,
+            records: slots
+                .into_iter()
+                .map(|r| r.expect("every cell must produce a record"))
+                .collect(),
         }
     }
 
@@ -153,110 +127,64 @@ impl Runner {
             sample_overrides: grid.sample_overrides().to_vec(),
             obs: *grid.observability(),
         };
-        let manifest = ShardManifest::create_or_resume(dir, header)?;
+        let mut manifest = ShardManifest::create_or_resume(dir, header)?;
         let owned = shard.cell_indices(grid.cells().len());
         let todo: Vec<usize> = owned
             .iter()
             .copied()
             .filter(|i| !manifest.completed().contains_key(i))
             .collect();
-        let resumed = owned.len() - todo.len();
-        let executed = todo.len();
-        let manifest = Mutex::new(manifest);
-        self.execute_into_manifest(grid, &todo, &manifest)?;
-        let manifest = manifest
-            .into_inner()
-            .expect("worker panicked holding manifest");
+        self.execute(grid, &todo, |i, record| manifest.append(i, &record))?;
         Ok(ShardRunOutcome {
             manifest_path: manifest.path().to_path_buf(),
             shard,
             owned_cells: owned.len(),
-            resumed,
-            executed,
+            resumed: owned.len() - todo.len(),
+            executed: todo.len(),
         })
     }
 
-    /// Runs `indices` (cell indices into `grid`), appending each record to
-    /// `manifest` the moment it completes. Serial execution preserves index
-    /// order (so serial manifests are deterministic files); parallel
-    /// execution appends in completion order.
-    fn execute_into_manifest(
+    /// The one scheduling loop: measures the cells at `indices` and hands
+    /// each record to `sink` the moment it completes. A single worker runs
+    /// on the calling thread in index order (so serial manifests are
+    /// deterministic files); several pull from a work-stealing
+    /// [`CellQueue`] and reach `sink` in completion order, one at a time.
+    /// The first error `sink` returns stops every worker before its next
+    /// cell and is returned.
+    fn execute(
         &self,
         grid: &ExperimentGrid,
         indices: &[usize],
-        manifest: &Mutex<ShardManifest>,
+        sink: impl FnMut(usize, RunRecord) -> io::Result<()> + Send,
     ) -> io::Result<()> {
+        let state = Mutex::new((sink, Ok(())));
+        let work = |next: &mut dyn FnMut() -> Option<usize>| {
+            while let Some(i) = next() {
+                if state.lock().expect("sink panicked").1.is_err() {
+                    return;
+                }
+                let record = measure_cell(grid, &grid.cells()[i]);
+                let mut guard = state.lock().expect("sink panicked");
+                let (sink, result) = &mut *guard;
+                if result.is_ok() {
+                    *result = sink(i, record);
+                }
+            }
+        };
         let workers = self.threads.min(indices.len());
         if workers <= 1 {
-            for &i in indices {
-                let record = run_cell(grid, &grid.cells()[i]);
-                manifest
-                    .lock()
-                    .expect("worker panicked holding manifest")
-                    .append(i, &record)?;
-            }
-            return Ok(());
+            let mut in_order = indices.iter().copied();
+            work(&mut || in_order.next());
+        } else {
+            let queue = CellQueue::new(grid, indices, workers);
+            std::thread::scope(|scope| {
+                for worker in 0..workers {
+                    let (queue, work) = (&queue, &work);
+                    scope.spawn(move || work(&mut || queue.pop(worker)));
+                }
+            });
         }
-        let queue = CellQueue::new(grid, indices, workers);
-        let first_err: Mutex<Option<io::Error>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queue = &queue;
-                let first_err = &first_err;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(worker) {
-                        if first_err.lock().expect("error lock").is_some() {
-                            return;
-                        }
-                        let record = run_cell(grid, &grid.cells()[i]);
-                        let result = manifest
-                            .lock()
-                            .expect("worker panicked holding manifest")
-                            .append(i, &record);
-                        if let Err(e) = result {
-                            let mut slot = first_err.lock().expect("error lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        match first_err.into_inner().expect("error lock") {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn run_parallel(&self, grid: &ExperimentGrid, cells: &[Cell]) -> Vec<RunRecord> {
-        let workers = self.threads.min(cells.len());
-        let indices: Vec<usize> = (0..cells.len()).collect();
-        let queue = CellQueue::new(grid, &indices, workers);
-        let done: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::with_capacity(cells.len()));
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queue = &queue;
-                let done = &done;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(worker) {
-                        let record = run_cell(grid, &cells[i]);
-                        done.lock()
-                            .expect("worker panicked holding lock")
-                            .push((i, record));
-                    }
-                });
-            }
-        });
-        let mut indexed = done.into_inner().expect("worker panicked holding lock");
-        assert_eq!(
-            indexed.len(),
-            cells.len(),
-            "every cell must produce a record"
-        );
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        state.into_inner().expect("sink panicked").1
     }
 }
 
@@ -269,12 +197,6 @@ impl Runner {
 /// [`ShardManifest`] between their own checkpoint or failure-injection
 /// logic, and still merge back into a byte-identical report.
 pub fn measure_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
-    run_cell(grid, cell)
-}
-
-/// Measures one cell. Pure apart from the simulation itself: the outcome is
-/// a function of (grid base config, cell, cell sampling profile) only.
-fn run_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
     let sample = grid.cell_sample(cell);
     let outcome = match grid.metric() {
         Metric::Normalized => {
@@ -301,12 +223,13 @@ fn run_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
 }
 
 /// Writes a cell's retained check-protocol trace to
-/// `TRACE_<grid>_<cell>.jsonl` in [`out_dir`], one compact JSON object per
-/// event. Dumping follows the grid's command-line artifact contract
-/// ([`ExperimentGrid::dumps_traces`], set by
-/// [`GridBuilder::run_options`](crate::GridBuilder::run_options) from
-/// `--obs` / `REUNION_OBS=1`): a library caller who enables collection
-/// through [`GridBuilder::observability`](crate::GridBuilder::observability)
+/// `TRACE_<grid>_<cell>.jsonl` under the grid's
+/// [`trace_dir`](ExperimentGrid::trace_dir), one compact JSON object per
+/// event. Only the command-line surface
+/// ([`GridBuilder::run_options`](crate::GridBuilder::run_options) with
+/// `--obs` / `REUNION_OBS=1`) names a directory: a library caller who
+/// enables collection through
+/// [`GridBuilder::observability`](crate::GridBuilder::observability)
 /// or on individual [`SystemConfig`](reunion_core::SystemConfig) values
 /// gets in-memory collection and the report block without files appearing
 /// in the working directory. No file is written when the trace is empty; a
@@ -314,9 +237,9 @@ fn run_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
 /// diagnostic side channel and must not perturb the deterministic report
 /// pipeline.
 fn dump_trace(grid: &ExperimentGrid, cell_index: usize, trace: &[TraceEvent]) {
-    if trace.is_empty() || !grid.dumps_traces() {
+    let Some(dir) = grid.trace_dir().filter(|_| !trace.is_empty()) else {
         return;
-    }
+    };
     let mut text = String::new();
     for e in trace {
         let mut w = JsonWriter::compact();
@@ -329,7 +252,7 @@ fn dump_trace(grid: &ExperimentGrid, cell_index: usize, trace: &[TraceEvent]) {
         text.push_str(&w.finish());
         text.push('\n');
     }
-    let path = out_dir().join(format!("TRACE_{}_{cell_index}.jsonl", grid.id()));
+    let path = dir.join(format!("TRACE_{}_{cell_index}.jsonl", grid.id()));
     if let Err(e) = std::fs::write(&path, text) {
         eprintln!("warning: could not write trace {}: {e}", path.display());
     }
@@ -398,8 +321,9 @@ mod tests {
 
     #[test]
     fn env_override_forces_serial() {
-        // Runner::from_env is exercised directly by the bench binaries; here
-        // just check the explicit constructors agree with is_serial().
+        // `--serial` / `REUNION_SERIAL=1` reach the runner through
+        // `RunOptions::runner` (tested there); here just check the explicit
+        // constructors agree with is_serial().
         assert!(Runner::serial().is_serial());
         assert!(!Runner::with_threads(8).is_serial());
     }

@@ -13,8 +13,9 @@ use std::str::FromStr;
 
 /// One shard of an `N`-way partition of a grid's cells (1-based).
 ///
-/// Construct programmatically with [`ShardSpec::new`] or from the
-/// `REUNION_SHARD=i/N` environment override with [`ShardSpec::from_env`]:
+/// Construct programmatically with [`ShardSpec::new`] or parse the `i/N`
+/// spelling of `--shard` / `REUNION_SHARD` (resolved, like every run
+/// option, by [`RunOptions`](crate::RunOptions)):
 ///
 /// ```
 /// use reunion_sim::ShardSpec;
@@ -71,22 +72,6 @@ impl ShardSpec {
     /// The total number of shards in the partition.
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// Reads the `REUNION_SHARD=i/N` environment override.
-    ///
-    /// Returns `Ok(None)` when the variable is unset, `Ok(Some(spec))` for a
-    /// well-formed value, and an error message for a malformed one (the
-    /// bench harness treats that as a usage error rather than silently
-    /// running the full grid).
-    pub fn from_env() -> Result<Option<ShardSpec>, String> {
-        match std::env::var("REUNION_SHARD") {
-            Err(_) => Ok(None),
-            Ok(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("REUNION_SHARD: {e}")),
-        }
     }
 
     /// Whether this shard owns the cell at `cell_index` (round-robin).

@@ -1,7 +1,8 @@
 //! Minimal out-of-tree dispatch worker, with fault-injection knobs.
 //!
 //! This is what a shard worker looks like when built on `reunion-sim`'s
-//! public surface alone: read `REUNION_SHARD=i/N` and `REUNION_OUT_DIR`,
+//! public surface alone: resolve `REUNION_SHARD=i/N` and `REUNION_OUT_DIR`
+//! (the transport's wire format) through `RunOptions`, like every binary,
 //! open (or resume) the shard's crash-safe manifest, and append one
 //! record per cell of the fixed [`reunion::testkit::dispatch_grid`]. The
 //! dispatch integration suite launches it through `LocalProcess`
@@ -22,27 +23,27 @@ use std::process::exit;
 use std::time::Duration;
 
 use reunion::testkit::dispatch_grid;
-use reunion_sim::{env_flag, measure_cell, out_dir, ManifestHeader, ShardManifest, ShardSpec};
+use reunion_sim::{measure_cell, ManifestHeader, RunOptions, ShardManifest};
 
 fn env_count(name: &str) -> Option<usize> {
     std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 fn main() {
-    if env_flag("WORKER_FAIL_AT_START") {
+    if env_count("WORKER_FAIL_AT_START") == Some(1) {
         eprintln!("shard_worker: WORKER_FAIL_AT_START set; dying before the first cell");
         exit(3);
     }
-    let shard = match ShardSpec::from_env() {
-        Ok(Some(shard)) => shard,
-        Ok(None) => {
-            eprintln!("shard_worker: REUNION_SHARD=i/N is required");
-            exit(2);
-        }
+    let opts = match RunOptions::parse_cli(RunOptions::default()) {
+        Ok((opts, _)) => opts,
         Err(e) => {
             eprintln!("shard_worker: {e}");
             exit(2);
         }
+    };
+    let Some(shard) = opts.shard else {
+        eprintln!("shard_worker: REUNION_SHARD=i/N is required");
+        exit(2);
     };
     let stall_after = env_count("WORKER_STALL_AFTER");
     let exit_after = env_count("WORKER_EXIT_AFTER");
@@ -57,8 +58,8 @@ fn main() {
         sample_overrides: grid.sample_overrides().to_vec(),
         obs: *grid.observability(),
     };
-    let dir = out_dir();
-    let mut manifest = match ShardManifest::create_or_resume(&dir, header) {
+    let dir = &opts.out_dir;
+    let mut manifest = match ShardManifest::create_or_resume(dir, header) {
         Ok(m) => m,
         Err(e) => {
             eprintln!(

@@ -4,7 +4,7 @@
 //! artifacts rest on.
 
 use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-use reunion_sim::{ConfigPatch, ExperimentGrid, Metric, Runner};
+use reunion_sim::{ConfigPatch, ExperimentGrid, Metric, RunOptions, Runner};
 use reunion_workloads::{suite, Workload};
 
 fn small_sample() -> SampleConfig {
@@ -60,7 +60,7 @@ fn report_covers_the_whole_grid_in_order() {
 #[test]
 fn latency_hurts_normalized_ipc_on_average() {
     let grid = mini_fig6();
-    let report = Runner::from_env().run(&grid);
+    let report = RunOptions::default().runner().run(&grid);
     let fast = report.mean_normalized_where(ExecutionMode::Reunion, "lat=0", |_| true);
     let slow = report.mean_normalized_where(ExecutionMode::Reunion, "lat=40", |_| true);
     assert!(
@@ -77,7 +77,7 @@ fn static_grid_needs_no_simulation_and_matches_specs() {
         .workloads(suite())
         .modes(&[ExecutionMode::NonRedundant])
         .build();
-    let report = Runner::from_env().run(&grid);
+    let report = RunOptions::default().runner().run(&grid);
     assert_eq!(report.records.len(), suite().len());
     for (record, workload) in report.records.iter().zip(suite()) {
         let s = record.statics().expect("static outcome");

@@ -1,6 +1,6 @@
 //! Determinism guards for the many-core scaling study.
 //!
-//! The `fig_scaling` grid is the first to exercise 8- and 16-pair
+//! The `scaling` grid is the first to exercise 8- and 16-pair
 //! machines, the banked-L2 arbiter with bounded crossbar ports, and the
 //! shared check bus together. Its gated artifact inherits the same two
 //! contracts as every other figure: byte-identical reports between the
