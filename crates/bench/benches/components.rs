@@ -206,6 +206,20 @@ fn bench_system_tick(c: &mut Criterion) {
     c.bench_function("system_tick_reunion", |b| b.iter(|| reunion.tick()));
 }
 
+/// System construction from a warm artifact cache (the harness's
+/// calibration pass fills it), as every grid cell after a workload's first
+/// sees it: em3d carries the suite's largest initial image (525k words),
+/// apache a typical one (3k).
+fn bench_system_new(c: &mut Criterion) {
+    let cfg = SystemConfig::table1(ExecutionMode::Reunion);
+    for name in ["em3d", "apache"] {
+        let workload = Workload::by_name(name).unwrap();
+        c.bench_function(&format!("system_new/{name}"), |b| {
+            b.iter(|| CmpSystem::new(&cfg, &workload))
+        });
+    }
+}
+
 /// Deterministic-counters mode: machine-independent work counters over
 /// the reference grid, printed as `counter <name> <value>` lines (and
 /// nothing else on stdout, so CI can diff the output verbatim against
@@ -251,11 +265,15 @@ fn report_counters(opts: &RunOptions) {
     let mut seen = std::collections::BTreeSet::new();
     let mut cached_programs = 0usize;
     let mut cached_memories = 0usize;
+    // One image per workload however many systems were built from it: a
+    // regression to per-system image builds leaves this slot empty.
+    let mut cached_images = 0usize;
     for cell in grid.cells() {
         if seen.insert(cell.workload.name()) {
-            let (programs, memory) = cell.workload.cache_population();
-            cached_programs += programs;
-            cached_memories += usize::from(memory);
+            let cached = cell.workload.cache_population();
+            cached_programs += cached.programs;
+            cached_memories += usize::from(cached.memory);
+            cached_images += usize::from(cached.base_image);
         }
     }
     // Scheduler steals under a fixed drain schedule: deal to four
@@ -276,6 +294,7 @@ fn report_counters(opts: &RunOptions) {
     println!("counter store_chain_spills {store_chain_spills}");
     println!("counter workload_programs_cached {cached_programs}");
     println!("counter workload_memories_cached {cached_memories}");
+    println!("counter workload_images_cached {cached_images}");
 }
 
 fn main() {
@@ -296,4 +315,5 @@ fn main() {
     bench_memory_system(&mut c);
     bench_core_tick(&mut c);
     bench_system_tick(&mut c);
+    bench_system_new(&mut c);
 }

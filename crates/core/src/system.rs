@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use reunion_cpu::{Core, CoreConfig};
+use reunion_isa::SparseMemory;
 use reunion_kernel::{Cycle, EventHorizon, HorizonTree};
 use reunion_mem::{MemorySystem, Owner};
 use reunion_obs::{EpisodeSummary, ObsReport, TraceEvent};
@@ -153,13 +154,18 @@ pub struct CmpSystem {
 impl CmpSystem {
     /// Builds the system: memory hierarchy, cores, pairing, workload
     /// programs and initial memory contents.
+    ///
+    /// The initial contents are not copied: the memory system's coherent
+    /// image starts as an empty write layer over the workload's shared
+    /// base image ([`Workload::base_image`]), so every system built from
+    /// one workload — a cell's model and baseline, and every other cell of
+    /// the grid — reads the same immutable copy and owns only the words it
+    /// stores itself.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {
         let mem_cfg = cfg.mem.clone().scaled_for_cores(cfg.physical_cores());
         let l1_hit_latency = mem_cfg.l1_hit_latency;
-        let mut mem = MemorySystem::new(mem_cfg);
-        for &(addr, value) in workload.initial_memory().iter() {
-            mem.poke(addr, value);
-        }
+        let image = SparseMemory::over(workload.base_image());
+        let mut mem = MemorySystem::with_image(mem_cfg, image);
 
         let core_cfg_base = CoreConfig {
             checking: cfg.mode.is_redundant(),

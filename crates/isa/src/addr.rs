@@ -5,6 +5,9 @@ use std::fmt;
 /// Cache line size in bytes (Table 1: 64-byte lines).
 pub const LINE_BYTES: u64 = 64;
 
+/// 8-byte words per cache line.
+pub const WORDS_PER_LINE: usize = (LINE_BYTES / 8) as usize;
+
 /// Page size in bytes (Table 1: 8 KB pages).
 pub const PAGE_BYTES: u64 = 8192;
 

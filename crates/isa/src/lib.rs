@@ -53,7 +53,7 @@ mod program;
 mod reg;
 mod state;
 
-pub use addr::{Addr, LINE_BYTES, PAGE_BYTES};
+pub use addr::{Addr, LINE_BYTES, PAGE_BYTES, WORDS_PER_LINE};
 pub use asm::{AsmError, AsmErrorKind, KernelImage, Span};
 pub use exec::{
     alu_compute, atomic_update, branch_decides, effective_address, execute, DataMemory,

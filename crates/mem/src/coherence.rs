@@ -151,12 +151,14 @@ impl DirEntry {
         self.owner = None;
     }
 
-    /// Iterates over all sharers except `except`.
-    pub fn sharers_except(&self, except: L1Id) -> impl Iterator<Item = L1Id> + '_ {
-        let mask = self.sharers & !(1 << except.0);
-        (0..64u64)
-            .filter(move |i| mask & (1 << i) != 0)
-            .map(|i| L1Id(i as usize))
+    /// Iterates over all sharers, in ascending id order.
+    pub fn sharers(&self) -> impl Iterator<Item = L1Id> {
+        set_bits(self.sharers)
+    }
+
+    /// Iterates over all sharers except `except`, in ascending id order.
+    pub fn sharers_except(&self, except: L1Id) -> impl Iterator<Item = L1Id> {
+        set_bits(self.sharers & !(1 << except.0))
     }
 
     /// Number of sharers.
@@ -168,6 +170,20 @@ impl DirEntry {
     pub fn is_empty(&self) -> bool {
         self.sharers == 0
     }
+}
+
+/// Walks the set bits of a sharer mask, lowest first — one step per sharer
+/// rather than one per possible L1; this runs on every store miss and every
+/// L2 eviction.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = L1Id> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let id = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(L1Id(id))
+    })
 }
 
 #[cfg(test)]
@@ -237,6 +253,17 @@ mod tests {
         d.add_sharer(L1Id(2));
         let others: Vec<_> = d.sharers_except(L1Id(1)).collect();
         assert_eq!(others, vec![L1Id(0), L1Id(2)]);
+    }
+
+    #[test]
+    fn sharers_walks_every_set_bit_including_the_last() {
+        let mut d = DirEntry::new();
+        assert_eq!(d.sharers().count(), 0);
+        for id in [0, 5, 62, 63] {
+            d.add_sharer(L1Id(id));
+        }
+        let all: Vec<_> = d.sharers().collect();
+        assert_eq!(all, vec![L1Id(0), L1Id(5), L1Id(62), L1Id(63)]);
     }
 
     #[test]

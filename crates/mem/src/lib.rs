@@ -22,8 +22,10 @@
 //! Timing is computed at request time (latency + bank occupancy + MSHR
 //! limits); data values are exact. The *globally coherent* value of every
 //! word lives in a [`reunion_isa::SparseMemory`] image updated when vocal
-//! stores drain; mute caches keep private (possibly stale) line snapshots,
-//! which is how input incoherence arises organically.
+//! stores drain — a per-system write layer, optionally over a workload's
+//! shared read-only initial image ([`MemorySystem::with_image`]); mute
+//! caches keep private (possibly stale) line snapshots, which is how input
+//! incoherence arises organically.
 //!
 //! # Examples
 //!

@@ -7,15 +7,13 @@
 //! phantom requests, ignores mute evictions and writebacks, and implements
 //! the synchronizing request used by the re-execution protocol.
 
-use reunion_isa::{Addr, AtomicOp, SparseMemory};
+use reunion_isa::{Addr, AtomicOp, SparseMemory, WORDS_PER_LINE};
 use reunion_kernel::{Cycle, EventHorizon, FastHashMap};
 
 use crate::{
     garbage_word, BankedArbiter, CacheArray, DirEntry, L1Id, MemConfig, MemStats, MesiState, Owner,
     PhantomStrength,
 };
-
-const WORDS_PER_LINE: usize = 8;
 
 /// The result of a memory access: the data value and when it completes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,15 +80,24 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Creates a memory system with no registered L1s.
+    /// Creates a memory system with no registered L1s and an empty
+    /// coherent image.
     pub fn new(cfg: MemConfig) -> Self {
+        Self::with_image(cfg, SparseMemory::new())
+    }
+
+    /// Creates a memory system with no registered L1s whose coherent image
+    /// starts as `image` — typically an empty write layer
+    /// ([`SparseMemory::over`]) on a workload's shared initial image, so
+    /// the system owns only the words it stores.
+    pub fn with_image(cfg: MemConfig, image: SparseMemory) -> Self {
         let l2 = L2State {
             tags: CacheArray::new(cfg.l2_lines(), cfg.l2_assoc),
             arbiter: BankedArbiter::new(&cfg),
         };
         MemorySystem {
             cfg,
-            image: SparseMemory::new(),
+            image,
             l1s: Vec::new(),
             l2,
             epoch: 0,
@@ -193,15 +200,6 @@ impl MemorySystem {
         (addr.line_offset() / 8) as usize
     }
 
-    fn read_line_words(&self, line: u64) -> [u64; WORDS_PER_LINE] {
-        let base = line * reunion_isa::LINE_BYTES;
-        let mut words = [0u64; WORDS_PER_LINE];
-        for (i, word) in words.iter_mut().enumerate() {
-            *word = self.image.peek(Addr::new(base + i as u64 * 8));
-        }
-        words
-    }
-
     fn garbage_line_words(line: u64, epoch: u64) -> [u64; WORDS_PER_LINE] {
         let base = line * reunion_isa::LINE_BYTES;
         let mut words = [0u64; WORDS_PER_LINE];
@@ -245,7 +243,7 @@ impl MemorySystem {
             let ready = bank_start + self.cfg.l2_hit_latency + self.cfg.dram_latency;
             if let Some((victim_line, victim_dir)) = self.l2.tags.insert(line, DirEntry::new()) {
                 // Inclusive L2: back-invalidate vocal L1 copies of the victim.
-                for s in victim_dir.sharers_except(L1Id(usize::MAX & 63)) {
+                for s in victim_dir.sharers() {
                     if let Some(state) = self.l1s[s.0].tags.invalidate(victim_line) {
                         if state == MesiState::Modified {
                             self.stats.writebacks.incr();
@@ -404,7 +402,7 @@ impl MemorySystem {
                 // Checks the shared cache without changing coherence state.
                 if self.l2.tags.contains(line) {
                     self.stats.l2_hits.incr();
-                    let words = self.read_line_words(line);
+                    let words = self.image.peek_line(line);
                     (words, bank_start + self.cfg.l2_hit_latency, true, false)
                 } else {
                     self.stats.l2_misses.incr();
@@ -424,7 +422,7 @@ impl MemorySystem {
                     // Non-coherent off-chip read; does not allocate in L2.
                     self.cfg.l2_hit_latency + self.cfg.dram_latency
                 };
-                let words = self.read_line_words(line);
+                let words = self.image.peek_line(line);
                 (words, bank_start + latency, l2_hit, false)
             }
         };
@@ -755,7 +753,7 @@ impl MemorySystem {
 
         // Refill both halves coherently and atomically.
         self.l1_fill(vocal.0, line, MesiState::Modified);
-        let words = self.read_line_words(line);
+        let words = self.image.peek_line(line);
         self.l1_fill(mute.0, line, MesiState::Exclusive);
         self.l1s[mute.0].mute_data.insert(line, words);
 
@@ -1097,6 +1095,38 @@ mod tests {
         // Its directory entry must no longer list v0 as a sharer.
         let refetch = mem.load(Cycle::new(100_000), v0, first, PhantomStrength::Global);
         assert!(!refetch.l1_hit);
+    }
+
+    #[test]
+    fn l2_eviction_back_invalidates_every_sharer_up_to_l1_63() {
+        // 64 vocal L1s — the directory's full width. Inclusion must hold
+        // for the last one too.
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let l1s: Vec<L1Id> = (0..64).map(|i| mem.register_l1(Owner::vocal(i))).collect();
+        let cfg = mem.config().clone();
+        let l2_sets = (cfg.l2_lines() / cfg.l2_assoc) as u64;
+        let victim = Addr::new(0);
+        for &sharer in &[l1s[0], l1s[63]] {
+            mem.load(Cycle::ZERO, sharer, victim, PhantomStrength::Global);
+            assert!(mem.l1_contains(sharer, victim));
+        }
+        // Another L1 overflows the victim's L2 set.
+        for way in 1..=cfg.l2_assoc as u64 {
+            let addr = Addr::new(way * l2_sets * reunion_isa::LINE_BYTES);
+            mem.load(
+                Cycle::new(way * 1000),
+                l1s[1],
+                addr,
+                PhantomStrength::Global,
+            );
+        }
+        for &sharer in &[l1s[0], l1s[63]] {
+            assert!(
+                !mem.l1_contains(sharer, victim),
+                "{sharer} keeps a line the inclusive L2 evicted"
+            );
+        }
+        assert_eq!(mem.stats().invalidations.value(), 2);
     }
 
     #[test]

@@ -177,7 +177,7 @@ mod tests {
                 fresh.initial_memory().as_ref(),
                 "{name}"
             );
-            assert_eq!(fresh.cache_population(), (0, false));
+            assert_eq!(fresh.cache_population(), Default::default());
         }
     }
 }

@@ -52,4 +52,4 @@ pub use gen::{
 };
 pub use kernels::{kernel_suite, KERNEL_SOURCES};
 pub use spec::{SharingModel, WorkloadClass, WorkloadSpec};
-pub use suite::{suite, Workload};
+pub use suite::{suite, CachePopulation, Workload};

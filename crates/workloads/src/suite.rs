@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use reunion_isa::asm::{self, KernelImage};
-use reunion_isa::{Addr, Instruction, Program};
+use reunion_isa::{Addr, Instruction, Program, SparseMemory};
 
 use crate::{gen, kernels, SharingModel, WorkloadClass, WorkloadSpec};
 
@@ -14,6 +14,12 @@ use crate::{gen, kernels, SharingModel, WorkloadClass, WorkloadSpec};
 /// cannot change a single byte of any artifact; it only stops the grid
 /// from regenerating multi-megabyte memory images and program vectors once
 /// per cell per system.
+///
+/// Every slot is immutable once filled: the cache hands out `Arc` handles
+/// and nothing downstream can write through one. In particular the
+/// [`base`](Self::base) image is only ever read *under* a per-system write
+/// layer, so systems running concurrently on runner threads share it
+/// without synchronization.
 #[derive(Debug, Default)]
 struct ArtifactCache {
     /// Per-thread program images. `Program` is `Arc`-backed, so the stored
@@ -22,6 +28,10 @@ struct ArtifactCache {
     /// The initial memory image (pointer rings etc.) — up to half a million
     /// entries for em3d; generated at most once per workload.
     memory: OnceLock<Arc<[(Addr, u64)]>>,
+    /// `memory` hashed into a point-lookup image, built at most once per
+    /// workload with its capacity reserved up front — the read-only base
+    /// every system layers its stores over (see [`SparseMemory`]).
+    base: OnceLock<Arc<SparseMemory>>,
     /// The parsed kernel image for an assembly-sourced workload — parsed at
     /// most once per workload; `None` source never touches it.
     image: OnceLock<Arc<KernelImage>>,
@@ -36,6 +46,18 @@ enum ProgramSource {
     /// The spec still carries the name/class/ITLB parameters; the program
     /// and initial-memory images come from the text.
     Kernel(&'static str),
+}
+
+/// Which [`Workload`] artifacts have been generated and cached so far
+/// ([`Workload::cache_population`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CachePopulation {
+    /// Per-thread programs generated.
+    pub programs: usize,
+    /// Whether the initial-memory word list has been generated.
+    pub memory: bool,
+    /// Whether the shared base image has been built from it.
+    pub base_image: bool,
 }
 
 /// A named workload: its parameterization plus program/memory generation.
@@ -195,10 +217,9 @@ impl Workload {
         }
     }
 
-    /// Initial memory contents (pointer rings, `.data` images), to be
-    /// applied to the memory system before simulation — generated once and
-    /// shared; every system built from this workload gets a handle to the
-    /// same image.
+    /// Initial memory contents (pointer rings, `.data` images) as a word
+    /// list — generated once and shared. Systems do not replay it; they
+    /// read it through [`base_image`](Self::base_image).
     pub fn initial_memory(&self) -> Arc<[(Addr, u64)]> {
         let make = || -> Arc<[(Addr, u64)]> {
             match self.source {
@@ -217,16 +238,29 @@ impl Workload {
         }
     }
 
-    /// `(cached programs, memory image cached)` — the artifact cache's
-    /// population, for the deterministic counters gate. `(0, false)` for an
-    /// [`uncached`](Self::uncached) workload.
-    pub fn cache_population(&self) -> (usize, bool) {
+    /// The initial memory contents as a point-lookup image — built from
+    /// [`initial_memory`](Self::initial_memory) once per workload and
+    /// shared read-only; a system layers its own stores over it with
+    /// [`SparseMemory::over`]. An [`uncached`](Self::uncached) workload
+    /// builds a private one per call through the same code.
+    pub fn base_image(&self) -> Arc<SparseMemory> {
+        let make = || Arc::new(SparseMemory::from_words(&self.initial_memory()));
         match &self.cache {
-            Some(cache) => (
-                cache.programs.lock().expect("program cache poisoned").len(),
-                cache.memory.get().is_some(),
-            ),
-            None => (0, false),
+            Some(cache) => cache.base.get_or_init(make).clone(),
+            None => make(),
+        }
+    }
+
+    /// The artifact cache's population, for the deterministic counters
+    /// gate. All zero/false for an [`uncached`](Self::uncached) workload.
+    pub fn cache_population(&self) -> CachePopulation {
+        match &self.cache {
+            Some(cache) => CachePopulation {
+                programs: cache.programs.lock().expect("program cache poisoned").len(),
+                memory: cache.memory.get().is_some(),
+                base_image: cache.base.get().is_some(),
+            },
+            None => CachePopulation::default(),
         }
     }
 }
@@ -738,7 +772,7 @@ mod tests {
     fn cache_serves_identical_artifacts_to_fresh_generation() {
         let cached = Workload::by_name("sparse").unwrap();
         let fresh = Workload::uncached(cached.spec().clone());
-        assert_eq!(cached.cache_population(), (0, false));
+        assert_eq!(cached.cache_population(), CachePopulation::default());
         for thread in 0..3 {
             assert_eq!(cached.program(thread), fresh.program(thread));
         }
@@ -746,8 +780,21 @@ mod tests {
             cached.initial_memory().as_ref(),
             fresh.initial_memory().as_ref()
         );
-        assert_eq!(cached.cache_population(), (3, true));
-        assert_eq!(fresh.cache_population(), (0, false));
+        let populated = CachePopulation {
+            programs: 3,
+            memory: true,
+            base_image: false,
+        };
+        assert_eq!(cached.cache_population(), populated);
+        assert_eq!(cached.base_image(), fresh.base_image());
+        assert_eq!(
+            cached.cache_population(),
+            CachePopulation {
+                base_image: true,
+                ..populated
+            }
+        );
+        assert_eq!(fresh.cache_population(), CachePopulation::default());
     }
 
     #[test]
@@ -755,9 +802,15 @@ mod tests {
         let a = Workload::by_name("moldyn").unwrap();
         let b = a.clone();
         let _ = a.program(0);
-        let _ = b.initial_memory();
+        let image = b.base_image();
         // Work done through either clone is visible through the other.
-        assert_eq!(a.cache_population(), (1, true));
-        assert_eq!(b.cache_population(), (1, true));
+        let populated = CachePopulation {
+            programs: 1,
+            memory: true,
+            base_image: true,
+        };
+        assert_eq!(a.cache_population(), populated);
+        assert_eq!(b.cache_population(), populated);
+        assert!(Arc::ptr_eq(&image, &a.base_image()), "one shared copy");
     }
 }

@@ -92,6 +92,26 @@ fn randomized_measurements_are_engine_invariant() {
     );
 }
 
+/// em3d carries the suite's largest initial image; systems built over the
+/// cached workload's shared base image measure exactly what systems built
+/// over an uncached workload's private one do, under either engine.
+#[test]
+fn shared_and_private_base_images_measure_equal() {
+    let cached = Workload::by_name("em3d").expect("in suite");
+    let uncached = Workload::uncached(cached.spec().clone());
+    for engine in [Engine::Dense, Engine::Skip] {
+        for mode in [ExecutionMode::NonRedundant, ExecutionMode::Reunion] {
+            let cfg = SystemConfig::small_test(mode).with_engine(engine);
+            let shared = measure(&cfg, &cached, &sample());
+            let private = measure(&cfg, &uncached, &sample());
+            assert_eq!(face(&shared), face(&private), "{mode} {engine:?}");
+            assert_eq!(shared.skipped_cycles, private.skipped_cycles);
+        }
+    }
+    assert!(cached.cache_population().base_image);
+    assert!(!uncached.cache_population().base_image);
+}
+
 /// Randomized matched pairs: the normalized-IPC path (model and baseline
 /// systems, window-by-window ratios) is engine-invariant too.
 #[test]

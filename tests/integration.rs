@@ -11,6 +11,38 @@ fn quick() -> SampleConfig {
     }
 }
 
+/// Systems built from one cached workload share its base image but not
+/// their stores: what one writes stays invisible to the other and to the
+/// base.
+#[test]
+fn systems_sharing_a_base_image_keep_their_stores_private() {
+    use reunion_core::CmpSystem;
+    use reunion_isa::{Addr, SparseMemory};
+    use reunion_workloads::PRIVATE_BASE;
+
+    let em3d = Workload::by_name("em3d").expect("in suite");
+    let cfg = SystemConfig::small_test(ExecutionMode::Reunion);
+    let mut ran = CmpSystem::new(&cfg, &em3d);
+    let idle = CmpSystem::new(&cfg, &em3d);
+    let base = em3d.base_image();
+    ran.run(20_000);
+
+    // Thread 0's private region: where its stores land.
+    let region = (0..em3d.spec().private_bytes / 8).map(|i| Addr::new(PRIVATE_BASE + i * 8));
+    let mut stored = 0;
+    for addr in region {
+        let initial = base.peek(addr);
+        assert_eq!(idle.memory().peek_coherent(addr), initial, "{addr}");
+        stored += usize::from(ran.memory().peek_coherent(addr) != initial);
+    }
+    assert!(stored > 0, "the system that ran must have stored something");
+    assert_eq!(
+        *base,
+        SparseMemory::from_words(&em3d.initial_memory()),
+        "the shared base must hold exactly the initial words"
+    );
+}
+
 #[test]
 fn every_workload_runs_under_every_mode() {
     for workload in suite() {

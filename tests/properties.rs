@@ -87,6 +87,50 @@ fn sparse_memory_last_write_wins() {
     });
 }
 
+/// A write layer over a shared base reads exactly like a flat image poked
+/// with the base's words and then the same writes — word reads and line
+/// reads, never-written words included — and never moves the base.
+#[test]
+fn layered_image_reads_like_a_flat_one() {
+    use std::sync::Arc;
+    for_cases(0xA1_000B, |rng| {
+        // A few lines' worth of address space, so base words, own words
+        // and untouched words share lines.
+        let arb_addr = |rng: &mut SimRng| Addr::new(0x8000 + rng.next_u64() % 0x400);
+        let base_words: Vec<(Addr, u64)> = (0..rng.next_u64() % 48)
+            .map(|_| (arb_addr(rng), rng.next_u64()))
+            .collect();
+        let base = Arc::new(SparseMemory::from_words(&base_words));
+        let frozen = SparseMemory::clone(&base);
+        let mut layered = SparseMemory::over(base.clone());
+        let mut flat = SparseMemory::new();
+        for &(addr, value) in &base_words {
+            flat.poke(addr, value);
+        }
+        for _ in 0..rng.next_u64() % 96 {
+            let addr = arb_addr(rng);
+            match rng.next_u64() % 3 {
+                0 => {
+                    let value = rng.next_u64();
+                    layered.poke(addr, value);
+                    flat.poke(addr, value);
+                }
+                1 => assert_eq!(layered.peek(addr), flat.peek(addr), "{addr}"),
+                _ => {
+                    let line = addr.line_index();
+                    let words = layered.peek_line(line);
+                    assert_eq!(words, flat.peek_line(line), "line {line:#x}");
+                    for (i, &word) in words.iter().enumerate() {
+                        let addr = addr.line().offset(i as u64 * 8);
+                        assert_eq!(word, flat.peek(addr), "line read vs word read at {addr}");
+                    }
+                }
+            }
+        }
+        assert_eq!(*base, frozen, "writes must stay in the layer");
+    });
+}
+
 /// Identical update streams always produce matching fingerprints
 /// (no false positives in output comparison).
 #[test]
