@@ -225,12 +225,16 @@ fn bench_system_new(c: &mut Criterion) {
 /// nothing else on stdout, so CI can diff the output verbatim against
 /// `baselines/BENCH_counters.txt`).
 ///
-/// Cells are measured directly (equivalent to `Runner::serial().run`, cell
-/// by cell) so the engine's `skipped_cycles` diagnostic — deliberately
-/// absent from every `BENCH_<id>.json` field — is visible here: every
-/// simulated-work counter must be identical between `REUNION_ENGINE=dense`
-/// and `skip`, while `skipped_cycles` is the one line allowed to differ
-/// (zero under dense, nonzero under the default skip engine).
+/// Each cell's two systems (the model and its non-redundant baseline) are
+/// driven directly over the cell's sampling schedule, because two of the
+/// lines are engine diagnostics that live on the system and in no
+/// `BENCH_<id>.json` field (nor, for `proc_ticks`, in `Measurement`, which
+/// the repo benchmark builds field by field and so cannot grow): every simulated-work counter must be identical
+/// between `REUNION_ENGINE=dense` and `skip`, while `skipped_cycles` (zero
+/// under dense) and `proc_ticks` (processors × cycles under dense) are the
+/// two lines allowed to differ. `proc_ticks` is the tightness of the skip
+/// engine's bounds as a count: it moves as soon as any bound loosens, even
+/// inside cycles that are still visited.
 fn report_counters(opts: &RunOptions) {
     let grid = counters_grid(opts);
     let mut instructions = 0u64;
@@ -238,25 +242,36 @@ fn report_counters(opts: &RunOptions) {
     let mut incoherence = 0u64;
     let mut serializing_stalls = 0u64;
     let mut skipped = 0u64;
+    let mut proc_ticks = 0u64;
     let mut peak_check_events = 0u64;
     let mut peak_store_chain = 0u64;
     let mut store_chain_spills = 0u64;
     for cell in grid.cells() {
         let cfg = grid.cell_config(cell);
-        let n = reunion_core::normalized_ipc(&cfg, &cell.workload, grid.cell_sample(cell));
-        for side in [&n.model, &n.baseline] {
-            instructions += side.totals.user_instructions;
-            cycles += side.totals.cycles;
-            incoherence += side.totals.input_incoherence;
-            serializing_stalls += side.totals.serializing_stall_cycles;
-            skipped += side.skipped_cycles;
-            // Allocation-sensitivity probes: peaks combine by max (order
-            // independent), spill events by sum. A change in buffer
-            // recycling or inline capacity moves these before it moves any
-            // simulated-work counter.
-            peak_check_events = peak_check_events.max(side.totals.peak_check_events);
-            peak_store_chain = peak_store_chain.max(side.totals.peak_store_chain);
-            store_chain_spills += side.totals.store_chain_spills;
+        let sample = grid.cell_sample(cell);
+        let mut base_cfg = cfg.clone();
+        base_cfg.mode = ExecutionMode::NonRedundant;
+        for side in [&cfg, &base_cfg] {
+            let mut sys = CmpSystem::new(side, &cell.workload);
+            sys.run(sample.warmup);
+            for _ in 0..sample.windows {
+                sys.begin_window();
+                sys.run(sample.window);
+                let w = sys.window_stats();
+                instructions += w.user_instructions;
+                cycles += w.cycles;
+                incoherence += w.input_incoherence;
+                serializing_stalls += w.serializing_stall_cycles;
+                // Allocation-sensitivity probes: peaks combine by max
+                // (order independent), spill events by sum. A change in
+                // buffer recycling or inline capacity moves these before
+                // it moves any simulated-work counter.
+                peak_check_events = peak_check_events.max(w.peak_check_events);
+                peak_store_chain = peak_store_chain.max(w.peak_store_chain);
+                store_chain_spills += w.store_chain_spills;
+            }
+            skipped += sys.skipped_cycles();
+            proc_ticks += sys.proc_ticks();
         }
     }
     // Workload artifact cache population after the sweep. The grid's cells
@@ -288,6 +303,7 @@ fn report_counters(opts: &RunOptions) {
     println!("counter input_incoherence_events {incoherence}");
     println!("counter serializing_stall_cycles {serializing_stalls}");
     println!("counter skipped_cycles {skipped}");
+    println!("counter proc_ticks {proc_ticks}");
     println!("counter queue_steals_fixed_drain {}", queue.steals());
     println!("counter peak_check_events {peak_check_events}");
     println!("counter peak_store_chain {peak_store_chain}");

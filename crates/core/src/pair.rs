@@ -242,12 +242,16 @@ impl PairDriver {
     /// (occupancy 0) every grant is the identity and the pair behaves as if
     /// it owned a private comparison channel.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
+        self.vocal.tick(now, mem);
+        self.mute.tick(now, mem);
         if self.strict {
+            // The values the vocal bound this cycle reach the trailing core
+            // for its next one. Handing them over now rather than at the
+            // top of that next tick leaves nothing pending between ticks,
+            // so a tick ahead of the pair's bound is a no-op in full.
             self.vocal.drain_load_values_into(&mut self.lvq_xfer);
             self.mute.push_lvq(self.lvq_xfer.drain(..));
         }
-        self.vocal.tick(now, mem);
-        self.mute.tick(now, mem);
 
         self.collect_events();
         if let Some(detect_at) = self.pending_mismatch {

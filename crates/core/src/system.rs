@@ -132,9 +132,9 @@ pub struct CmpSystem {
     check_bus: CheckBus,
     now: Cycle,
     window_start: Cycle,
-    user_at_window_start: u64,
     engine: Engine,
     skipped: u64,
+    proc_ticks: u64,
     /// Gate for skip-run episode recording (mirrors `SystemConfig::obs`).
     obs_enabled: bool,
     /// Lengths of cycle runs the engine fast-forwarded over this window.
@@ -241,9 +241,9 @@ impl CmpSystem {
             check_bus: CheckBus::new(cfg.check_bus_occupancy),
             now: Cycle::ZERO,
             window_start: Cycle::ZERO,
-            user_at_window_start: 0,
             engine: cfg.engine,
             skipped: 0,
+            proc_ticks: 0,
             obs_enabled: cfg.obs.enabled,
             skip_runs: EpisodeSummary::new(),
             horizon: HorizonTree::new(slots),
@@ -302,6 +302,17 @@ impl CmpSystem {
         self.skipped
     }
 
+    /// Logical-processor ticks executed so far, under either engine: one
+    /// per processor per cycle when dense, one per processor whose bound
+    /// had arrived when skipping. Where `skipped_cycles` only sees cycles
+    /// in which *no* processor ticked, this also sees the processors left
+    /// alone inside a visited cycle — the machine-independent measure of
+    /// how tight the activity bounds are. Like `skipped_cycles`, never part
+    /// of a `BENCH_<id>.json` artifact.
+    pub fn proc_ticks(&self) -> u64 {
+        self.proc_ticks
+    }
+
     /// Advances the whole CMP by one cycle. Pairs tick in fixed
     /// logical-processor order, which also fixes the order in which their
     /// comparators are granted shared-check-bus slots — deterministic and
@@ -310,6 +321,7 @@ impl CmpSystem {
         for proc in &mut self.procs {
             proc.tick(self.now, &mut self.mem, &mut self.check_bus);
         }
+        self.proc_ticks += self.procs.len() as u64;
         self.now += 1;
     }
 
@@ -437,6 +449,7 @@ impl CmpSystem {
         for &i in &self.ready {
             self.procs[i].tick(self.now, &mut self.mem, &mut self.check_bus);
         }
+        self.proc_ticks += self.ready.len() as u64;
         self.now += 1;
         for &i in &self.ready {
             self.horizon
@@ -482,7 +495,6 @@ impl CmpSystem {
     /// from this point.
     pub fn begin_window(&mut self) {
         self.window_start = self.now;
-        self.user_at_window_start = 0;
         for proc in &mut self.procs {
             match proc {
                 Proc::Single(core) => {
@@ -557,12 +569,9 @@ impl CmpSystem {
     /// [`begin_window`](Self::begin_window).
     pub fn window_stats(&self) -> SystemStats {
         // `begin_window` resets the per-core counters, so the counters are
-        // already window-relative; the snapshot guards the case where no
-        // window was ever begun.
+        // already window-relative.
         let mut stats = SystemStats {
-            user_instructions: self
-                .user_instructions()
-                .saturating_sub(self.user_at_window_start),
+            user_instructions: self.user_instructions(),
             cycles: self.now.saturating_since(self.window_start),
             ..SystemStats::default()
         };
@@ -680,17 +689,11 @@ mod tests {
         assert!(stats.user_instructions > 1_000);
     }
 
-    /// Builds a system around a single hand-written halting program — the
-    /// suite's generated workloads loop forever, so all-halted early exit
-    /// needs a bespoke proc.
-    fn halting_system(engine: crate::Engine) -> CmpSystem {
-        use reunion_isa::{Instruction as I, Program, RegId};
-        let code = vec![
-            I::add_imm(RegId::new(1), RegId::new(1), 5),
-            I::alu_imm(reunion_isa::AluOp::Mul, RegId::new(2), RegId::new(1), 3),
-            I::halt(),
-        ];
-        let program = Arc::new(Program::new("halting", code).expect("valid program"));
+    /// Builds a non-redundant system around one hand-written program — the
+    /// suite's generated workloads loop forever, so anything that must
+    /// halt needs a bespoke proc.
+    fn single_core_system(code: Vec<reunion_isa::Instruction>, engine: crate::Engine) -> CmpSystem {
+        let program = Arc::new(reunion_isa::Program::new("bespoke", code).expect("valid program"));
         let mut mem = MemorySystem::new(reunion_mem::MemConfig::small());
         let l1 = mem.register_l1(Owner::vocal(0));
         let core = Core::new(CoreConfig::default(), program, l1, 3);
@@ -700,14 +703,149 @@ mod tests {
             check_bus: CheckBus::new(0),
             now: Cycle::ZERO,
             window_start: Cycle::ZERO,
-            user_at_window_start: 0,
             engine,
             skipped: 0,
+            proc_ticks: 0,
             obs_enabled: false,
             skip_runs: EpisodeSummary::new(),
             horizon: HorizonTree::new(1),
             ready: Vec::new(),
         }
+    }
+
+    fn halting_system(engine: crate::Engine) -> CmpSystem {
+        use reunion_isa::{Instruction as I, RegId};
+        let code = vec![
+            I::add_imm(RegId::new(1), RegId::new(1), 5),
+            I::alu_imm(reunion_isa::AluOp::Mul, RegId::new(2), RegId::new(1), 3),
+            I::halt(),
+        ];
+        single_core_system(code, engine)
+    }
+
+    /// The soundness oracle for the activity bounds: steps `sys` densely
+    /// for `cycles` and, whenever a processor's bound says it cannot act
+    /// yet (`None`, or later than now), asserts that ticking it anyway
+    /// changes nothing — which is exactly what entitles the skip engine not
+    /// to tick it. "Nothing" is the processor's whole `Debug` rendering
+    /// (both cores, the comparison queues, every counter), the memory
+    /// system's counters and the shared check bus. Returns how many ticks
+    /// were held to that.
+    fn step_checking_bounds(sys: &mut CmpSystem, cycles: u64, ctx: &str) -> u64 {
+        let mut held = 0;
+        // Only a processor's own tick changes it, so the rendering a held
+        // tick left behind is still current at that processor's next tick.
+        let mut rendered: Vec<Option<String>> = vec![None; sys.procs.len()];
+        let shared = |mem: &MemorySystem, bus: &CheckBus| format!("{:?} {bus:?}", mem.stats());
+        for _ in 0..cycles {
+            let now = sys.now;
+            for (lp, proc) in sys.procs.iter_mut().enumerate() {
+                let bound = proc.next_activity_at(now);
+                if bound == Some(now) {
+                    proc.tick(now, &mut sys.mem, &mut sys.check_bus);
+                    rendered[lp] = None;
+                    continue;
+                }
+                let before = rendered[lp].take().unwrap_or_else(|| format!("{proc:?}"));
+                let shared_before = shared(&sys.mem, &sys.check_bus);
+                proc.tick(now, &mut sys.mem, &mut sys.check_bus);
+                let after = format!("{proc:?}");
+                assert_eq!(
+                    shared_before,
+                    shared(&sys.mem, &sys.check_bus),
+                    "{ctx}: lp {lp} reported {bound:?} at {now:?}, yet its tick reached memory \
+                     or the check bus"
+                );
+                if before != after {
+                    let at = before
+                        .bytes()
+                        .zip(after.bytes())
+                        .position(|(a, b)| a != b)
+                        .unwrap_or(before.len().min(after.len()));
+                    let from = at.saturating_sub(200);
+                    panic!(
+                        "{ctx}: lp {lp} reported {bound:?} at {now:?}, yet its tick changed \
+                         state:\n  before: …{}\n  after:  …{}",
+                        &before[from..(at + 80).min(before.len())],
+                        &after[from..(at + 80).min(after.len())],
+                    );
+                }
+                rendered[lp] = Some(after);
+                held += 1;
+            }
+            sys.now += 1;
+        }
+        held
+    }
+
+    /// Holds 2 000 cycles of `workload` under `cfg` to the oracle. With
+    /// `interrupts`, every processor is sent one each 50 cycles, so that
+    /// some fall due on a cycle the front end would otherwise sit out.
+    fn held_ticks(cfg: &SystemConfig, workload: &Workload, interrupts: bool, ctx: &str) -> u64 {
+        let mut sys = CmpSystem::new(cfg, workload);
+        let mut held = 0;
+        for _ in 0..40 {
+            held += step_checking_bounds(&mut sys, 50, ctx);
+            if interrupts {
+                for lp in 0..sys.logical_processors() {
+                    sys.deliver_interrupt(lp);
+                }
+            }
+        }
+        assert!(sys.user_instructions() > 0, "{ctx}: nothing retired");
+        held
+    }
+
+    #[test]
+    fn a_tick_before_the_reported_bound_changes_nothing() {
+        let mut held = 0;
+        for name in ["apache", "db2_oltp", "em3d", "moldyn", "flag_ring"] {
+            let workload = Workload::by_name(name).expect("suite workload");
+            for mode in ExecutionMode::ALL {
+                let cfg = SystemConfig::small_test(mode);
+                held += held_ticks(&cfg, &workload, false, &format!("{name}/{mode:?}"));
+            }
+        }
+        // Most of a dense run is spent behind a bound; an oracle that held
+        // almost nothing to one would have proved nothing.
+        assert!(held > 20_000, "only {held} ticks were held to a bound");
+    }
+
+    /// The same oracle over the arms the front-end predicate branches on:
+    /// stores that serialize, handler code injected ahead of the program,
+    /// an interval still open when a serializing instruction arrives, an
+    /// interrupt falling due while the front end waits, and a fetch that
+    /// halts behind a load still in flight.
+    #[test]
+    fn bounds_stay_sound_on_every_arm_of_the_front_end_predicate() {
+        use reunion_cpu::{Consistency, TlbMode};
+        let workload = Workload::by_name("db2_oltp").expect("suite workload");
+        for mode in ExecutionMode::ALL {
+            let base = SystemConfig::small_test(mode);
+            let mut sc = base.clone();
+            sc.consistency = Consistency::Sc;
+            held_ticks(&sc, &workload, false, &format!("sc/{mode:?}"));
+            let mut soft = base.clone();
+            soft.tlb = TlbMode::Software;
+            held_ticks(&soft, &workload, false, &format!("software-tlb/{mode:?}"));
+            let wide = base.clone().with_fingerprint_interval(8);
+            held_ticks(&wide, &workload, true, &format!("interval-8/{mode:?}"));
+            held_ticks(&base, &workload, true, &format!("interrupts/{mode:?}"));
+        }
+        // Four instructions fill the first cycle's dispatch width, so the
+        // second cycle's fetch meets `halt` with the load still in the ROB.
+        use reunion_isa::{Instruction as I, RegId};
+        let r = RegId::new;
+        let code = vec![
+            I::load_imm(r(1), 0x4_0000),
+            I::load(r(2), r(1), 0),
+            I::add_imm(r(3), r(3), 1),
+            I::add_imm(r(4), r(4), 1),
+            I::halt(),
+        ];
+        let mut sys = single_core_system(code, crate::Engine::Dense);
+        step_checking_bounds(&mut sys, 1_000, "halting");
+        assert!(sys.all_quiescent(), "the bespoke program halts");
     }
 
     #[test]

@@ -8,13 +8,18 @@ use reunion_isa::{
     alu_compute, branch_decides, effective_address, Addr, ArchState, Instruction, Opcode, Program,
     RegId,
 };
-use reunion_kernel::{Cycle, EventHorizon, FastHashMap, InlineVec, SimRng};
+use reunion_kernel::{Cycle, FastHashMap, InlineVec, SimRng};
 use reunion_mem::{L1Id, MemorySystem};
 
 use crate::{
     software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, SyncRequest,
     Tlb, TlbMode,
 };
+
+// Activity bounds for the skip engine, and the front-end predicate they
+// share with `dispatch`.
+#[path = "bounds.rs"]
+mod bounds;
 
 /// Architectural effects carried by a ROB entry until retirement.
 #[derive(Clone, Copy, Debug)]
@@ -472,77 +477,6 @@ impl Core {
         self.dispatch(now, mem);
     }
 
-    /// The earliest cycle `>= from` at which this core could make forward
-    /// progress on its own — the core's contribution to a time-skipping
-    /// engine's [`EventHorizon`].
-    ///
-    /// The bound is conservative (ticking the core earlier is a no-op, never
-    /// wrong), derived from the same completion stamps the pipeline runs on:
-    ///
-    /// * **Retirement** — the head ROB entry's in-order check time, plus its
-    ///   release-grant time under checking. Serializing intervals
-    ///   deliberately resolve to `from` once their grant has arrived, so the
-    ///   engine steps cycle-by-cycle through the round-trip stall window and
-    ///   the `serializing_stall_cycles` counter matches dense execution
-    ///   exactly.
-    /// * **Dispatch** — `fetch_free` (mispredict/TLB refill) when no
-    ///   structural condition (halt, full ROB, serializing drain, pending
-    ///   synchronizing request, single-step occupancy) blocks the front end.
-    /// * **Pending check events** — fingerprints emitted after the pair
-    ///   driver's collection point (synchronizing-request fulfillment) must
-    ///   be compared on the next cycle.
-    ///
-    /// `None` means the core cannot act again without external input: a
-    /// grant or synchronizing fulfillment from its pair driver, or nothing
-    /// at all (halted with an empty pipeline).
-    pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
-        let floor = from.as_u64();
-        let front_end_blocked = self.halted
-            || self.pending_sync.is_some()
-            || self.serializing_block
-            || self.rob.len() >= self.cfg.rob_entries
-            || (self.single_step && !self.rob.is_empty());
-        // Fast path: an unblocked front end dispatches on the very next
-        // cycle — no candidate can be earlier, so skip the retire-side
-        // bookkeeping entirely. This keeps the skip engine's per-tick
-        // overhead negligible through dense (always-active) phases.
-        if !front_end_blocked && self.fetch_free <= floor {
-            return Some(from);
-        }
-        if !self.events.is_empty() {
-            return Some(from);
-        }
-
-        let mut horizon = EventHorizon::new();
-        if !front_end_blocked {
-            horizon.note(Cycle::new(self.fetch_free));
-        }
-        if let Some(head) = self.rob.front() {
-            if head.completion != u64::MAX {
-                if self.cfg.checking {
-                    // Ungranted heads wait on the partner's fingerprint —
-                    // the partner core's activity, not this core's.
-                    if let Some(granted_at) = self.granted_at(head.interval_id) {
-                        horizon.note(Cycle::new(head.check_time.max(granted_at).max(floor)));
-                    }
-                } else {
-                    horizon.note(Cycle::new(head.check_time.max(floor)));
-                }
-            }
-        }
-        horizon.next_ready()
-    }
-
-    /// Whether the core can never act again without external input: halted
-    /// with an empty pipeline and no check events awaiting collection.
-    ///
-    /// A quiescent core's `tick` is a no-op at every future cycle, which is
-    /// what lets [`next_activity_at`](Self::next_activity_at) return `None`
-    /// and the system engine fast-forward past it.
-    pub fn is_quiescent(&self) -> bool {
-        self.halted && self.rob.is_empty() && self.events.is_empty() && self.pending_sync.is_none()
-    }
-
     // ------------------------------------------------------------------
     // Retirement.
     // ------------------------------------------------------------------
@@ -641,68 +575,64 @@ impl Core {
     // Dispatch: functional execution plus forward timing.
     // ------------------------------------------------------------------
 
+    /// Whether `op` may only dispatch into an empty ROB (§4.4): the
+    /// serializing opcodes, plus every store under sequential consistency.
+    fn serializes(&self, op: Opcode) -> bool {
+        op.is_serializing() || (self.cfg.store_serializes() && op == Opcode::Store)
+    }
+
+    /// The instruction dispatch takes next — injected handler code first,
+    /// then the program at the speculative PC — or `None` when the fetch
+    /// halts the core (off the image, or `halt`).
+    fn peek_next(&self) -> Option<&Instruction> {
+        self.inject
+            .front()
+            .or_else(|| self.program.fetch(self.spec.pc))
+            .filter(|inst| inst.op != Opcode::Halt)
+    }
+
+    /// Whether a scheduled external interrupt is delivered by this cycle's
+    /// dispatch: its interval boundary has been reached and no handler
+    /// code is already queued.
+    fn interrupt_due(&self) -> bool {
+        self.inject.is_empty()
+            && self
+                .interrupt_at_interval
+                .is_some_and(|k| self.fp.next_interval_id() >= k && self.fp.pending() == 0)
+    }
+
     fn dispatch(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        if self.halted {
-            return;
-        }
         let now_raw = now.as_u64();
         let mut dispatched = 0;
         while dispatched < self.cfg.width {
-            if self.fetch_free > now_raw
-                || self.pending_sync.is_some()
-                || self.serializing_block
-                || self.rob.len() >= self.cfg.rob_entries
-                || (self.single_step && !self.rob.is_empty())
-            {
+            if self.fetch_free > now_raw || self.front_end_closed() {
                 break;
             }
 
             // Interrupt delivery at the chosen interval boundary.
-            if self.inject.is_empty() {
-                if let Some(k) = self.interrupt_at_interval {
-                    if self.fp.next_interval_id() >= k && self.fp.pending() == 0 {
-                        self.interrupt_at_interval = None;
-                        self.inject.extend([
-                            Instruction::trap(),
-                            Instruction::nop(),
-                            Instruction::nop(),
-                            Instruction::trap(),
-                        ]);
-                    }
-                }
+            if self.interrupt_due() {
+                self.interrupt_at_interval = None;
+                self.inject.extend([
+                    Instruction::trap(),
+                    Instruction::nop(),
+                    Instruction::nop(),
+                    Instruction::trap(),
+                ]);
             }
 
             let from_inject = !self.inject.is_empty();
-            let inst = if from_inject {
-                *self.inject.front().expect("nonempty queue")
-            } else {
-                match self.program.fetch(self.spec.pc) {
-                    None => {
-                        self.halted = true;
-                        break;
-                    }
-                    Some(i) if i.op == Opcode::Halt => {
-                        self.halted = true;
-                        break;
-                    }
-                    Some(i) => *i,
-                }
+            let Some(&inst) = self.peek_next() else {
+                self.halted = true;
+                break;
             };
 
-            let serializing = inst.op.is_serializing()
-                || (self.cfg.store_serializes() && inst.op == Opcode::Store);
-
-            if serializing {
-                // End the open fingerprint interval so older instructions
-                // can retire before the serializing instruction executes.
-                if self.cfg.checking && self.fp.pending() > 0 {
-                    self.emit_interval(false);
-                }
-                if !self.rob.is_empty() {
-                    break;
-                }
+            let serializing = self.serializes(inst.op);
+            // End the open fingerprint interval so older instructions can
+            // retire before the serializing instruction executes.
+            if serializing && self.cfg.checking && self.fp.pending() > 0 {
+                self.emit_interval(false);
             }
-            if inst.op.is_store() && self.sb_count >= self.cfg.sb_entries {
+            if self.awaits_retirement(&inst) {
                 break;
             }
             // The trailing strict core consumes load values from the LVQ;
@@ -1452,75 +1382,6 @@ mod tests {
         }
         assert!(core.is_halted());
         assert_eq!(core.arch_state().regs.read(r(2)), 4242);
-    }
-
-    #[test]
-    fn halted_empty_core_is_quiescent_and_silent() {
-        let code = vec![I::load_imm(r(1), 7), I::halt()];
-        let (core, _) = run_core(code, 500);
-        assert!(core.is_halted());
-        assert!(core.is_quiescent());
-        assert_eq!(core.next_activity_at(Cycle::new(500)), None);
-    }
-
-    #[test]
-    fn running_core_reports_immediate_activity() {
-        let code = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let (core, _) = run_core(code, 100);
-        assert!(!core.is_quiescent());
-        // Front end dispatches every cycle: the next cycle is active.
-        assert_eq!(
-            core.next_activity_at(Cycle::new(100)),
-            Some(Cycle::new(100))
-        );
-    }
-
-    #[test]
-    fn ungranted_head_waits_on_the_partner() {
-        let code = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let program = Arc::new(Program::new("naa", code).unwrap());
-        let mut mem = MemorySystem::new(MemConfig::small());
-        let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(CoreConfig::default().checked(), program, l1, 7);
-        let mut events = Vec::new();
-        let mut now = 0;
-        // Fill the ROB: ungranted intervals cannot retire.
-        while core.next_activity_at(Cycle::new(now)).is_some() {
-            core.tick(Cycle::new(now), &mut mem);
-            events.extend(core.take_check_events());
-            now += 1;
-            assert!(now < 10_000, "ROB must fill and block");
-        }
-        // Blocked on the pair driver entirely: no self-activity.
-        assert!(!core.is_quiescent());
-        assert_eq!(core.next_activity_at(Cycle::new(now)), None);
-        // A grant with a future release time becomes the next activity.
-        let head = &events[0];
-        let at = Cycle::new(now + 400);
-        core.grant(ReleaseGrant {
-            epoch: head.epoch,
-            interval_id: head.fingerprint.interval_id,
-            at,
-        });
-        assert_eq!(core.next_activity_at(Cycle::new(now)), Some(at));
-    }
-
-    #[test]
-    fn pending_check_events_keep_the_core_active() {
-        // A fulfilled synchronizing request emits an event after the pair
-        // driver's collection point; the event must force the next cycle.
-        let code = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let program = Arc::new(Program::new("ev", code).unwrap());
-        let mut mem = MemorySystem::new(MemConfig::small());
-        let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(CoreConfig::default().checked(), program, l1, 7);
-        core.tick(Cycle::ZERO, &mut mem);
-        assert!(!core.take_check_events().is_empty(), "interval emitted");
-        assert_eq!(
-            core.next_activity_at(Cycle::new(1)),
-            Some(Cycle::new(1)),
-            "an active front end (and undrained events) demand the next cycle"
-        );
     }
 
     #[test]

@@ -10,10 +10,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// register justified against bit 31), which is what lets eight input bytes
 /// fold in one step without per-byte shifts by a runtime width. For widths
 /// below 8 the aligned identity does not apply and `sliced` stays unused.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 struct CrcTables {
     byte: [u32; 256],
     sliced: [[u32; 256]; 8],
+}
+
+/// Terse on purpose: the 2 304 words are a pure function of the owning
+/// [`Crc`]'s `(width, polynomial)`, and every core's `Debug` output
+/// passes through here.
+impl std::fmt::Debug for CrcTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CrcTables")
+    }
 }
 
 impl CrcTables {

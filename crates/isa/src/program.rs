@@ -65,11 +65,24 @@ impl std::error::Error for ProgramError {}
 /// assert_eq!(prog.len(), 2);
 /// # Ok::<(), reunion_isa::ProgramError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Program {
     name: Arc<str>,
     code: Arc<[Instruction]>,
     entry: usize,
+}
+
+/// Terse on purpose: an image is immutable and runs to thousands of
+/// instructions, and every `Core` that holds one derives `Debug` through
+/// it. [`iter`](Program::iter) lists the code when that is what is wanted.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("name", &self.name)
+            .field("instructions", &self.code.len())
+            .field("entry", &self.entry)
+            .finish()
+    }
 }
 
 impl Program {

@@ -275,3 +275,46 @@ fn window_clipping_preserves_per_window_stats() {
     }
     assert_eq!(per_window[0], per_window[1]);
 }
+
+/// The bound is tight where it matters most: a core whose next instruction
+/// is serializing sits out the whole drain of its ROB. One core loops over
+/// a load that always misses, a `membar` that may only dispatch once that
+/// load has retired, and a jump — so nearly every cycle is spent waiting
+/// for the drain, and the skip engine must visit nearly none of them. A
+/// bound that forgot the drain wait (as it once did) ticks every cycle.
+#[test]
+fn a_front_end_waiting_for_the_rob_to_drain_is_not_ticked() {
+    const SOURCE: &str = "\
+.program drain_wait
+    li   r1, 0x40000000
+next:
+    ld   r2, (r1)
+    addi r1, r1, 4096        ; a new page and line every time round
+    membar
+    j    next
+";
+    let spec = reunion_workloads::WorkloadSpec {
+        name: "drain_wait",
+        ..kernel_suite()[0].spec().clone()
+    };
+    let workload = Workload::kernel(spec, SOURCE);
+    let cycles = 20_000;
+    let run = |engine: Engine| {
+        let cfg = SystemConfig::small_test(ExecutionMode::NonRedundant)
+            .with_logical_processors(1)
+            .with_engine(engine);
+        let mut sys = reunion_core::CmpSystem::new(&cfg, &workload);
+        sys.run(cycles);
+        let core = format!("{:?}", sys.core_mut(0).expect("non-redundant").stats());
+        let stats = format!("{:?} {:?} {core}", sys.window_stats(), sys.memory().stats());
+        (stats, sys.proc_ticks())
+    };
+    let (dense_stats, dense_ticks) = run(Engine::Dense);
+    let (skip_stats, skip_ticks) = run(Engine::Skip);
+    assert_eq!(dense_stats, skip_stats);
+    assert_eq!(dense_ticks, cycles, "dense ticks every cycle");
+    assert!(
+        skip_ticks * 100 < cycles * 15,
+        "skip engine ticked {skip_ticks} of {cycles} cycles"
+    );
+}
