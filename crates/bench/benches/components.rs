@@ -210,6 +210,13 @@ fn bench_system_tick(c: &mut Criterion) {
 /// calibration pass fills it), as every grid cell after a workload's first
 /// sees it: em3d carries the suite's largest initial image (525k words),
 /// apache a typical one (3k).
+///
+/// These rows build and drop one system at a time, so each iteration is
+/// handed the previous one's heap back, pages already mapped. They never
+/// saw what a grid pays — fresh page faults for every byte a system writes
+/// at construction (5.0 ms a system while the L2 directory was allocated
+/// up front, against 0.6 ms here). The numbers of record for construction
+/// are the repo benchmark's `core.system_new_ms` and `setup_s`.
 fn bench_system_new(c: &mut Criterion) {
     let cfg = SystemConfig::table1(ExecutionMode::Reunion);
     for name in ["em3d", "apache"] {
@@ -243,6 +250,11 @@ fn report_counters(opts: &RunOptions) {
     let mut serializing_stalls = 0u64;
     let mut skipped = 0u64;
     let mut proc_ticks = 0u64;
+    // Tag storage owned, as a count, on any host: a directory allocated
+    // up front reads every set of every system here (256 × 16 = 4 096 on
+    // this grid's small L2, whose runs leave only a few sets untouched;
+    // 32 768 a system on the Table 1 machine, whose samples touch 2–11 %).
+    let mut l2_sets_materialised = 0usize;
     let mut peak_check_events = 0u64;
     let mut peak_store_chain = 0u64;
     let mut store_chain_spills = 0u64;
@@ -272,6 +284,7 @@ fn report_counters(opts: &RunOptions) {
             }
             skipped += sys.skipped_cycles();
             proc_ticks += sys.proc_ticks();
+            l2_sets_materialised += sys.memory().l2_sets_materialised();
         }
     }
     // Workload artifact cache population after the sweep. The grid's cells
@@ -311,6 +324,7 @@ fn report_counters(opts: &RunOptions) {
     println!("counter workload_programs_cached {cached_programs}");
     println!("counter workload_memories_cached {cached_memories}");
     println!("counter workload_images_cached {cached_images}");
+    println!("counter l2_sets_materialised {l2_sets_materialised}");
 }
 
 fn main() {

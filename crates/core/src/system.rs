@@ -160,7 +160,10 @@ impl CmpSystem {
     /// base image ([`Workload::base_image`]), so every system built from
     /// one workload — a cell's model and baseline, and every other cell of
     /// the grid — reads the same immutable copy and owns only the words it
-    /// stores itself.
+    /// stores itself. Tag storage follows the same rule: the L2 directory,
+    /// every L1 and every TLB start as a slot table and grow a set at a
+    /// time ([`reunion_mem::CacheArray`]), so construction costs what the
+    /// machine's shape costs to describe, not what its caches can hold.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {
         let mem_cfg = cfg.mem.clone().scaled_for_cores(cfg.physical_cores());
         let l1_hit_latency = mem_cfg.l1_hit_latency;
@@ -484,8 +487,10 @@ impl CmpSystem {
     pub fn deliver_interrupt(&mut self, lp: usize) {
         match &mut self.procs[lp] {
             Proc::Single(core) => {
-                let at = core.next_interval_id() + 1;
-                core.schedule_interrupt_at(at);
+                // An unchecked core never closes a fingerprint interval,
+                // so a later interval would never come: the one it is in
+                // falls due at the next instruction boundary.
+                core.schedule_interrupt_at(core.next_interval_id());
             }
             Proc::Pair(pair) => pair.deliver_interrupt(),
         }
@@ -687,6 +692,41 @@ mod tests {
         let stats = sys.window_stats();
         assert_eq!(stats.failures, 0);
         assert!(stats.user_instructions > 1_000);
+    }
+
+    #[test]
+    fn a_non_redundant_processor_takes_its_interrupt() {
+        let cfg = SystemConfig::small_test(ExecutionMode::NonRedundant);
+        // Every statistic the machine keeps, and the handler's footprint:
+        // (serializing instructions, non-user instructions) retired.
+        let run = |engine, interrupt: bool| {
+            let mut sys = CmpSystem::new(&cfg.clone().with_engine(engine), &moldyn());
+            sys.run(2_000);
+            sys.begin_window();
+            if interrupt {
+                sys.deliver_interrupt(0);
+            }
+            sys.run(2_000);
+            let Proc::Single(core) = &sys.procs[0] else {
+                panic!("non-redundant processors are single cores");
+            };
+            let stats = core.stats();
+            let handler = (
+                stats.serializing.value(),
+                stats.retired_total.value() - stats.retired_user.value(),
+            );
+            let all = format!("{:?} {stats:?} {:?}", sys.window_stats(), sys.mem.stats());
+            (all, handler)
+        };
+        let (dense, handler) = run(crate::Engine::Dense, true);
+        let (skip, skip_handler) = run(crate::Engine::Skip, true);
+        assert_eq!(dense, skip);
+        assert_eq!(handler, skip_handler);
+        // trap, nop, nop, trap — and nothing else here retires off-program.
+        let (_, quiet) = run(crate::Engine::Skip, false);
+        assert_eq!(quiet.1, 0);
+        assert_eq!(handler.1, 4);
+        assert!(handler.0 >= 2);
     }
 
     /// Builds a non-redundant system around one hand-written program — the

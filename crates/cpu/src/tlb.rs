@@ -13,7 +13,8 @@ use reunion_mem::CacheArray;
 /// A set-associative TLB over 8 KB page numbers.
 ///
 /// Defaults elsewhere follow Table 1: 512-entry 2-way DTLB, 128-entry 2-way
-/// ITLB.
+/// ITLB. Entries live in a [`CacheArray`], so a TLB owns storage only for
+/// the sets a run has filled.
 ///
 /// # Examples
 ///

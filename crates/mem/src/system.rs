@@ -89,7 +89,9 @@ impl MemorySystem {
     /// Creates a memory system with no registered L1s whose coherent image
     /// starts as `image` — typically an empty write layer
     /// ([`SparseMemory::over`]) on a workload's shared initial image, so
-    /// the system owns only the words it stores.
+    /// the system owns only the words it stores. Tag storage is as lazy as
+    /// the image: the L2 directory costs one slot per set here and grows a
+    /// set at a time as lines are first brought in ([`CacheArray`]).
     pub fn with_image(cfg: MemConfig, image: SparseMemory) -> Self {
         let l2 = L2State {
             tags: CacheArray::new(cfg.l2_lines(), cfg.l2_assoc),
@@ -180,6 +182,13 @@ impl MemorySystem {
     /// Number of lines currently valid in `l1`.
     pub fn l1_occupancy(&self, l1: L1Id) -> usize {
         self.l1s[l1.0].tags.occupancy()
+    }
+
+    /// Number of L2 sets a line has ever been brought into — the part of
+    /// the directory this system owns storage for
+    /// ([`CacheArray::materialised_sets`]).
+    pub fn l2_sets_materialised(&self) -> usize {
+        self.l2.tags.materialised_sets()
     }
 
     /// The value `l1` would read for `addr` *right now* without timing
@@ -763,21 +772,6 @@ impl MemorySystem {
         }
     }
 
-    /// Reverts a speculatively-applied atomic: restores `old` at `addr`
-    /// only if the current value is still `new` (the value the atomic
-    /// wrote).
-    ///
-    /// In hardware the line stays exclusively owned between an atomic's
-    /// execution and its output comparison, so no other core can interleave
-    /// a write. The simulator applies atomics eagerly instead; if another
-    /// core *did* write the word in that short window, its value (not the
-    /// stale `old`) must survive the rollback.
-    pub fn compare_and_revert(&mut self, addr: Addr, old: u64, new: u64) {
-        if self.image.peek(addr) == new {
-            self.image.poke(addr, old);
-        }
-    }
-
     /// Discards every line in `l1` (used when a measurement harness wants
     /// cold caches, and by tests).
     pub fn flush_l1(&mut self, l1: L1Id) {
@@ -806,6 +800,31 @@ mod tests {
         let v1 = mem.register_l1(Owner::vocal(1));
         let m1 = mem.register_l1(Owner::mute(1));
         (mem, v0, m0, v1, m1)
+    }
+
+    #[test]
+    fn a_new_system_owns_no_tag_ways_until_its_first_access() {
+        let mut mem = MemorySystem::with_image(MemConfig::default(), SparseMemory::new());
+        let v0 = mem.register_l1(Owner::vocal(0));
+        let m0 = mem.register_l1(Owner::mute(0));
+        assert_eq!(mem.l2.tags.sets(), 32_768);
+        assert_eq!(mem.l2_sets_materialised(), 0);
+        for l1 in &mem.l1s {
+            assert_eq!(l1.tags.materialised_sets(), 0);
+        }
+        // Read-only probes leave it that way.
+        assert!(!mem.l1_contains(v0, Addr::new(0x1000)));
+        assert_eq!(
+            mem.peek_view(m0, Addr::new(0x1000)),
+            mem.peek_coherent(Addr::new(0x1000))
+        );
+        assert_eq!(mem.l2_sets_materialised(), 0);
+
+        // One vocal miss fills one L2 set and one set of that L1.
+        mem.load(Cycle::ZERO, v0, Addr::new(0x1000), PhantomStrength::Global);
+        assert_eq!(mem.l2_sets_materialised(), 1);
+        assert_eq!(mem.l1s[v0.0].tags.materialised_sets(), 1);
+        assert_eq!(mem.l1s[m0.0].tags.materialised_sets(), 0);
     }
 
     #[test]

@@ -423,15 +423,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences included).
+                // Copy the whole run of plain bytes up to the next quote or
+                // backslash. Both are ASCII, so the run starts and ends on
+                // scalar boundaries of the `&str` `parse_json` was given.
                 let start = *pos;
-                let s = std::str::from_utf8(&b[start..]).map_err(|_| JsonParseError {
-                    at: start,
-                    message: "invalid UTF-8",
-                })?;
-                let c = s.chars().next().expect("nonempty checked above");
-                out.push(c);
-                *pos += c.len_utf8();
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&b[start..*pos])
+                        .expect("a run of a &str between ASCII delimiters"),
+                );
             }
         }
     }
@@ -573,5 +575,88 @@ mod tests {
             parse_json("\"a\\u0041\"").unwrap(),
             JsonValue::Str("aA".to_string())
         );
+    }
+
+    #[test]
+    fn multi_byte_scalars_survive_next_to_escapes_and_at_the_end() {
+        // 2-, 3- and 4-byte scalars on both sides of every kind of escape.
+        let text = "\"é\\n€\\\"𝄞\\\\é\\u00e9€\\t𝄞\"";
+        assert_eq!(
+            parse_json(text).unwrap(),
+            JsonValue::Str("é\n€\"𝄞\\éé€\t𝄞".to_string())
+        );
+        // The closing quote directly after a multi-byte scalar, and a
+        // string that is nothing else.
+        for s in ["abc€", "𝄞", "é"] {
+            assert_eq!(
+                parse_json(&format!("[\"{s}\", 1]")).unwrap(),
+                JsonValue::Array(vec![JsonValue::Str(s.to_string()), JsonValue::Num(1.0)])
+            );
+        }
+    }
+
+    #[test]
+    fn truncation_inside_a_string_reports_the_end_of_input() {
+        let unterminated = |at| JsonParseError {
+            at,
+            message: "unterminated string",
+        };
+        assert_eq!(parse_json("\"abc"), Err(unterminated(4)));
+        assert_eq!(parse_json("\"ab€"), Err(unterminated(6)));
+        assert_eq!(parse_json("{\"k\": \"a\\n"), Err(unterminated(10)));
+        assert_eq!(parse_json("\""), Err(unterminated(1)));
+        assert_eq!(
+            parse_json("\"ab\\"),
+            Err(JsonParseError {
+                at: 4,
+                message: "invalid escape"
+            })
+        );
+        assert_eq!(
+            parse_json("\"ab\\u00"),
+            Err(JsonParseError {
+                at: 4,
+                message: "invalid \\u escape"
+            })
+        );
+        // A \u escape whose four bytes end inside a multi-byte scalar.
+        assert_eq!(
+            parse_json("\"\\u00é\""),
+            Err(JsonParseError {
+                at: 2,
+                message: "invalid \\u escape"
+            })
+        );
+    }
+
+    fn emit(w: &mut JsonWriter, v: &JsonValue) {
+        match v {
+            JsonValue::Null => w.f64(f64::NAN),
+            JsonValue::Bool(_) => panic!("the report writer emits no booleans"),
+            JsonValue::Num(n) => w.f64(*n),
+            JsonValue::Str(s) => w.string(s),
+            JsonValue::Array(items) => {
+                w.begin_array();
+                items.iter().for_each(|item| emit(w, item));
+                w.end_array();
+            }
+            JsonValue::Object(pairs) => {
+                w.begin_object();
+                for (k, item) in pairs {
+                    w.key(k);
+                    emit(w, item);
+                }
+                w.end_object();
+            }
+        }
+    }
+
+    #[test]
+    fn largest_baseline_round_trips_byte_for_byte() {
+        let text = include_str!("../../../baselines/BENCH_fig6.json");
+        assert!(text.len() > 100_000, "fig6 is the largest baseline");
+        let mut w = JsonWriter::new();
+        emit(&mut w, &parse_json(text).expect("baseline parses"));
+        assert_eq!(w.finish(), text.trim_end());
     }
 }

@@ -226,6 +226,124 @@ fn cache_capacity_and_presence() {
     });
 }
 
+/// The dense tag array `CacheArray` used to be — every way of every set
+/// allocated up front, sets at `set * assoc` — kept as the oracle for the
+/// lazily materialised one. `(line, state, last_use)` per valid way.
+struct EagerArray {
+    ways: Vec<Option<(u64, u32, u64)>>,
+    assoc: usize,
+    tick: u64,
+}
+
+impl EagerArray {
+    fn new(lines: usize, assoc: usize) -> Self {
+        EagerArray {
+            ways: vec![None; lines],
+            assoc,
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut [Option<(u64, u32, u64)>] {
+        let set = line as usize & (self.ways.len() / self.assoc - 1);
+        &mut self.ways[set * self.assoc..(set + 1) * self.assoc]
+    }
+
+    fn peek(&self, line: u64) -> Option<u32> {
+        // A line lives only in its own set, so the whole array may be searched.
+        self.ways
+            .iter()
+            .flatten()
+            .find(|w| w.0 == line)
+            .map(|w| w.1)
+    }
+
+    fn lookup(&mut self, line: u64) -> Option<u32> {
+        self.tick += 1;
+        let tick = self.tick;
+        let way = self.set(line).iter_mut().flatten().find(|w| w.0 == line)?;
+        way.2 = tick;
+        Some(way.1)
+    }
+
+    fn insert(&mut self, line: u64, state: u32) -> Option<(u64, u32)> {
+        self.tick += 1;
+        let new = Some((line, state, self.tick));
+        let set = self.set(line);
+        let hit = set.iter().position(|w| w.is_some_and(|w| w.0 == line));
+        if let Some(way) = hit.or_else(|| set.iter().position(|w| w.is_none())) {
+            set[way] = new;
+            return None;
+        }
+        // First way with the smallest stamp, as `Iterator::min_by_key`.
+        let victim = (0..set.len()).min_by_key(|&w| set[w].map(|w| w.2)).unwrap();
+        std::mem::replace(&mut set[victim], new).map(|w| (w.0, w.1))
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<u32> {
+        let way = self
+            .set(line)
+            .iter_mut()
+            .find(|w| w.is_some_and(|w| w.0 == line))?;
+        way.take().map(|w| w.1)
+    }
+
+    fn invalidate_all(&mut self) -> usize {
+        self.ways.iter_mut().filter_map(Option::take).count()
+    }
+
+    fn valid(&self) -> Vec<(u64, u32)> {
+        let mut valid: Vec<_> = self.ways.iter().flatten().map(|w| (w.0, w.1)).collect();
+        valid.sort_unstable();
+        valid
+    }
+}
+
+/// Model-based: under random operation sequences the lazily materialised
+/// `CacheArray` returns what the eager array returns — every hit, miss,
+/// victim and count — and holds the same lines after every step.
+#[test]
+fn cache_array_matches_the_eager_array() {
+    // (lines, assoc): direct-mapped, a single set, the L1's 2-way and the
+    // L2's 8-way.
+    const SHAPES: [(usize, usize); 5] = [(16, 1), (4, 4), (1, 1), (32, 2), (64, 8)];
+    for_cases(0xA1_000D, |rng| {
+        let (lines, assoc) = SHAPES[(rng.next_u64() % SHAPES.len() as u64) as usize];
+        let mut cache: CacheArray<u32> = CacheArray::new(lines, assoc);
+        let mut model = EagerArray::new(lines, assoc);
+        let mut touched = std::collections::HashSet::new();
+        for step in 0..1 + rng.next_u64() % 300 {
+            // Three lines per way: sets fill, conflict and evict.
+            let line = rng.next_u64() % (3 * lines as u64);
+            let state = rng.next_u64() as u32;
+            let op = rng.next_u64() % 16;
+            let ctx = format!("{lines}x{assoc} step {step} op {op} line {line}");
+            match op {
+                0..=5 => {
+                    touched.insert(line as usize % (lines / assoc));
+                    assert_eq!(
+                        cache.insert(line, state),
+                        model.insert(line, state),
+                        "{ctx}"
+                    )
+                }
+                6..=9 => assert_eq!(cache.lookup(line).copied(), model.lookup(line), "{ctx}"),
+                10..=11 => {
+                    assert_eq!(cache.peek(line).copied(), model.peek(line), "{ctx}");
+                    assert_eq!(cache.contains(line), model.peek(line).is_some(), "{ctx}");
+                }
+                12..=14 => assert_eq!(cache.invalidate(line), model.invalidate(line), "{ctx}"),
+                _ => assert_eq!(cache.invalidate_all(), model.invalidate_all(), "{ctx}"),
+            }
+            let mut valid: Vec<(u64, u32)> = cache.iter_valid().map(|(l, &s)| (l, s)).collect();
+            valid.sort_unstable();
+            assert_eq!(valid, model.valid(), "{ctx}");
+            assert_eq!(cache.occupancy(), valid.len(), "{ctx}");
+            assert_eq!(cache.materialised_sets(), touched.len(), "{ctx}");
+        }
+    });
+}
+
 /// Coherent memory: a vocal store is visible to every vocal reader, and
 /// the mute's phantom-global read at fill time returns the same value.
 #[test]
