@@ -14,12 +14,11 @@
 //! CI. `REUNION_BENCH_COUNTERS=1` switches the harness to a
 //! *deterministic counters* mode instead: no timing at all — a fixed
 //! reference grid is executed and machine-independent work counters
-//! (cells executed, instructions and cycles simulated, scheduler steals
-//! under a fixed drain schedule) are printed as stable `counter <name>
-//! <value>` lines. Those ARE gated: CI diffs them against
-//! `baselines/BENCH_counters.txt`, so a change to how much work the
-//! simulator does per cell shows up even on shared runners where ns/iter
-//! cannot be trusted.
+//! (cells executed, instructions and cycles simulated, peak buffer
+//! occupancies) are printed as stable `counter <name> <value>` lines.
+//! Those ARE gated: CI diffs them against `baselines/BENCH_counters.txt`,
+//! so a change to how much work the simulator does per cell shows up even
+//! on shared runners where ns/iter cannot be trusted.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -32,7 +31,6 @@ use reunion_fingerprint::{Crc, FingerprintUnit, TwoStageCompressor, UpdateRecord
 use reunion_isa::{Addr, Instruction, Program, RegId};
 use reunion_kernel::Cycle;
 use reunion_mem::{CacheArray, MemConfig, MemorySystem, Owner, PhantomStrength};
-use reunion_sim::CellQueue;
 use reunion_workloads::Workload;
 
 /// Minimal stand-in for criterion's driver: `bench_function` + `Bencher::iter`.
@@ -304,12 +302,6 @@ fn report_counters(opts: &RunOptions) {
             cached_images += usize::from(cached.base_image);
         }
     }
-    // Scheduler steals under a fixed drain schedule: deal to four
-    // workers, drain everything with worker 0 — every pop beyond worker
-    // 0's own deque is a steal, deterministically.
-    let indices: Vec<usize> = (0..grid.cells().len()).collect();
-    let queue = CellQueue::new(&grid, &indices, 4);
-    while queue.pop(0).is_some() {}
     println!("counter cells_executed {}", grid.cells().len());
     println!("counter instructions_simulated {instructions}");
     println!("counter cycles_simulated {cycles}");
@@ -317,7 +309,6 @@ fn report_counters(opts: &RunOptions) {
     println!("counter serializing_stall_cycles {serializing_stalls}");
     println!("counter skipped_cycles {skipped}");
     println!("counter proc_ticks {proc_ticks}");
-    println!("counter queue_steals_fixed_drain {}", queue.steals());
     println!("counter peak_check_events {peak_check_events}");
     println!("counter peak_store_chain {peak_store_chain}");
     println!("counter store_chain_spills {store_chain_spills}");

@@ -111,10 +111,14 @@ pub fn kernel_workloads() -> Vec<Workload> {
 /// This is the single entry point every experiment funnels through: no
 /// driver runs simulations in a hand-rolled loop.
 ///
+/// `opts.out_dir` is created first if it is missing (a failure exits with
+/// status 1, naming the path): shard manifests and `TRACE_*.jsonl` dumps
+/// are written there while cells run, long before the report is.
+///
 /// Without a shard selection in `opts`, the whole grid runs on
-/// [`RunOptions::runner`], `BENCH_<id>.json` lands in `opts.out_dir`
-/// (created if missing; a failed write exits with status 1), and the
-/// report is returned for table printing.
+/// [`RunOptions::runner`], `BENCH_<id>.json` lands in `opts.out_dir` (a
+/// failed write exits with status 1), and the report is returned for table
+/// printing.
 ///
 /// With `--shard i/N`, only shard `i`'s cells run; each finished cell
 /// streams to the shard's resumable manifest under `opts.out_dir` and
@@ -122,6 +126,10 @@ pub fn kernel_workloads() -> Vec<Workload> {
 /// shard has run and `merge_shards` has combined the manifests (the merged
 /// `BENCH_<id>.json` is byte-identical to a single-process run's).
 pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> Option<ExperimentReport> {
+    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
+        eprintln!("could not create {}: {e}", opts.out_dir.display());
+        std::process::exit(1);
+    }
     let runner = opts.runner();
     let Some(shard) = opts.shard else {
         let report = runner.run(grid);
@@ -161,10 +169,10 @@ pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> Option<Experime
 }
 
 /// The fixed reference grid behind the deterministic bench counters
-/// (`baselines/BENCH_counters.txt`) and `perf --grid counters`: two
-/// workloads of different classes, both paired modes, two comparison
-/// latencies, under the quick sampling profile — small enough for CI, wide
-/// enough that a change to any hot path moves at least one counter.
+/// (`baselines/BENCH_counters.txt`): two workloads of different classes,
+/// both paired modes, two comparison latencies, under the quick sampling
+/// profile — small enough for CI, wide enough that a change to any hot
+/// path moves at least one counter.
 pub fn counters_grid(opts: &RunOptions) -> ExperimentGrid {
     ExperimentGrid::builder("counters", "deterministic bench counters")
         .run_options(opts)
@@ -241,6 +249,51 @@ mod tests {
         assert!(resolve(&["--profile"]).is_err());
         assert!(resolve(&["--profile", "slow"]).is_err());
         assert!(resolve(&["--engine", "sparse"]).is_err());
+    }
+
+    /// `opts` redirected into `<root>/out`, where not even `<root>` exists
+    /// yet; the caller removes `<root>` when done.
+    fn into_missing_dir(tag: &str, opts: RunOptions) -> (RunOptions, std::path::PathBuf) {
+        let root = std::env::temp_dir().join(format!("reunion-bench-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let out_dir = root.join("out");
+        (RunOptions { out_dir, ..opts }, root)
+    }
+
+    fn files_in(opts: &RunOptions) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&opts.out_dir)
+            .expect("run_and_emit creates the output directory")
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_sharded_run_creates_its_missing_output_directory() {
+        let sharded = RunOptions {
+            shard: Some(reunion_sim::ShardSpec::new(1, 2)),
+            ..RunOptions::default()
+        };
+        let (opts, root) = into_missing_dir("mkdir-shard", sharded);
+        let report = run_and_emit(&counters_grid(&opts), &opts);
+        assert!(report.is_none(), "one shard, no report");
+        assert_eq!(files_in(&opts), ["MANIFEST_counters.shard1of2.jsonl"]);
+        std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn an_obs_run_leaves_its_traces_in_a_missing_output_directory() {
+        let mut with_obs = RunOptions::default();
+        with_obs.observability.enabled = true;
+        let (opts, root) = into_missing_dir("mkdir-obs", with_obs);
+        let grid = counters_grid(&opts);
+        run_and_emit(&grid, &opts).expect("whole grid, so a report");
+        let files = files_in(&opts);
+        let traces = files.iter().filter(|f| f.starts_with("TRACE_counters_"));
+        assert_eq!(traces.count(), grid.cells().len(), "{files:?}");
+        assert!(files.contains(&"BENCH_counters.json".to_string()));
+        std::fs::remove_dir_all(root).ok();
     }
 
     #[test]

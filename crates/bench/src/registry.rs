@@ -1,9 +1,9 @@
 //! The experiment registry: one table row per figure/table grid.
 //!
-//! `reunion-bench run <id>`, `perf --grid <id>` and `dispatch --grid <id>`
-//! all look ids up here, so an experiment exists exactly once — its id
-//! (which names `BENCH_<id>.json` and the gated file under `baselines/`),
-//! its caption, how its grid is built and how its table is printed.
+//! `reunion-bench run <id>` looks ids up here, so an experiment exists
+//! exactly once — its id (which names `BENCH_<id>.json` and the gated file
+//! under `baselines/`), its caption, how its grid is built and how its
+//! table is printed.
 
 use reunion_sim::{ExperimentGrid, ExperimentReport, GridBuilder};
 

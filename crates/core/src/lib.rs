@@ -54,7 +54,7 @@ pub use sampling::{measure, normalized_ipc, Profile, SampleConfig};
 pub use system::{CmpSystem, SystemStats};
 
 // The observability vocabulary travels with the execution model so
-// downstream crates (sim, bench, dispatch) need no direct `reunion-obs`
+// downstream crates (sim, bench) need no direct `reunion-obs`
 // dependency.
 pub use reunion_obs::{
     EpisodeSummary, EventTrace, LatencyHistogram, ObsConfig, ObsReport, TraceEvent, TraceKind,

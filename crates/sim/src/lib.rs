@@ -6,42 +6,48 @@
 //! knobs) and aggregates the results. This crate factors that shape out of
 //! the individual experiment binaries:
 //!
-//! * [`ExperimentGrid`] — a *declarative* description of one experiment:
-//!   the workload/mode/patch axes, the base [`SystemConfig`] they override,
-//!   the sampling profile (with optional per-workload overrides), and what
-//!   to measure per cell ([`Metric`]).
+//! * [`ExperimentGrid`] (built through [`GridBuilder`]) — a *declarative*
+//!   description of one experiment: the workload/mode/patch axes, the base
+//!   [`SystemConfig`] they override, the sampling profile (with optional
+//!   per-workload overrides), and what to measure per [`Cell`]
+//!   ([`Metric`]).
 //! * [`ConfigPatch`] — a labeled sparse override (comparison latency,
 //!   phantom strength, TLB model, consistency, fingerprint interval, …).
-//! * [`Runner`] — executes cells across OS threads, pulling work from a
-//!   work-stealing [`CellQueue`] so heterogeneous cells don't straggle.
+//! * [`Runner`] — executes cells across OS threads, costliest cells
+//!   first, so heterogeneous cells don't straggle; [`measure_cell`] is the
+//!   unit of work it schedules, callable one cell at a time.
 //! * [`RunOptions`] — one typed resolution of the run surface every
 //!   experiment driver shares (profile, engine, serial/threads, shard,
 //!   observability, artifact directory): command-line flags with
 //!   `REUNION_*` environment fallbacks, flags winning, unrecognized
-//!   arguments handed back to the caller. [`RunOptions::parse_cli`],
-//!   called once at `main`, is the only reader of the process
-//!   environment; everything below takes the resolved value.
+//!   arguments handed back to the caller ([`RUN_OPTIONS_USAGE`] is the
+//!   usage line). [`RunOptions::parse_cli`], called once at `main`, is the
+//!   only reader of the process environment; everything below takes the
+//!   resolved value.
 //! * [`ShardSpec`] / [`ShardManifest`] / [`merge_manifests`] — sharded,
 //!   resumable execution: `--shard i/N` (or the programmatic
 //!   [`ShardSpec`] API) selects a deterministic round-robin slice of the
 //!   grid, [`Runner::run_shard`] streams each finished cell to a crash-safe
-//!   manifest so an interrupted run resumes instead of restarting, and
-//!   merging a complete partition reproduces the single-process report
-//!   byte for byte. [`measure_cell`] (one cell at a time) and
-//!   [`ShardProgress`] / [`manifest_progress_from_text`] (manifest-tail
-//!   progress probes) are the stable surface external drivers — the
-//!   `reunion-dispatch` host-pool dispatcher and its workers — build on.
+//!   manifest (a [`ManifestHeader`] line, then one record per cell;
+//!   [`ShardRunOutcome`] says how much was resumed) so an interrupted run
+//!   resumes instead of restarting, and merging a complete partition
+//!   ([`find_manifests`], [`read_manifest`]; an incomplete or mixed one is
+//!   a [`MergeError`]) reproduces the single-process report byte for byte.
 //! * [`ExperimentReport`] / [`RunRecord`] — results in grid enumeration
-//!   order with lookup and aggregation helpers, plus a deterministic JSON
-//!   serializer; [`ExperimentReport::write_json`] emits the
-//!   `BENCH_<id>.json` trajectory artifact the benchmarks are tracked by.
+//!   order with lookup and aggregation helpers; a record's [`Outcome`] is
+//!   a [`NormalizedSummary`], a [`MeasureSummary`] or a [`StaticSummary`]
+//!   according to the grid's metric. [`ExperimentReport::write_json`]
+//!   emits the `BENCH_<id>.json` trajectory artifact the benchmarks are
+//!   tracked by.
+//! * [`JsonWriter`] / [`parse_json`] — the deterministic, dependency-free
+//!   JSON serializer and reader ([`JsonValue`], [`JsonParseError`]) behind
+//!   every artifact and manifest.
 //!
 //! Determinism is a hard invariant: a parallel run, a serial run, and any
 //! `N`-way sharded-then-merged run of the same grid produce
 //! **byte-identical** JSON (guarded by tests in [`runner`](crate::Runner)
-//! and the `sharding` integration suite). This is what makes both the
-//! N-core speed-up and the N-machine fan-out free: nothing about
-//! scheduling or partitioning leaks into results.
+//! and the `sharding` integration suite): nothing about scheduling or
+//! partitioning leaks into results.
 //!
 //! # Examples
 //!
@@ -66,7 +72,7 @@
 //! assert!(fast.normalized_ipc().unwrap() > 0.0);
 //! ```
 //!
-//! Sharded execution of the same grid (two "machines" here, one process):
+//! Sharded execution of the same grid (two shards, one process):
 //!
 //! ```
 //! use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
@@ -101,15 +107,11 @@ mod options;
 mod patch;
 mod report;
 mod runner;
-mod scheduler;
 mod shard;
 
 pub use grid::{Cell, ExperimentGrid, GridBuilder, Metric};
 pub use json::{parse_json, JsonParseError, JsonValue, JsonWriter};
-pub use manifest::{
-    manifest_progress, manifest_progress_from_text, read_manifest, ManifestHeader, ShardManifest,
-    ShardProgress,
-};
+pub use manifest::{read_manifest, ManifestHeader, ShardManifest};
 pub use merge::{find_manifests, merge_manifests, MergeError};
 pub use options::{RunOptions, RUN_OPTIONS_USAGE};
 pub use patch::ConfigPatch;
@@ -117,5 +119,4 @@ pub use report::{
     ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
 pub use runner::{measure_cell, Runner, ShardRunOutcome};
-pub use scheduler::{cell_cost, CellQueue};
 pub use shard::ShardSpec;

@@ -20,12 +20,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use reunion_core::{ObsConfig, ObsReport, SampleConfig};
+use reunion_core::{ObsConfig, SampleConfig};
 
 use crate::json::{parse_json, JsonValue, JsonWriter};
 use crate::report::{
     sample_from_json, sample_override_from_json, str_field, u64_field, write_sample_json,
-    write_sample_override_json, Outcome, RunRecord,
+    write_sample_override_json, RunRecord,
 };
 use crate::shard::ShardSpec;
 
@@ -289,92 +289,6 @@ pub fn read_manifest(path: &Path) -> Result<(ManifestHeader, BTreeMap<usize, Run
     parse_manifest_text(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// How far one shard has progressed, read from its manifest alone.
-///
-/// The manifest header records the full experiment contract (grid id,
-/// shard arithmetic, total cell count), so an external monitor — the
-/// `reunion-dispatch` driver tailing worker manifests over whatever
-/// transport reaches the host — can compute ownership and completion
-/// without ever seeing the grid itself.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardProgress {
-    /// The experiment contract the manifest was opened with.
-    pub header: ManifestHeader,
-    /// Number of grid cells this shard owns.
-    pub owned: usize,
-    /// Validly recorded (completed) cells so far.
-    pub completed: usize,
-    /// Merged observability summary over every completed cell's recorded
-    /// `observability` blocks (model, baseline and raw measurements alike).
-    /// `Some` exactly when the shard ran with observability enabled — the
-    /// dispatcher streams it while the shard is still running.
-    pub obs: Option<ObsReport>,
-}
-
-impl ShardProgress {
-    /// Whether every owned cell has been recorded.
-    pub fn is_complete(&self) -> bool {
-        self.completed >= self.owned
-    }
-
-    /// Owned cells not yet recorded.
-    pub fn remaining(&self) -> usize {
-        self.owned.saturating_sub(self.completed)
-    }
-}
-
-/// Progress of the shard whose manifest text is `text` (the remote-tail
-/// form: the dispatcher reads manifest bytes over its transport and parses
-/// them here). A torn trailing line counts as not-yet-completed, exactly
-/// as resume treats it.
-///
-/// # Errors
-///
-/// Returns a message when the first line is not a shard-manifest header.
-pub fn manifest_progress_from_text(text: &str) -> Result<ShardProgress, String> {
-    let (header, records) = parse_manifest_text(text)?;
-    let owned = header.shard.cell_indices(header.cells).len();
-    let obs = header.obs.enabled.then(|| {
-        let mut merged = ObsReport::new();
-        for record in records.values() {
-            for block in record_obs(record) {
-                merged.merge(block);
-            }
-        }
-        merged
-    });
-    Ok(ShardProgress {
-        owned,
-        completed: records.len(),
-        header,
-        obs,
-    })
-}
-
-/// Every `observability` block a record carries (model and baseline for a
-/// normalized cell, the single measurement for a raw cell, none for a
-/// static cell).
-fn record_obs(record: &RunRecord) -> impl Iterator<Item = &ObsReport> {
-    let (a, b) = match &record.outcome {
-        Outcome::Normalized(n) => (Some(&n.model), Some(&n.baseline)),
-        Outcome::Raw(m) => (Some(m.as_ref()), None),
-        Outcome::Static(_) => (None, None),
-    };
-    a.into_iter().chain(b).filter_map(|m| m.obs.as_ref())
-}
-
-/// Progress of the shard whose manifest lives at `path` (the local-file
-/// form of [`manifest_progress_from_text`]).
-///
-/// # Errors
-///
-/// Returns a message when the file cannot be read or parsed.
-pub fn manifest_progress(path: &Path) -> Result<ShardProgress, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    manifest_progress_from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,31 +369,6 @@ mod tests {
              \"critical_section_len\": 1, \"itlb_miss_per_million\": 1, \
              \"static_len\": 1}}}}"
         )
-    }
-
-    /// The progress probe mirrors resume semantics: whole records count,
-    /// a torn trailing line does not, and ownership arithmetic comes from
-    /// the header alone.
-    #[test]
-    fn progress_counts_whole_records_only() {
-        // Shard 1/3 of 6 cells owns indices 0 and 3.
-        let head = header(ShardSpec::new(1, 3)).to_line();
-        let empty = format!("{head}\n");
-        let p = manifest_progress_from_text(&empty).unwrap();
-        assert_eq!((p.owned, p.completed), (2, 0));
-        assert!(!p.is_complete());
-        assert_eq!(p.remaining(), 2);
-
-        let one = format!("{head}\n{}\n", record_line(0));
-        let torn = format!("{one}{}", &record_line(3)[..20]);
-        let p = manifest_progress_from_text(&torn).unwrap();
-        assert_eq!(p.completed, 1, "torn trailing line must not count");
-
-        let full = format!("{head}\n{}\n{}\n", record_line(0), record_line(3));
-        let p = manifest_progress_from_text(&full).unwrap();
-        assert!(p.is_complete());
-
-        assert!(manifest_progress_from_text("not a manifest").is_err());
     }
 
     /// Record recovery stops at the first anomalous line — out-of-range,

@@ -31,9 +31,7 @@
 //! same for every cell of an experiment grid, [`RunOptions::runner`]
 //! builds the [`Runner`], and `out_dir` is passed to
 //! [`ExperimentReport::write_json`](crate::ExperimentReport::write_json)
-//! and [`Runner::run_shard`]. A parent that launches workers (the
-//! dispatcher) forwards its choices as explicit flags with
-//! [`RunOptions::to_args`], the inverse of [`RunOptions::resolve`].
+//! and [`Runner::run_shard`].
 
 use std::path::PathBuf;
 
@@ -67,8 +65,7 @@ pub struct RunOptions {
     pub observability: ObsConfig,
     /// Where `BENCH_<id>.json` reports, `MANIFEST_*.jsonl` shard manifests
     /// and `TRACE_*.jsonl` dumps are written (`REUNION_OUT_DIR`, default
-    /// the current directory). Environment-only: it is also the wire
-    /// format a dispatch transport hands each worker its directory in.
+    /// the current directory). Environment-only: it has no flag.
     pub out_dir: PathBuf,
 }
 
@@ -213,34 +210,6 @@ impl RunOptions {
     /// report them (the bench harness prints usage and exits 2).
     pub fn parse_cli(defaults: Self) -> Result<(Self, Vec<String>), String> {
         defaults.resolve_over(std::env::args().skip(1), &|k| std::env::var(k).ok())
-    }
-
-    /// The flag spelling of every flag-settable choice — the inverse of
-    /// [`RunOptions::resolve`]: resolving these arguments with only
-    /// `REUNION_OUT_DIR` in the environment yields `self` again. Valued
-    /// choices are always spelled out, so they outrank whatever fallback
-    /// the receiving side's environment holds. How a parent process (the
-    /// dispatcher) forwards its choices to the workers it launches, local
-    /// or remote; `out_dir` has no flag and travels as `REUNION_OUT_DIR`.
-    pub fn to_args(&self) -> Vec<String> {
-        let mut args = vec![
-            format!("--profile={}", self.profile),
-            format!("--engine={}", self.engine),
-            format!("--trace-cap={}", self.observability.trace_cap),
-        ];
-        if self.serial {
-            args.push("--serial".to_string());
-        }
-        if let Some(threads) = self.threads {
-            args.push(format!("--threads={threads}"));
-        }
-        if let Some(shard) = self.shard {
-            args.push(format!("--shard={shard}"));
-        }
-        if self.observability.enabled {
-            args.push("--obs".to_string());
-        }
-        args
     }
 
     /// Stamps the per-system choices — timing engine and observability —
@@ -452,41 +421,6 @@ mod tests {
         .unwrap();
         assert_eq!(leftovers, vec!["--intracell-threads", "2"]);
         assert_eq!(o, RunOptions::default());
-    }
-
-    #[test]
-    fn to_args_is_the_inverse_of_resolve() {
-        let non_default = RunOptions {
-            profile: Profile::Fast,
-            engine: Engine::Dense,
-            serial: true,
-            threads: Some(3),
-            shard: Some(ShardSpec::new(2, 4)),
-            observability: ObsConfig {
-                enabled: true,
-                trace_cap: 16,
-            },
-            out_dir: PathBuf::from("/tmp/artifacts"),
-        };
-        for o in [RunOptions::default(), non_default] {
-            let args: Vec<String> = o.to_args();
-            let args: Vec<&str> = args.iter().map(String::as_str).collect();
-            let out_dir = o.out_dir.to_str().unwrap();
-            assert_eq!(opts(&args, &[("REUNION_OUT_DIR", out_dir)]), o);
-        }
-    }
-
-    #[test]
-    fn forwarded_flags_outrank_the_receiving_environment() {
-        let o = RunOptions::default();
-        let args: Vec<String> = o.to_args();
-        let args: Vec<&str> = args.iter().map(String::as_str).collect();
-        let hostile = [
-            ("REUNION_PROFILE", "fast"),
-            ("REUNION_ENGINE", "dense"),
-            ("REUNION_TRACE_CAP", "1"),
-        ];
-        assert_eq!(opts(&args, &hostile), o);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Parallel, sharded, resumable execution of experiment grids.
 
+use std::cmp::Reverse;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use reunion_core::{measure, normalized_ipc, TraceEvent};
@@ -12,7 +14,6 @@ use crate::manifest::{ManifestHeader, ShardManifest};
 use crate::report::{
     ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
-use crate::scheduler::CellQueue;
 use crate::shard::ShardSpec;
 
 /// Executes the cells of an [`ExperimentGrid`] and assembles an
@@ -23,15 +24,15 @@ use crate::shard::ShardSpec;
 /// so cells can run on any number of OS threads in any order; records are
 /// reassembled in grid enumeration order afterwards. A parallel run and a
 /// serial run of the same grid therefore produce byte-identical reports —
-/// `reunion-sim`'s determinism guard tests exactly that. Workers pull cells
-/// from a work-stealing [`CellQueue`], so heterogeneous cells (full-profile
-/// sampling next to fast cells) cannot leave one thread straggling.
+/// `reunion-sim`'s determinism guard tests exactly that. Workers claim
+/// cells costliest-first from one shared list, so heterogeneous cells
+/// (`table3`'s widened em3d windows next to ordinary ones) start early
+/// instead of leaving one thread straggling at the end.
 ///
-/// For grids too slow for one machine, [`Runner::run_shard`] executes one
-/// [`ShardSpec`] slice of the grid, streaming each finished cell to a
-/// crash-safe shard manifest; `merge_shards` (or
-/// [`crate::merge_manifests`]) later combines the manifests into the same
-/// byte-identical `BENCH_<id>.json`.
+/// [`Runner::run_shard`] executes one [`ShardSpec`] slice of the grid,
+/// streaming each finished cell to a crash-safe shard manifest;
+/// `merge_shards` (or [`crate::merge_manifests`]) later combines the
+/// manifests into the same byte-identical `BENCH_<id>.json`.
 ///
 /// The runner never reads the environment: a command-line driver gets its
 /// runner from [`RunOptions::runner`](crate::RunOptions::runner), which
@@ -147,10 +148,13 @@ impl Runner {
     /// The one scheduling loop: measures the cells at `indices` and hands
     /// each record to `sink` the moment it completes. A single worker runs
     /// on the calling thread in index order (so serial manifests are
-    /// deterministic files); several pull from a work-stealing
-    /// [`CellQueue`] and reach `sink` in completion order, one at a time.
-    /// The first error `sink` returns stops every worker before its next
-    /// cell and is returned.
+    /// deterministic files); several claim cells costliest-first through
+    /// one shared cursor — list scheduling, longest processing time first
+    /// — and reach `sink` in completion order, one at a time. Scheduling
+    /// never affects results: each record is a pure function of (grid,
+    /// cell) and `sink` is told which cell it belongs to. The first error
+    /// `sink` returns stops every worker before its next cell and is
+    /// returned.
     fn execute(
         &self,
         grid: &ExperimentGrid,
@@ -176,11 +180,15 @@ impl Runner {
             let mut in_order = indices.iter().copied();
             work(&mut || in_order.next());
         } else {
-            let queue = CellQueue::new(grid, indices, workers);
+            let claims = costliest_first(grid, indices);
+            // Relaxed: the cursor only hands out tickets; `claims` was
+            // written before the workers were spawned.
+            let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let (queue, work) = (&queue, &work);
-                    scope.spawn(move || work(&mut || queue.pop(worker)));
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        work(&mut || claims.get(cursor.fetch_add(1, Ordering::Relaxed)).copied())
+                    });
                 }
             });
         }
@@ -188,14 +196,35 @@ impl Runner {
     }
 }
 
-/// Measures one cell of `grid`: the smallest unit of sharded execution.
+/// Deterministic relative cost estimate for one cell, in simulated cycles:
+/// static cells are free (no simulation), raw cells run one system over
+/// the cell's sampling profile, normalized cells run a matched pair (model
+/// and baseline), i.e. twice the work.
+fn cell_cost(grid: &ExperimentGrid, cell: &Cell) -> u64 {
+    let systems = match grid.metric() {
+        Metric::Static => return 0,
+        Metric::Raw => 1,
+        Metric::Normalized => 2,
+    };
+    let sample = grid.cell_sample(cell);
+    systems * (sample.warmup + sample.window * sample.windows as u64)
+}
+
+/// `indices` in the order parallel workers claim them: by descending
+/// [`cell_cost`], ties in the order given (the sort is stable).
+fn costliest_first(grid: &ExperimentGrid, indices: &[usize]) -> Vec<usize> {
+    let mut claims = indices.to_vec();
+    claims.sort_by_key(|&i| Reverse(cell_cost(grid, &grid.cells()[i])));
+    claims
+}
+
+/// Measures one cell of `grid`: the unit of work the runner schedules.
 ///
 /// Pure apart from the simulation itself: the outcome is a function of
 /// (grid base config, cell, cell sampling profile) only — which is what
-/// lets external drivers (the `reunion-dispatch` workers, custom shard
-/// loops) execute cells one at a time, appending each record to a
-/// [`ShardManifest`] between their own checkpoint or failure-injection
-/// logic, and still merge back into a byte-identical report.
+/// lets cells run on any thread, in any order or shard, or one at a time
+/// from a caller's own loop, and still assemble into a byte-identical
+/// report.
 pub fn measure_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
     let sample = grid.cell_sample(cell);
     let outcome = match grid.metric() {
@@ -326,6 +355,95 @@ mod tests {
         // constructors agree with is_serial().
         assert!(Runner::serial().is_serial());
         assert!(!Runner::with_threads(8).is_serial());
+    }
+
+    /// Two cheap workloads, one of them (moldyn, cells 2 and 3) widened to
+    /// many times the other's sampling windows.
+    fn widened_moldyn_grid(metric: Metric) -> ExperimentGrid {
+        ExperimentGrid::builder("t", "t")
+            .metric(metric)
+            .base(SystemConfig::small_test)
+            .sample(SampleConfig::quick())
+            .sample_override(
+                "moldyn",
+                SampleConfig {
+                    warmup: 10_000,
+                    window: 10_000,
+                    windows: 20,
+                },
+            )
+            .workloads(vec![
+                Workload::by_name("sparse").unwrap(),
+                Workload::by_name("moldyn").unwrap(),
+            ])
+            .modes(&[ExecutionMode::Reunion])
+            .patches(vec![ConfigPatch::new("a"), ConfigPatch::new("b")])
+            .build()
+    }
+
+    #[test]
+    fn cost_reflects_metric_and_sample() {
+        let grid = widened_moldyn_grid(Metric::Normalized);
+        let sparse = &grid.cells()[0];
+        let moldyn = &grid.cells()[2];
+        assert!(cell_cost(&grid, moldyn) > cell_cost(&grid, sparse));
+        let raw = widened_moldyn_grid(Metric::Raw);
+        assert_eq!(2 * cell_cost(&raw, sparse), cell_cost(&grid, sparse));
+        let statics = widened_moldyn_grid(Metric::Static);
+        assert_eq!(cell_cost(&statics, &statics.cells()[2]), 0);
+    }
+
+    #[test]
+    fn the_widened_cells_are_claimed_first() {
+        let grid = widened_moldyn_grid(Metric::Normalized);
+        // Ties keep the order given, so the claim order is one fixed list.
+        assert_eq!(costliest_first(&grid, &[0, 1, 2, 3]), [2, 3, 0, 1]);
+        assert_eq!(costliest_first(&grid, &[3, 1, 2]), [3, 2, 1]);
+    }
+
+    /// Whatever subset `run_shard` passes, in whatever order, and however
+    /// many workers race over it: each index reaches the sink once.
+    #[test]
+    fn every_index_of_a_subset_reaches_the_sink_exactly_once() {
+        let grid = quick_grid(Metric::Static);
+        let subset = [6usize, 1, 4, 0, 7];
+        for threads in [1usize, 2, 3, 8, 64] {
+            let mut seen = vec![0u32; grid.cells().len()];
+            Runner::with_threads(threads)
+                .execute(&grid, &subset, |i, record| {
+                    assert_eq!(record.patch, grid.cells()[i].patch.label());
+                    seen[i] += 1;
+                    Ok(())
+                })
+                .unwrap();
+            let expected: Vec<u32> = (0..seen.len())
+                .map(|i| u32::from(subset.contains(&i)))
+                .collect();
+            assert_eq!(seen, expected, "{threads} threads");
+        }
+    }
+
+    /// The sink's first error ends the run: it is what `execute` returns,
+    /// and no later record — not even one already being measured on
+    /// another thread — is handed to the sink.
+    #[test]
+    fn a_failing_sink_stops_the_run_and_its_error_is_returned() {
+        let grid = quick_grid(Metric::Static);
+        let indices: Vec<usize> = (0..grid.cells().len()).collect();
+        for threads in [1usize, 4] {
+            let mut calls = 0;
+            let err = Runner::with_threads(threads)
+                .execute(&grid, &indices, |_, _| {
+                    calls += 1;
+                    match calls {
+                        1 => Ok(()),
+                        _ => Err(io::Error::other(format!("disk full at call {calls}"))),
+                    }
+                })
+                .expect_err("the sink's error must surface");
+            assert_eq!(err.to_string(), "disk full at call 2", "{threads} threads");
+            assert_eq!(calls, 2, "{threads} threads: sink called after it failed");
+        }
     }
 
     #[test]

@@ -21,37 +21,3 @@ pub use reunion_kernel as kernel;
 pub use reunion_mem as mem;
 pub use reunion_sim as sim;
 pub use reunion_workloads as workloads;
-
-/// Shared fixtures for the dispatch integration suite.
-///
-/// The `shard_worker` test binary (an out-of-tree dispatch worker built
-/// on `reunion-sim`'s public shard surface) and `tests/dispatch.rs` must
-/// agree on one experiment grid — the worker executes its shards, the
-/// test compares the dispatcher's merged artifact against a serial
-/// in-process run of the same grid. Defining the grid once here keeps
-/// that contract in a single place.
-pub mod testkit {
-    use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-    use reunion_sim::{ConfigPatch, ExperimentGrid};
-    use reunion_workloads::Workload;
-
-    /// The reference grid for dispatch tests: two workloads × two paired
-    /// modes × two comparison latencies (8 cells) under the quick
-    /// sampling profile — heterogeneous enough to shard meaningfully,
-    /// cheap enough for CI.
-    pub fn dispatch_grid() -> ExperimentGrid {
-        ExperimentGrid::builder("dispatchtest", "dispatch integration grid")
-            .base(SystemConfig::small_test)
-            .sample(SampleConfig::quick())
-            .workloads(vec![
-                Workload::by_name("sparse").unwrap(),
-                Workload::by_name("moldyn").unwrap(),
-            ])
-            .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-            .patches(vec![
-                ConfigPatch::new("lat=0").latency(0),
-                ConfigPatch::new("lat=20").latency(20),
-            ])
-            .build()
-    }
-}

@@ -23,10 +23,7 @@ use reunion_core::{
     measure, Engine, ExecutionMode, ObsConfig, ObsReport, SampleConfig, SystemConfig,
 };
 use reunion_kernel::SimRng;
-use reunion_sim::{
-    manifest_progress_from_text, measure_cell, merge_manifests, ExperimentGrid, ManifestHeader,
-    Runner, ShardManifest, ShardSpec,
-};
+use reunion_sim::{merge_manifests, ExperimentGrid, Runner, ShardSpec};
 use reunion_workloads::{suite, Workload};
 
 const DEFAULT_SEED: u64 = 0xE16_16E5;
@@ -146,42 +143,6 @@ fn obs_enabled_shard_merge_is_byte_identical() {
     }
     let merged = merge_manifests(&paths).expect("complete partition");
     assert_eq!(merged.to_json(), expected);
-}
-
-/// A manifest whose header declares observability exposes the merged
-/// [`ObsReport`] through `ShardProgress` — the summary the dispatcher
-/// streams while a campaign runs.
-#[test]
-fn manifest_progress_aggregates_obs_summaries() {
-    let grid = obs_grid("obsprog");
-    let scratch = Scratch::new("progress");
-    let header = ManifestHeader {
-        id: grid.id().to_string(),
-        caption: grid.caption().to_string(),
-        shard: ShardSpec::new(1, 1),
-        cells: grid.cells().len(),
-        sample: *grid.sample(),
-        sample_overrides: grid.sample_overrides().to_vec(),
-        obs: OBS_ON,
-    };
-    let mut manifest = ShardManifest::create_or_resume(&scratch.0, header).expect("manifest");
-    for (i, cell) in grid.cells().iter().enumerate() {
-        let record = measure_cell(&grid, cell);
-        manifest.append(i, &record).expect("append");
-    }
-    let text = std::fs::read_to_string(manifest.path()).expect("manifest text");
-    let progress = manifest_progress_from_text(&text).expect("progress");
-    assert_eq!(progress.completed, grid.cells().len());
-    let obs = progress.obs.expect("header declared observability");
-    assert!(
-        obs.check_latency.count() > 0,
-        "reunion cells must have recorded check round trips"
-    );
-    assert_eq!(
-        obs.check_latency.count(),
-        obs.check_latency.buckets().iter().sum::<u64>(),
-        "bucket totals must agree with the count"
-    );
 }
 
 /// Randomized engine-parity property: the tick-recorded histograms and the
