@@ -12,24 +12,31 @@
 //! Every complete manifest group found under `<manifest_dir>` is merged
 //! into a `BENCH_<id>.json` under `$REUNION_OUT_DIR` (default: the current
 //! directory) — byte-identical to the file a single-process run of the
-//! same grid and profile would have written, so the merged artifact feeds
-//! straight into `compare_trajectory`. An incomplete partition (missing
-//! shards, or an interrupted shard that was never resumed to completion)
-//! fails with the uncovered cell indices so the operator knows what to
-//! (re)run.
+//! same grid and profile would have written, so the merged artifact goes
+//! through the same `cmp` against `baselines/`. An incomplete partition
+//! (missing shards, or an interrupted shard that was never resumed to
+//! completion) fails with the uncovered cell indices so the operator knows
+//! what to (re)run.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use reunion_bench::run_options_with_extras;
-use reunion_sim::{find_manifests, merge_manifests};
+use reunion_sim::{find_manifests, merge_manifests, RunOptions};
+
+const USAGE: &str = "usage: merge_shards <manifest_dir>";
 
 fn main() -> ExitCode {
     // Shared surface first (`REUNION_OUT_DIR` names where the merged
     // reports go); the manifest directory is the sole positional leftover.
-    let (opts, args) = run_options_with_extras();
+    let (opts, args) = match RunOptions::parse_cli() {
+        Ok(resolved) => resolved,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let [dir] = args.as_slice() else {
-        eprintln!("usage: merge_shards <manifest_dir>");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let groups = match find_manifests(Path::new(dir)) {

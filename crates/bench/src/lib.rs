@@ -8,37 +8,37 @@
 //! printed table and lands on disk as `BENCH_<id>.json`.
 //! Run e.g. `cargo run --release -p reunion-bench -- run fig5`.
 //!
-//! Command line and environment — resolved exactly once, at `main`, by
-//! [`run_options_with_extras`] / [`RunOptions::parse_cli`], and passed
-//! down as a value from there; a flag always wins over its environment
-//! fallback:
+//! `reunion-bench counters` prints the deterministic work counters
+//! ([`counters`]) that CI diffs against `baselines/BENCH_counters.txt`;
+//! host timing is the repo benchmark's (`benchmark/`), not this crate's.
 //!
-//! * `--profile full|fast` / `REUNION_PROFILE` — sampling profile: the
-//!   paper's full methodology, or the shortened smoke/CI profile (see
-//!   [`Profile`]).
-//! * `--engine dense|skip` / `REUNION_ENGINE` — timing engine: dense cycle
-//!   stepping, or the default event-driven time-skipping engine.
-//!   `BENCH_<id>.json` output is byte-identical between the two (gated by
-//!   the engine-parity CI step).
-//! * `--shard i/N` / `REUNION_SHARD=i/N` — run only shard `i` of an
-//!   `N`-way partition of the grid, appending per-cell results to a
-//!   resumable manifest instead of writing `BENCH_<id>.json` (combine
-//!   with `merge_shards`).
-//! * `--serial` / `REUNION_SERIAL=1` — single-threaded execution
-//!   (determinism checks).
-//! * `--threads <n>` / `REUNION_THREADS=<n>` — cap the worker threads.
-//! * `--obs` / `REUNION_OBS=1` and `--trace-cap <n>` /
-//!   `REUNION_TRACE_CAP=<n>` — opt into the observability layer (latency
-//!   histograms, stall/skip summaries and the bounded per-pair event
-//!   trace); off by default so the gated artifacts stay byte-stable.
+//! Command line and environment — resolved exactly once, at `main`, by
+//! [`RunOptions::parse_cli`], and passed down as a value from there. Every
+//! option has one spelling:
+//!
+//! * `--profile full|fast` — sampling profile: the paper's full
+//!   methodology, or the shortened smoke/CI profile (see [`Profile`]).
+//! * `--engine dense|skip` — timing engine: dense cycle stepping, or the
+//!   default event-driven time-skipping engine. `BENCH_<id>.json` output
+//!   is byte-identical between the two (gated by the engine-parity CI
+//!   step).
+//! * `--shard i/N` — run only shard `i` of an `N`-way partition of the
+//!   grid, appending per-cell results to a resumable manifest instead of
+//!   writing `BENCH_<id>.json` (combine with `merge_shards`).
+//! * `--serial` — single-threaded execution (determinism checks).
+//! * `--threads <n>` — cap the worker threads.
+//! * `--obs` and `--trace-cap <n>` — opt into the observability layer
+//!   (latency histograms, stall/skip summaries and the bounded per-pair
+//!   event trace); off by default so the gated artifacts stay byte-stable.
 //! * `REUNION_OUT_DIR=<dir>` — where `BENCH_<id>.json` reports,
 //!   `MANIFEST_*.jsonl` shard manifests and `TRACE_*.jsonl` dumps are
-//!   written (resolved with the rest, into [`RunOptions::out_dir`]).
+//!   written (resolved with the rest, into [`RunOptions::out_dir`]); the
+//!   one value read from the environment.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use reunion_core::{ClassSummary, ExecutionMode, SampleConfig, SystemConfig};
+use reunion_core::{sampled_run, ClassSummary, ExecutionMode, SampleConfig, SystemConfig};
 use reunion_sim::{ConfigPatch, ExperimentGrid, ExperimentReport};
 use reunion_workloads::{kernel_suite, suite, Workload, WorkloadClass};
 
@@ -60,23 +60,6 @@ pub fn latency_label(latency: u64) -> String {
 /// `key` names the second axis value (TLB model, consistency model, …).
 pub fn keyed_latency_label(key: &str, latency: u64) -> String {
     format!("{key}:lat={latency}")
-}
-
-/// Resolves the shared run options from the real command line and
-/// environment — the one call every binary's `main` starts with — and
-/// hands back the arguments the shared surface did not recognize (in their
-/// original order) for the caller to parse. A malformed flag or `REUNION_*`
-/// value is a usage error (exit 2): a typo must never silently run the
-/// expensive default configuration.
-pub fn run_options_with_extras() -> (RunOptions, Vec<String>) {
-    RunOptions::parse_cli(RunOptions::default()).unwrap_or_else(|e| usage_error(&e))
-}
-
-/// Prints `message` plus the shared usage line and exits with status 2.
-pub fn usage_error(message: &str) -> ! {
-    eprintln!("{message}");
-    eprintln!("usage: <binary> {RUN_OPTIONS_USAGE}");
-    std::process::exit(2);
 }
 
 /// Prints a figure/table banner.
@@ -173,7 +156,7 @@ pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> Option<Experime
 /// both paired modes, two comparison latencies, under the quick sampling
 /// profile — small enough for CI, wide enough that a change to any hot
 /// path moves at least one counter.
-pub fn counters_grid(opts: &RunOptions) -> ExperimentGrid {
+fn counters_grid(opts: &RunOptions) -> ExperimentGrid {
     ExperimentGrid::builder("counters", "deterministic bench counters")
         .run_options(opts)
         .base(SystemConfig::small_test)
@@ -188,6 +171,100 @@ pub fn counters_grid(opts: &RunOptions) -> ExperimentGrid {
             ConfigPatch::new("lat=10").latency(10),
         ])
         .build()
+}
+
+/// The deterministic bench counters: machine-independent work counters
+/// over `counters_grid`, one `counter <name> <value>` line each — what
+/// `reunion-bench counters` prints and CI diffs verbatim against
+/// `baselines/BENCH_counters.txt`, so a change to how much work the
+/// simulator does per cell shows up on hosts whose timings cannot be
+/// trusted. (Timing itself is the repo benchmark's, under `benchmark/`.)
+///
+/// Each cell's two systems (the model and its non-redundant baseline) go
+/// through [`sampled_run`], because two of the lines are engine
+/// diagnostics that live on the finished system and in no `BENCH_<id>.json`
+/// field: every simulated-work counter must be identical between
+/// `--engine dense` and `skip`, while `skipped_cycles` (zero under dense)
+/// and `proc_ticks` (processors × cycles under dense) are the two lines
+/// allowed to differ. `proc_ticks` is the tightness of the skip engine's
+/// bounds as a count: it moves as soon as any bound loosens, even inside
+/// cycles that are still visited.
+pub fn counters(opts: &RunOptions) -> String {
+    let grid = counters_grid(opts);
+    let mut instructions = 0u64;
+    let mut cycles = 0u64;
+    let mut incoherence = 0u64;
+    let mut serializing_stalls = 0u64;
+    let mut peak_check_events = 0u64;
+    let mut peak_store_chain = 0u64;
+    let mut store_chain_spills = 0u64;
+    let mut skipped = 0u64;
+    let mut proc_ticks = 0u64;
+    // Tag storage owned, as a count, on any host: a directory allocated
+    // up front reads every set of every system here (256 × 16 = 4 096 on
+    // this grid's small L2, whose runs leave only a few sets untouched;
+    // 32 768 a system on the Table 1 machine, whose samples touch 2–11 %).
+    let mut l2_sets_materialised = 0usize;
+    for cell in grid.cells() {
+        let cfg = grid.cell_config(cell);
+        let mut base_cfg = cfg.clone();
+        base_cfg.mode = ExecutionMode::NonRedundant;
+        for side in [&cfg, &base_cfg] {
+            let run = sampled_run(side, &cell.workload, grid.cell_sample(cell));
+            let t = &run.measurement.totals;
+            instructions += t.user_instructions;
+            cycles += t.cycles;
+            incoherence += t.input_incoherence;
+            serializing_stalls += t.serializing_stall_cycles;
+            // Allocation-sensitivity probes: peaks combine by max (order
+            // independent), spill events by sum. A change in buffer
+            // recycling or inline capacity moves these before it moves any
+            // simulated-work counter.
+            peak_check_events = peak_check_events.max(t.peak_check_events);
+            peak_store_chain = peak_store_chain.max(t.peak_store_chain);
+            store_chain_spills += t.store_chain_spills;
+            skipped += run.measurement.skipped_cycles;
+            proc_ticks += run.system.proc_ticks();
+            l2_sets_materialised += run.system.memory().l2_sets_materialised();
+        }
+    }
+    // Workload artifact cache population after the sweep. The grid's cells
+    // hold clones of the builder's two workloads, so all cells of one
+    // workload share one cache; count each underlying cache once.
+    let mut seen = std::collections::BTreeSet::new();
+    let mut cached_programs = 0usize;
+    let mut cached_memories = 0usize;
+    // One image per workload however many systems were built from it: a
+    // regression to per-system image builds leaves this slot empty.
+    let mut cached_images = 0usize;
+    for cell in grid.cells() {
+        if seen.insert(cell.workload.name()) {
+            let cached = cell.workload.cache_population();
+            cached_programs += cached.programs;
+            cached_memories += usize::from(cached.memory);
+            cached_images += usize::from(cached.base_image);
+        }
+    }
+    let lines = [
+        ("cells_executed", grid.cells().len() as u64),
+        ("instructions_simulated", instructions),
+        ("cycles_simulated", cycles),
+        ("input_incoherence_events", incoherence),
+        ("serializing_stall_cycles", serializing_stalls),
+        ("skipped_cycles", skipped),
+        ("proc_ticks", proc_ticks),
+        ("peak_check_events", peak_check_events),
+        ("peak_store_chain", peak_store_chain),
+        ("store_chain_spills", store_chain_spills),
+        ("workload_programs_cached", cached_programs as u64),
+        ("workload_memories_cached", cached_memories as u64),
+        ("workload_images_cached", cached_images as u64),
+        ("l2_sets_materialised", l2_sets_materialised as u64),
+    ];
+    lines
+        .iter()
+        .map(|(name, value)| format!("counter {name} {value}\n"))
+        .collect()
 }
 
 /// Averages `(class, value)` pairs per class, in presentation order.
@@ -227,9 +304,9 @@ mod tests {
         RunOptions::resolve(args.iter().map(|s| s.to_string()), &|_| None)
     }
 
-    // Flag parsing and env precedence are covered in depth by
-    // `reunion_sim::RunOptions`'s own tests; these two pin the behaviours
-    // the binaries' usage contract leans on.
+    // Flag parsing is covered in depth by `reunion_sim::RunOptions`'s own
+    // tests; these two pin the behaviours the binaries' usage contract
+    // leans on.
     #[test]
     fn shared_flags_resolve_and_default() {
         let (o, leftovers) = resolve(&["--profile", "fast", "--engine=dense"]).unwrap();
@@ -294,6 +371,23 @@ mod tests {
         assert_eq!(traces.count(), grid.cells().len(), "{files:?}");
         assert!(files.contains(&"BENCH_counters.json".to_string()));
         std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn counters_render_the_gated_baseline_and_only_engine_lines_move() {
+        let gated = include_str!("../../../baselines/BENCH_counters.txt");
+        assert_eq!(counters(&RunOptions::default()), gated);
+
+        let (dense, _) = resolve(&["--engine", "dense"]).unwrap();
+        let dense = counters(&dense);
+        let moved: Vec<&str> = gated
+            .lines()
+            .zip(dense.lines())
+            .filter(|(skip, dense)| skip != dense)
+            .map(|(skip, _)| skip.split(' ').nth(1).expect("counter <name> <value>"))
+            .collect();
+        assert_eq!(moved, ["skipped_cycles", "proc_ticks"]);
+        assert_eq!(gated.lines().count(), dense.lines().count());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct Measurement {
     /// `observability` schema block.
     pub skipped_cycles: u64,
     /// Merged observability summary over all measurement windows; `Some`
-    /// only when the configuration enabled observability (`REUNION_OBS=1`).
+    /// only when the configuration enabled observability (`--obs`).
     /// `check_latency`, `stall_episodes` and `incoherence_gaps` are
     /// engine-invariant; `skip_runs`/`skipped_cycles` describe the engine.
     pub obs: Option<ObsReport>,

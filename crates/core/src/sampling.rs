@@ -5,7 +5,8 @@
 //! warming, then 50k-cycle measurement windows targeting 95% confidence
 //! intervals. We reproduce the same structure at laptop scale: one long
 //! run per configuration, split into windows after a warm-up phase, with
-//! per-window matched-pair IPC ratios against the baseline.
+//! per-window matched-pair IPC ratios against the baseline. [`sampled_run`]
+//! is the only code that walks that schedule.
 
 use std::fmt;
 use std::str::FromStr;
@@ -18,14 +19,12 @@ use crate::{CmpSystem, ExecutionMode, Measurement, NormalizedResult, SystemConfi
 
 /// The two sampling profiles of the evaluation.
 ///
-/// Every experiment run accepts `--profile full|fast` (with
-/// `REUNION_PROFILE` as the environment fallback) and maps the
-/// choice onto a [`SampleConfig`] via [`Profile::sample`]:
+/// Every experiment run accepts `--profile full|fast` and maps the choice
+/// onto a [`SampleConfig`] via [`Profile::sample`]:
 ///
 /// * [`Profile::Full`] — the paper's methodology (100k-cycle warm-up,
 ///   four 50k-cycle windows). This is the profile the fidelity bands in
-///   ROADMAP.md must ultimately hold under, and the run that is worth
-///   sharding across machines (`REUNION_SHARD`).
+///   ROADMAP.md must ultimately hold under.
 /// * [`Profile::Fast`] — a shortened profile for smoke runs and the CI
 ///   trajectory gate (20k-cycle warm-up, two 20k-cycle windows).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -145,11 +144,28 @@ impl SampleConfig {
     }
 }
 
-/// Measures one (configuration, workload) point.
-pub fn measure(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -> Measurement {
+/// One sampled run: what [`sampled_run`] yields.
+pub struct SampledRun {
+    /// The run's measurement.
+    pub measurement: Measurement,
+    /// Aggregate user IPC of each measurement window, in order — the
+    /// series `measurement.ipc` is the mean of, and what a matched-pair
+    /// ratio is taken over.
+    pub window_ipc: Vec<f64>,
+    /// The system as the last window left it, for the engine diagnostics
+    /// no `Measurement` field carries ([`CmpSystem::proc_ticks`], the
+    /// memory system's tag-storage count).
+    pub system: CmpSystem,
+}
+
+/// Builds the system for one (configuration, workload) point, warms it up
+/// and walks the measurement windows: the sampling loop, written once.
+/// [`measure`] and [`normalized_ipc`] are both views of its result.
+pub fn sampled_run(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -> SampledRun {
     let mut sys = CmpSystem::new(cfg, workload);
     sys.run(sample.warmup);
 
+    let mut window_ipc = Vec::with_capacity(sample.windows);
     let mut ipc = RunningStats::new();
     let mut totals = SystemStats::default();
     let mut obs = ObsReport::new();
@@ -157,6 +173,7 @@ pub fn measure(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -
         sys.begin_window();
         sys.run(sample.window);
         let w = sys.window_stats();
+        window_ipc.push(w.ipc());
         ipc.push(w.ipc());
         accumulate(&mut totals, &w);
         if cfg.obs.enabled {
@@ -165,16 +182,25 @@ pub fn measure(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -
     }
     let (obs, trace) = finish_obs(&mut sys, cfg.obs.enabled, obs);
 
-    Measurement {
-        workload: workload.name(),
-        ipc: ipc.mean(),
-        ipc_ci95: ipc.ci95_half_width(),
-        totals,
-        windows: sample.windows,
-        skipped_cycles: sys.skipped_cycles(),
-        obs,
-        trace,
+    SampledRun {
+        measurement: Measurement {
+            workload: workload.name(),
+            ipc: ipc.mean(),
+            ipc_ci95: ipc.ci95_half_width(),
+            totals,
+            windows: sample.windows,
+            skipped_cycles: sys.skipped_cycles(),
+            obs,
+            trace,
+        },
+        window_ipc,
+        system: sys,
     }
+}
+
+/// Measures one (configuration, workload) point.
+pub fn measure(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -> Measurement {
+    sampled_run(cfg, workload, sample).measurement
 }
 
 /// Completes a measurement's observability state: fills the cumulative
@@ -198,6 +224,11 @@ fn finish_obs(
 /// Measures a model configuration and the matching non-redundant baseline
 /// on the same workload and seeds, and reports the per-window matched-pair
 /// normalized IPC.
+///
+/// The two systems share nothing they write (a read-only base image under
+/// each system's own write layer), so the baseline runs after the model
+/// has finished and been dropped; window `i` of one is still matched with
+/// window `i` of the other.
 pub fn normalized_ipc(
     model_cfg: &SystemConfig,
     workload: &Workload,
@@ -206,65 +237,29 @@ pub fn normalized_ipc(
     let mut base_cfg = model_cfg.clone();
     base_cfg.mode = ExecutionMode::NonRedundant;
 
-    let mut model_sys = CmpSystem::new(model_cfg, workload);
-    let mut base_sys = CmpSystem::new(&base_cfg, workload);
-    model_sys.run(sample.warmup);
-    base_sys.run(sample.warmup);
+    let SampledRun {
+        measurement: model,
+        window_ipc: model_ipc,
+        ..
+    } = sampled_run(model_cfg, workload, sample);
+    let SampledRun {
+        measurement: baseline,
+        window_ipc: base_ipc,
+        ..
+    } = sampled_run(&base_cfg, workload, sample);
 
     let mut ratios = RunningStats::new();
-    let mut model_ipc = RunningStats::new();
-    let mut base_ipc = RunningStats::new();
-    let mut model_totals = SystemStats::default();
-    let mut base_totals = SystemStats::default();
-    let mut model_obs = ObsReport::new();
-    let mut base_obs = ObsReport::new();
-
-    for _ in 0..sample.windows {
-        model_sys.begin_window();
-        base_sys.begin_window();
-        model_sys.run(sample.window);
-        base_sys.run(sample.window);
-        let mw = model_sys.window_stats();
-        let bw = base_sys.window_stats();
-        if bw.ipc() > 0.0 {
-            ratios.push(mw.ipc() / bw.ipc());
-        }
-        model_ipc.push(mw.ipc());
-        base_ipc.push(bw.ipc());
-        accumulate(&mut model_totals, &mw);
-        accumulate(&mut base_totals, &bw);
-        if model_cfg.obs.enabled {
-            model_obs.merge(&model_sys.window_obs());
-            base_obs.merge(&base_sys.window_obs());
+    for (m, b) in model_ipc.iter().zip(&base_ipc) {
+        if *b > 0.0 {
+            ratios.push(m / b);
         }
     }
-    let (model_obs, model_trace) = finish_obs(&mut model_sys, model_cfg.obs.enabled, model_obs);
-    let (base_obs, base_trace) = finish_obs(&mut base_sys, base_cfg.obs.enabled, base_obs);
-
     NormalizedResult {
         workload: workload.name(),
         normalized_ipc: ratios.mean(),
         ci95: ratios.ci95_half_width(),
-        model: Measurement {
-            workload: workload.name(),
-            ipc: model_ipc.mean(),
-            ipc_ci95: model_ipc.ci95_half_width(),
-            totals: model_totals,
-            windows: sample.windows,
-            skipped_cycles: model_sys.skipped_cycles(),
-            obs: model_obs,
-            trace: model_trace,
-        },
-        baseline: Measurement {
-            workload: workload.name(),
-            ipc: base_ipc.mean(),
-            ipc_ci95: base_ipc.ci95_half_width(),
-            totals: base_totals,
-            windows: sample.windows,
-            skipped_cycles: base_sys.skipped_cycles(),
-            obs: base_obs,
-            trace: base_trace,
-        },
+        model,
+        baseline,
     }
 }
 
@@ -307,6 +302,50 @@ mod tests {
         assert!(n.normalized_ipc > 0.2, "normalized {}", n.normalized_ipc);
         assert!(n.normalized_ipc < 1.15, "normalized {}", n.normalized_ipc);
         assert!(n.baseline.ipc >= n.model.ipc * 0.8);
+    }
+
+    /// `normalized_ipc` is nothing but two `measure`s and the statistics
+    /// of their zipped window series — with observability on, so the
+    /// merged report and the drained trace are held to the same.
+    #[test]
+    fn normalized_is_two_measurements_and_their_zipped_series() {
+        use crate::Engine;
+        let workload = Workload::by_name("apache").unwrap();
+        let sample = SampleConfig::quick();
+        for engine in [Engine::Skip, Engine::Dense] {
+            let cfg = SystemConfig::small_test(ExecutionMode::Reunion)
+                .with_engine(engine)
+                .with_observability(reunion_obs::ObsConfig {
+                    enabled: true,
+                    ..Default::default()
+                });
+            let mut base_cfg = cfg.clone();
+            base_cfg.mode = ExecutionMode::NonRedundant;
+
+            let n = normalized_ipc(&cfg, &workload, &sample);
+            let model = sampled_run(&cfg, &workload, &sample);
+            let baseline = sampled_run(&base_cfg, &workload, &sample);
+            let same = |a: &Measurement, b: &Measurement| {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{engine:?}");
+            };
+            same(&n.model, &measure(&cfg, &workload, &sample));
+            same(&n.baseline, &measure(&base_cfg, &workload, &sample));
+            assert!(n.model.obs.is_some() && n.baseline.obs.is_some());
+            assert!(
+                !n.model.trace.is_empty(),
+                "a Reunion pair traces its checks"
+            );
+
+            assert_eq!(model.window_ipc.len(), sample.windows);
+            let mut ratios = RunningStats::new();
+            for (m, b) in model.window_ipc.iter().zip(&baseline.window_ipc) {
+                assert!(*b > 0.0);
+                ratios.push(m / b);
+            }
+            assert_eq!(n.normalized_ipc, ratios.mean(), "{engine:?}");
+            assert_eq!(n.ci95, ratios.ci95_half_width(), "{engine:?}");
+            assert_eq!(model.system.skipped_cycles(), n.model.skipped_cycles);
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl SystemStats {
 
     /// Folds one core's allocation-sensitivity probes into the aggregate:
     /// peaks combine by max, spill counts by sum.
-    pub fn note_allocation_probes(&mut self, core: &reunion_cpu::CoreStats) {
+    fn note_allocation_probes(&mut self, core: &reunion_cpu::CoreStats) {
         self.peak_check_events = self.peak_check_events.max(core.peak_check_events);
         self.peak_store_chain = self.peak_store_chain.max(core.peak_store_chain);
         self.store_chain_spills += core.store_chain_spills.value();
@@ -349,7 +349,7 @@ impl CmpSystem {
     /// pipelines, no recovery in flight, nothing left to compare. Ticking a
     /// quiescent CMP is a no-op, so `run` under either engine jumps
     /// straight to the end of its budget.
-    pub fn all_quiescent(&self) -> bool {
+    fn all_quiescent(&self) -> bool {
         self.procs.iter().all(|p| p.is_quiescent())
     }
 

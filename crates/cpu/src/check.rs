@@ -26,18 +26,6 @@ pub struct CheckEvent {
     pub serializing: bool,
 }
 
-impl CheckEvent {
-    /// How many messages this event puts on a shared check interconnect:
-    /// the outbound fingerprint, plus the release grant's return trip when
-    /// the interval is serializing and the design pays that round trip
-    /// (`serializing_round_trip`, i.e. Reunion; the strict oracle keeps
-    /// checking off the serializing path). Sizing input for the scaling
-    /// study's check-bus bandwidth model.
-    pub fn bus_messages(&self, serializing_round_trip: bool) -> u32 {
-        1 + u32::from(self.serializing && serializing_round_trip)
-    }
-}
-
 /// Permission from the pair driver for an interval to retire — the answer
 /// to a matched pair of [`CheckEvent`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,15 +82,6 @@ mod tests {
         };
         assert_eq!(grant.interval_id, 4);
         assert!(grant.at > ev.ready_at);
-        // A plain interval is one fingerprint message either way.
-        assert_eq!(ev.bus_messages(true), 1);
-        assert_eq!(ev.bus_messages(false), 1);
-        let serializing = CheckEvent {
-            serializing: true,
-            ..ev
-        };
-        assert_eq!(serializing.bus_messages(true), 2);
-        assert_eq!(serializing.bus_messages(false), 1);
     }
 
     #[test]

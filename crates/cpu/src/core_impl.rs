@@ -252,15 +252,9 @@ impl Core {
         }
     }
 
-    /// Drains load values bound since the last call (for the strict-model
-    /// load-value queue).
-    pub fn take_load_values(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.load_values_out)
-    }
-
-    /// Appends the load values bound since the last drain onto `out`,
-    /// keeping the internal buffer's capacity — the per-tick variant of
-    /// [`take_load_values`](Self::take_load_values).
+    /// Appends the load values bound since the last drain onto `out` (for
+    /// the strict-model load-value queue), keeping the internal buffer's
+    /// capacity.
     pub fn drain_load_values_into(&mut self, out: &mut Vec<u64>) {
         out.append(&mut self.load_values_out);
     }
@@ -358,11 +352,6 @@ impl Core {
         self.single_step = false;
     }
 
-    /// Whether the core is single-stepping.
-    pub fn is_single_stepping(&self) -> bool {
-        self.single_step
-    }
-
     /// Schedules the external-interrupt handler to run at the start of
     /// fingerprint interval `interval_id` (the vocal core chooses the
     /// interval; the driver replicates it to both cores, §4.3).
@@ -400,42 +389,7 @@ impl Core {
                 break;
             }
             let entry = self.rob.pop_front().expect("head exists");
-            self.release_spent_grant(&entry);
-            if let Some((dst, value)) = entry.reg_write {
-                self.retired.regs.write(dst, value);
-            }
-            self.retired.pc = entry.next_pc;
-            if let Some((addr, op, operand, old)) = entry.atomic_commit {
-                if !self.cfg.strict_lvq && !self.is_mute_l1 {
-                    mem.atomic_commit(self.l1, addr, op, operand, old);
-                }
-            }
-            if let Some((addr, value)) = entry.store {
-                if !self.cfg.strict_lvq {
-                    let acc = mem.drain_store(now, self.l1, addr, value);
-                    self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
-                }
-                self.sb_count = self.sb_count.saturating_sub(1);
-                if let Some(stack) = self.pending_stores.get_mut(&addr.word().as_u64()) {
-                    stack.retain(|&(seq, _)| seq != entry.seq);
-                    if stack.is_empty() {
-                        self.pending_stores.remove(&addr.word().as_u64());
-                    }
-                }
-            }
-            self.stats.retired_total.incr();
-            if entry.user {
-                self.stats.retired_user.incr();
-                self.user_retire_index += 1;
-            }
-            if entry.serializing {
-                self.stats.serializing.incr();
-                self.serializing_block = false;
-                if self.stall_run > 0 {
-                    self.stats.stall_episodes.record(self.stall_run);
-                    self.stall_run = 0;
-                }
-            }
+            self.commit(entry, now, mem);
         }
     }
 
@@ -527,47 +481,52 @@ impl Core {
                 }
             }
             let entry = self.rob.pop_front().expect("head exists");
-            self.release_spent_grant(&entry);
-
-            if let Some((dst, value)) = entry.reg_write {
-                self.retired.regs.write(dst, value);
-            }
-            self.retired.pc = entry.next_pc;
-            if let Some((addr, op, operand, old)) = entry.atomic_commit {
-                if !self.cfg.strict_lvq && !self.is_mute_l1 {
-                    mem.atomic_commit(self.l1, addr, op, operand, old);
-                }
-            }
-            if let Some((addr, value)) = entry.store {
-                if !self.cfg.strict_lvq {
-                    let acc = mem.drain_store(now, self.l1, addr, value);
-                    self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
-                } else {
-                    self.last_drain_done = self.last_drain_done.max(now_raw);
-                }
-                self.sb_count = self.sb_count.saturating_sub(1);
-                if let Some(stack) = self.pending_stores.get_mut(&addr.word().as_u64()) {
-                    stack.retain(|&(seq, _)| seq != entry.seq);
-                    if stack.is_empty() {
-                        self.pending_stores.remove(&addr.word().as_u64());
-                    }
-                }
-            }
-
-            self.stats.retired_total.incr();
-            if entry.user {
-                self.stats.retired_user.incr();
-                self.user_retire_index += 1;
-            }
-            if entry.serializing {
-                self.stats.serializing.incr();
-                self.serializing_block = false;
-                if self.stall_run > 0 {
-                    self.stats.stall_episodes.record(self.stall_run);
-                    self.stall_run = 0;
-                }
-            }
+            self.commit(entry, now, mem);
             retired += 1;
+        }
+    }
+
+    /// Commits one ROB entry, already popped off the head, to architectural
+    /// state: the retired ARF and PC, the entry's memory effect (an
+    /// atomic's write, a store's drain — neither on the strict trailing
+    /// core, whose leader performs them), the store buffer, and the
+    /// retirement statistics.
+    fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
+        self.release_spent_grant(&entry);
+        if let Some((dst, value)) = entry.reg_write {
+            self.retired.regs.write(dst, value);
+        }
+        self.retired.pc = entry.next_pc;
+        if let Some((addr, op, operand, old)) = entry.atomic_commit {
+            if !self.cfg.strict_lvq && !self.is_mute_l1 {
+                mem.atomic_commit(self.l1, addr, op, operand, old);
+            }
+        }
+        if let Some((addr, value)) = entry.store {
+            if !self.cfg.strict_lvq {
+                let acc = mem.drain_store(now, self.l1, addr, value);
+                self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
+            }
+            self.sb_count = self.sb_count.saturating_sub(1);
+            if let Some(stack) = self.pending_stores.get_mut(&addr.word().as_u64()) {
+                stack.retain(|&(seq, _)| seq != entry.seq);
+                if stack.is_empty() {
+                    self.pending_stores.remove(&addr.word().as_u64());
+                }
+            }
+        }
+        self.stats.retired_total.incr();
+        if entry.user {
+            self.stats.retired_user.incr();
+            self.user_retire_index += 1;
+        }
+        if entry.serializing {
+            self.stats.serializing.incr();
+            self.serializing_block = false;
+            if self.stall_run > 0 {
+                self.stats.stall_episodes.record(self.stall_run);
+                self.stall_run = 0;
+            }
         }
     }
 
@@ -637,10 +596,7 @@ impl Core {
             }
             // The trailing strict core consumes load values from the LVQ;
             // it cannot dispatch a load the leader has not yet produced.
-            if self.cfg.strict_lvq
-                && inst.op.is_load()
-                && !(self.single_step && inst.op.is_load())
-                && self.lvq.is_empty()
+            if self.cfg.strict_lvq && inst.op.is_load() && !self.single_step && self.lvq.is_empty()
             {
                 break;
             }
@@ -791,7 +747,7 @@ impl Core {
                         completion = u64::MAX;
                         awaiting_sync = true;
                     } else if self.cfg.strict_lvq {
-                        let old = self.lvq.pop_front().unwrap_or(0);
+                        let old = self.lvq.pop_front().expect("LVQ checked before dispatch");
                         completion = exec_start + 4;
                         self.spec.regs.write(dst, old);
                         reg_write = Some((dst, old));
@@ -1098,6 +1054,100 @@ mod tests {
         assert!(core.arch_state().regs.read(r(1)) > retired_r1);
     }
 
+    /// Recovery's `drain_granted` and the per-cycle `retire` must commit a
+    /// ROB entry identically. Two cores run `code` in lockstep; from cycle
+    /// `freeze` on every grant is stamped far ahead, so compared work piles
+    /// up unreleased. One core then drains at the recovery point, the other
+    /// retires once the release time has passed, and both must hold the
+    /// same architectural state, store buffer, counts and memory. Returns
+    /// the (stores, serializing instructions, ROB entries left) of the
+    /// drain, for the callers to check the case they built did occur.
+    fn drain_matches_retire(code: Vec<I>, freeze: u64) -> (usize, u64, usize) {
+        const RELEASE: u64 = 1_000;
+        let program = Arc::new(Program::new("drain", code).unwrap());
+        let mut cfg = CoreConfig::default().checked();
+        cfg.fingerprint_interval = 4;
+        let mut rigs: Vec<(Core, MemorySystem)> = (0..2)
+            .map(|_| {
+                let mut mem = MemorySystem::new(MemConfig::small());
+                let l1 = mem.register_l1(Owner::vocal(0));
+                (Core::new(cfg.clone(), program.clone(), l1, 7), mem)
+            })
+            .collect();
+        for (core, mem) in &mut rigs {
+            for c in 0..freeze + 100 {
+                core.tick(Cycle::new(c), mem);
+                for ev in core.take_check_events() {
+                    core.grant(ReleaseGrant {
+                        epoch: ev.epoch,
+                        interval_id: ev.fingerprint.interval_id,
+                        at: if c < freeze {
+                            ev.ready_at
+                        } else {
+                            Cycle::new(RELEASE)
+                        },
+                    });
+                }
+            }
+        }
+        let [(a, a_mem), (b, b_mem)] = &mut rigs[..] else {
+            unreachable!("two rigs")
+        };
+        let stores_before = a.sb_count;
+        let serializing_before = a.stats().serializing.value();
+        a.drain_granted(Cycle::new(freeze + 100), a_mem);
+        for c in RELEASE..RELEASE + 100 {
+            b.retire(Cycle::new(c), b_mem);
+        }
+        assert_eq!(a.arch_state(), b.arch_state());
+        assert_eq!(a.rob.len(), b.rob.len());
+        assert_eq!(a.sb_count, b.sb_count);
+        assert_eq!(a.pending_stores.len(), b.pending_stores.len());
+        assert_eq!(a.grants, b.grants);
+        assert_eq!(a.retired_user(), b.retired_user());
+        assert_eq!(a.stats().retired_total, b.stats().retired_total);
+        assert_eq!(a.stats().serializing, b.stats().serializing);
+        for offset in [0, 8] {
+            let addr = Addr::new(0xC00 + offset);
+            assert_eq!(a_mem.peek_coherent(addr), b_mem.peek_coherent(addr));
+        }
+        (
+            stores_before - a.sb_count,
+            a.stats().serializing.value() - serializing_before,
+            a.rob.len(),
+        )
+    }
+
+    #[test]
+    fn drain_granted_retires_a_full_rob_like_retire_and_stops_mid_interval() {
+        let code = vec![
+            I::load_imm(r(1), 0xC00),
+            I::add_imm(r(2), r(2), 1),
+            I::store(r(1), r(2), 0),
+            I::jump(1),
+        ];
+        let (stores, _, left) = drain_matches_retire(code, 0);
+        assert!(stores > 3, "a ROB full of stores drained: {stores}");
+        assert!(left > 0, "the open interval at the tail stays uncommitted");
+    }
+
+    #[test]
+    fn drain_granted_commits_an_atomic_like_retire() {
+        let code = vec![
+            I::load_imm(r(1), 0xC00),
+            I::add_imm(r(2), r(2), 1),
+            I::store(r(1), r(2), 0),
+            I::atomic(AtomicOp::FetchAdd, r(3), r(1), r(2), 8),
+            I::jump(1),
+        ];
+        // Wherever recovery strikes in the loop; some strike with the
+        // atomic alone in the ROB, compared but unreleased.
+        let atomics: u64 = (100..140)
+            .map(|freeze| drain_matches_retire(code.clone(), freeze).1)
+            .sum();
+        assert!(atomics > 0, "no freeze point caught a granted atomic");
+    }
+
     #[test]
     fn unretired_atomic_never_reaches_memory() {
         let code = vec![
@@ -1396,6 +1446,8 @@ mod tests {
         for c in 0..1000 {
             core.tick(Cycle::new(c), &mut mem);
         }
-        assert_eq!(core.take_load_values(), vec![99]);
+        let mut exported = Vec::new();
+        core.drain_load_values_into(&mut exported);
+        assert_eq!(exported, vec![99]);
     }
 }

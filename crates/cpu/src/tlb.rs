@@ -54,21 +54,14 @@ impl Tlb {
         }
     }
 
-    /// Total misses since creation or the last reset.
+    /// Total misses since creation.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Total accesses since creation or the last reset.
+    /// Total accesses since creation.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Clears miss/access counters (entries stay warm, matching how the
-    /// evaluation measures from warmed checkpoints).
-    pub fn reset_counters(&mut self) {
-        self.misses = 0;
-        self.accesses = 0;
     }
 }
 
@@ -108,15 +101,6 @@ mod tests {
         let before = tlb.misses();
         tlb.access(0);
         assert!(tlb.misses() > before);
-    }
-
-    #[test]
-    fn reset_counters_keeps_entries_warm() {
-        let mut tlb = Tlb::new(8, 2);
-        tlb.access(3);
-        tlb.reset_counters();
-        assert_eq!(tlb.misses(), 0);
-        assert!(tlb.access(3), "entry must survive counter reset");
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl FingerprintUnit {
 
     /// Discards the current interval *without* advancing the interval id —
     /// used on pipeline flush, when uncompared instructions are squashed.
-    pub fn squash(&mut self) {
+    fn squash(&mut self) {
         self.crc.reset();
         self.count = 0;
     }

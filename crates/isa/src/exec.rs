@@ -305,15 +305,6 @@ impl FunctionalCore {
         Self::default()
     }
 
-    /// Creates a core starting from an existing architectural state.
-    pub fn from_state(state: ArchState) -> Self {
-        FunctionalCore {
-            state,
-            retired: 0,
-            halted: false,
-        }
-    }
-
     /// Whether the core has executed a `halt`.
     pub fn is_halted(&self) -> bool {
         self.halted

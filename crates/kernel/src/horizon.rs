@@ -30,7 +30,6 @@ use crate::Cycle;
 /// h.note_opt(None);             // an idle component
 /// h.note_opt(Some(Cycle::new(25))); // a check-stage release
 /// assert_eq!(h.next_ready(), Some(Cycle::new(25)));
-/// assert_eq!(h.clipped(Cycle::new(20)), Cycle::new(20)); // window boundary
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventHorizon {
@@ -63,16 +62,6 @@ impl EventHorizon {
     pub fn next_ready(&self) -> Option<Cycle> {
         self.earliest
     }
-
-    /// The earliest candidate clipped to an upper `bound` — how a sampling
-    /// window keeps a skip from overshooting its boundary. A silent horizon
-    /// clips to the bound itself.
-    pub fn clipped(&self, bound: Cycle) -> Cycle {
-        match self.earliest {
-            Some(t) if t < bound => t,
-            _ => bound,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,14 +86,5 @@ mod tests {
         h.note_opt(Some(Cycle::new(7)));
         h.note_opt(None);
         assert_eq!(h.next_ready(), Some(Cycle::new(7)));
-    }
-
-    #[test]
-    fn clipping_respects_the_bound() {
-        let mut h = EventHorizon::new();
-        assert_eq!(h.clipped(Cycle::new(100)), Cycle::new(100));
-        h.note(Cycle::new(40));
-        assert_eq!(h.clipped(Cycle::new(100)), Cycle::new(40));
-        assert_eq!(h.clipped(Cycle::new(30)), Cycle::new(30));
     }
 }

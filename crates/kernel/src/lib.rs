@@ -8,8 +8,8 @@
 //!   (xoshiro256\*\*). Determinism matters here: the Reunion evaluation relies
 //!   on matched-pair sampling, and reproducing an input-incoherence event
 //!   requires replaying the exact interleaving that produced it.
-//! * [`stats`] — counters, histograms and ratio statistics used to report the
-//!   paper's metrics (IPC, incoherence events per million instructions, …).
+//! * [`stats`] — counters and ratio statistics used to report the paper's
+//!   metrics (IPC, incoherence events per million instructions, …).
 //! * [`DelayQueue`] — a cycle-indexed delivery queue used to model fixed
 //!   latencies (fingerprint channels, memory replies, crossbar hops), with a
 //!   [`peek_next_ready`](DelayQueue::peek_next_ready) accessor for

@@ -117,18 +117,8 @@ impl SimRng {
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
     #[inline]
-    pub fn unit_f64(&mut self) -> f64 {
+    fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Picks a uniformly random element of `choices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `choices` is empty.
-    pub fn pick<'a, T>(&mut self, choices: &'a [T]) -> &'a T {
-        assert!(!choices.is_empty(), "SimRng::pick on empty slice");
-        &choices[self.below(choices.len() as u64) as usize]
     }
 
     /// Samples an index from a discrete distribution given by `weights`.
@@ -151,18 +141,6 @@ impl SimRng {
             target -= w;
         }
         weights.len() - 1
-    }
-
-    /// Samples a geometrically distributed count with success probability
-    /// `p`: the number of failures before the first success, capped at `cap`.
-    pub fn geometric(&mut self, p: f64, cap: u64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        let p = p.max(1e-12);
-        let u = self.unit_f64().max(1e-18);
-        let val = (u.ln() / (1.0 - p).ln()).floor();
-        (val as u64).min(cap)
     }
 }
 
@@ -269,14 +247,6 @@ mod tests {
     fn weighted_index_all_zero_falls_back() {
         let mut rng = SimRng::seed_from(11);
         assert_eq!(rng.weighted_index(&[0.0, 0.0]), 0);
-    }
-
-    #[test]
-    fn geometric_respects_cap() {
-        let mut rng = SimRng::seed_from(12);
-        for _ in 0..100 {
-            assert!(rng.geometric(0.01, 5) <= 5);
-        }
     }
 
     #[test]

@@ -76,110 +76,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A fixed-bucket histogram for latency- and occupancy-style metrics.
-///
-/// Buckets are `[0, width)`, `[width, 2*width)`, …, with a final overflow
-/// bucket counting samples at or beyond `width * buckets`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    name: &'static str,
-    width: u64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total_samples: u64,
-    total_weight: u128,
-    max_sample: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `buckets` is zero.
-    pub fn new(name: &'static str, width: u64, buckets: usize) -> Self {
-        assert!(width > 0 && buckets > 0, "histogram needs nonzero shape");
-        Histogram {
-            name,
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total_samples: 0,
-            total_weight: 0,
-            max_sample: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = (sample / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total_samples += 1;
-        self.total_weight += u128::from(sample);
-        self.max_sample = self.max_sample.max(sample);
-    }
-
-    /// Number of recorded samples.
-    pub fn samples(&self) -> u64 {
-        self.total_samples
-    }
-
-    /// Arithmetic mean of all samples, or 0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.total_samples == 0 {
-            0.0
-        } else {
-            self.total_weight as f64 / self.total_samples as f64
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max_sample
-    }
-
-    /// Count in the overflow bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count in bucket `idx`, or `None` past the end.
-    pub fn bucket(&self, idx: usize) -> Option<u64> {
-        self.counts.get(idx).copied()
-    }
-
-    /// The histogram's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Clears all recorded samples.
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.overflow = 0;
-        self.total_samples = 0;
-        self.total_weight = 0;
-        self.max_sample = 0;
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.2} max={}",
-            self.name,
-            self.total_samples,
-            self.mean(),
-            self.max_sample
-        )
-    }
-}
-
 /// A running mean/variance accumulator (Welford's algorithm).
 ///
 /// Used by the sampling harness to compute the 95% confidence intervals the
@@ -216,17 +112,12 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Half-width of the 95% confidence interval on the mean, using the
@@ -235,7 +126,7 @@ impl RunningStats {
         if self.n < 2 {
             0.0
         } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
+            1.96 * self.variance().sqrt() / (self.n as f64).sqrt()
         }
     }
 }
@@ -276,37 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new("lat", 10, 3);
-        h.record(0);
-        h.record(9);
-        h.record(10);
-        h.record(29);
-        h.record(30); // overflow
-        assert_eq!(h.bucket(0), Some(2));
-        assert_eq!(h.bucket(1), Some(1));
-        assert_eq!(h.bucket(2), Some(1));
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.samples(), 5);
-        assert_eq!(h.max(), 30);
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new("m", 1, 4);
-        for v in [1, 2, 3] {
-            h.record(v);
-        }
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero shape")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new("bad", 0, 1);
-    }
-
-    #[test]
     fn running_stats_mean_and_ci() {
         let mut s = RunningStats::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -324,15 +184,5 @@ mod tests {
         assert_eq!(s.ci95_half_width(), 0.0);
         s.push(3.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_reset_clears() {
-        let mut h = Histogram::new("r", 2, 2);
-        h.record(100);
-        h.reset();
-        assert_eq!(h.samples(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.max(), 0);
     }
 }

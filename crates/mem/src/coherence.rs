@@ -87,11 +87,6 @@ impl MesiState {
     pub fn can_write(self) -> bool {
         matches!(self, MesiState::Exclusive | MesiState::Modified)
     }
-
-    /// Whether the line holds valid data.
-    pub fn is_valid(self) -> bool {
-        !matches!(self, MesiState::Invalid)
-    }
 }
 
 /// Directory metadata kept per L2 line: which vocal L1s hold the line, and
@@ -131,7 +126,8 @@ impl DirEntry {
     }
 
     /// Whether `l1` is recorded as a sharer.
-    pub fn has_sharer(&self, l1: L1Id) -> bool {
+    #[cfg(test)]
+    fn has_sharer(&self, l1: L1Id) -> bool {
         self.sharers & (1 << l1.0) != 0
     }
 
@@ -203,8 +199,7 @@ mod tests {
         assert!(MesiState::Modified.can_write());
         assert!(MesiState::Exclusive.can_write());
         assert!(!MesiState::Shared.can_write());
-        assert!(!MesiState::Invalid.is_valid());
-        assert!(MesiState::Shared.is_valid());
+        assert!(!MesiState::Invalid.can_write());
     }
 
     #[test]

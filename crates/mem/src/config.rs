@@ -86,26 +86,6 @@ impl Default for MemConfig {
     }
 }
 
-/// How [`MemConfig::scaled_for_cores`] realizes the paper's "cache
-/// bandwidth scales in proportion with the number of cores" assumption:
-/// bank occupancy divides down until it floors at one cycle, and any scale
-/// factor left over multiplies the bank count instead of saturating
-/// silently.
-///
-/// Returned by [`MemConfig::scaling_for_cores`] so callers (and the
-/// monotonicity property tests) can reason about the decomposition
-/// directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BandwidthScaling {
-    /// The total bandwidth scale factor relative to the 4-core baseline.
-    pub factor: u64,
-    /// The part of `factor` absorbed by dividing `bank_occupancy`.
-    pub occupancy_divisor: u64,
-    /// The part of `factor` absorbed by multiplying `l2_banks`
-    /// (`factor == occupancy_divisor * bank_multiplier`).
-    pub bank_multiplier: u64,
-}
-
 impl MemConfig {
     /// A deliberately tiny hierarchy for unit tests (4 KB L1, 64 KB L2) so
     /// that evictions and conflicts are easy to trigger.
@@ -154,15 +134,16 @@ impl MemConfig {
         self
     }
 
-    /// The bandwidth-scaling decomposition for a `cores`-core CMP relative
-    /// to the 4-core baseline.
+    /// Scales L2 bank bandwidth for `cores` cores relative to the 4-core
+    /// baseline, per the paper's "cache bandwidth scales in proportion with
+    /// the number of cores" assumption.
     ///
     /// The factor is absorbed by dividing `bank_occupancy` for as long as
     /// occupancy stays at or above one cycle; whatever remains multiplies
     /// the bank count. Total bandwidth (`l2_banks / bank_occupancy`
-    /// requests per cycle) therefore scales by exactly `factor` — it never
-    /// saturates the way the old occupancy-only scaling did at ≥ 16 cores.
-    pub fn scaling_for_cores(&self, cores: usize) -> BandwidthScaling {
+    /// requests per cycle) therefore scales by exactly the factor — it
+    /// never saturates the way occupancy-only scaling did at ≥ 16 cores.
+    pub fn scaled_for_cores(mut self, cores: usize) -> Self {
         let factor = (cores as u64 / 4).max(1);
         // Largest divisor of `factor` that occupancy can absorb without
         // dropping below one cycle — divisor, not just min, so the
@@ -170,23 +151,8 @@ impl MemConfig {
         // triple the banks, not halve occupancy and lose a remainder).
         let cap = factor.min(self.bank_occupancy.max(1));
         let occupancy_divisor = (1..=cap).rev().find(|d| factor % d == 0).unwrap_or(1);
-        BandwidthScaling {
-            factor,
-            occupancy_divisor,
-            bank_multiplier: factor / occupancy_divisor,
-        }
-    }
-
-    /// Scales L2 bank bandwidth for `cores` cores relative to the 4-core
-    /// baseline, per the paper's "cache bandwidth scales in proportion with
-    /// the number of cores" assumption — see [`scaling_for_cores`]
-    /// (this method applies that decomposition).
-    ///
-    /// [`scaling_for_cores`]: MemConfig::scaling_for_cores
-    pub fn scaled_for_cores(mut self, cores: usize) -> Self {
-        let scaling = self.scaling_for_cores(cores);
-        self.bank_occupancy = (self.bank_occupancy / scaling.occupancy_divisor).max(1);
-        self.l2_banks *= scaling.bank_multiplier as usize;
+        self.bank_occupancy = (self.bank_occupancy / occupancy_divisor).max(1);
+        self.l2_banks *= (factor / occupancy_divisor) as usize;
         self
     }
 
@@ -268,22 +234,17 @@ mod tests {
 
     #[test]
     fn scaling_decomposition_is_exact_and_monotonic() {
-        // Property sweep: for every core count, the decomposition
-        // multiplies back to the factor, and delivered bandwidth
-        // (banks per occupancy-cycle) scales by exactly that factor —
-        // monotonically non-decreasing in the core count.
+        // Property sweep: for every core count, delivered bandwidth
+        // (banks per occupancy-cycle) scales by exactly the core-count
+        // factor — nothing is lost between the occupancy divisor and the
+        // bank multiplier — monotonically non-decreasing in the core count.
         for base in [MemConfig::default(), MemConfig::small()] {
             let mut last_bandwidth = 0.0f64;
             for cores in 1..=128 {
-                let s = base.scaling_for_cores(cores);
-                assert_eq!(
-                    s.occupancy_divisor * s.bank_multiplier,
-                    s.factor,
-                    "decomposition must be exact at {cores} cores"
-                );
+                let factor = (cores / 4).max(1);
                 let scaled = base.clone().scaled_for_cores(cores);
                 let bandwidth = scaled.l2_banks as f64 / scaled.bank_occupancy as f64;
-                let expected = s.factor as f64 * base.l2_banks as f64 / base.bank_occupancy as f64;
+                let expected = factor as f64 * base.l2_banks as f64 / base.bank_occupancy as f64;
                 assert!(
                     (bandwidth - expected).abs() < 1e-9,
                     "{cores} cores: bandwidth {bandwidth} != factor-scaled {expected}"

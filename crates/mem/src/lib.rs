@@ -56,7 +56,7 @@ mod system;
 pub use arbiter::BankedArbiter;
 pub use cache::CacheArray;
 pub use coherence::{CoreId, DirEntry, L1Id, MesiState, Owner};
-pub use config::{BandwidthScaling, MemConfig};
+pub use config::MemConfig;
 pub use phantom::{garbage_word, PhantomStrength};
 pub use stats::MemStats;
 pub use system::{Access, MemorySystem, SyncOutcome};

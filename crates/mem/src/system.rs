@@ -175,13 +175,9 @@ impl MemorySystem {
     }
 
     /// Whether `l1` currently caches the line containing `addr`.
-    pub fn l1_contains(&self, l1: L1Id, addr: Addr) -> bool {
+    #[cfg(test)]
+    fn l1_contains(&self, l1: L1Id, addr: Addr) -> bool {
         self.l1s[l1.0].tags.contains(addr.line_index())
-    }
-
-    /// Number of lines currently valid in `l1`.
-    pub fn l1_occupancy(&self, l1: L1Id) -> usize {
-        self.l1s[l1.0].tags.occupancy()
     }
 
     /// Number of L2 sets a line has ever been brought into — the part of
@@ -193,8 +189,9 @@ impl MemorySystem {
 
     /// The value `l1` would read for `addr` *right now* without timing
     /// effects: the mute snapshot if `l1` is a mute cache holding the line,
-    /// otherwise the coherent value. Used by tests and the golden model.
-    pub fn peek_view(&self, l1: L1Id, addr: Addr) -> u64 {
+    /// otherwise the coherent value.
+    #[cfg(test)]
+    fn peek_view(&self, l1: L1Id, addr: Addr) -> u64 {
         let state = &self.l1s[l1.0];
         if state.owner.is_mute() && state.tags.contains(addr.line_index()) {
             if let Some(words) = state.mute_data.get(&addr.line_index()) {
@@ -486,30 +483,7 @@ impl MemorySystem {
         }
 
         // Upgrade / read-for-ownership through the shared controller.
-        self.stats.l1_misses.incr();
-        let start = self.miss_start_time(idx, now_raw);
-        let bank_start = self.bank_service(line, start + self.cfg.crossbar_latency);
-        let (l2_hit, ready) = self.l2_fill(line, bank_start);
-
-        // Invalidate all other vocal sharers. The directory iterator only
-        // borrows `self.l2`; the invalidations touch `self.l1s` and
-        // `self.stats`, so no intermediate collection is needed.
-        if let Some(d) = self.l2.tags.peek(line) {
-            for s in d.sharers_except(L1Id(idx)) {
-                if let Some(state) = self.l1s[s.0].tags.invalidate(line) {
-                    if state == MesiState::Modified {
-                        self.stats.writebacks.incr();
-                    }
-                }
-                self.stats.invalidations.incr();
-            }
-        }
-        if let Some(dir) = self.l2.tags.lookup(line) {
-            dir.set_owner(L1Id(idx));
-        }
-
-        self.l1_fill(idx, line, MesiState::Modified);
-        self.l1s[idx].outstanding.push(ready);
+        let (ready, l2_hit) = self.vocal_rfo(idx, line, now_raw);
         self.image.poke(addr, value);
 
         Access {
@@ -667,13 +641,17 @@ impl MemorySystem {
             .poke(addr, reunion_isa::atomic_update(op, current, operand));
     }
 
-    /// Coherent read-for-ownership used by vocal atomics: bank + L2 timing,
-    /// sharer invalidation, directory ownership, L1 fill in Modified.
+    /// Coherent read-for-ownership used by vocal store upgrades and
+    /// atomics: bank + L2 timing, sharer invalidation, directory ownership,
+    /// L1 fill in Modified. Returns `(ready_at, l2_hit)`.
     fn vocal_rfo(&mut self, idx: usize, line: u64, now: u64) -> (u64, bool) {
         self.stats.l1_misses.incr();
         let start = self.miss_start_time(idx, now);
         let bank_start = self.bank_service(line, start + self.cfg.crossbar_latency);
         let (l2_hit, ready) = self.l2_fill(line, bank_start);
+        // Invalidate all other vocal sharers. The directory iterator only
+        // borrows `self.l2`; the invalidations touch `self.l1s` and
+        // `self.stats`, so no intermediate collection is needed.
         if let Some(d) = self.l2.tags.peek(line) {
             for s in d.sharers_except(L1Id(idx)) {
                 if let Some(state) = self.l1s[s.0].tags.invalidate(line) {
@@ -769,22 +747,6 @@ impl MemorySystem {
         SyncOutcome {
             value: old,
             done_at: Cycle::new(ready),
-        }
-    }
-
-    /// Discards every line in `l1` (used when a measurement harness wants
-    /// cold caches, and by tests).
-    pub fn flush_l1(&mut self, l1: L1Id) {
-        let idx = l1.0;
-        let lines: Vec<u64> = self.l1s[idx].tags.iter_valid().map(|(l, _)| l).collect();
-        let is_mute = self.l1s[idx].owner.is_mute();
-        for line in lines {
-            self.l1s[idx].tags.invalidate(line);
-            if is_mute {
-                self.l1s[idx].mute_data.remove(&line);
-            } else if let Some(dir) = self.l2.tags.lookup(line) {
-                dir.remove_sharer(l1);
-            }
         }
     }
 }
@@ -1170,16 +1132,5 @@ mod tests {
         );
         assert!(hit.l1_hit);
         assert_eq!(mem.next_activity_at(miss.done_at + 1), None);
-    }
-
-    #[test]
-    fn flush_l1_empties_cache() {
-        let (mut mem, v0, m0, ..) = two_pair_system();
-        mem.load(Cycle::ZERO, v0, Addr::new(0), PhantomStrength::Global);
-        mem.load(Cycle::ZERO, m0, Addr::new(0), PhantomStrength::Global);
-        mem.flush_l1(v0);
-        mem.flush_l1(m0);
-        assert_eq!(mem.l1_occupancy(v0), 0);
-        assert_eq!(mem.l1_occupancy(m0), 0);
     }
 }

@@ -11,9 +11,9 @@
 //!   skip runs).
 //! - [`EventTrace`] — a bounded ring buffer of check-protocol events
 //!   ([`TraceEvent`]) with cycle stamps, dumpable per cell as JSONL.
-//! - [`ObsConfig`] — the opt-in switch (`REUNION_OBS`/`REUNION_TRACE_CAP`
-//!   env knobs, resolved by `reunion_sim::RunOptions`); everything is off by
-//!   default so baseline artifacts stay byte-stable.
+//! - [`ObsConfig`] — the opt-in switch (`--obs` / `--trace-cap`, resolved
+//!   by `reunion_sim::RunOptions`); everything is off by default so
+//!   baseline artifacts stay byte-stable.
 //! - [`ObsReport`] — the merged per-measurement summary surfaced through the
 //!   BENCH JSON schema's `observability` block.
 //!
@@ -331,7 +331,7 @@ impl EventTrace {
 }
 
 /// Default [`EventTrace`] capacity when observability is enabled without an
-/// explicit `REUNION_TRACE_CAP`.
+/// explicit `--trace-cap`.
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
 /// Opt-in observability configuration.

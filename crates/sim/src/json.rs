@@ -7,10 +7,9 @@
 //! float formatting), which the parallel-vs-serial determinism guard in
 //! [`crate::runner`] relies on.
 //!
-//! The matching [`parse_json`] reader exists for the bench-trajectory
-//! regression tooling (`compare_trajectory`), which must re-load
-//! `BENCH_<id>.json` artifacts and compare them against checked-in
-//! baselines.
+//! The matching [`parse_json`] reader re-loads what the writer emitted:
+//! shard manifests on resume and merge, and `BENCH_<id>.json` artifacts in
+//! the repo benchmark.
 
 use std::fmt;
 use std::fmt::Write as _;

@@ -18,8 +18,8 @@
 //!   unit of work it schedules, callable one cell at a time.
 //! * [`RunOptions`] — one typed resolution of the run surface every
 //!   experiment driver shares (profile, engine, serial/threads, shard,
-//!   observability, artifact directory): command-line flags with
-//!   `REUNION_*` environment fallbacks, flags winning, unrecognized
+//!   observability, artifact directory): one command-line flag each —
+//!   the artifact directory alone is `REUNION_OUT_DIR` — with unrecognized
 //!   arguments handed back to the caller ([`RUN_OPTIONS_USAGE`] is the
 //!   usage line). [`RunOptions::parse_cli`], called once at `main`, is the
 //!   only reader of the process environment; everything below takes the

@@ -2,22 +2,24 @@
 //!
 //! [`RunOptions`] is the one typed resolution of the run surface every
 //! driver shares, and [`RunOptions::parse_cli`] — called once, at `main` —
-//! is the only place the workspace reads the process environment:
+//! is the only place the workspace reads the process environment. Every
+//! option has exactly one spelling:
 //!
-//! | option        | flag                      | environment fallback        |
-//! |---------------|---------------------------|-----------------------------|
-//! | profile       | `--profile full\|fast`    | `REUNION_PROFILE`           |
-//! | engine        | `--engine dense\|skip`    | `REUNION_ENGINE`            |
-//! | serial        | `--serial`                | `REUNION_SERIAL=1`          |
-//! | threads       | `--threads <n>`           | `REUNION_THREADS`           |
-//! | shard         | `--shard i/N`             | `REUNION_SHARD`             |
-//! | observability | `--obs`                   | `REUNION_OBS=1`             |
-//! | trace cap     | `--trace-cap <n>`         | `REUNION_TRACE_CAP`         |
-//! | artifact dir  | —                         | `REUNION_OUT_DIR`           |
+//! | option        | spelling                  |
+//! |---------------|---------------------------|
+//! | profile       | `--profile full\|fast`    |
+//! | engine        | `--engine dense\|skip`    |
+//! | serial        | `--serial`                |
+//! | threads       | `--threads <n>`           |
+//! | shard         | `--shard i/N`             |
+//! | observability | `--obs`                   |
+//! | trace cap     | `--trace-cap <n>`         |
+//! | artifact dir  | `REUNION_OUT_DIR=<dir>`   |
 //!
-//! A flag always wins over its environment fallback. Resolution is
-//! *hermetic* — [`RunOptions::resolve`] takes the argument list and an
-//! environment lookup function, so precedence is unit-testable without
+//! What a run simulates is chosen by flags alone; the artifact directory,
+//! a deployment path, is the one value read from the environment.
+//! Resolution is *hermetic* — [`RunOptions::resolve`] takes the argument
+//! list and an environment lookup function, so it is unit-testable without
 //! touching process state. Arguments the resolver does not recognize are
 //! returned to the caller untouched (binaries with extra flags, positional
 //! manifest paths, …); callers that accept no extra arguments treat a
@@ -46,22 +48,21 @@ use crate::shard::ShardSpec;
 /// [`RunOptions::resolve`] (hermetic, for tests and embedders).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Sampling profile (`--profile`, `REUNION_PROFILE`).
+    /// Sampling profile (`--profile`).
     pub profile: Profile,
-    /// Timing engine (`--engine`, `REUNION_ENGINE`). `BENCH_<id>.json`
-    /// output is byte-identical between the two engines.
+    /// Timing engine (`--engine`). `BENCH_<id>.json` output is
+    /// byte-identical between the two engines.
     pub engine: Engine,
-    /// Force single-threaded execution (`--serial`, `REUNION_SERIAL=1`).
+    /// Force single-threaded execution (`--serial`).
     pub serial: bool,
-    /// Worker-thread cap (`--threads`, `REUNION_THREADS`); `None` means
-    /// all cores. Ignored when `serial` is set.
+    /// Worker-thread cap (`--threads`); `None` means all cores. Ignored
+    /// when `serial` is set.
     pub threads: Option<usize>,
-    /// Shard slice to execute (`--shard i/N`, `REUNION_SHARD=i/N`);
-    /// `None` runs the whole grid in-process.
+    /// Shard slice to execute (`--shard i/N`); `None` runs the whole grid
+    /// in-process.
     pub shard: Option<ShardSpec>,
-    /// Opt-in observability layer (`--obs` / `REUNION_OBS=1` plus
-    /// `--trace-cap` / `REUNION_TRACE_CAP`). Off by default so the
-    /// `BENCH_<id>.json` artifacts stay byte-stable.
+    /// Opt-in observability layer (`--obs` plus `--trace-cap`). Off by
+    /// default so the `BENCH_<id>.json` artifacts stay byte-stable.
     pub observability: ObsConfig,
     /// Where `BENCH_<id>.json` reports, `MANIFEST_*.jsonl` shard manifests
     /// and `TRACE_*.jsonl` dumps are written (`REUNION_OUT_DIR`, default
@@ -75,36 +76,19 @@ pub const RUN_OPTIONS_USAGE: &str = "[--profile full|fast] [--engine dense|skip]
 
 impl RunOptions {
     /// Resolves the shared options from an argument list and an environment
-    /// lookup, returning the options plus every argument the resolver did
-    /// not recognize, in their original order.
+    /// lookup (asked for `REUNION_OUT_DIR` only), returning the options plus
+    /// every argument the resolver did not recognize, in their original
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns a usage message when a flag is missing its value or any
-    /// flag/environment value fails to parse. A malformed environment value
-    /// is an error even though it is merely a fallback — silently ignoring
-    /// it would run the (expensive) default configuration.
+    /// Returns a usage message when a flag is missing its value or its
+    /// value fails to parse.
     pub fn resolve(
         args: impl IntoIterator<Item = String>,
         env: &dyn Fn(&str) -> Option<String>,
     ) -> Result<(Self, Vec<String>), String> {
-        Self::default().resolve_over(args, env)
-    }
-
-    /// [`resolve`](Self::resolve) with `self` supplying the value of every
-    /// option neither a flag nor the environment chose.
-    fn resolve_over(
-        self,
-        args: impl IntoIterator<Item = String>,
-        env: &dyn Fn(&str) -> Option<String>,
-    ) -> Result<(Self, Vec<String>), String> {
-        let mut profile: Option<Profile> = None;
-        let mut engine: Option<Engine> = None;
-        let mut serial = false;
-        let mut threads: Option<usize> = None;
-        let mut shard: Option<ShardSpec> = None;
-        let mut obs = false;
-        let mut trace_cap: Option<usize> = None;
+        let mut opts = RunOptions::default();
         let mut leftovers = Vec::new();
 
         let mut it = args.into_iter();
@@ -122,94 +106,40 @@ impl RunOptions {
                 }
             };
             if let Some(v) = take("--profile", "full|fast") {
-                profile = Some(v?.parse()?);
+                opts.profile = v?.parse()?;
             } else if let Some(v) = take("--engine", "dense|skip") {
-                engine = Some(v?.parse()?);
+                opts.engine = v?.parse()?;
             } else if let Some(v) = take("--threads", "a worker count") {
-                threads = Some(parse_count("--threads", &v?)?);
+                opts.threads = Some(parse_count("--threads", &v?)?);
             } else if let Some(v) = take("--shard", "i/N") {
-                shard = Some(v?.parse::<ShardSpec>()?);
+                opts.shard = Some(v?.parse::<ShardSpec>()?);
             } else if let Some(v) = take("--trace-cap", "events per pair") {
-                trace_cap = Some(parse_usize("--trace-cap", &v?)?);
+                opts.observability.trace_cap = parse_usize("--trace-cap", &v?)?;
             } else if arg == "--serial" {
-                serial = true;
+                opts.serial = true;
             } else if arg == "--obs" {
-                obs = true;
+                opts.observability.enabled = true;
             } else {
                 leftovers.push(arg);
             }
         }
-
-        let profile = match profile {
-            Some(p) => p,
-            None => match env("REUNION_PROFILE") {
-                Some(v) => v.parse().map_err(|e| format!("REUNION_PROFILE: {e}"))?,
-                None => self.profile,
-            },
-        };
-        let engine = match engine {
-            Some(e) => e,
-            None => match env("REUNION_ENGINE") {
-                Some(v) => v.parse().map_err(|e| format!("REUNION_ENGINE: {e}"))?,
-                None => self.engine,
-            },
-        };
-        let serial = serial || env_is_one(env, "REUNION_SERIAL") || self.serial;
-        let threads = match threads {
-            Some(t) => Some(t),
-            None => match env("REUNION_THREADS") {
-                Some(v) => Some(parse_count("REUNION_THREADS", &v)?),
-                None => self.threads,
-            },
-        };
-        let shard = match shard {
-            Some(s) => Some(s),
-            None => match env("REUNION_SHARD") {
-                Some(v) => Some(
-                    v.parse::<ShardSpec>()
-                        .map_err(|e| format!("REUNION_SHARD: {e}"))?,
-                ),
-                None => self.shard,
-            },
-        };
-        let obs = obs || env_is_one(env, "REUNION_OBS") || self.observability.enabled;
-        let trace_cap = match trace_cap {
-            Some(c) => c,
-            None => match env("REUNION_TRACE_CAP") {
-                Some(v) => parse_usize("REUNION_TRACE_CAP", &v)?,
-                None => self.observability.trace_cap,
-            },
-        };
-        let out_dir = env("REUNION_OUT_DIR").map_or(self.out_dir, PathBuf::from);
-
-        Ok((
-            RunOptions {
-                profile,
-                engine,
-                serial,
-                threads,
-                shard,
-                observability: ObsConfig {
-                    enabled: obs,
-                    trace_cap,
-                },
-                out_dir,
-            },
-            leftovers,
-        ))
+        if let Some(dir) = env("REUNION_OUT_DIR") {
+            opts.out_dir = PathBuf::from(dir);
+        }
+        Ok((opts, leftovers))
     }
 
     /// Resolves from the real command line (`std::env::args`, skipping the
-    /// binary name) and process environment, on top of the calling
-    /// binary's `defaults`. Call it once, at `main`, and pass the value
-    /// down: this is the workspace's only read of the process environment.
+    /// binary name) and process environment. Call it once, at `main`, and
+    /// pass the value down: this is the workspace's only read of the
+    /// process environment.
     ///
     /// # Errors
     ///
     /// Propagates [`RunOptions::resolve`] errors; the caller decides how to
-    /// report them (the bench harness prints usage and exits 2).
-    pub fn parse_cli(defaults: Self) -> Result<(Self, Vec<String>), String> {
-        defaults.resolve_over(std::env::args().skip(1), &|k| std::env::var(k).ok())
+    /// report them (`reunion-bench` prints usage and exits 2).
+    pub fn parse_cli() -> Result<(Self, Vec<String>), String> {
+        Self::resolve(std::env::args().skip(1), &|k| std::env::var(k).ok())
     }
 
     /// Stamps the per-system choices — timing engine and observability —
@@ -260,10 +190,6 @@ impl Default for RunOptions {
             out_dir: PathBuf::from("."),
         }
     }
-}
-
-fn env_is_one(env: &dyn Fn(&str) -> Option<String>, name: &str) -> bool {
-    env(name).is_some_and(|v| v == "1")
 }
 
 fn parse_usize(what: &str, v: &str) -> Result<usize, String> {
@@ -334,43 +260,31 @@ mod tests {
     }
 
     #[test]
-    fn env_fallback_fills_unset_options() {
-        let o = opts(
-            &[],
-            &[
-                ("REUNION_PROFILE", "fast"),
-                ("REUNION_ENGINE", "dense"),
-                ("REUNION_SERIAL", "1"),
-                ("REUNION_THREADS", "2"),
-                ("REUNION_SHARD", "1/2"),
-                ("REUNION_OBS", "1"),
-                ("REUNION_TRACE_CAP", "8"),
-                ("REUNION_OUT_DIR", "/tmp/artifacts"),
-            ],
-        );
-        assert_eq!(o.profile, Profile::Fast);
-        assert_eq!(o.engine, Engine::Dense);
-        assert!(o.serial);
-        assert_eq!(o.threads, Some(2));
-        assert_eq!(o.shard, Some(ShardSpec::new(1, 2)));
-        assert!(o.observability.enabled);
-        assert_eq!(o.observability.trace_cap, 8);
+    fn only_the_artifact_directory_is_read_from_the_environment() {
+        let o = opts(&[], &[("REUNION_OUT_DIR", "/tmp/artifacts")]);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/artifacts"));
-    }
-
-    #[test]
-    fn flag_wins_over_environment() {
-        let o = opts(
-            &["--profile", "full", "--engine", "skip", "--trace-cap", "32"],
-            &[
-                ("REUNION_PROFILE", "fast"),
-                ("REUNION_ENGINE", "dense"),
-                ("REUNION_TRACE_CAP", "8"),
-            ],
-        );
-        assert_eq!(o.profile, Profile::Full);
-        assert_eq!(o.engine, Engine::Skip);
-        assert_eq!(o.observability.trace_cap, 32);
+        let elsewhere = RunOptions {
+            out_dir: PathBuf::from("/tmp/artifacts"),
+            ..RunOptions::default()
+        };
+        assert_eq!(o, elsewhere);
+        // The seven retired second spellings (assembled, so a tree-wide
+        // grep for them stays empty): whatever a shell still exports, none
+        // changes what a run simulates, and a malformed one is not an error.
+        for (suffix, value) in [
+            ("PROFILE", "fast"),
+            ("ENGINE", "dense"),
+            ("ENGINE", "warp"),
+            ("SERIAL", "1"),
+            ("THREADS", "0"),
+            ("SHARD", "1/2"),
+            ("OBS", "1"),
+            ("TRACE_CAP", "8"),
+        ] {
+            let name = format!("REUNION_{suffix}");
+            let o = opts(&[], &[(&name, value)]);
+            assert_eq!(o, RunOptions::default(), "{name}={value}");
+        }
     }
 
     #[test]
@@ -389,19 +303,9 @@ mod tests {
         assert!(resolve(&["--threads", "0"], &[]).is_err());
         assert!(resolve(&["--threads", "many"], &[]).is_err());
         assert!(resolve(&["--shard", "3"], &[]).is_err());
+        assert!(resolve(&["--shard", "0/0"], &[]).is_err());
         assert!(resolve(&["--trace-cap", "-1"], &[]).is_err());
-        assert!(resolve(&[], &[("REUNION_ENGINE", "warp")]).is_err());
-        assert!(resolve(&[], &[("REUNION_THREADS", "0")]).is_err());
-        assert!(resolve(&[], &[("REUNION_THREADS", "junk")]).is_err());
-        assert!(resolve(&[], &[("REUNION_SHARD", "0/0")]).is_err());
-        assert!(resolve(&[], &[("REUNION_TRACE_CAP", "lots")]).is_err());
-    }
-
-    #[test]
-    fn serial_env_respects_canonical_convention() {
-        assert!(opts(&[], &[("REUNION_SERIAL", "1")]).serial);
-        assert!(!opts(&[], &[("REUNION_SERIAL", "true")]).serial);
-        assert!(!opts(&[], &[("REUNION_SERIAL", "0")]).serial);
+        assert!(resolve(&["--trace-cap=lots"], &[]).is_err());
     }
 
     #[test]
@@ -414,38 +318,9 @@ mod tests {
 
     #[test]
     fn removed_intracell_knob_is_an_unrecognized_argument() {
-        let (o, leftovers) = resolve(
-            &["--intracell-threads", "2"],
-            &[("REUNION_INTRACELL_THREADS", "2")],
-        )
-        .unwrap();
+        let (o, leftovers) = resolve(&["--intracell-threads", "2"], &[]).unwrap();
         assert_eq!(leftovers, vec!["--intracell-threads", "2"]);
         assert_eq!(o, RunOptions::default());
-    }
-
-    #[test]
-    fn binary_defaults_rank_below_flags_and_environment() {
-        let fast = || RunOptions {
-            profile: Profile::Fast,
-            ..RunOptions::default()
-        };
-        let resolve = |args: &[&str], env: &[(&str, &str)]| {
-            let env: HashMap<String, String> = env
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect();
-            let args = args.iter().map(|s| s.to_string());
-            fast()
-                .resolve_over(args, &move |k| env.get(k).cloned())
-                .unwrap()
-                .0
-        };
-        assert_eq!(resolve(&[], &[]), fast());
-        assert_eq!(
-            resolve(&[], &[("REUNION_PROFILE", "full")]).profile,
-            Profile::Full
-        );
-        assert_eq!(resolve(&["--profile", "full"], &[]).profile, Profile::Full);
     }
 
     #[test]

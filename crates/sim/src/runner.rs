@@ -256,8 +256,8 @@ pub fn measure_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
 /// [`trace_dir`](ExperimentGrid::trace_dir), one compact JSON object per
 /// event. Only the command-line surface
 /// ([`GridBuilder::run_options`](crate::GridBuilder::run_options) with
-/// `--obs` / `REUNION_OBS=1`) names a directory: a library caller who
-/// enables collection through
+/// `--obs`) names a directory: a library caller who enables collection
+/// through
 /// [`GridBuilder::observability`](crate::GridBuilder::observability)
 /// or on individual [`SystemConfig`](reunion_core::SystemConfig) values
 /// gets in-memory collection and the report block without files appearing
@@ -350,8 +350,8 @@ mod tests {
 
     #[test]
     fn env_override_forces_serial() {
-        // `--serial` / `REUNION_SERIAL=1` reach the runner through
-        // `RunOptions::runner` (tested there); here just check the explicit
+        // `--serial` reaches the runner through `RunOptions::runner`
+        // (tested there); here just check the explicit
         // constructors agree with is_serial().
         assert!(Runner::serial().is_serial());
         assert!(!Runner::with_threads(8).is_serial());

@@ -14,8 +14,8 @@ use std::str::FromStr;
 /// One shard of an `N`-way partition of a grid's cells (1-based).
 ///
 /// Construct programmatically with [`ShardSpec::new`] or parse the `i/N`
-/// spelling of `--shard` / `REUNION_SHARD` (resolved, like every run
-/// option, by [`RunOptions`](crate::RunOptions)):
+/// spelling of `--shard` (resolved, like every run option, by
+/// [`RunOptions`](crate::RunOptions)):
 ///
 /// ```
 /// use reunion_sim::ShardSpec;

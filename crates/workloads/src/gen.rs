@@ -438,7 +438,6 @@ mod tests {
             private_step: 24,
             jump_fraction: 0.05,
             shared_stride: 8 * 10501,
-            lock_sharing: 0.1,
             sharing: SharingModel::derived(0.1, 1.0),
             itlb_miss_per_million: 1000,
             segments: 48,

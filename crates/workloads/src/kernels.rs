@@ -56,7 +56,6 @@ fn kernel_spec(
         private_step: 8,
         jump_fraction: 0.0,
         shared_stride: 8,
-        lock_sharing: 0.0,
         sharing: SharingModel::derived(0.0, 0.0),
         itlb_miss_per_million,
         segments: 8,

@@ -64,14 +64,13 @@ impl std::str::FromStr for WorkloadClass {
 
 /// First-class sharing/contention model of one workload.
 ///
-/// This replaces the old single-scalar knobs (`lock_sharing`,
-/// `shared_read_weight`) as the source of cross-thread race behavior: a
-/// small *hot* region of truly shared cache lines with a bounded writer
-/// set, migratory read-modify-write traffic, producer-consumer flag
-/// hand-offs, and bursts of contended critical sections on a small subset
-/// of the globally shared lock bank. Together these control how often a
-/// mute core's stale private snapshot disagrees with the vocal's coherent
-/// read — the input-incoherence rate of Table 3.
+/// The source of cross-thread race behavior: a small *hot* region of
+/// truly shared cache lines with a bounded writer set, migratory
+/// read-modify-write traffic, producer-consumer flag hand-offs, and bursts
+/// of contended critical sections on a small subset of the globally shared
+/// lock bank. Together these control how often a mute core's stale private
+/// snapshot disagrees with the vocal's coherent read — the
+/// input-incoherence rate of Table 3.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SharingModel {
     /// Number of hot shared cache lines all threads read (power of two).
@@ -109,10 +108,10 @@ pub struct SharingModel {
 }
 
 impl SharingModel {
-    /// Derives a sharing model from the legacy scalar knobs, preserving
-    /// config-patch compatibility: `lock_sharing` becomes the contention
-    /// fraction and `shared_read_weight` scales a modest hot-read weight.
-    pub fn derived(lock_sharing: f64, shared_read_weight: f64) -> Self {
+    /// Derives a modest sharing model from two scalars: the fraction of
+    /// critical sections that contend on the global lock bank, and the
+    /// shared-read weight, which scales a small hot-read weight.
+    pub fn derived(lock_contention: f64, shared_read_weight: f64) -> Self {
         SharingModel {
             hot_lines: 8,
             writers: 1,
@@ -120,7 +119,7 @@ impl SharingModel {
             hot_write_fraction: 0.02,
             migratory_weight: 0.0,
             producer_consumer_weight: 0.0,
-            lock_contention: lock_sharing,
+            lock_contention,
             contended_locks: 8,
             burst_len: 1,
             write_period: 64,
@@ -211,13 +210,8 @@ pub struct WorkloadSpec {
     pub jump_fraction: f64,
     /// Shared-region access stride in bytes (multiple of 8).
     pub shared_stride: u64,
-    /// Legacy scalar: fraction of critical sections on the globally shared
-    /// lock bank. Superseded by [`SharingModel::lock_contention`]; kept as
-    /// the derived default for config-patch compatibility (see
-    /// [`WorkloadSpec::sharing`]).
-    pub lock_sharing: f64,
-    /// The first-class sharing/contention model. Construct with
-    /// [`SharingModel::derived`] to reproduce the legacy scalar behavior.
+    /// The first-class sharing/contention model ([`SharingModel::derived`]
+    /// builds a modest one from two scalars).
     pub sharing: SharingModel,
     /// Synthetic ITLB miss rate per million fetched instructions
     /// (instruction-footprint surrogate; Table 3).
@@ -281,7 +275,6 @@ mod tests {
             private_step: 24,
             jump_fraction: 0.03,
             shared_stride: 8 * 10501,
-            lock_sharing: 0.05,
             sharing: SharingModel::derived(0.05, 1.0),
             itlb_miss_per_million: 1000,
             segments: 32,

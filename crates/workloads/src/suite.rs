@@ -294,7 +294,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.02,
             shared_stride: 8 * 65,
-            lock_sharing: 0.03,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,
@@ -331,7 +330,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.015,
             shared_stride: 8 * 65,
-            lock_sharing: 0.03,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,
@@ -368,7 +366,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.03,
             shared_stride: 8 * 65,
-            lock_sharing: 0.05,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 4,
@@ -405,7 +402,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.035,
             shared_stride: 8 * 65,
-            lock_sharing: 0.05,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 4,
@@ -442,7 +438,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 8,
             jump_fraction: 0.002,
             shared_stride: 8,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 32,
                 writers: 1,
@@ -479,7 +474,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.012,
             shared_stride: 8 * 129,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 32,
                 writers: 1,
@@ -516,7 +510,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 16,
             jump_fraction: 0.012,
             shared_stride: 8 * 65,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 32,
                 writers: 1,
@@ -553,7 +546,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 24,
             jump_fraction: 0.004,
             shared_stride: 8 * 9,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,
@@ -590,7 +582,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 16,
             jump_fraction: 0.003, // neighbor-list locality
             shared_stride: 8 * 9,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,
@@ -627,7 +618,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 8,
             jump_fraction: 0.002, // stencil: near-neighbor sweeps
             shared_stride: 8 * 9,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,
@@ -664,7 +654,6 @@ pub fn suite() -> Vec<Workload> {
             private_step: 32,
             jump_fraction: 0.004, // indirect row accesses
             shared_stride: 8 * 17,
-            lock_sharing: 0.02,
             sharing: SharingModel {
                 hot_lines: 16,
                 writers: 2,

@@ -436,7 +436,6 @@ fn racy_spec(rng: &mut SimRng, writers: u32) -> reunion_workloads::WorkloadSpec 
         private_step: 24,
         jump_fraction: 0.01,
         shared_stride: 8 * 9,
-        lock_sharing: 0.05,
         sharing: SharingModel {
             hot_lines: 16,
             writers,

@@ -223,7 +223,6 @@ fn interrupts_replicate_cleanly_across_the_pair() {
     let base = Workload::by_name("ocean").unwrap();
     let mut spec = base.spec().clone();
     spec.lock_weight = 0.0;
-    spec.lock_sharing = 0.0;
     spec.sharing.hot_write_fraction = 0.0;
     spec.sharing.migratory_weight = 0.0;
     spec.sharing.producer_consumer_weight = 0.0;
