@@ -25,8 +25,8 @@
 //! * `--shard i/N` — run only shard `i` of an `N`-way partition of the
 //!   grid, appending per-cell results to a resumable manifest instead of
 //!   writing `BENCH_<id>.json` (combine with `merge_shards`).
-//! * `--serial` — single-threaded execution (determinism checks).
-//! * `--threads <n>` — cap the worker threads.
+//! * `--threads <n>` — worker threads; `1` runs the cells one at a time
+//!   in grid order (determinism checks).
 //! * `--obs` and `--trace-cap <n>` — opt into the observability layer
 //!   (latency histograms, stall/skip summaries and the bounded per-pair
 //!   event trace); off by default so the gated artifacts stay byte-stable.

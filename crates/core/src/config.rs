@@ -1,6 +1,6 @@
 //! System-level configuration.
 
-use reunion_cpu::{Consistency, TlbMode};
+use reunion_cpu::{Consistency, Role, TlbMode};
 use reunion_mem::{MemConfig, PhantomStrength};
 use reunion_obs::ObsConfig;
 
@@ -23,6 +23,16 @@ impl ExecutionMode {
     /// Whether this mode runs two cores per logical processor.
     pub fn is_redundant(self) -> bool {
         !matches!(self, ExecutionMode::NonRedundant)
+    }
+
+    /// The roles of a logical processor's vocal core and, in a redundant
+    /// mode, of its mute core.
+    pub fn roles(self) -> (Role, Option<Role>) {
+        match self {
+            ExecutionMode::NonRedundant => (Role::Unchecked, None),
+            ExecutionMode::Strict => (Role::StrictLeader, Some(Role::StrictTrailer)),
+            ExecutionMode::Reunion => (Role::Reunion, Some(Role::Reunion)),
+        }
     }
 
     /// All modes, in the paper's presentation order.

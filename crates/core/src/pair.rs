@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use reunion_cpu::{CheckEvent, Core, ReleaseGrant};
+use reunion_cpu::{CheckEvent, Core, ReleaseGrant, Role};
 use reunion_kernel::stats::Counter;
 use reunion_kernel::{Cycle, EventHorizon};
 use reunion_mem::MemorySystem;
@@ -41,8 +41,6 @@ pub struct PairStats {
     pub failures: Counter,
     /// Synchronizing requests issued.
     pub sync_requests: Counter,
-    /// Fingerprint intervals successfully compared.
-    pub intervals_compared: Counter,
     /// Cycles this pair's fingerprint messages spent queued behind the
     /// shared check bus (always zero when the bus is unmodeled).
     pub check_bus_waits: Counter,
@@ -63,7 +61,6 @@ impl PairStats {
             phase2_recoveries: Counter::new("phase2_recoveries"),
             failures: Counter::new("failures"),
             sync_requests: Counter::new("sync_requests"),
-            intervals_compared: Counter::new("intervals_compared"),
             check_bus_waits: Counter::new("check_bus_waits"),
             check_latency: LatencyHistogram::new(),
             incoherence_gaps: LatencyHistogram::new(),
@@ -78,7 +75,6 @@ impl PairStats {
         self.phase2_recoveries.reset();
         self.failures.reset();
         self.sync_requests.reset();
-        self.intervals_compared.reset();
         self.check_bus_waits.reset();
         self.check_latency = LatencyHistogram::new();
         self.incoherence_gaps = LatencyHistogram::new();
@@ -98,12 +94,8 @@ pub struct PairDriver {
     vocal: Core,
     mute: Core,
     comparison_latency: u64,
-    strict: bool,
     vocal_events: VecDeque<CheckEvent>,
     mute_events: VecDeque<CheckEvent>,
-    /// Reused transfer buffer for the strict oracle's per-tick LVQ copy —
-    /// drained every tick, so its capacity amortizes to zero allocations.
-    lvq_xfer: Vec<u64>,
     phase: RecoveryPhase,
     sync_interval: Option<u64>,
     /// A detected fingerprint difference whose *physical* comparison time
@@ -132,17 +124,28 @@ impl PairDriver {
     /// Pairs a vocal and a mute core.
     ///
     /// Both cores must run the same program and have been constructed with
-    /// the same pair seed; `strict` selects the strict-input-replication
-    /// oracle (the mute core must then have `strict_lvq` set).
-    pub fn new(vocal: Core, mute: Core, comparison_latency: u64, strict: bool) -> Self {
+    /// the same pair seed. Their roles select the model: two
+    /// [`Role::Reunion`] cores, or a [`Role::StrictLeader`] vocal with a
+    /// [`Role::StrictTrailer`] mute for the strict-input-replication oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other combination of roles.
+    pub fn new(vocal: Core, mute: Core, comparison_latency: u64) -> Self {
+        let roles = (vocal.role(), mute.role());
+        assert!(
+            matches!(
+                roles,
+                (Role::Reunion, Role::Reunion) | (Role::StrictLeader, Role::StrictTrailer)
+            ),
+            "{roles:?}: these vocal and mute roles do not make a pair"
+        );
         PairDriver {
             vocal,
             mute,
             comparison_latency,
-            strict,
             vocal_events: VecDeque::new(),
             mute_events: VecDeque::new(),
-            lvq_xfer: Vec::new(),
             phase: RecoveryPhase::Normal,
             sync_interval: None,
             pending_mismatch: None,
@@ -165,12 +168,8 @@ impl PairDriver {
         self.trace = Some(Box::new(EventTrace::with_capacity(trace_cap)));
     }
 
-    /// The pair's event trace, if observability is enabled.
-    pub fn trace(&self) -> Option<&EventTrace> {
-        self.trace.as_deref()
-    }
-
-    /// Mutable access to the event trace (draining for a per-cell dump).
+    /// The pair's event trace, if observability is enabled (mutable:
+    /// drained for a per-cell dump).
     pub fn trace_mut(&mut self) -> Option<&mut EventTrace> {
         self.trace.as_deref_mut()
     }
@@ -244,13 +243,12 @@ impl PairDriver {
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
         self.vocal.tick(now, mem);
         self.mute.tick(now, mem);
-        if self.strict {
+        if self.vocal.role().produces_lvq() {
             // The values the vocal bound this cycle reach the trailing core
             // for its next one. Handing them over now rather than at the
             // top of that next tick leaves nothing pending between ticks,
             // so a tick ahead of the pair's bound is a no-op in full.
-            self.vocal.drain_load_values_into(&mut self.lvq_xfer);
-            self.mute.push_lvq(self.lvq_xfer.drain(..));
+            self.mute.push_lvq(self.vocal.drain_load_values());
         }
 
         self.collect_events();
@@ -409,7 +407,7 @@ impl PairDriver {
                 // trip to the waiting core; that message shares the same
                 // bus. (The strict oracle keeps checking off the
                 // serializing path, so only Reunion pays here.)
-                if !self.strict && bus.is_modeled() {
+                if self.vocal.role().pays_grant_return() && bus.is_modeled() {
                     if v.serializing {
                         let sent = bus.grant(release_v);
                         self.stats
@@ -435,7 +433,6 @@ impl PairDriver {
                     interval_id,
                     at: release_m,
                 });
-                self.stats.intervals_compared.incr();
                 if self.obs_enabled {
                     // Round trip as the vocal core experiences it: interval
                     // ready at the check stage -> release grant back.
@@ -570,7 +567,7 @@ mod tests {
 
     use reunion_cpu::CoreConfig;
     use reunion_isa::{Instruction as I, Program, RegId};
-    use reunion_mem::{MemConfig, MemorySystem, Owner, PhantomStrength};
+    use reunion_mem::{MemConfig, MemorySystem, Owner};
 
     fn r(i: u8) -> RegId {
         RegId::new(i)
@@ -591,22 +588,16 @@ mod tests {
             let mut mem = MemorySystem::new(MemConfig::small());
             let vl1 = mem.register_l1(Owner::vocal(0));
             let ml1 = mem.register_l1(Owner::mute(0));
-            let mut vcfg = CoreConfig::default().checked();
-            let mut mcfg = CoreConfig::default().checked();
-            if strict {
-                mcfg.strict_lvq = true;
-            }
-            vcfg.phantom = PhantomStrength::Global;
-            mcfg.phantom = PhantomStrength::Global;
-            let mut vocal = Core::new(vcfg, program.clone(), vl1, 42);
-            if strict {
-                vocal.set_lvq_producer(true);
-            }
-            let mut mute = Core::new(mcfg, program, ml1, 42);
-            mute.set_mute(true);
+            let (vrole, mrole) = if strict {
+                (Role::StrictLeader, Role::StrictTrailer)
+            } else {
+                (Role::Reunion, Role::Reunion)
+            };
+            let vocal = Core::new(CoreConfig::for_role(vrole), program.clone(), vl1, 42);
+            let mute = Core::new(CoreConfig::for_role(mrole), program, ml1, 42);
             Rig {
                 mem,
-                pair: PairDriver::new(vocal, mute, 10, strict),
+                pair: PairDriver::new(vocal, mute, 10),
                 bus: CheckBus::new(0),
                 now: 0,
             }
@@ -714,11 +705,10 @@ mod tests {
         let vl1 = mem.register_l1(Owner::vocal(0));
         let ml1 = mem.register_l1(Owner::mute(0));
         let wl1 = mem.register_l1(Owner::vocal(1));
-        let cfg = CoreConfig::default().checked();
+        let cfg = CoreConfig::for_role(Role::Reunion);
         let vocal = Core::new(cfg.clone(), program.clone(), vl1, 9);
-        let mut mute = Core::new(cfg, program, ml1, 9);
-        mute.set_mute(true);
-        let mut pair = PairDriver::new(vocal, mute, 10, false);
+        let mute = Core::new(cfg, program, ml1, 9);
+        let mut pair = PairDriver::new(vocal, mute, 10);
         let mut bus = CheckBus::new(0);
 
         let mut wrote = 0u64;
@@ -815,14 +805,14 @@ mod tests {
         let vl1 = mem.register_l1(Owner::vocal(0));
         let ml1 = mem.register_l1(Owner::mute(0));
         let wl1 = mem.register_l1(Owner::vocal(1));
-        let vcfg = CoreConfig::default().checked();
-        let mut mcfg = CoreConfig::default().checked();
-        mcfg.strict_lvq = true;
-        let mut vocal = Core::new(vcfg, program.clone(), vl1, 5);
-        vocal.set_lvq_producer(true);
-        let mut mute = Core::new(mcfg, program, ml1, 5);
-        mute.set_mute(true);
-        let mut pair = PairDriver::new(vocal, mute, 10, true);
+        let vocal = Core::new(
+            CoreConfig::for_role(Role::StrictLeader),
+            program.clone(),
+            vl1,
+            5,
+        );
+        let mute = Core::new(CoreConfig::for_role(Role::StrictTrailer), program, ml1, 5);
+        let mut pair = PairDriver::new(vocal, mute, 10);
         let mut bus = CheckBus::new(0);
         for now in 0..30_000u64 {
             if now % 300 == 150 {
@@ -836,6 +826,23 @@ mod tests {
             "strict input replication is immune to input incoherence"
         );
         assert!(pair.retired_user() > 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not make a pair")]
+    fn a_strict_leader_cannot_pair_with_a_reunion_mute() {
+        let program = Arc::new(Program::new("odd", counting_loop()).unwrap());
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let vl1 = mem.register_l1(Owner::vocal(0));
+        let ml1 = mem.register_l1(Owner::mute(0));
+        let vocal = Core::new(
+            CoreConfig::for_role(Role::StrictLeader),
+            program.clone(),
+            vl1,
+            1,
+        );
+        let mute = Core::new(CoreConfig::for_role(Role::Reunion), program, ml1, 1);
+        PairDriver::new(vocal, mute, 10);
     }
 
     #[test]

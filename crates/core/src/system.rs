@@ -4,12 +4,12 @@ use std::sync::Arc;
 
 use reunion_cpu::{Core, CoreConfig};
 use reunion_isa::SparseMemory;
-use reunion_kernel::{Cycle, EventHorizon, HorizonTree};
+use reunion_kernel::{Cycle, HorizonTree};
 use reunion_mem::{MemorySystem, Owner};
 use reunion_obs::{EpisodeSummary, ObsReport, TraceEvent};
 use reunion_workloads::Workload;
 
-use crate::{CheckBus, Engine, ExecutionMode, PairDriver, SystemConfig};
+use crate::{CheckBus, Engine, PairDriver, SystemConfig};
 
 /// One logical processor: a single core, or a redundant pair.
 #[derive(Debug)]
@@ -80,8 +80,8 @@ pub struct SystemStats {
     /// Peak store-buffer chain length over all cores (entries pending
     /// behind one word).
     pub peak_store_chain: u64,
-    /// Store-buffer pushes that spilled past the inline small-buffer
-    /// capacity onto the heap, summed over all cores.
+    /// Stores dispatched behind a word that already had four pending,
+    /// summed over all cores.
     pub store_chain_spills: u64,
 }
 
@@ -170,8 +170,8 @@ impl CmpSystem {
         let image = SparseMemory::over(workload.base_image());
         let mut mem = MemorySystem::with_image(mem_cfg, image);
 
-        let core_cfg_base = CoreConfig {
-            checking: cfg.mode.is_redundant(),
+        let core_cfg = |role| CoreConfig {
+            role,
             phantom: cfg.phantom,
             tlb: cfg.tlb,
             consistency: cfg.consistency,
@@ -182,51 +182,22 @@ impl CmpSystem {
             ..CoreConfig::default()
         };
 
+        let (vocal_role, mute_role) = cfg.mode.roles();
         let mut procs = Vec::with_capacity(cfg.logical_processors);
         for lp in 0..cfg.logical_processors {
             let program = Arc::new(workload.program(lp));
             let pair_seed = cfg.seed ^ (lp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            match cfg.mode {
-                ExecutionMode::NonRedundant => {
-                    let l1 = mem.register_l1(Owner::vocal(lp as u8));
-                    let core = Core::new(core_cfg_base.clone(), program, l1, pair_seed);
-                    procs.push(Proc::Single(Box::new(core)));
-                }
-                ExecutionMode::Strict => {
-                    let vl1 = mem.register_l1(Owner::vocal(lp as u8));
+            let vl1 = mem.register_l1(Owner::vocal(lp as u8));
+            let vocal = Core::new(core_cfg(vocal_role), program.clone(), vl1, pair_seed);
+            procs.push(match mute_role {
+                None => Proc::Single(Box::new(vocal)),
+                Some(role) => {
                     let ml1 = mem.register_l1(Owner::mute(lp as u8));
-                    // The strict oracle's LVQ slack execution keeps the
-                    // fingerprint comparison off the serializing critical
-                    // path; only Reunion pays the grant's return trip.
-                    let mut vcfg = core_cfg_base.clone();
-                    vcfg.serializing_round_trip = false;
-                    let mut vocal = Core::new(vcfg.clone(), program.clone(), vl1, pair_seed);
-                    vocal.set_lvq_producer(true);
-                    let mut mcfg = vcfg;
-                    mcfg.strict_lvq = true;
-                    let mut mute = Core::new(mcfg, program, ml1, pair_seed);
-                    mute.set_mute(true);
-                    procs.push(Proc::Pair(Box::new(PairDriver::new(
-                        vocal,
-                        mute,
-                        cfg.comparison_latency,
-                        true,
-                    ))));
+                    let mute = Core::new(core_cfg(role), program, ml1, pair_seed);
+                    let pair = PairDriver::new(vocal, mute, cfg.comparison_latency);
+                    Proc::Pair(Box::new(pair))
                 }
-                ExecutionMode::Reunion => {
-                    let vl1 = mem.register_l1(Owner::vocal(lp as u8));
-                    let ml1 = mem.register_l1(Owner::mute(lp as u8));
-                    let vocal = Core::new(core_cfg_base.clone(), program.clone(), vl1, pair_seed);
-                    let mut mute = Core::new(core_cfg_base.clone(), program, ml1, pair_seed);
-                    mute.set_mute(true);
-                    procs.push(Proc::Pair(Box::new(PairDriver::new(
-                        vocal,
-                        mute,
-                        cfg.comparison_latency,
-                        false,
-                    ))));
-                }
-            }
+            });
         }
 
         if cfg.obs.enabled {
@@ -326,23 +297,6 @@ impl CmpSystem {
         }
         self.proc_ticks += self.procs.len() as u64;
         self.now += 1;
-    }
-
-    /// The earliest cycle `>= now` at which any logical processor reports
-    /// it could make forward progress, or `None` when every processor is
-    /// permanently idle absent external input — the CMP-level
-    /// [`EventHorizon`] the skip engine fast-forwards to.
-    pub fn next_ready(&self) -> Option<Cycle> {
-        let mut horizon = EventHorizon::new();
-        for proc in &self.procs {
-            let at = proc.next_activity_at(self.now);
-            // Nothing beats "right now": stop probing the other procs.
-            if at == Some(self.now) {
-                return at;
-            }
-            horizon.note_opt(at);
-        }
-        horizon.next_ready()
     }
 
     /// Whether every logical processor is quiescent: halted with empty
@@ -650,6 +604,25 @@ mod tests {
     }
 
     #[test]
+    fn each_mode_builds_exactly_its_roles() {
+        use reunion_cpu::Role::*;
+        for (mode, vocal, mute) in [
+            (ExecutionMode::NonRedundant, Unchecked, None),
+            (ExecutionMode::Strict, StrictLeader, Some(StrictTrailer)),
+            (ExecutionMode::Reunion, Reunion, Some(Reunion)),
+        ] {
+            let sys = CmpSystem::new(&SystemConfig::small_test(mode), &moldyn());
+            for proc in &sys.procs {
+                let built = match proc {
+                    Proc::Single(core) => (core.role(), None),
+                    Proc::Pair(pair) => (pair.vocal().role(), Some(pair.mute().role())),
+                };
+                assert_eq!(built, (vocal, mute), "{mode}");
+            }
+        }
+    }
+
+    #[test]
     fn redundant_modes_are_slower_than_baseline() {
         let workload = moldyn();
         let mut base = CmpSystem::new(
@@ -898,7 +871,6 @@ mod tests {
             // almost none of it was ticked.
             assert_eq!(sys.now().as_u64(), 1_000_000);
             assert!(sys.all_quiescent());
-            assert!(sys.next_ready().is_none());
             assert_eq!(sys.user_instructions(), 2, "{engine}");
             assert!(
                 sys.skipped_cycles() > 999_000,

@@ -57,7 +57,7 @@ impl Core {
             && !self.interrupt_due()
             // ... and an open fingerprint interval is closed ahead of a
             // serializing instruction, so the older ones can be compared.
-            && !(self.cfg.checking && self.fp.pending() > 0 && self.serializes(inst.op))
+            && !(self.cfg.role.checked() && self.fp.pending() > 0 && self.serializes(inst.op))
     }
 
     /// The earliest cycle `>= from` at which this core could make forward
@@ -107,7 +107,7 @@ impl Core {
         }
         if let Some(head) = self.rob.front() {
             if head.completion != u64::MAX {
-                if self.cfg.checking {
+                if self.cfg.role.checked() {
                     // Ungranted heads wait on the partner's fingerprint —
                     // the partner core's activity, not this core's.
                     if let Some(granted_at) = self.granted_at(head.interval_id) {
@@ -140,7 +140,7 @@ mod tests {
     use reunion_kernel::Cycle;
     use reunion_mem::{MemConfig, MemorySystem, Owner};
 
-    use crate::{Core, CoreConfig, ReleaseGrant};
+    use crate::{Core, CoreConfig, ReleaseGrant, Role};
 
     fn r(i: u8) -> RegId {
         RegId::new(i)
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn ungranted_head_waits_on_the_partner() {
         let code = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let (mut core, mut mem) = core_on(CoreConfig::default().checked(), code);
+        let (mut core, mut mem) = core_on(CoreConfig::for_role(Role::Reunion), code);
         let mut events = Vec::new();
         let mut now = 0;
         // Fill the ROB: ungranted intervals cannot retire.
@@ -237,7 +237,7 @@ mod tests {
         // A fulfilled synchronizing request emits an event after the pair
         // driver's collection point; the event must force the next cycle.
         let code = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let (mut core, mut mem) = core_on(CoreConfig::default().checked(), code);
+        let (mut core, mut mem) = core_on(CoreConfig::for_role(Role::Reunion), code);
         core.tick(Cycle::ZERO, &mut mem);
         assert!(!core.take_check_events().is_empty(), "interval emitted");
         assert_eq!(

@@ -54,8 +54,6 @@ pub struct SyncRequest {
     pub addr: Addr,
     /// Read-modify-write semantics, if the instruction is an atomic.
     pub rmw: Option<(AtomicOp, u64)>,
-    /// Cycle at which the core raised the request.
-    pub raised_at: Cycle,
 }
 
 #[cfg(test)]
@@ -89,7 +87,6 @@ mod tests {
         let req = SyncRequest {
             addr: Addr::new(0x40),
             rmw: Some((AtomicOp::Swap, 1)),
-            raised_at: Cycle::new(5),
         };
         assert!(req.rmw.is_some());
     }

@@ -35,6 +35,52 @@ pub enum Consistency {
     Sc,
 }
 
+/// Which half of which kind of pair a core is: the paper's vocal and mute
+/// (one role, the halves differ only in the L1 they are attached to), and
+/// the leader and trailer of its strict-input-replication baseline (§2.3).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Role {
+    /// A non-redundant core: retirement is not gated by a check stage.
+    #[default]
+    Unchecked,
+    /// Either half of a Reunion pair.
+    Reunion,
+    /// The leading core of a strict pair: every load and atomic value it
+    /// binds is exported for the trailer's load-value queue.
+    StrictLeader,
+    /// The trailing core of a strict pair: loads and atomics consume the
+    /// leader's values from an ideal load-value queue instead of accessing
+    /// the cache hierarchy, and its stores are never drained (the leader
+    /// performs them).
+    StrictTrailer,
+}
+
+impl Role {
+    /// Whether retirement is gated by check-stage release grants (any
+    /// redundant execution model).
+    pub fn checked(self) -> bool {
+        self != Role::Unchecked
+    }
+
+    /// Whether bound load values are exported for a partner's queue.
+    pub fn produces_lvq(self) -> bool {
+        self == Role::StrictLeader
+    }
+
+    /// Whether loads are served from the load-value queue.
+    pub fn consumes_lvq(self) -> bool {
+        self == Role::StrictTrailer
+    }
+
+    /// Whether serializing intervals pay the grant's return trip
+    /// ([`CoreConfig::check_latency`]) before retiring. True for Reunion's
+    /// tightly coupled pairs; the strict oracle's LVQ-style slack
+    /// execution keeps the comparison off the critical path.
+    pub fn pays_grant_return(self) -> bool {
+        self == Role::Reunion
+    }
+}
+
 /// Configuration of one processor core.
 ///
 /// Defaults are Table 1: 4-wide dispatch/retirement, 256-entry RUU,
@@ -49,12 +95,8 @@ pub struct CoreConfig {
     pub sb_entries: usize,
     /// Pipeline refill penalty on a branch mispredict, in cycles.
     pub mispredict_penalty: u64,
-    /// Whether retirement is gated by check-stage release grants (any
-    /// redundant execution model).
-    pub checking: bool,
-    /// Strict-input-replication mute: loads consume the vocal's values from
-    /// an ideal load-value queue instead of accessing the cache hierarchy.
-    pub strict_lvq: bool,
+    /// The core's place in its execution model.
+    pub role: Role,
     /// Phantom request strength used when this core's L1 is mute.
     pub phantom: PhantomStrength,
     /// TLB miss handling model.
@@ -75,12 +117,6 @@ pub struct CoreConfig {
     /// re-execution fulfillment. Pair drivers set this to the comparison
     /// latency.
     pub check_latency: u64,
-    /// Whether serializing intervals pay the grant's return trip
-    /// (`check_latency`) before retiring. True for Reunion's tightly
-    /// coupled pairs; false for the strict-input-replication oracle, whose
-    /// LVQ-style slack execution keeps the comparison off the critical
-    /// path.
-    pub serializing_round_trip: bool,
     /// L1 hit latency in cycles, charged by loads that never reach the
     /// memory system (store-buffer forwards and strict-LVQ consumption).
     /// Must match the memory system's configured hit latency.
@@ -94,8 +130,7 @@ impl Default for CoreConfig {
             rob_entries: 256,
             sb_entries: 64,
             mispredict_penalty: 12,
-            checking: false,
-            strict_lvq: false,
+            role: Role::Unchecked,
             phantom: PhantomStrength::Global,
             tlb: TlbMode::default(),
             itlb_miss_per_million: 0,
@@ -103,17 +138,18 @@ impl Default for CoreConfig {
             fingerprint_interval: 1,
             fingerprint_width: 16,
             check_latency: 10,
-            serializing_round_trip: true,
             l1_hit_latency: 2,
         }
     }
 }
 
 impl CoreConfig {
-    /// A configuration with check-stage gating enabled (redundant modes).
-    pub fn checked(mut self) -> Self {
-        self.checking = true;
-        self
+    /// The Table 1 core in `role`.
+    pub fn for_role(role: Role) -> Self {
+        CoreConfig {
+            role,
+            ..CoreConfig::default()
+        }
     }
 
     /// Whether a store serializes retirement under the configured
@@ -133,7 +169,7 @@ mod tests {
         assert_eq!(cfg.width, 4);
         assert_eq!(cfg.rob_entries, 256);
         assert_eq!(cfg.sb_entries, 64);
-        assert!(!cfg.checking);
+        assert_eq!(cfg.role, Role::Unchecked);
         assert_eq!(cfg.fingerprint_interval, 1);
     }
 
@@ -147,6 +183,19 @@ mod tests {
 
     #[test]
     fn checked_builder() {
-        assert!(CoreConfig::default().checked().checking);
+        use Role::*;
+        // (role, checked, produces_lvq, consumes_lvq, pays_grant_return)
+        for (role, checked, produces, consumes, pays) in [
+            (Unchecked, false, false, false, false),
+            (Reunion, true, false, false, true),
+            (StrictLeader, true, true, false, false),
+            (StrictTrailer, true, false, true, false),
+        ] {
+            let cfg = CoreConfig::for_role(role);
+            assert_eq!(cfg.role.checked(), checked, "{role:?}");
+            assert_eq!(cfg.role.produces_lvq(), produces, "{role:?}");
+            assert_eq!(cfg.role.consumes_lvq(), consumes, "{role:?}");
+            assert_eq!(cfg.role.pays_grant_return(), pays, "{role:?}");
+        }
     }
 }

@@ -8,12 +8,12 @@ use reunion_isa::{
     alu_compute, branch_decides, effective_address, Addr, ArchState, Instruction, Opcode, Program,
     RegId,
 };
-use reunion_kernel::{Cycle, FastHashMap, InlineVec, SimRng};
+use reunion_kernel::{Cycle, FastHashMap, SimRng};
 use reunion_mem::{L1Id, MemorySystem};
 
 use crate::{
-    software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, SyncRequest,
-    Tlb, TlbMode,
+    software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, Role,
+    SyncRequest, Tlb, TlbMode,
 };
 
 // Activity bounds for the skip engine, and the front-end predicate they
@@ -43,8 +43,6 @@ struct RobEntry {
     atomic_commit: Option<(Addr, reunion_isa::AtomicOp, u64, u64)>,
     /// PC after this instruction (unchanged for injected handler code).
     next_pc: usize,
-    /// Sequence number of the store for store-buffer bookkeeping.
-    seq: u64,
 }
 
 /// One out-of-order core attached to a private L1.
@@ -62,17 +60,18 @@ pub struct Core {
     retired: ArchState,
 
     rob: VecDeque<RobEntry>,
-    seq_next: u64,
     epoch: u64,
     reg_ready: [u64; 32],
     last_check_time: u64,
     fetch_free: u64,
     halted: bool,
 
-    // Store chains behind one word are almost always a single entry;
-    // InlineVec keeps pushes off the allocator, and FastHashMap keeps the
-    // per-access lookups off SipHash. Neither map is ever iterated.
-    pending_stores: FastHashMap<u64, InlineVec<(u64, u64), 4>>,
+    /// The store buffer as loads see it: per word, the youngest pending
+    /// store's value and how many stores are pending behind that word.
+    /// Stores enter in program order and leave oldest-first (or all at
+    /// once, on rollback), and a load forwards from the youngest only, so
+    /// the older values are never needed. Never iterated.
+    pending_stores: FastHashMap<u64, (u64, u32)>,
     sb_count: usize,
     last_drain_done: u64,
 
@@ -90,15 +89,12 @@ pub struct Core {
 
     lvq: VecDeque<u64>,
     load_values_out: Vec<u64>,
-    lvq_producer: bool,
-    is_mute_l1: bool,
 
     inject: VecDeque<Instruction>,
     interrupt_at_interval: Option<u64>,
 
     single_step: bool,
     pending_sync: Option<SyncRequest>,
-    sync_pending_seq: Option<u64>,
     /// A dispatched serializing instruction blocks all younger instructions
     /// from entering the pipeline until it retires (§4.4).
     serializing_block: bool,
@@ -139,7 +135,6 @@ impl Core {
             spec: ArchState::new(entry),
             retired: ArchState::new(entry),
             rob: VecDeque::new(),
-            seq_next: 0,
             epoch: 0,
             reg_ready: [0; 32],
             last_check_time: 0,
@@ -153,13 +148,10 @@ impl Core {
             grants: VecDeque::new(),
             lvq: VecDeque::new(),
             load_values_out: Vec::new(),
-            lvq_producer: false,
-            is_mute_l1: false,
             inject: VecDeque::new(),
             interrupt_at_interval: None,
             single_step: false,
             pending_sync: None,
-            sync_pending_seq: None,
             serializing_block: false,
             dtlb: Tlb::new(512, 2),
             itlb_seed: pair_seed,
@@ -173,18 +165,9 @@ impl Core {
         }
     }
 
-    /// Marks this core as the leading (vocal) side of a strict-input-
-    /// replication pair: every load/atomic value it binds is exported for
-    /// the trailing core's load-value queue.
-    pub fn set_lvq_producer(&mut self, on: bool) {
-        self.lvq_producer = on;
-    }
-
-    /// Declares that this core's L1 is a mute cache. Mute atomics update
-    /// the private view at read time and must not commit to coherent
-    /// memory at retirement.
-    pub fn set_mute(&mut self, on: bool) {
-        self.is_mute_l1 = on;
+    /// The core's place in its execution model.
+    pub fn role(&self) -> Role {
+        self.cfg.role
     }
 
     /// The L1 this core issues requests through.
@@ -218,11 +201,6 @@ impl Core {
         &mut self.stats
     }
 
-    /// DTLB miss count (for Table 3).
-    pub fn dtlb(&self) -> &Tlb {
-        &self.dtlb
-    }
-
     /// The retired (safe) architectural state.
     pub fn arch_state(&self) -> &ArchState {
         &self.retired
@@ -236,14 +214,14 @@ impl Core {
     }
 
     /// Drains fingerprints emitted since the last call (program order).
-    pub fn take_check_events(&mut self) -> Vec<CheckEvent> {
+    #[cfg(test)]
+    pub(crate) fn take_check_events(&mut self) -> Vec<CheckEvent> {
         std::mem::take(&mut self.events)
     }
 
     /// Appends the fingerprints emitted since the last drain that belong to
-    /// `epoch` onto `out`, discarding stale-epoch leftovers — the per-tick
-    /// variant of [`take_check_events`](Self::take_check_events) that keeps
-    /// the internal buffer's capacity instead of surrendering it.
+    /// `epoch` onto `out` (program order), discarding stale-epoch
+    /// leftovers. The internal buffer keeps its capacity.
     pub fn drain_check_events_into(&mut self, epoch: u64, out: &mut VecDeque<CheckEvent>) {
         for ev in self.events.drain(..) {
             if ev.epoch == epoch {
@@ -252,11 +230,11 @@ impl Core {
         }
     }
 
-    /// Appends the load values bound since the last drain onto `out` (for
-    /// the strict-model load-value queue), keeping the internal buffer's
-    /// capacity.
-    pub fn drain_load_values_into(&mut self, out: &mut Vec<u64>) {
-        out.append(&mut self.load_values_out);
+    /// Drains the load values bound since the last call, in program order
+    /// (for the strict trailer's [`push_lvq`](Self::push_lvq)), keeping
+    /// the internal buffer's capacity.
+    pub fn drain_load_values(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.load_values_out.drain(..)
     }
 
     /// Appends values to this core's load-value queue (trailing core of the
@@ -307,12 +285,10 @@ impl Core {
     /// Panics if no synchronizing request is pending.
     pub fn fulfill_sync(&mut self, value: u64, done_at: Cycle) {
         let req = self.pending_sync.take().expect("no pending sync request");
-        let seq = self.sync_pending_seq.take().expect("sync seq recorded");
-        let entry = self
-            .rob
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("sync entry in ROB");
+        // A pending request closes the front end, and `dispatch` stops
+        // right after pushing the awaiting entry: it is the youngest.
+        let entry = self.rob.back_mut().expect("sync entry in ROB");
+        debug_assert_eq!(entry.completion, u64::MAX, "youngest entry awaits the sync");
         // A re-executed instruction pays the full check round trip on top of
         // the coherent access: its fingerprint crosses to the partner and
         // the release grant crosses back before anything younger may run.
@@ -336,7 +312,7 @@ impl Core {
         if let Some((op, operand)) = req.rmw {
             record.data = Some(reunion_isa::atomic_update(op, value, operand));
         }
-        if self.cfg.checking {
+        if self.cfg.role.checked() {
             self.fp.absorb(&record);
             self.emit_interval(true);
         }
@@ -385,7 +361,7 @@ impl Core {
             if head.completion == u64::MAX {
                 break;
             }
-            if self.cfg.checking && self.granted_at(head.interval_id).is_none() {
+            if self.cfg.role.checked() && self.granted_at(head.interval_id).is_none() {
                 break;
             }
             let entry = self.rob.pop_front().expect("head exists");
@@ -411,7 +387,6 @@ impl Core {
         self.events.clear();
         self.inject.clear();
         self.pending_sync = None;
-        self.sync_pending_seq = None;
         self.serializing_block = false;
         // A rollback abandons the stalled interval; the partial episode is
         // dropped rather than recorded as if it completed.
@@ -443,7 +418,7 @@ impl Core {
     /// different interval, nothing can look this grant up again. Keeps the
     /// queue at O(in-flight intervals) instead of growing for a whole epoch.
     fn release_spent_grant(&mut self, entry: &RobEntry) {
-        if self.cfg.checking
+        if self.cfg.role.checked()
             && self.rob.front().map(|h| h.interval_id) != Some(entry.interval_id)
             && self.grants.front().map(|&(id, _)| id) == Some(entry.interval_id)
         {
@@ -459,7 +434,7 @@ impl Core {
             if head.completion == u64::MAX || head.check_time > now_raw {
                 break;
             }
-            if self.cfg.checking {
+            if self.cfg.role.checked() {
                 let Some(granted_at) = self.granted_at(head.interval_id) else {
                     break;
                 };
@@ -467,7 +442,7 @@ impl Core {
                 // pipeline and stalls retirement for the full check round
                 // trip: the release grant must cross back to the core before
                 // the serializing instruction may commit (§4.4).
-                let release_at = if head.serializing && self.cfg.serializing_round_trip {
+                let release_at = if head.serializing && self.cfg.role.pays_grant_return() {
                     granted_at + self.cfg.check_latency
                 } else {
                     granted_at
@@ -488,9 +463,9 @@ impl Core {
 
     /// Commits one ROB entry, already popped off the head, to architectural
     /// state: the retired ARF and PC, the entry's memory effect (an
-    /// atomic's write, a store's drain — neither on the strict trailing
-    /// core, whose leader performs them), the store buffer, and the
-    /// retirement statistics.
+    /// atomic's write — the memory system applies it for a vocal L1 only —
+    /// or a store's drain, which the strict trailing core leaves to its
+    /// leader), the store buffer, and the retirement statistics.
     fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
         self.release_spent_grant(&entry);
         if let Some((dst, value)) = entry.reg_write {
@@ -498,22 +473,14 @@ impl Core {
         }
         self.retired.pc = entry.next_pc;
         if let Some((addr, op, operand, old)) = entry.atomic_commit {
-            if !self.cfg.strict_lvq && !self.is_mute_l1 {
-                mem.atomic_commit(self.l1, addr, op, operand, old);
-            }
+            mem.atomic_commit(self.l1, addr, op, operand, old);
         }
         if let Some((addr, value)) = entry.store {
-            if !self.cfg.strict_lvq {
+            if !self.cfg.role.consumes_lvq() {
                 let acc = mem.drain_store(now, self.l1, addr, value);
                 self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
             }
-            self.sb_count = self.sb_count.saturating_sub(1);
-            if let Some(stack) = self.pending_stores.get_mut(&addr.word().as_u64()) {
-                stack.retain(|&(seq, _)| seq != entry.seq);
-                if stack.is_empty() {
-                    self.pending_stores.remove(&addr.word().as_u64());
-                }
-            }
+            self.retire_oldest_store(addr);
         }
         self.stats.retired_total.incr();
         if entry.user {
@@ -588,7 +555,7 @@ impl Core {
             let serializing = self.serializes(inst.op);
             // End the open fingerprint interval so older instructions can
             // retire before the serializing instruction executes.
-            if serializing && self.cfg.checking && self.fp.pending() > 0 {
+            if serializing && self.cfg.role.checked() && self.fp.pending() > 0 {
                 self.emit_interval(false);
             }
             if self.awaits_retirement(&inst) {
@@ -596,7 +563,10 @@ impl Core {
             }
             // The trailing strict core consumes load values from the LVQ;
             // it cannot dispatch a load the leader has not yet produced.
-            if self.cfg.strict_lvq && inst.op.is_load() && !self.single_step && self.lvq.is_empty()
+            if self.cfg.role.consumes_lvq()
+                && inst.op.is_load()
+                && !self.single_step
+                && self.lvq.is_empty()
             {
                 break;
             }
@@ -637,8 +607,6 @@ impl Core {
                 self.inject.pop_front();
             }
             let user = !from_inject;
-            let seq = self.seq_next;
-            self.seq_next += 1;
 
             let operands_ready = inst
                 .sources()
@@ -696,23 +664,18 @@ impl Core {
                     if self.single_step {
                         // Re-execution protocol: the first memory read is
                         // issued as a synchronizing request by both cores.
-                        self.pending_sync = Some(SyncRequest {
-                            addr,
-                            rmw: None,
-                            raised_at: now,
-                        });
-                        self.sync_pending_seq = Some(seq);
+                        self.pending_sync = Some(SyncRequest { addr, rmw: None });
                         reg_write = Some((dst, 0));
                         completion = u64::MAX;
                         awaiting_sync = true;
                     } else {
-                        let (value, done) = self.load_value(now, mem, addr, exec_start);
+                        let (value, done) = self.load_value(mem, addr, exec_start);
                         let value = self.maybe_corrupt(user, value);
                         completion = done;
                         self.spec.regs.write(dst, value);
                         reg_write = Some((dst, value));
                         record = UpdateRecord::load(dst.index() as u8, value, addr.as_u64());
-                        if self.lvq_producer {
+                        if self.cfg.role.produces_lvq() {
                             self.load_values_out.push(value);
                         }
                     }
@@ -721,14 +684,7 @@ impl Core {
                     let addr = effective_address(&inst, &self.spec);
                     let value = self.spec.regs.read(inst.src2.expect("store src2"));
                     store = Some((addr, value));
-                    self.sb_count += 1;
-                    let chain = self.pending_stores.entry(addr.word().as_u64()).or_default();
-                    chain.push((seq, value));
-                    self.stats.peak_store_chain =
-                        self.stats.peak_store_chain.max(chain.len() as u64);
-                    if chain.spilled() {
-                        self.stats.store_chain_spills.incr();
-                    }
+                    self.buffer_store(addr, value);
                     completion = exec_start + 1;
                     record = UpdateRecord::store(addr.as_u64(), value);
                 }
@@ -740,13 +696,11 @@ impl Core {
                         self.pending_sync = Some(SyncRequest {
                             addr,
                             rmw: Some((op, operand)),
-                            raised_at: now,
                         });
-                        self.sync_pending_seq = Some(seq);
                         reg_write = Some((dst, 0));
                         completion = u64::MAX;
                         awaiting_sync = true;
-                    } else if self.cfg.strict_lvq {
+                    } else if self.cfg.role.consumes_lvq() {
                         let old = self.lvq.pop_front().expect("LVQ checked before dispatch");
                         completion = exec_start + 4;
                         self.spec.regs.write(dst, old);
@@ -771,7 +725,7 @@ impl Core {
                         reg_write = Some((dst, old));
                         record = UpdateRecord::load(dst.index() as u8, old, addr.as_u64());
                         record.data = Some(reunion_isa::atomic_update(op, old, operand));
-                        if self.lvq_producer {
+                        if self.cfg.role.produces_lvq() {
                             self.load_values_out.push(old);
                         }
                     }
@@ -825,10 +779,9 @@ impl Core {
                 store,
                 atomic_commit,
                 next_pc,
-                seq,
             });
 
-            if self.cfg.checking && !awaiting_sync {
+            if self.cfg.role.checked() && !awaiting_sync {
                 self.fp.absorb(&record);
                 let interval_full = self.fp.pending() >= self.cfg.fingerprint_interval;
                 if serializing || interval_full || self.single_step {
@@ -847,28 +800,47 @@ impl Core {
         }
     }
 
+    /// Enters a dispatched store into the store buffer: it becomes the
+    /// youngest pending store behind its word.
+    fn buffer_store(&mut self, addr: Addr, value: u64) {
+        self.sb_count += 1;
+        let (youngest, pending) = self.pending_stores.entry(addr.word().as_u64()).or_default();
+        *youngest = value;
+        *pending += 1;
+        let depth = u64::from(*pending);
+        self.stats.peak_store_chain = self.stats.peak_store_chain.max(depth);
+        if depth > 4 {
+            self.stats.store_chain_spills.incr();
+        }
+    }
+
+    /// Removes the oldest pending store behind `addr`'s word (stores retire
+    /// in program order, so the retiring one is the oldest).
+    fn retire_oldest_store(&mut self, addr: Addr) {
+        self.sb_count = self.sb_count.saturating_sub(1);
+        let word = addr.word().as_u64();
+        if let Some((_, pending)) = self.pending_stores.get_mut(&word) {
+            *pending -= 1;
+            if *pending == 0 {
+                self.pending_stores.remove(&word);
+            }
+        }
+    }
+
     /// Binds a load value: store-buffer forwarding first, then the memory
     /// system (coherent for vocal L1s, phantom for mute L1s, LVQ for the
     /// strict trailing core). Returns `(value, completion_time)`.
-    fn load_value(
-        &mut self,
-        _now: Cycle,
-        mem: &mut MemorySystem,
-        addr: Addr,
-        exec_start: u64,
-    ) -> (u64, u64) {
+    fn load_value(&mut self, mem: &mut MemorySystem, addr: Addr, exec_start: u64) -> (u64, u64) {
         // The strict trailing core bypasses the cache AND store-buffer
         // interface in favour of the LVQ (§2.3) — and must always consume
         // one queue entry to stay aligned with the leader.
-        if self.cfg.strict_lvq {
+        if self.cfg.role.consumes_lvq() {
             let value = self.lvq.pop_front().expect("LVQ checked before dispatch");
             return (value, exec_start + self.cfg.l1_hit_latency);
         }
-        if let Some(stack) = self.pending_stores.get(&addr.word().as_u64()) {
-            if let Some(&(_, value)) = stack.last() {
-                self.stats.forwarded_loads.incr();
-                return (value, exec_start + self.cfg.l1_hit_latency);
-            }
+        if let Some(&(value, _)) = self.pending_stores.get(&addr.word().as_u64()) {
+            self.stats.forwarded_loads.incr();
+            return (value, exec_start + self.cfg.l1_hit_latency);
         }
         let acc = mem.load(Cycle::new(exec_start), self.l1, addr, self.cfg.phantom);
         (acc.value, acc.done_at.as_u64())
@@ -985,6 +957,64 @@ mod tests {
         assert!(core.stats().forwarded_loads.value() >= 1);
     }
 
+    /// The store buffer keeps a value and a count per word; the reference
+    /// keeps every pending store, in program order. Random stores, loads,
+    /// oldest-first retirements and rollbacks must leave the two agreeing
+    /// on what a load forwards, on occupancy and on the depth statistics.
+    #[test]
+    fn store_buffer_agrees_with_a_list_of_pending_stores() {
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from(0x5B0F ^ seed);
+            let program = Arc::new(Program::new("sb", vec![I::halt()]).unwrap());
+            let mut mem = MemorySystem::new(MemConfig::small());
+            let l1 = mem.register_l1(Owner::vocal(0));
+            let mut core = Core::new(CoreConfig::default(), program, l1, 7);
+            let mut pending: Vec<(u64, u64)> = Vec::new();
+            let (mut peak, mut spills) = (0, 0);
+            for step in 0..4_000u64 {
+                // Six words, so chains behind one word grow past four.
+                let addr = Addr::new(0x1000 + 8 * rng.below(6));
+                let word = addr.word().as_u64();
+                match rng.below(100) {
+                    0..=39 => {
+                        core.buffer_store(addr, step);
+                        pending.push((word, step));
+                        let depth = pending.iter().filter(|&&(w, _)| w == word).count() as u64;
+                        peak = peak.max(depth);
+                        spills += u64::from(depth > 4);
+                    }
+                    40..=69 => {
+                        let forwards = core.stats().forwarded_loads.value();
+                        let (value, _) = core.load_value(&mut mem, addr, step);
+                        let youngest = pending.iter().rev().find(|&&(w, _)| w == word);
+                        let forwarded = core.stats().forwarded_loads.value() - forwards;
+                        assert_eq!(forwarded, u64::from(youngest.is_some()), "seed {seed}");
+                        if let Some(&(_, expected)) = youngest {
+                            assert_eq!(value, expected, "seed {seed} step {step}");
+                        }
+                    }
+                    70..=98 => {
+                        if !pending.is_empty() {
+                            let (oldest, _) = pending.remove(0);
+                            core.retire_oldest_store(Addr::new(oldest));
+                        }
+                    }
+                    _ => {
+                        core.rollback(Cycle::new(step));
+                        pending.clear();
+                    }
+                }
+                assert_eq!(core.sb_count, pending.len(), "seed {seed} step {step}");
+                let words: std::collections::BTreeSet<u64> =
+                    pending.iter().map(|&(w, _)| w).collect();
+                assert_eq!(core.pending_stores.len(), words.len(), "seed {seed}");
+            }
+            assert!(peak > 4, "seed {seed}: no chain grew past four");
+            assert_eq!(core.stats().peak_store_chain, peak, "seed {seed}");
+            assert_eq!(core.stats().store_chain_spills.value(), spills);
+        }
+    }
+
     #[test]
     fn membar_waits_for_drain_and_serializes() {
         let code = vec![
@@ -1065,7 +1095,7 @@ mod tests {
     fn drain_matches_retire(code: Vec<I>, freeze: u64) -> (usize, u64, usize) {
         const RELEASE: u64 = 1_000;
         let program = Arc::new(Program::new("drain", code).unwrap());
-        let mut cfg = CoreConfig::default().checked();
+        let mut cfg = CoreConfig::for_role(Role::Reunion);
         cfg.fingerprint_interval = 4;
         let mut rigs: Vec<(Core, MemorySystem)> = (0..2)
             .map(|_| {
@@ -1163,7 +1193,7 @@ mod tests {
         // Use checking mode so the atomic stays unretired: grant the two
         // leading load_imms (so the serializing atomic can dispatch) but
         // never grant the atomic's own interval.
-        let cfg = CoreConfig::default().checked();
+        let cfg = CoreConfig::for_role(Role::Reunion);
         let mut core = Core::new(cfg, program, l1, 7);
         for c in 0..500 {
             core.tick(Cycle::new(c), &mut mem);
@@ -1202,7 +1232,7 @@ mod tests {
         let program = Arc::new(Program::new("chk", code).unwrap());
         let mut mem = MemorySystem::new(MemConfig::small());
         let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(CoreConfig::default().checked(), program, l1, 7);
+        let mut core = Core::new(CoreConfig::for_role(Role::Reunion), program, l1, 7);
         for c in 0..200 {
             core.tick(Cycle::new(c), &mut mem);
         }
@@ -1320,7 +1350,7 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::small());
         mem.poke(Addr::new(0xD00), 77);
         let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(CoreConfig::default().checked(), program, l1, 7);
+        let mut core = Core::new(CoreConfig::for_role(Role::Reunion), program, l1, 7);
         core.begin_single_step();
         let mut cycle = 0;
         // Drive with generous grants until the sync request appears.
@@ -1367,7 +1397,7 @@ mod tests {
         let program = Arc::new(Program::new("iv", code).unwrap());
         let mut mem = MemorySystem::new(MemConfig::small());
         let l1 = mem.register_l1(Owner::vocal(0));
-        let mut cfg = CoreConfig::default().checked();
+        let mut cfg = CoreConfig::for_role(Role::Reunion);
         cfg.fingerprint_interval = 8;
         let mut core = Core::new(cfg, program, l1, 7);
         for c in 0..100 {
@@ -1399,13 +1429,12 @@ mod tests {
     }
 
     #[test]
-    fn strict_lvq_consumes_provided_values() {
+    fn strict_trailer_consumes_provided_values() {
         let code = vec![I::load_imm(r(1), 0xE00), I::load(r(2), r(1), 0), I::halt()];
         let program = Arc::new(Program::new("lvq", code).unwrap());
         let mut mem = MemorySystem::new(MemConfig::small());
         let l1 = mem.register_l1(Owner::mute(0));
-        let mut cfg = CoreConfig::default().checked();
-        cfg.strict_lvq = true;
+        let cfg = CoreConfig::for_role(Role::StrictTrailer);
         let mut core = Core::new(cfg, program, l1, 7);
         // Without LVQ data the load cannot dispatch.
         for c in 0..100 {
@@ -1441,13 +1470,12 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::small());
         mem.poke(Addr::new(0xF00), 99);
         let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(CoreConfig::default(), program, l1, 7);
-        core.set_lvq_producer(true);
+        let cfg = CoreConfig::for_role(Role::StrictLeader);
+        let mut core = Core::new(cfg, program, l1, 7);
+        // Values are exported as they are bound, at dispatch: no grant needed.
         for c in 0..1000 {
             core.tick(Cycle::new(c), &mut mem);
         }
-        let mut exported = Vec::new();
-        core.drain_load_values_into(&mut exported);
-        assert_eq!(exported, vec![99]);
+        assert_eq!(core.drain_load_values().collect::<Vec<_>>(), [99]);
     }
 }

@@ -23,8 +23,8 @@
 //!
 //! The check stage is exposed as a narrow interface ([`CheckEvent`] out,
 //! [`ReleaseGrant`] in) so that the pairing logic (the `reunion-core` crate)
-//! can implement Reunion, Strict, or no redundancy at all without the core
-//! knowing which execution model it is part of.
+//! can implement Reunion, Strict, or no redundancy at all; the one thing the
+//! core is told about its execution model is its [`Role`].
 //!
 //! # Examples
 //!
@@ -63,7 +63,7 @@ mod stats;
 mod tlb;
 
 pub use check::{CheckEvent, ReleaseGrant, SyncRequest};
-pub use config::{Consistency, CoreConfig, TlbMode};
+pub use config::{Consistency, CoreConfig, Role, TlbMode};
 pub use core_impl::Core;
 pub use predictor::Gshare;
 pub use stats::CoreStats;

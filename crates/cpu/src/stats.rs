@@ -38,12 +38,10 @@ pub struct CoreStats {
     /// allocation-sensitivity probe: the buffer's capacity is recycled, so
     /// a jump here means the hot path's steady-state footprint changed.
     pub peak_check_events: u64,
-    /// Peak length of any one store-buffer chain (pending stores behind a
-    /// single word). Stays within the inline capacity on every suite
-    /// workload; see `store_chain_spills`.
+    /// Peak number of stores pending behind a single word. Stays at four
+    /// or fewer on every suite workload; see `store_chain_spills`.
     pub peak_store_chain: u64,
-    /// Store-buffer pushes that landed past the inline small-buffer
-    /// capacity and hit the heap.
+    /// Stores dispatched behind a word that already had four pending.
     pub store_chain_spills: Counter,
     /// Lengths of completed serializing-stall episodes (runs of consecutive
     /// retire-stage stall cycles at one serializing interval). The cycle

@@ -28,8 +28,6 @@ use reunion_mem::CacheArray;
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: CacheArray<()>,
-    misses: u64,
-    accesses: u64,
 }
 
 impl Tlb {
@@ -37,31 +35,17 @@ impl Tlb {
     pub fn new(entries: usize, assoc: usize) -> Self {
         Tlb {
             entries: CacheArray::new(entries, assoc),
-            misses: 0,
-            accesses: 0,
         }
     }
 
     /// Looks up `page`, filling on miss. Returns `true` on a hit.
     pub fn access(&mut self, page: u64) -> bool {
-        self.accesses += 1;
         if self.entries.lookup(page).is_some() {
             true
         } else {
-            self.misses += 1;
             self.entries.insert(page, ());
             false
         }
-    }
-
-    /// Total misses since creation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total accesses since creation.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 }
 
@@ -87,8 +71,6 @@ mod tests {
         let mut tlb = Tlb::new(4, 2);
         assert!(!tlb.access(1));
         assert!(tlb.access(1));
-        assert_eq!(tlb.misses(), 1);
-        assert_eq!(tlb.accesses(), 2);
     }
 
     #[test]
@@ -98,9 +80,7 @@ mod tests {
             tlb.access(page);
         }
         // Re-touching early pages misses after eviction.
-        let before = tlb.misses();
-        tlb.access(0);
-        assert!(tlb.misses() > before);
+        assert!(!tlb.access(0));
     }
 
     #[test]

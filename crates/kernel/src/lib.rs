@@ -25,8 +25,6 @@
 //! * [`hash`] — a fixed-seed fast hasher ([`FastHashMap`]) for the
 //!   simulator's hot point-lookup maps, where SipHash's DoS resistance is
 //!   pure overhead.
-//! * [`InlineVec`] — small-buffer storage that keeps the common ≤`N`-entry
-//!   case of per-cycle collections off the allocator.
 //!
 //! # Examples
 //!
@@ -50,7 +48,6 @@ mod delay;
 pub mod hash;
 mod horizon;
 mod rng;
-mod smallbuf;
 pub mod stats;
 mod tree;
 
@@ -59,5 +56,4 @@ pub use delay::DelayQueue;
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
 pub use horizon::EventHorizon;
 pub use rng::SimRng;
-pub use smallbuf::InlineVec;
 pub use tree::HorizonTree;

@@ -12,8 +12,6 @@ pub struct MemStats {
     pub l1_hits: Counter,
     /// L1 lookups that missed.
     pub l1_misses: Counter,
-    /// L2 lookups (from L1 misses) that hit.
-    pub l2_hits: Counter,
     /// L2 lookups that went to memory.
     pub l2_misses: Counter,
     /// Phantom requests issued on behalf of mute caches.
@@ -24,10 +22,6 @@ pub struct MemStats {
     pub sync_requests: Counter,
     /// Invalidations sent to vocal sharers on write upgrades.
     pub invalidations: Counter,
-    /// Dirty writebacks from vocal L1s (timing-only events).
-    pub writebacks: Counter,
-    /// Mute writebacks/evictions ignored by the controller.
-    pub mute_writebacks_ignored: Counter,
     /// Cycles requests spent waiting for a bounded crossbar port
     /// (always zero under the unmodeled `xbar_ports = 0` default).
     pub xbar_port_waits: Counter,
@@ -44,14 +38,11 @@ impl MemStats {
         MemStats {
             l1_hits: Counter::new("l1_hits"),
             l1_misses: Counter::new("l1_misses"),
-            l2_hits: Counter::new("l2_hits"),
             l2_misses: Counter::new("l2_misses"),
             phantom_requests: Counter::new("phantom_requests"),
             phantom_garbage_fills: Counter::new("phantom_garbage_fills"),
             sync_requests: Counter::new("sync_requests"),
             invalidations: Counter::new("invalidations"),
-            writebacks: Counter::new("writebacks"),
-            mute_writebacks_ignored: Counter::new("mute_writebacks_ignored"),
             xbar_port_waits: Counter::new("xbar_port_waits"),
             bank_conflict_waits: Counter::new("bank_conflict_waits"),
             bank_queue_stalls: Counter::new("bank_queue_stalls"),
@@ -62,14 +53,11 @@ impl MemStats {
     pub fn reset(&mut self) {
         self.l1_hits.reset();
         self.l1_misses.reset();
-        self.l2_hits.reset();
         self.l2_misses.reset();
         self.phantom_requests.reset();
         self.phantom_garbage_fills.reset();
         self.sync_requests.reset();
         self.invalidations.reset();
-        self.writebacks.reset();
-        self.mute_writebacks_ignored.reset();
         self.xbar_port_waits.reset();
         self.bank_conflict_waits.reset();
         self.bank_queue_stalls.reset();

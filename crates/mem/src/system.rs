@@ -8,7 +8,7 @@
 //! the synchronizing request used by the re-execution protocol.
 
 use reunion_isa::{Addr, AtomicOp, SparseMemory, WORDS_PER_LINE};
-use reunion_kernel::{Cycle, EventHorizon, FastHashMap};
+use reunion_kernel::{Cycle, FastHashMap};
 
 use crate::{
     garbage_word, BankedArbiter, CacheArray, DirEntry, L1Id, MemConfig, MemStats, MesiState, Owner,
@@ -149,31 +149,6 @@ impl MemorySystem {
         self.image.poke(addr, value);
     }
 
-    /// The earliest cycle `>= from` at which an in-flight memory access
-    /// completes, or `None` when nothing is outstanding past `from`.
-    ///
-    /// The memory system is fully reactive — it never advances time itself;
-    /// every method takes the current cycle and returns completion stamps —
-    /// so this is a *reporting* surface for time-skipping engines and
-    /// external drivers: the bound is the minimum over every L1's
-    /// outstanding-miss completion stamps (its in-flight delivery queue).
-    /// The CMP engine's per-core horizons already embed these stamps (a
-    /// miss's completion becomes the issuing instruction's check time), so
-    /// folding this bound in as well is safe but never required for
-    /// dense↔skip parity.
-    pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
-        let floor = from.as_u64();
-        let mut horizon = EventHorizon::new();
-        for l1 in &self.l1s {
-            for &done in &l1.outstanding {
-                if done >= floor {
-                    horizon.note(Cycle::new(done));
-                }
-            }
-        }
-        horizon.next_ready()
-    }
-
     /// Whether `l1` currently caches the line containing `addr`.
     #[cfg(test)]
     fn l1_contains(&self, l1: L1Id, addr: Addr) -> bool {
@@ -242,7 +217,6 @@ impl MemorySystem {
     /// `(l2_hit, data_ready_time)`.
     fn l2_fill(&mut self, line: u64, bank_start: u64) -> (bool, u64) {
         if self.l2.tags.lookup(line).is_some() {
-            self.stats.l2_hits.incr();
             (true, bank_start + self.cfg.l2_hit_latency)
         } else {
             self.stats.l2_misses.incr();
@@ -250,10 +224,7 @@ impl MemorySystem {
             if let Some((victim_line, victim_dir)) = self.l2.tags.insert(line, DirEntry::new()) {
                 // Inclusive L2: back-invalidate vocal L1 copies of the victim.
                 for s in victim_dir.sharers() {
-                    if let Some(state) = self.l1s[s.0].tags.invalidate(victim_line) {
-                        if state == MesiState::Modified {
-                            self.stats.writebacks.incr();
-                        }
+                    if self.l1s[s.0].tags.invalidate(victim_line).is_some() {
                         self.stats.invalidations.incr();
                     }
                 }
@@ -265,18 +236,12 @@ impl MemorySystem {
     /// Inserts `line` into `l1`, handling the eviction per vocal/mute rules.
     fn l1_fill(&mut self, l1: usize, line: u64, state: MesiState) {
         let is_mute = self.l1s[l1].owner.is_mute();
-        if let Some((victim_line, victim_state)) = self.l1s[l1].tags.insert(line, state) {
+        if let Some((victim_line, _)) = self.l1s[l1].tags.insert(line, state) {
             if is_mute {
                 // The controller ignores all mute evictions and writebacks.
                 self.l1s[l1].mute_data.remove(&victim_line);
-                self.stats.mute_writebacks_ignored.incr();
-            } else {
-                if victim_state == MesiState::Modified {
-                    self.stats.writebacks.incr();
-                }
-                if let Some(dir) = self.l2.tags.lookup(victim_line) {
-                    dir.remove_sharer(L1Id(l1));
-                }
+            } else if let Some(dir) = self.l2.tags.lookup(victim_line) {
+                dir.remove_sharer(L1Id(l1));
             }
         }
     }
@@ -329,7 +294,6 @@ impl MemorySystem {
         if was_owned {
             // Dirty-forward from the owner's L1: roughly one more L2 trip.
             ready += self.cfg.l2_hit_latency / 2;
-            self.stats.writebacks.incr();
             // The former owner keeps the line Shared.
             for peer in 0..self.l1s.len() {
                 if peer != idx && !self.l1s[peer].owner.is_mute() {
@@ -407,7 +371,6 @@ impl MemorySystem {
                 let bank_start = self.bank_service(line, start + self.cfg.crossbar_latency);
                 // Checks the shared cache without changing coherence state.
                 if self.l2.tags.contains(line) {
-                    self.stats.l2_hits.incr();
                     let words = self.image.peek_line(line);
                     (words, bank_start + self.cfg.l2_hit_latency, true, false)
                 } else {
@@ -421,7 +384,6 @@ impl MemorySystem {
                 let bank_start = self.bank_service(line, start + self.cfg.crossbar_latency);
                 let l2_hit = self.l2.tags.contains(line);
                 let latency = if l2_hit {
-                    self.stats.l2_hits.incr();
                     self.cfg.l2_hit_latency
                 } else {
                     self.stats.l2_misses.incr();
@@ -602,7 +564,8 @@ impl MemorySystem {
     }
 
     /// The write half of a vocal atomic, applied at retirement after output
-    /// comparison.
+    /// comparison. A no-op for a mute L1, whose atomics updated its private
+    /// view at read time and never reach the coherent image.
     ///
     /// `old_read` is the value the read half returned. If the RMW is a
     /// value no-op with respect to it (a failed test-and-set writing back
@@ -620,11 +583,9 @@ impl MemorySystem {
         operand: u64,
         old_read: u64,
     ) {
-        debug_assert!(
-            !self.l1s[l1.0].owner.is_mute(),
-            "mute atomics commit privately"
-        );
-        if reunion_isa::atomic_update(op, old_read, operand) == old_read {
+        if self.l1s[l1.0].owner.is_mute()
+            || reunion_isa::atomic_update(op, old_read, operand) == old_read
+        {
             return;
         }
         let line = addr.line_index();
@@ -654,11 +615,7 @@ impl MemorySystem {
         // `self.stats`, so no intermediate collection is needed.
         if let Some(d) = self.l2.tags.peek(line) {
             for s in d.sharers_except(L1Id(idx)) {
-                if let Some(state) = self.l1s[s.0].tags.invalidate(line) {
-                    if state == MesiState::Modified {
-                        self.stats.writebacks.incr();
-                    }
-                }
+                self.l1s[s.0].tags.invalidate(line);
                 self.stats.invalidations.incr();
             }
         }
@@ -704,10 +661,7 @@ impl MemorySystem {
         // Flush: the vocal copy returns to the shared cache (its data is
         // already reflected in the image at drain time), the mute copy is
         // discarded.
-        if let Some(state) = self.l1s[vocal.0].tags.invalidate(line) {
-            if state == MesiState::Modified {
-                self.stats.writebacks.incr();
-            }
+        if self.l1s[vocal.0].tags.invalidate(line).is_some() {
             if let Some(dir) = self.l2.tags.lookup(line) {
                 dir.remove_sharer(vocal);
             }
@@ -951,7 +905,7 @@ mod tests {
 
     #[test]
     fn mute_atomic_stays_private() {
-        let (mut mem, _, m0, ..) = two_pair_system();
+        let (mut mem, v0, m0, ..) = two_pair_system();
         let a = Addr::new(0xB000);
         mem.poke(a, 0);
         let acc = mem.atomic_read(
@@ -965,6 +919,15 @@ mod tests {
         assert_eq!(acc.value, 0);
         assert_eq!(mem.peek_coherent(a), 0);
         assert_eq!(mem.peek_view(m0, a), 5);
+        // The retirement half applies nothing for a mute owner: neither
+        // the image nor any vocal sharer's copy is touched.
+        mem.load(Cycle::new(10), v0, a, PhantomStrength::Global);
+        let invalidations = mem.stats().invalidations.value();
+        mem.atomic_commit(m0, a, AtomicOp::FetchAdd, 5, acc.value);
+        assert_eq!(mem.peek_coherent(a), 0);
+        assert_eq!(mem.peek_view(m0, a), 5);
+        assert!(mem.l1_contains(v0, a), "a vocal sharer keeps its copy");
+        assert_eq!(mem.stats().invalidations.value(), invalidations);
     }
 
     #[test]
@@ -1108,29 +1071,5 @@ mod tests {
             );
         }
         assert_eq!(mem.stats().invalidations.value(), 2);
-    }
-
-    #[test]
-    fn next_activity_reports_outstanding_miss_completions() {
-        let (mut mem, v0, ..) = two_pair_system();
-        assert_eq!(mem.next_activity_at(Cycle::ZERO), None, "nothing in flight");
-        let miss = mem.load(
-            Cycle::ZERO,
-            v0,
-            Addr::new(0x2_0000),
-            PhantomStrength::Global,
-        );
-        assert_eq!(mem.next_activity_at(Cycle::ZERO), Some(miss.done_at));
-        // Past the completion stamp the queue is silent again.
-        assert_eq!(mem.next_activity_at(miss.done_at + 1), None);
-        // A hit completes without entering the outstanding queue.
-        let hit = mem.load(
-            miss.done_at,
-            v0,
-            Addr::new(0x2_0000),
-            PhantomStrength::Global,
-        );
-        assert!(hit.l1_hit);
-        assert_eq!(mem.next_activity_at(miss.done_at + 1), None);
     }
 }

@@ -9,7 +9,6 @@
 //! |---------------|---------------------------|
 //! | profile       | `--profile full\|fast`    |
 //! | engine        | `--engine dense\|skip`    |
-//! | serial        | `--serial`                |
 //! | threads       | `--threads <n>`           |
 //! | shard         | `--shard i/N`             |
 //! | observability | `--obs`                   |
@@ -53,10 +52,8 @@ pub struct RunOptions {
     /// Timing engine (`--engine`). `BENCH_<id>.json` output is
     /// byte-identical between the two engines.
     pub engine: Engine,
-    /// Force single-threaded execution (`--serial`).
-    pub serial: bool,
-    /// Worker-thread cap (`--threads`); `None` means all cores. Ignored
-    /// when `serial` is set.
+    /// Worker-thread count (`--threads`); `None` means all cores, 1 runs
+    /// the cells one at a time in grid order.
     pub threads: Option<usize>,
     /// Shard slice to execute (`--shard i/N`); `None` runs the whole grid
     /// in-process.
@@ -71,7 +68,7 @@ pub struct RunOptions {
 }
 
 /// One-line usage summary of the shared flags, for drivers' usage errors.
-pub const RUN_OPTIONS_USAGE: &str = "[--profile full|fast] [--engine dense|skip] [--serial] \
+pub const RUN_OPTIONS_USAGE: &str = "[--profile full|fast] [--engine dense|skip] \
      [--threads <n>] [--shard i/N] [--obs] [--trace-cap <n>]";
 
 impl RunOptions {
@@ -115,8 +112,6 @@ impl RunOptions {
                 opts.shard = Some(v?.parse::<ShardSpec>()?);
             } else if let Some(v) = take("--trace-cap", "events per pair") {
                 opts.observability.trace_cap = parse_usize("--trace-cap", &v?)?;
-            } else if arg == "--serial" {
-                opts.serial = true;
             } else if arg == "--obs" {
                 opts.observability.enabled = true;
             } else {
@@ -162,11 +157,8 @@ impl RunOptions {
         self.profile.sample()
     }
 
-    /// A [`Runner`] honouring the resolved `serial`/`threads` choice.
+    /// A [`Runner`] honouring the resolved `threads` choice.
     pub fn runner(&self) -> Runner {
-        if self.serial {
-            return Runner::serial();
-        }
         let threads = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(usize::from)
@@ -183,7 +175,6 @@ impl Default for RunOptions {
         RunOptions {
             profile: Profile::default(),
             engine: Engine::default(),
-            serial: false,
             threads: None,
             shard: None,
             observability: ObsConfig::default(),
@@ -241,7 +232,6 @@ mod tests {
                 "--profile",
                 "fast",
                 "--engine=dense",
-                "--serial",
                 "--threads=3",
                 "--shard",
                 "2/4",
@@ -252,7 +242,6 @@ mod tests {
         );
         assert_eq!(o.profile, Profile::Fast);
         assert_eq!(o.engine, Engine::Dense);
-        assert!(o.serial);
         assert_eq!(o.threads, Some(3));
         assert_eq!(o.shard, Some(ShardSpec::new(2, 4)));
         assert!(o.observability.enabled);
@@ -310,10 +299,8 @@ mod tests {
 
     #[test]
     fn runner_honours_serial_and_threads() {
-        assert!(opts(&["--serial"], &[]).runner().is_serial());
+        assert!(opts(&["--threads", "1"], &[]).runner().is_serial());
         assert!(!opts(&["--threads", "4"], &[]).runner().is_serial());
-        let both = opts(&["--serial", "--threads", "4"], &[]);
-        assert!(both.runner().is_serial(), "serial outranks a thread cap");
     }
 
     #[test]

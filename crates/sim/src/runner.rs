@@ -36,7 +36,7 @@ use crate::shard::ShardSpec;
 ///
 /// The runner never reads the environment: a command-line driver gets its
 /// runner from [`RunOptions::runner`](crate::RunOptions::runner), which
-/// honours the resolved `--serial` / `--threads` choice.
+/// honours the resolved `--threads` choice.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     threads: usize,
@@ -75,7 +75,8 @@ impl Runner {
     }
 
     /// Whether this runner executes cells one at a time.
-    pub fn is_serial(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_serial(&self) -> bool {
         self.threads == 1
     }
 
@@ -350,7 +351,7 @@ mod tests {
 
     #[test]
     fn env_override_forces_serial() {
-        // `--serial` reaches the runner through `RunOptions::runner`
+        // `--threads 1` reaches the runner through `RunOptions::runner`
         // (tested there); here just check the explicit
         // constructors agree with is_serial().
         assert!(Runner::serial().is_serial());

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use reunion_core::{CheckBus, PairDriver, RecoveryPhase};
-use reunion_cpu::{Core, CoreConfig};
+use reunion_cpu::{Core, CoreConfig, Role};
 use reunion_isa::{Addr, AluOp, Instruction as I, Program, RegId};
 use reunion_kernel::Cycle;
 use reunion_mem::{MemConfig, MemorySystem, Owner};
@@ -42,11 +42,10 @@ fn main() {
     let mute_l1 = mem.register_l1(Owner::mute(0));
     let writer_l1 = mem.register_l1(Owner::vocal(1));
 
-    let cfg = CoreConfig::default().checked();
+    let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vocal_l1, 7);
-    let mut mute = Core::new(cfg, program, mute_l1, 7);
-    mute.set_mute(true);
-    let mut pair = PairDriver::new(vocal, mute, 10, false);
+    let mute = Core::new(cfg, program, mute_l1, 7);
+    let mut pair = PairDriver::new(vocal, mute, 10);
     let mut bus = CheckBus::new(0); // private (unmodeled) check channels
 
     let mut writes = 0u64;

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use reunion_core::{CheckBus, CmpSystem, ExecutionMode, PairDriver, RecoveryPhase, SystemConfig};
-use reunion_cpu::{Core, CoreConfig};
+use reunion_cpu::{Core, CoreConfig, Role};
 use reunion_isa::{Addr, AluOp, Instruction as I, Program, RegId};
 use reunion_kernel::Cycle;
 use reunion_mem::{MemConfig, MemorySystem, Owner};
@@ -39,11 +39,10 @@ fn incoherence_alone_never_produces_unsafe_state() {
     let vl1 = mem.register_l1(Owner::vocal(0));
     let ml1 = mem.register_l1(Owner::mute(0));
     let wl1 = mem.register_l1(Owner::vocal(1));
-    let cfg = CoreConfig::default().checked();
+    let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 3);
-    let mut mute = Core::new(cfg, program, ml1, 3);
-    mute.set_mute(true);
-    let mut pair = PairDriver::new(vocal, mute, 10, false);
+    let mute = Core::new(cfg, program, ml1, 3);
+    let mut pair = PairDriver::new(vocal, mute, 10);
     let mut bus = CheckBus::new(0);
 
     for now in 0..80_000u64 {
@@ -88,11 +87,10 @@ fn reexecution_protocol_guarantees_forward_progress() {
     let vl1 = mem.register_l1(Owner::vocal(0));
     let ml1 = mem.register_l1(Owner::mute(0));
     let wl1 = mem.register_l1(Owner::vocal(1));
-    let cfg = CoreConfig::default().checked();
+    let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 11);
-    let mut mute = Core::new(cfg, program, ml1, 11);
-    mute.set_mute(true);
-    let mut pair = PairDriver::new(vocal, mute, 10, false);
+    let mute = Core::new(cfg, program, ml1, 11);
+    let mut pair = PairDriver::new(vocal, mute, 10);
     let mut bus = CheckBus::new(0);
 
     let mut last_retired = 0;
@@ -137,11 +135,10 @@ fn phase_two_repairs_retired_divergence() {
     let mut mem = MemorySystem::new(MemConfig::small());
     let vl1 = mem.register_l1(Owner::vocal(0));
     let ml1 = mem.register_l1(Owner::mute(0));
-    let cfg = CoreConfig::default().checked();
+    let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 13);
-    let mut mute = Core::new(cfg, program, ml1, 13);
-    mute.set_mute(true);
-    let mut pair = PairDriver::new(vocal, mute, 10, false);
+    let mute = Core::new(cfg, program, ml1, 13);
+    let mut pair = PairDriver::new(vocal, mute, 10);
     let mut bus = CheckBus::new(0);
 
     for now in 0..3_000u64 {
