@@ -207,9 +207,7 @@ pub fn counters(opts: &RunOptions) -> String {
     let mut l2_sets_materialised = 0usize;
     for cell in grid.cells() {
         let cfg = grid.cell_config(cell);
-        let mut base_cfg = cfg.clone();
-        base_cfg.mode = ExecutionMode::NonRedundant;
-        for side in [&cfg, &base_cfg] {
+        for side in [&cfg, &cfg.baseline()] {
             let run = sampled_run(side, &cell.workload, grid.cell_sample(cell));
             let t = &run.measurement.totals;
             instructions += t.user_instructions;

@@ -273,6 +273,28 @@ impl SystemConfig {
         self
     }
 
+    /// The non-redundant baseline this configuration is normalized against:
+    /// `mode = NonRedundant`, and the fields only a redundant pair reads —
+    /// comparison latency, check bandwidth, phantom strength, fingerprint
+    /// interval — reset to [`table1`](Self::table1)'s values. Everything a
+    /// non-redundant machine does read (processor count, memory, TLB,
+    /// consistency, seed, engine, observability) is kept.
+    ///
+    /// Two models with the same projection share one baseline measurement:
+    /// it is both the key a run memoises baselines under and the
+    /// configuration the baseline runs with.
+    pub fn baseline(&self) -> SystemConfig {
+        let table1 = SystemConfig::table1(ExecutionMode::NonRedundant);
+        SystemConfig {
+            mode: ExecutionMode::NonRedundant,
+            comparison_latency: table1.comparison_latency,
+            check_bus_occupancy: table1.check_bus_occupancy,
+            phantom: table1.phantom,
+            fingerprint_interval: table1.fingerprint_interval,
+            ..self.clone()
+        }
+    }
+
     /// Total physical cores this configuration instantiates.
     pub fn physical_cores(&self) -> usize {
         if self.mode.is_redundant() {
@@ -332,6 +354,28 @@ mod tests {
         assert_eq!(grown.seed, 0xABCD);
         assert_eq!(grown.engine, Engine::Dense);
         assert_eq!(grown.mem, MemConfig::small());
+    }
+
+    #[test]
+    fn baseline_drops_only_what_a_pair_reads() {
+        let model = SystemConfig::small_test(ExecutionMode::Reunion)
+            .with_comparison_latency(40)
+            .with_check_bandwidth(2)
+            .with_fingerprint_interval(8)
+            .with_logical_processors(3)
+            .with_engine(Engine::Dense);
+        let mut other = model.clone().with_comparison_latency(0);
+        other.mode = ExecutionMode::Strict;
+        other.phantom = PhantomStrength::Null;
+        assert_eq!(model.baseline(), other.baseline());
+
+        let base = model.baseline();
+        assert_eq!(base.mode, ExecutionMode::NonRedundant);
+        assert_eq!(base.logical_processors, 3);
+        assert_eq!(base.mem, MemConfig::small());
+        assert_eq!(base.engine, Engine::Dense);
+        assert_eq!(base.baseline(), base, "the projection is idempotent");
+        assert_ne!(model.clone().with_seed(7).baseline(), base);
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub use checkbus::CheckBus;
 pub use config::{Engine, ExecutionMode, SystemConfig};
 pub use metrics::{ClassSummary, Measurement, NormalizedResult};
 pub use pair::{PairDriver, PairStats, RecoveryPhase};
-pub use sampling::{measure, normalized_ipc, sampled_run, Profile, SampleConfig, SampledRun};
+pub use sampling::{
+    measure, normalize, normalized_ipc, sampled_run, Baseline, Profile, SampleConfig, SampledRun,
+};
 pub use system::{CmpSystem, SystemStats};
 
 // The observability vocabulary travels with the execution model so

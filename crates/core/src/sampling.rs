@@ -15,7 +15,7 @@ use reunion_kernel::stats::RunningStats;
 use reunion_obs::{ObsReport, TraceEvent};
 use reunion_workloads::Workload;
 
-use crate::{CmpSystem, ExecutionMode, Measurement, NormalizedResult, SystemConfig, SystemStats};
+use crate::{CmpSystem, Measurement, NormalizedResult, SystemConfig, SystemStats};
 
 /// The two sampling profiles of the evaluation.
 ///
@@ -221,9 +221,58 @@ fn finish_obs(
     (Some(obs), trace)
 }
 
-/// Measures a model configuration and the matching non-redundant baseline
-/// on the same workload and seeds, and reports the per-window matched-pair
-/// normalized IPC.
+/// The non-redundant half of a matched pair: what [`normalize`] reads of
+/// the baseline run.
+///
+/// A pure function of (`model_cfg.baseline()`, workload, sample), so any
+/// number of models sharing that projection can be normalized against one
+/// measurement of it.
+#[derive(Clone, Debug)]
+pub struct Baseline {
+    /// The baseline's measurement.
+    pub measurement: Measurement,
+    /// Aggregate user IPC of each of its measurement windows, in order.
+    pub window_ipc: Vec<f64>,
+}
+
+impl Baseline {
+    /// Measures the baseline of `model_cfg`: a sampled run of
+    /// [`SystemConfig::baseline`] on the same workload and sample.
+    pub fn measure(model_cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -> Self {
+        let SampledRun {
+            measurement,
+            window_ipc,
+            ..
+        } = sampled_run(&model_cfg.baseline(), workload, sample);
+        Baseline {
+            measurement,
+            window_ipc,
+        }
+    }
+}
+
+/// The matched-pair statistics of a model run against its baseline: window
+/// `i` of the model over window `i` of the baseline (a window whose
+/// baseline IPC is zero contributes no ratio).
+pub fn normalize(model: Measurement, model_ipc: &[f64], baseline: &Baseline) -> NormalizedResult {
+    let mut ratios = RunningStats::new();
+    for (m, b) in model_ipc.iter().zip(&baseline.window_ipc) {
+        if *b > 0.0 {
+            ratios.push(m / b);
+        }
+    }
+    NormalizedResult {
+        workload: model.workload,
+        normalized_ipc: ratios.mean(),
+        ci95: ratios.ci95_half_width(),
+        model,
+        baseline: baseline.measurement.clone(),
+    }
+}
+
+/// Measures a model configuration and its non-redundant
+/// [`baseline`](SystemConfig::baseline) on the same workload and seeds, and
+/// reports the per-window matched-pair normalized IPC.
 ///
 /// The two systems share nothing they write (a read-only base image under
 /// each system's own write layer), so the baseline runs after the model
@@ -234,33 +283,18 @@ pub fn normalized_ipc(
     workload: &Workload,
     sample: &SampleConfig,
 ) -> NormalizedResult {
-    let mut base_cfg = model_cfg.clone();
-    base_cfg.mode = ExecutionMode::NonRedundant;
-
+    // Destructured in the `let`, so the model's system is dropped here,
+    // before the baseline's is built.
     let SampledRun {
-        measurement: model,
-        window_ipc: model_ipc,
+        measurement,
+        window_ipc,
         ..
     } = sampled_run(model_cfg, workload, sample);
-    let SampledRun {
-        measurement: baseline,
-        window_ipc: base_ipc,
-        ..
-    } = sampled_run(&base_cfg, workload, sample);
-
-    let mut ratios = RunningStats::new();
-    for (m, b) in model_ipc.iter().zip(&base_ipc) {
-        if *b > 0.0 {
-            ratios.push(m / b);
-        }
-    }
-    NormalizedResult {
-        workload: workload.name(),
-        normalized_ipc: ratios.mean(),
-        ci95: ratios.ci95_half_width(),
-        model,
-        baseline,
-    }
+    normalize(
+        measurement,
+        &window_ipc,
+        &Baseline::measure(model_cfg, workload, sample),
+    )
 }
 
 fn accumulate(into: &mut SystemStats, w: &SystemStats) {
@@ -284,6 +318,8 @@ fn accumulate(into: &mut SystemStats, w: &SystemStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, ExecutionMode};
+    use reunion_mem::PhantomStrength;
 
     #[test]
     fn measure_produces_positive_ipc() {
@@ -304,32 +340,79 @@ mod tests {
         assert!(n.baseline.ipc >= n.model.ipc * 0.8);
     }
 
+    fn observed(mode: ExecutionMode, engine: Engine) -> SystemConfig {
+        SystemConfig::small_test(mode)
+            .with_engine(engine)
+            .with_observability(reunion_obs::ObsConfig {
+                enabled: true,
+                ..Default::default()
+            })
+    }
+
+    fn assert_same(a: &Measurement, b: &Measurement, what: &str) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+    }
+
+    /// The soundness of [`SystemConfig::baseline`] as a memo key: every
+    /// field it resets is one a non-redundant machine never reads, so
+    /// changing it leaves the measurement unchanged down to the
+    /// observability block. A field that failed here would have to stay
+    /// in the key.
+    #[test]
+    fn a_non_redundant_measurement_ignores_every_field_the_baseline_drops() {
+        let workload = Workload::by_name("apache").unwrap();
+        let sample = SampleConfig::quick();
+        for engine in [Engine::Skip, Engine::Dense] {
+            let cfg = observed(ExecutionMode::NonRedundant, engine);
+            let reference = measure(&cfg, &workload, &sample);
+            let mut variants = vec![
+                ("latency 0", cfg.clone().with_comparison_latency(0)),
+                ("latency 40", cfg.clone().with_comparison_latency(40)),
+                ("check bus 2", cfg.clone().with_check_bandwidth(2)),
+                ("interval 8", cfg.clone().with_fingerprint_interval(8)),
+            ];
+            for phantom in PhantomStrength::ALL {
+                let mut v = cfg.clone();
+                v.phantom = phantom;
+                variants.push(("phantom", v));
+            }
+            for (what, variant) in &variants {
+                assert_eq!(variant.baseline(), cfg.baseline(), "{what}");
+                let m = measure(variant, &workload, &sample);
+                assert_same(&m, &reference, &format!("{what}, {engine:?}"));
+            }
+
+            // Not vacuous: a field the key keeps does move the measurement.
+            let reseeded = measure(&cfg.clone().with_seed(7), &workload, &sample);
+            assert_ne!(format!("{reseeded:?}"), format!("{reference:?}"));
+        }
+    }
+
     /// `normalized_ipc` is nothing but two `measure`s and the statistics
     /// of their zipped window series — with observability on, so the
     /// merged report and the drained trace are held to the same.
     #[test]
     fn normalized_is_two_measurements_and_their_zipped_series() {
-        use crate::Engine;
         let workload = Workload::by_name("apache").unwrap();
         let sample = SampleConfig::quick();
         for engine in [Engine::Skip, Engine::Dense] {
-            let cfg = SystemConfig::small_test(ExecutionMode::Reunion)
-                .with_engine(engine)
-                .with_observability(reunion_obs::ObsConfig {
-                    enabled: true,
-                    ..Default::default()
-                });
+            let cfg = observed(ExecutionMode::Reunion, engine).with_comparison_latency(30);
             let mut base_cfg = cfg.clone();
             base_cfg.mode = ExecutionMode::NonRedundant;
 
             let n = normalized_ipc(&cfg, &workload, &sample);
             let model = sampled_run(&cfg, &workload, &sample);
             let baseline = sampled_run(&base_cfg, &workload, &sample);
-            let same = |a: &Measurement, b: &Measurement| {
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{engine:?}");
-            };
-            same(&n.model, &measure(&cfg, &workload, &sample));
-            same(&n.baseline, &measure(&base_cfg, &workload, &sample));
+            let what = format!("{engine:?}");
+            assert_same(&n.model, &measure(&cfg, &workload, &sample), &what);
+            assert_same(&n.baseline, &measure(&base_cfg, &workload, &sample), &what);
+            assert_same(
+                &n.baseline,
+                &measure(&cfg.baseline(), &workload, &sample),
+                &what,
+            );
+            let memo = Baseline::measure(&cfg, &workload, &sample);
+            assert_eq!(memo.window_ipc, baseline.window_ipc, "{engine:?}");
             assert!(n.model.obs.is_some() && n.baseline.obs.is_some());
             assert!(
                 !n.model.trace.is_empty(),

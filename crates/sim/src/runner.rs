@@ -4,9 +4,11 @@ use std::cmp::Reverse;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use reunion_core::{measure, normalized_ipc, TraceEvent};
+use reunion_core::{
+    measure, normalize, sampled_run, Baseline, SampleConfig, SampledRun, SystemConfig, TraceEvent,
+};
 
 use crate::grid::{Cell, ExperimentGrid, Metric};
 use crate::json::JsonWriter;
@@ -28,6 +30,13 @@ use crate::shard::ShardSpec;
 /// cells costliest-first from one shared list, so heterogeneous cells
 /// (`table3`'s widened em3d windows next to ordinary ones) start early
 /// instead of leaving one thread straggling at the end.
+///
+/// Within one call, cells whose models share a non-redundant
+/// [`baseline`](SystemConfig::baseline) — a latency or bandwidth sweep's
+/// cells of one workload — share one measurement of it: the first cell to
+/// need it runs it, any other waits for it. A baseline is a pure function
+/// of its key, so the report is the same bytes as measuring each cell on
+/// its own ([`measure_cell`]); a second call measures everything again.
 ///
 /// [`Runner::run_shard`] executes one [`ShardSpec`] slice of the grid,
 /// streaming each finished cell to a crash-safe shard manifest;
@@ -84,7 +93,7 @@ impl Runner {
     pub fn run(&self, grid: &ExperimentGrid) -> ExperimentReport {
         let indices: Vec<usize> = (0..grid.cells().len()).collect();
         let mut slots: Vec<Option<RunRecord>> = indices.iter().map(|_| None).collect();
-        self.execute(grid, &indices, |i, record| {
+        self.execute(grid, &indices, &Baselines::default(), |i, record| {
             slots[i] = Some(record);
             Ok(())
         })
@@ -136,7 +145,9 @@ impl Runner {
             .copied()
             .filter(|i| !manifest.completed().contains_key(i))
             .collect();
-        self.execute(grid, &todo, |i, record| manifest.append(i, &record))?;
+        self.execute(grid, &todo, &Baselines::default(), |i, record| {
+            manifest.append(i, &record)
+        })?;
         Ok(ShardRunOutcome {
             manifest_path: manifest.path().to_path_buf(),
             shard,
@@ -153,13 +164,15 @@ impl Runner {
     /// one shared cursor — list scheduling, longest processing time first
     /// — and reach `sink` in completion order, one at a time. Scheduling
     /// never affects results: each record is a pure function of (grid,
-    /// cell) and `sink` is told which cell it belongs to. The first error
-    /// `sink` returns stops every worker before its next cell and is
-    /// returned.
+    /// cell) and `sink` is told which cell it belongs to — `baselines`,
+    /// which the caller creates empty for the call, only saves repeating
+    /// work. The first error `sink` returns stops every worker before its
+    /// next cell and is returned.
     fn execute(
         &self,
         grid: &ExperimentGrid,
         indices: &[usize],
+        baselines: &Baselines,
         sink: impl FnMut(usize, RunRecord) -> io::Result<()> + Send,
     ) -> io::Result<()> {
         let state = Mutex::new((sink, Ok(())));
@@ -168,7 +181,7 @@ impl Runner {
                 if state.lock().expect("sink panicked").1.is_err() {
                     return;
                 }
-                let record = measure_cell(grid, &grid.cells()[i]);
+                let record = measure_cell_with(grid, &grid.cells()[i], baselines);
                 let mut guard = state.lock().expect("sink panicked");
                 let (sink, result) = &mut *guard;
                 if result.is_ok() {
@@ -199,8 +212,10 @@ impl Runner {
 
 /// Deterministic relative cost estimate for one cell, in simulated cycles:
 /// static cells are free (no simulation), raw cells run one system over
-/// the cell's sampling profile, normalized cells run a matched pair (model
-/// and baseline), i.e. twice the work.
+/// the cell's sampling profile, normalized cells are charged for two — the
+/// model and a baseline. Only the first cell of a baseline key actually
+/// pays for the baseline (see [`Baselines`]); which cell that is depends
+/// on the schedule, so the estimate charges every cell alike.
 fn cell_cost(grid: &ExperimentGrid, cell: &Cell) -> u64 {
     let systems = match grid.metric() {
         Metric::Static => return 0,
@@ -219,19 +234,75 @@ fn costliest_first(grid: &ExperimentGrid, indices: &[usize]) -> Vec<usize> {
     claims
 }
 
+/// The baselines measured during one [`Runner`] call, keyed by (workload,
+/// [`SystemConfig::baseline`], sampling profile) — at most a grid's
+/// workloads × non-redundant shapes, so a linear search suffices. A slot's
+/// `OnceLock` is filled by the first cell that needs it; a cell on another
+/// thread that needs it meanwhile waits for that one measurement.
+#[derive(Default)]
+struct Baselines {
+    slots: Mutex<Vec<BaselineSlot>>,
+}
+
+type BaselineSlot = (
+    &'static str,
+    SystemConfig,
+    SampleConfig,
+    Arc<OnceLock<Baseline>>,
+);
+
+impl Baselines {
+    /// The slot of the baseline `model` normalizes against, created empty
+    /// if no cell has asked for it yet.
+    fn slot(
+        &self,
+        workload: &'static str,
+        model: &SystemConfig,
+        sample: &SampleConfig,
+    ) -> Arc<OnceLock<Baseline>> {
+        let key = model.baseline();
+        let mut slots = self.slots.lock().expect("a baseline lookup panicked");
+        if let Some((.., slot)) = slots
+            .iter()
+            .find(|(w, cfg, s, _)| *w == workload && *cfg == key && s == sample)
+        {
+            return Arc::clone(slot);
+        }
+        let slot = Arc::default();
+        slots.push((workload, key, *sample, Arc::clone(&slot)));
+        slot
+    }
+}
+
 /// Measures one cell of `grid`: the unit of work the runner schedules.
 ///
 /// Pure apart from the simulation itself: the outcome is a function of
 /// (grid base config, cell, cell sampling profile) only — which is what
 /// lets cells run on any thread, in any order or shard, or one at a time
 /// from a caller's own loop, and still assemble into a byte-identical
-/// report.
+/// report. A call on its own measures the cell's baseline too; only a
+/// [`Runner`] call shares baselines between cells.
 pub fn measure_cell(grid: &ExperimentGrid, cell: &Cell) -> RunRecord {
+    measure_cell_with(grid, cell, &Baselines::default())
+}
+
+/// [`measure_cell`], taking the cell's baseline from `baselines` (and
+/// measuring it there if it is not yet).
+fn measure_cell_with(grid: &ExperimentGrid, cell: &Cell, baselines: &Baselines) -> RunRecord {
     let sample = grid.cell_sample(cell);
     let outcome = match grid.metric() {
         Metric::Normalized => {
             let cfg = grid.cell_config(cell);
-            let n = normalized_ipc(&cfg, &cell.workload, sample);
+            // Destructured in the `let`, so the model's system is dropped
+            // before a baseline's is built: one system of a cell is alive.
+            let SampledRun {
+                measurement,
+                window_ipc,
+                ..
+            } = sampled_run(&cfg, &cell.workload, sample);
+            let slot = baselines.slot(cell.workload.name(), &cfg, sample);
+            let baseline = slot.get_or_init(|| Baseline::measure(&cfg, &cell.workload, sample));
+            let n = normalize(measurement, &window_ipc, baseline);
             dump_trace(grid, cell.index, &n.model.trace);
             Outcome::Normalized(Box::new(NormalizedSummary::from(&n)))
         }
@@ -291,15 +362,22 @@ fn dump_trace(grid: &ExperimentGrid, cell_index: usize, trace: &[TraceEvent]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConfigPatch;
-    use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
+    use crate::{merge_manifests, ConfigPatch};
+    use reunion_core::{ExecutionMode, ObsConfig};
     use reunion_workloads::Workload;
 
     fn quick_grid(metric: Metric) -> ExperimentGrid {
+        latency_sweep(metric, SampleConfig::quick(), ObsConfig::default())
+    }
+
+    /// 2 workloads × {Strict, Reunion} × 3 latencies: 12 cells over two
+    /// baselines.
+    fn latency_sweep(metric: Metric, sample: SampleConfig, obs: ObsConfig) -> ExperimentGrid {
         ExperimentGrid::builder("determinism", "serial vs parallel")
             .metric(metric)
             .base(SystemConfig::small_test)
-            .sample(SampleConfig::quick())
+            .sample(sample)
+            .observability(obs)
             .workloads(vec![
                 Workload::by_name("sparse").unwrap(),
                 Workload::by_name("moldyn").unwrap(),
@@ -308,8 +386,83 @@ mod tests {
             .patches(vec![
                 ConfigPatch::new("lat=0").latency(0),
                 ConfigPatch::new("lat=20").latency(20),
+                ConfigPatch::new("lat=40").latency(40),
             ])
             .build()
+    }
+
+    /// Sharing baselines changes no byte: a run, whatever its thread count,
+    /// and a 2-way sharded run merged, both equal a loop of independent
+    /// `measure_cell` calls (each measuring its own baseline) — with
+    /// observability off and on. (A short profile: every cell is measured
+    /// twelve times.)
+    #[test]
+    fn shared_baselines_give_the_bytes_of_one_baseline_per_cell() {
+        let sample = SampleConfig {
+            warmup: 4_000,
+            window: 4_000,
+            windows: 2,
+        };
+        for enabled in [false, true] {
+            let obs = ObsConfig {
+                enabled,
+                ..ObsConfig::default()
+            };
+            let grid = latency_sweep(Metric::Normalized, sample, obs);
+            let expected = ExperimentReport {
+                id: grid.id().to_string(),
+                caption: grid.caption().to_string(),
+                sample: *grid.sample(),
+                sample_overrides: Vec::new(),
+                records: grid
+                    .cells()
+                    .iter()
+                    .map(|c| measure_cell(&grid, c))
+                    .collect(),
+            }
+            .to_json();
+            for threads in [1, 2, 4, 8] {
+                let report = Runner::with_threads(threads).run(&grid).to_json();
+                assert!(report == expected, "{threads} threads, obs {enabled}");
+            }
+
+            let dir = std::env::temp_dir().join(format!(
+                "reunion-runner-memo-{}-{enabled}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let manifests: Vec<PathBuf> = (1..=2)
+                .map(|i| {
+                    let shard = ShardSpec::new(i, 2);
+                    let run = Runner::with_threads(2).run_shard(&grid, shard, &dir);
+                    run.unwrap().manifest_path
+                })
+                .collect();
+            let merged = merge_manifests(&manifests).unwrap().to_json();
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(merged == expected, "sharded, obs {enabled}");
+        }
+    }
+
+    /// A latency sweep holds one baseline per workload, whatever the
+    /// number of threads racing for it.
+    #[test]
+    fn a_run_measures_one_baseline_per_workload() {
+        let grid = quick_grid(Metric::Normalized);
+        let indices: Vec<usize> = (0..grid.cells().len()).collect();
+        for threads in [1, 4] {
+            let baselines = Baselines::default();
+            Runner::with_threads(threads)
+                .execute(&grid, &indices, &baselines, |_, _| Ok(()))
+                .unwrap();
+            let slots = baselines.slots.into_inner().unwrap();
+            let workloads: Vec<&str> = slots.iter().map(|(w, ..)| *w).collect();
+            let mut sorted = workloads.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, ["moldyn", "sparse"], "{threads} threads");
+            assert!(slots.iter().all(|(.., slot)| slot.get().is_some()));
+        }
     }
 
     /// The determinism guard: parallel and serial execution of the same
@@ -411,7 +564,7 @@ mod tests {
         for threads in [1usize, 2, 3, 8, 64] {
             let mut seen = vec![0u32; grid.cells().len()];
             Runner::with_threads(threads)
-                .execute(&grid, &subset, |i, record| {
+                .execute(&grid, &subset, &Baselines::default(), |i, record| {
                     assert_eq!(record.patch, grid.cells()[i].patch.label());
                     seen[i] += 1;
                     Ok(())
@@ -434,7 +587,7 @@ mod tests {
         for threads in [1usize, 4] {
             let mut calls = 0;
             let err = Runner::with_threads(threads)
-                .execute(&grid, &indices, |_, _| {
+                .execute(&grid, &indices, &Baselines::default(), |_, _| {
                     calls += 1;
                     match calls {
                         1 => Ok(()),
