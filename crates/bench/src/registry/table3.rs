@@ -15,8 +15,8 @@ use crate::{workloads, RunOptions};
 /// shared profiles (zero events resolve in ~100k measured cycles, printing
 /// a misleading 0.0); its first event lands near 25M measured cycles under
 /// either profile. The widened window gives it enough retired instructions
-/// for that event to resolve inside the band; the work-stealing runner
-/// absorbs the extra cost by scheduling the em3d cells first.
+/// for that event to resolve inside the band. The runner sorts cells by
+/// estimated cost, so its workers claim the em3d cells first.
 const EM3D_MEASURED_CYCLES: u64 = 32_000_000;
 
 pub(super) fn axes(grid: GridBuilder, opts: &RunOptions) -> GridBuilder {

@@ -166,7 +166,6 @@ impl CmpSystem {
     /// machine's shape costs to describe, not what its caches can hold.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {
         let mem_cfg = cfg.mem.clone().scaled_for_cores(cfg.physical_cores());
-        let l1_hit_latency = mem_cfg.l1_hit_latency;
         let image = SparseMemory::over(workload.base_image());
         let mut mem = MemorySystem::with_image(mem_cfg, image);
 
@@ -178,8 +177,6 @@ impl CmpSystem {
             fingerprint_interval: cfg.fingerprint_interval,
             itlb_miss_per_million: workload.spec().itlb_miss_per_million,
             check_latency: cfg.comparison_latency,
-            l1_hit_latency,
-            ..CoreConfig::default()
         };
 
         let (vocal_role, mute_role) = cfg.mode.roles();

@@ -11,6 +11,7 @@ use reunion_isa::Instruction;
 use reunion_kernel::{Cycle, EventHorizon};
 
 use super::Core;
+use crate::config::{ROB_ENTRIES, SB_ENTRIES};
 
 impl Core {
     /// Whether the pipeline accepts no instruction at all this cycle,
@@ -19,7 +20,7 @@ impl Core {
         self.halted
             || self.pending_sync.is_some()
             || self.serializing_block
-            || self.rob.len() >= self.cfg.rob_entries
+            || self.rob.len() >= ROB_ENTRIES
             || (self.single_step && !self.rob.is_empty())
     }
 
@@ -28,7 +29,7 @@ impl Core {
     /// needs a free store-buffer entry.
     pub(super) fn awaits_retirement(&self, inst: &Instruction) -> bool {
         (self.serializes(inst.op) && !self.rob.is_empty())
-            || (inst.op.is_store() && self.sb_count >= self.cfg.sb_entries)
+            || (inst.op.is_store() && self.sb_count >= SB_ENTRIES)
     }
 
     /// Whether this cycle's `dispatch` would change no state at all,

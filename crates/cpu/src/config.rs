@@ -81,20 +81,25 @@ impl Role {
     }
 }
 
-/// Configuration of one processor core.
-///
-/// Defaults are Table 1: 4-wide dispatch/retirement, 256-entry RUU,
-/// 64-entry store buffer, 12-stage pipeline (the mispredict/refill penalty).
+// The core of Table 1: 4-wide dispatch/retirement, 256-entry RUU, 64-entry
+// store buffer, 12-stage pipeline (the mispredict/refill penalty), 16-bit
+// fingerprints. Every configuration the simulator runs shares them.
+
+/// Dispatch and retirement width, instructions per cycle.
+pub(crate) const WIDTH: usize = 4;
+/// Register update unit (ROB) capacity.
+pub(crate) const ROB_ENTRIES: usize = 256;
+/// Store buffer capacity (speculative region).
+pub(crate) const SB_ENTRIES: usize = 64;
+/// Pipeline refill penalty on a branch mispredict, in cycles.
+pub(crate) const MISPREDICT_PENALTY: u64 = 12;
+/// Fingerprint CRC width in bits.
+pub(crate) const FINGERPRINT_WIDTH: u32 = 16;
+
+/// Configuration of one processor core: what differs between the cores a
+/// simulation builds. The pipeline's dimensions are Table 1's and fixed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoreConfig {
-    /// Dispatch and retirement width, instructions per cycle.
-    pub width: usize,
-    /// Register update unit (ROB) capacity.
-    pub rob_entries: usize,
-    /// Store buffer capacity (speculative region).
-    pub sb_entries: usize,
-    /// Pipeline refill penalty on a branch mispredict, in cycles.
-    pub mispredict_penalty: u64,
     /// The core's place in its execution model.
     pub role: Role,
     /// Phantom request strength used when this core's L1 is mute.
@@ -108,8 +113,6 @@ pub struct CoreConfig {
     pub consistency: Consistency,
     /// Instructions per fingerprint (the fingerprint interval, §4.3).
     pub fingerprint_interval: u32,
-    /// Fingerprint CRC width in bits.
-    pub fingerprint_width: u32,
     /// One-way check latency in cycles, charged on top of the release
     /// grant when an interval ends in a serializing instruction (the grant
     /// itself must cross back to the core before the drained pipeline may
@@ -117,28 +120,18 @@ pub struct CoreConfig {
     /// re-execution fulfillment. Pair drivers set this to the comparison
     /// latency.
     pub check_latency: u64,
-    /// L1 hit latency in cycles, charged by loads that never reach the
-    /// memory system (store-buffer forwards and strict-LVQ consumption).
-    /// Must match the memory system's configured hit latency.
-    pub l1_hit_latency: u64,
 }
 
 impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
-            width: 4,
-            rob_entries: 256,
-            sb_entries: 64,
-            mispredict_penalty: 12,
             role: Role::Unchecked,
             phantom: PhantomStrength::Global,
             tlb: TlbMode::default(),
             itlb_miss_per_million: 0,
             consistency: Consistency::Tso,
             fingerprint_interval: 1,
-            fingerprint_width: 16,
             check_latency: 10,
-            l1_hit_latency: 2,
         }
     }
 }
@@ -166,9 +159,7 @@ mod tests {
     #[test]
     fn table1_defaults() {
         let cfg = CoreConfig::default();
-        assert_eq!(cfg.width, 4);
-        assert_eq!(cfg.rob_entries, 256);
-        assert_eq!(cfg.sb_entries, 64);
+        assert_eq!((WIDTH, ROB_ENTRIES, SB_ENTRIES), (4, 256, 64));
         assert_eq!(cfg.role, Role::Unchecked);
         assert_eq!(cfg.fingerprint_interval, 1);
     }

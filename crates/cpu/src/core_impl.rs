@@ -5,12 +5,13 @@ use std::sync::Arc;
 
 use reunion_fingerprint::{FingerprintUnit, UpdateRecord};
 use reunion_isa::{
-    alu_compute, branch_decides, effective_address, Addr, ArchState, Instruction, Opcode, Program,
-    RegId,
+    effective_address, execute, Addr, ArchState, AtomicOp, DataMemory, Instruction, Opcode,
+    Program, StepEffect,
 };
 use reunion_kernel::{Cycle, FastHashMap, SimRng};
 use reunion_mem::{L1Id, MemorySystem};
 
+use crate::config::{FINGERPRINT_WIDTH, MISPREDICT_PENALTY, WIDTH};
 use crate::{
     software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, Role,
     SyncRequest, Tlb, TlbMode,
@@ -20,6 +21,12 @@ use crate::{
 // share with `dispatch`.
 #[path = "bounds.rs"]
 mod bounds;
+
+// The retirement oracle: debug builds check every committed user
+// instruction against the golden model.
+#[cfg(debug_assertions)]
+#[path = "oracle.rs"]
+mod oracle;
 
 /// Architectural effects carried by a ROB entry until retirement.
 #[derive(Clone, Copy, Debug)]
@@ -32,17 +39,54 @@ struct RobEntry {
     completion: u64,
     /// In-order check-stage time: running max of completions.
     check_time: u64,
-    /// Register writeback applied to the retired ARF.
-    reg_write: Option<(RegId, u64)>,
-    /// Store drained to the memory system at retirement.
-    store: Option<(Addr, u64)>,
+    /// What [`execute`] computed at dispatch, applied to the ARF and memory
+    /// at retirement; [`StepEffect::Nop`] while awaiting a sync fulfillment.
+    effect: StepEffect,
     /// Vocal atomics take exclusive ownership at dispatch but apply their
     /// memory write only at retirement, after output comparison (the update
-    /// must not be visible before it is checked): `(addr, op, operand,
-    /// value_read)`.
-    atomic_commit: Option<(Addr, reunion_isa::AtomicOp, u64, u64)>,
+    /// must not be visible before it is checked): `(op, operand)`.
+    atomic_commit: Option<(AtomicOp, u64)>,
     /// PC after this instruction (unchanged for injected handler code).
     next_pc: usize,
+}
+
+/// The memory [`execute`] sees from the pipeline: reads return the value
+/// already bound for the instruction; writes wait for retirement.
+struct Replay(u64);
+
+impl DataMemory for Replay {
+    fn load(&mut self, _: Addr) -> u64 {
+        self.0
+    }
+
+    fn store(&mut self, _: Addr, _: u64) {}
+}
+
+/// What an instruction's effect contributes to its interval's fingerprint.
+fn update_record(effect: &StepEffect) -> UpdateRecord {
+    match *effect {
+        StepEffect::Reg { dst, value } => UpdateRecord::reg(dst.index() as u8, value),
+        StepEffect::Load { dst, addr, value } => {
+            UpdateRecord::load(dst.index() as u8, value, addr.as_u64())
+        }
+        StepEffect::Store { addr, value } => UpdateRecord::store(addr.as_u64(), value),
+        StepEffect::Atomic {
+            dst,
+            addr,
+            old,
+            new,
+        } => UpdateRecord {
+            data: Some(new),
+            ..UpdateRecord::load(dst.index() as u8, old, addr.as_u64())
+        },
+        StepEffect::Branch { next_pc, .. } => UpdateRecord::branch(next_pc as u64),
+        // Checked before it executes (§4.4): a non-idempotent access.
+        StepEffect::MmuOp { offset } => UpdateRecord {
+            addr: Some(offset),
+            ..UpdateRecord::default()
+        },
+        StepEffect::Membar | StepEffect::Trap | StepEffect::Nop => UpdateRecord::default(),
+    }
 }
 
 /// One out-of-order core attached to a private L1.
@@ -117,6 +161,9 @@ pub struct Core {
     stall_run: u64,
 
     stats: CoreStats,
+
+    #[cfg(debug_assertions)]
+    shadow: oracle::Shadow,
 }
 
 impl Core {
@@ -126,7 +173,6 @@ impl Core {
     /// misses); both halves of a logical processor pair must receive the
     /// same seed.
     pub fn new(cfg: CoreConfig, program: Arc<Program>, l1: L1Id, pair_seed: u64) -> Self {
-        let fp_width = cfg.fingerprint_width;
         let entry = program.entry();
         Core {
             cfg,
@@ -143,7 +189,7 @@ impl Core {
             pending_stores: FastHashMap::default(),
             sb_count: 0,
             last_drain_done: 0,
-            fp: FingerprintUnit::new(fp_width),
+            fp: FingerprintUnit::new(FINGERPRINT_WIDTH),
             events: Vec::new(),
             grants: VecDeque::new(),
             lvq: VecDeque::new(),
@@ -162,6 +208,8 @@ impl Core {
             error_at: None,
             stall_run: 0,
             stats: CoreStats::new(),
+            #[cfg(debug_assertions)]
+            shadow: oracle::Shadow::new(entry),
         }
     }
 
@@ -211,6 +259,8 @@ impl Core {
     pub fn copy_arch_state_from(&mut self, other: &ArchState) {
         self.retired.restore(other);
         self.spec.restore(other);
+        #[cfg(debug_assertions)]
+        self.shadow.resync(other, !self.rob.is_empty());
     }
 
     /// Drains fingerprints emitted since the last call (program order).
@@ -284,7 +334,13 @@ impl Core {
     ///
     /// Panics if no synchronizing request is pending.
     pub fn fulfill_sync(&mut self, value: u64, done_at: Cycle) {
-        let req = self.pending_sync.take().expect("no pending sync request");
+        self.pending_sync.take().expect("no pending sync request");
+        // The awaiting instruction executes now, on the single coherent
+        // value (for an atomic, the old memory value). It is program code:
+        // injected handler code never reads memory.
+        let pc = self.spec.pc;
+        let inst = *self.program.fetch(pc).expect("a program instruction");
+        let effect = execute(&inst, &mut self.spec, pc, &mut Replay(value));
         // A pending request closes the front end, and `dispatch` stops
         // right after pushing the awaiting entry: it is the youngest.
         let entry = self.rob.back_mut().expect("sync entry in ROB");
@@ -299,21 +355,13 @@ impl Core {
         entry.check_time = ct;
         self.last_check_time = ct;
         self.stats.sync_loads.incr();
-
-        // Functional effect: the destination register receives the single
-        // coherent value (the old memory value for atomics).
-        let mut record = UpdateRecord::load(0, value, req.addr.as_u64());
-        if let Some((dst, _)) = entry.reg_write {
-            self.spec.regs.write(dst, value);
-            entry.reg_write = Some((dst, value));
-            record.reg = Some((dst.index() as u8, value));
+        entry.effect = effect;
+        entry.next_pc = self.spec.pc;
+        if let StepEffect::Load { dst, .. } | StepEffect::Atomic { dst, .. } = effect {
             self.reg_ready[dst.index()] = entry.completion;
         }
-        if let Some((op, operand)) = req.rmw {
-            record.data = Some(reunion_isa::atomic_update(op, value, operand));
-        }
         if self.cfg.role.checked() {
-            self.fp.absorb(&record);
+            self.fp.absorb(&update_record(&effect));
             self.emit_interval(true);
         }
     }
@@ -381,6 +429,8 @@ impl Core {
         self.pending_stores.clear();
         self.sb_count = 0;
         self.spec.restore(&self.retired);
+        #[cfg(debug_assertions)]
+        self.shadow.resync(&self.retired, false);
         self.fp.reset();
         self.epoch += 1;
         self.grants.clear();
@@ -394,7 +444,7 @@ impl Core {
         self.itlb_served = None;
         self.user_fetch_index = self.user_retire_index;
         self.reg_ready = [0; 32];
-        self.fetch_free = now.as_u64() + self.cfg.mispredict_penalty;
+        self.fetch_free = now.as_u64() + MISPREDICT_PENALTY;
         self.lvq.clear();
         self.load_values_out.clear();
         self.stats.rollbacks.incr();
@@ -429,7 +479,7 @@ impl Core {
     fn retire(&mut self, now: Cycle, mem: &mut MemorySystem) {
         let now_raw = now.as_u64();
         let mut retired = 0;
-        while retired < self.cfg.width {
+        while retired < WIDTH {
             let Some(head) = self.rob.front() else { break };
             if head.completion == u64::MAX || head.check_time > now_raw {
                 break;
@@ -468,23 +518,32 @@ impl Core {
     /// leader), the store buffer, and the retirement statistics.
     fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
         self.release_spent_grant(&entry);
-        if let Some((dst, value)) = entry.reg_write {
-            self.retired.regs.write(dst, value);
-        }
         self.retired.pc = entry.next_pc;
-        if let Some((addr, op, operand, old)) = entry.atomic_commit {
-            mem.atomic_commit(self.l1, addr, op, operand, old);
-        }
-        if let Some((addr, value)) = entry.store {
-            if !self.cfg.role.consumes_lvq() {
-                let acc = mem.drain_store(now, self.l1, addr, value);
-                self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
+        match entry.effect {
+            StepEffect::Reg { dst, value } | StepEffect::Load { dst, value, .. } => {
+                self.retired.regs.write(dst, value);
             }
-            self.retire_oldest_store(addr);
+            StepEffect::Atomic { dst, addr, old, .. } => {
+                self.retired.regs.write(dst, old);
+                if let Some((op, operand)) = entry.atomic_commit {
+                    mem.atomic_commit(self.l1, addr, op, operand, old);
+                }
+            }
+            StepEffect::Store { addr, value } => {
+                if !self.cfg.role.consumes_lvq() {
+                    let acc = mem.drain_store(now, self.l1, addr, value);
+                    self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
+                }
+                self.retire_oldest_store(addr);
+            }
+            _ => {}
         }
         self.stats.retired_total.incr();
         if entry.user {
             self.stats.retired_user.incr();
+            #[cfg(debug_assertions)]
+            self.shadow
+                .retire(&self.program, &entry, &self.retired, self.user_retire_index);
             self.user_retire_index += 1;
         }
         if entry.serializing {
@@ -530,7 +589,7 @@ impl Core {
     fn dispatch(&mut self, now: Cycle, mem: &mut MemorySystem) {
         let now_raw = now.as_u64();
         let mut dispatched = 0;
-        while dispatched < self.cfg.width {
+        while dispatched < WIDTH {
             if self.fetch_free > now_raw || self.front_end_closed() {
                 break;
             }
@@ -615,152 +674,94 @@ impl Core {
                 .unwrap_or(0);
             let exec_start = (now_raw + 1).max(operands_ready) + tlb_walk;
 
-            let pc_before = self.spec.pc;
-            let mut next_pc = if user { pc_before + 1 } else { pc_before };
-            let mut reg_write: Option<(RegId, u64)> = None;
-            let mut store: Option<(Addr, u64)> = None;
-            let mut atomic_commit: Option<(Addr, reunion_isa::AtomicOp, u64, u64)> = None;
-            let mut record = UpdateRecord::default();
+            // Bind a load's or atomic's value and its timing. Single-stepping
+            // issues the first memory read as a synchronizing request by both
+            // cores instead (re-execution protocol); it executes on arrival.
+            let rmw = match inst.op {
+                Opcode::Atomic(op) => Some((op, self.spec.regs.read(inst.src2.expect("operand")))),
+                _ => None,
+            };
+            let mut bound = 0;
+            let mut atomic_commit = None;
             let mut completion = exec_start + inst.op.exec_latency();
-            let mut awaiting_sync = false;
-
             match inst.op {
-                Opcode::Nop | Opcode::Halt => {}
-                Opcode::LoadImm => {
-                    let dst = inst.dst.expect("li dst");
-                    let value = self.maybe_corrupt(user, inst.imm as u64);
-                    reg_write = Some((dst, value));
-                    record = UpdateRecord::reg(dst.index() as u8, value);
-                }
-                Opcode::Alu(op) => {
-                    let dst = inst.dst.expect("alu dst");
-                    let a = self.spec.regs.read(inst.src1.expect("alu src1"));
-                    let b = match inst.src2 {
-                        Some(r) => self.spec.regs.read(r),
-                        None => inst.imm as u64,
-                    };
-                    let value = self.maybe_corrupt(user, alu_compute(op, a, b));
-                    reg_write = Some((dst, value));
-                    record = UpdateRecord::reg(dst.index() as u8, value);
-                }
-                Opcode::Branch(cond) => {
-                    let v = inst.src1.map_or(0, |r| self.spec.regs.read(r));
-                    let taken = branch_decides(cond, v);
-                    if taken {
-                        next_pc = inst.imm as usize;
-                    }
-                    self.stats.branches.incr();
-                    let predicted = self.predictor.predict(pc_before as u64);
-                    self.predictor.update(pc_before as u64, taken);
-                    if predicted != taken {
-                        self.stats.mispredicts.incr();
-                        self.fetch_free = completion + self.cfg.mispredict_penalty;
-                    }
-                    record = UpdateRecord::branch(next_pc as u64);
+                Opcode::Load | Opcode::Atomic(_) if self.single_step => {
+                    let addr = effective_address(&inst, &self.spec);
+                    self.pending_sync = Some(SyncRequest { addr, rmw });
+                    completion = u64::MAX;
                 }
                 Opcode::Load => {
-                    let dst = inst.dst.expect("load dst");
                     let addr = effective_address(&inst, &self.spec);
-                    if self.single_step {
-                        // Re-execution protocol: the first memory read is
-                        // issued as a synchronizing request by both cores.
-                        self.pending_sync = Some(SyncRequest { addr, rmw: None });
-                        reg_write = Some((dst, 0));
-                        completion = u64::MAX;
-                        awaiting_sync = true;
-                    } else {
-                        let (value, done) = self.load_value(mem, addr, exec_start);
-                        let value = self.maybe_corrupt(user, value);
-                        completion = done;
-                        self.spec.regs.write(dst, value);
-                        reg_write = Some((dst, value));
-                        record = UpdateRecord::load(dst.index() as u8, value, addr.as_u64());
-                        if self.cfg.role.produces_lvq() {
-                            self.load_values_out.push(value);
-                        }
-                    }
+                    (bound, completion) = self.load_value(mem, addr, exec_start);
                 }
-                Opcode::Store => {
+                Opcode::Atomic(_) if self.cfg.role.consumes_lvq() => {
+                    bound = self.lvq.pop_front().expect("LVQ checked before dispatch");
+                    completion = exec_start + 4;
+                }
+                Opcode::Atomic(_) => {
                     let addr = effective_address(&inst, &self.spec);
-                    let value = self.spec.regs.read(inst.src2.expect("store src2"));
-                    store = Some((addr, value));
-                    self.buffer_store(addr, value);
-                    completion = exec_start + 1;
-                    record = UpdateRecord::store(addr.as_u64(), value);
+                    let (op, operand) = rmw.expect("an atomic's update");
+                    let acc = mem.atomic_read(
+                        Cycle::new(exec_start),
+                        self.l1,
+                        addr,
+                        op,
+                        operand,
+                        self.cfg.phantom,
+                    );
+                    bound = acc.value;
+                    completion = acc.done_at.as_u64();
+                    // Mute atomics update the private view at read time;
+                    // vocal atomics commit to memory at retirement.
+                    atomic_commit = rmw;
                 }
-                Opcode::Atomic(op) => {
-                    let dst = inst.dst.expect("atomic dst");
-                    let addr = effective_address(&inst, &self.spec);
-                    let operand = self.spec.regs.read(inst.src2.expect("atomic src2"));
-                    if self.single_step {
-                        self.pending_sync = Some(SyncRequest {
-                            addr,
-                            rmw: Some((op, operand)),
-                        });
-                        reg_write = Some((dst, 0));
-                        completion = u64::MAX;
-                        awaiting_sync = true;
-                    } else if self.cfg.role.consumes_lvq() {
-                        let old = self.lvq.pop_front().expect("LVQ checked before dispatch");
-                        completion = exec_start + 4;
-                        self.spec.regs.write(dst, old);
-                        reg_write = Some((dst, old));
-                        record = UpdateRecord::load(dst.index() as u8, old, addr.as_u64());
-                        record.data = Some(reunion_isa::atomic_update(op, old, operand));
-                    } else {
-                        let acc = mem.atomic_read(
-                            Cycle::new(exec_start),
-                            self.l1,
-                            addr,
-                            op,
-                            operand,
-                            self.cfg.phantom,
-                        );
-                        let old = acc.value;
-                        completion = acc.done_at.as_u64();
-                        // Mute atomics update the private view at read time;
-                        // vocal atomics commit to memory at retirement.
-                        atomic_commit = Some((addr, op, operand, old));
-                        self.spec.regs.write(dst, old);
-                        reg_write = Some((dst, old));
-                        record = UpdateRecord::load(dst.index() as u8, old, addr.as_u64());
-                        record.data = Some(reunion_isa::atomic_update(op, old, operand));
-                        if self.cfg.role.produces_lvq() {
-                            self.load_values_out.push(old);
-                        }
-                    }
-                }
-                Opcode::Membar => {
-                    completion = exec_start.max(self.last_drain_done);
-                    record = UpdateRecord::default();
-                }
-                Opcode::Trap => {
-                    record = UpdateRecord::default();
-                }
-                Opcode::MmuOp => {
-                    // Non-idempotent access: the address is checked before
-                    // execution (§4.4), so it enters the fingerprint.
-                    record = UpdateRecord {
-                        addr: Some(inst.imm as u64),
-                        ..Default::default()
-                    };
-                }
+                Opcode::Store => completion = exec_start + 1,
+                Opcode::Membar => completion = exec_start.max(self.last_drain_done),
+                _ => {}
             }
+            let awaiting_sync = completion == u64::MAX;
 
-            if let Some((dst, value)) = reg_write {
-                if !awaiting_sync {
-                    self.spec.regs.write(dst, value);
+            // The golden model computes everything else.
+            let pc = self.spec.pc;
+            let mut effect = if awaiting_sync {
+                StepEffect::Nop
+            } else {
+                execute(&inst, &mut self.spec, pc, &mut Replay(bound))
+            };
+            if user {
+                effect = self.maybe_corrupt(effect);
+            } else {
+                // Handler code runs between two program instructions.
+                self.spec.pc = pc;
+            }
+            match effect {
+                StepEffect::Reg { dst, .. } => self.reg_ready[dst.index()] = completion,
+                StepEffect::Load { dst, value, .. }
+                | StepEffect::Atomic {
+                    dst, old: value, ..
+                } => {
                     self.reg_ready[dst.index()] = completion;
-                } else {
-                    self.reg_ready[dst.index()] = u64::MAX;
+                    if self.cfg.role.produces_lvq() {
+                        self.load_values_out.push(value);
+                    }
                 }
+                StepEffect::Store { addr, value } => self.buffer_store(addr, value),
+                StepEffect::Branch { taken, .. } => {
+                    self.stats.branches.incr();
+                    let predicted = self.predictor.predict(pc as u64);
+                    self.predictor.update(pc as u64, taken);
+                    if predicted != taken {
+                        self.stats.mispredicts.incr();
+                        self.fetch_free = completion + MISPREDICT_PENALTY;
+                    }
+                }
+                _ => {}
             }
             if user {
-                self.spec.pc = next_pc;
                 self.user_fetch_index += 1;
             }
 
-            let check_time = if completion == u64::MAX {
+            let check_time = if awaiting_sync {
                 u64::MAX
             } else {
                 let ct = self.last_check_time.max(completion);
@@ -775,14 +776,13 @@ impl Core {
                 serializing,
                 completion,
                 check_time,
-                reg_write,
-                store,
+                effect,
                 atomic_commit,
-                next_pc,
+                next_pc: self.spec.pc,
             });
 
             if self.cfg.role.checked() && !awaiting_sync {
-                self.fp.absorb(&record);
+                self.fp.absorb(&update_record(&effect));
                 let interval_full = self.fp.pending() >= self.cfg.fingerprint_interval;
                 if serializing || interval_full || self.single_step {
                     self.emit_interval(serializing);
@@ -829,18 +829,20 @@ impl Core {
 
     /// Binds a load value: store-buffer forwarding first, then the memory
     /// system (coherent for vocal L1s, phantom for mute L1s, LVQ for the
-    /// strict trailing core). Returns `(value, completion_time)`.
+    /// strict trailing core). Returns `(value, completion_time)`; forwards
+    /// and LVQ entries take the memory system's L1 hit latency.
     fn load_value(&mut self, mem: &mut MemorySystem, addr: Addr, exec_start: u64) -> (u64, u64) {
         // The strict trailing core bypasses the cache AND store-buffer
         // interface in favour of the LVQ (§2.3) — and must always consume
         // one queue entry to stay aligned with the leader.
+        let hit_latency = mem.config().l1_hit_latency;
         if self.cfg.role.consumes_lvq() {
             let value = self.lvq.pop_front().expect("LVQ checked before dispatch");
-            return (value, exec_start + self.cfg.l1_hit_latency);
+            return (value, exec_start + hit_latency);
         }
         if let Some(&(value, _)) = self.pending_stores.get(&addr.word().as_u64()) {
             self.stats.forwarded_loads.incr();
-            return (value, exec_start + self.cfg.l1_hit_latency);
+            return (value, exec_start + hit_latency);
         }
         let acc = mem.load(Cycle::new(exec_start), self.l1, addr, self.cfg.phantom);
         (acc.value, acc.done_at.as_u64())
@@ -875,26 +877,30 @@ impl Core {
         miss
     }
 
-    /// Applies a scheduled soft-error injection to a user-instruction
-    /// result.
-    fn maybe_corrupt(&mut self, user: bool, value: u64) -> u64 {
-        if !user {
-            return value;
-        }
-        if let Some((index, bit)) = self.error_at {
+    /// Applies a scheduled soft-error injection to the register result of a
+    /// user instruction (`li`, an ALU operation or a load), in the effect
+    /// and in the speculative ARF.
+    fn maybe_corrupt(&mut self, mut effect: StepEffect) -> StepEffect {
+        let Some((index, bit)) = self.error_at else {
+            return effect;
+        };
+        if let StepEffect::Reg { dst, value } | StepEffect::Load { dst, value, .. } = &mut effect {
             if self.user_fetch_index >= index {
                 self.error_at = None;
-                return value ^ (1u64 << bit);
+                *value ^= 1u64 << bit;
+                self.spec.regs.write(*dst, *value);
+                #[cfg(debug_assertions)]
+                self.shadow.expect_corruption(self.user_fetch_index);
             }
         }
-        value
+        effect
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reunion_isa::{AtomicOp, BranchCond, Instruction as I};
+    use reunion_isa::{BranchCond, Instruction as I, RegId};
     use reunion_mem::{MemConfig, Owner};
 
     fn r(i: u8) -> RegId {
@@ -1477,5 +1483,71 @@ mod tests {
             core.tick(Cycle::new(c), &mut mem);
         }
         assert_eq!(core.drain_load_values().collect::<Vec<_>>(), [99]);
+    }
+
+    /// One row per opcode: the record `update_record` maps `execute`'s
+    /// effect to equals the record dispatch built by hand for that opcode
+    /// when it had its own copy of the semantics.
+    #[test]
+    fn each_opcode_fingerprints_the_record_it_always_did() {
+        use reunion_isa::AluOp;
+        let mut state = ArchState::new(5);
+        state.regs.write(r(1), 0x400);
+        state.regs.write(r(2), 7);
+        // The value the pipeline bound for a load or atomic.
+        let bound = 99;
+        let load = |value, addr| UpdateRecord::load(3, value, addr);
+        let rows = [
+            (I::nop(), UpdateRecord::default()),
+            (I::load_imm(r(3), -5), UpdateRecord::reg(3, -5i64 as u64)),
+            (
+                I::alu(AluOp::Sub, r(3), r(1), r(2)),
+                UpdateRecord::reg(3, 0x3F9),
+            ),
+            (
+                I::alu_imm(AluOp::Shl, r(3), r(2), 4),
+                UpdateRecord::reg(3, 0x70),
+            ),
+            (I::load(r(3), r(1), 8), load(bound, 0x408)),
+            (I::store(r(1), r(2), -8), UpdateRecord::store(0x3F8, 7)),
+            (
+                I::atomic(AtomicOp::Swap, r(3), r(1), r(2), 0),
+                UpdateRecord {
+                    data: Some(7),
+                    ..load(bound, 0x400)
+                },
+            ),
+            (
+                I::atomic(AtomicOp::FetchAdd, r(3), r(1), r(2), 0),
+                UpdateRecord {
+                    data: Some(bound + 7),
+                    ..load(bound, 0x400)
+                },
+            ),
+            (I::branch(BranchCond::Nez, r(2), 2), UpdateRecord::branch(2)),
+            (I::branch(BranchCond::Eqz, r(2), 2), UpdateRecord::branch(6)),
+            (I::jump(0), UpdateRecord::branch(0)),
+            (I::membar(), UpdateRecord::default()),
+            (I::trap(), UpdateRecord::default()),
+            (
+                I::mmu_op(0x18),
+                UpdateRecord {
+                    addr: Some(0x18),
+                    ..UpdateRecord::default()
+                },
+            ),
+        ];
+        for (inst, record) in rows {
+            let effect = execute(&inst, &mut state.clone(), 5, &mut Replay(bound));
+            assert_eq!(update_record(&effect), record, "{inst}");
+        }
+    }
+
+    /// The entry carries `execute`'s effect in place of the separate
+    /// register write, store and atomic tuples, and is smaller for it
+    /// (120 bytes before).
+    #[test]
+    fn a_rob_entry_fits_in_88_bytes() {
+        assert!(std::mem::size_of::<RobEntry>() <= 88);
     }
 }

@@ -10,10 +10,12 @@
 //! ## Modeling approach
 //!
 //! The core is *functionally exact and oracle-scheduled*: an instruction's
-//! architectural effect is computed when it dispatches (using the precise
-//! memory view at that moment), while its *timing* — operand readiness,
-//! execution latency, cache misses, serializing stalls, check-stage
-//! releases — is computed forward from known producer completion times.
+//! architectural effect is computed when it dispatches, while its *timing*
+//! — operand readiness, execution latency, cache misses, serializing
+//! stalls, check-stage releases — is computed forward from known producer
+//! completion times. The pipeline binds a load's value from the memory
+//! view at dispatch and [`reunion_isa::execute`] computes the rest; debug
+//! builds check every retirement against it.
 //! Only the correct path is fetched (mispredicted branches charge the
 //! refetch penalty without executing wrong-path instructions), a standard
 //! simplification that preserves every effect the paper measures:

@@ -15,9 +15,10 @@
 //!
 //! The crate provides the instruction type ([`Instruction`], [`Opcode`]), the
 //! architectural state ([`ArchState`], [`RegFile`]), program images
-//! ([`Program`]), and a golden-model interpreter ([`FunctionalCore`]) used by
-//! the out-of-order core for result checking and by the test suite as an
-//! oracle.
+//! ([`Program`]), the one definition of instruction semantics
+//! ([`execute`], which the out-of-order core calls to execute and, in debug
+//! builds, to check every retirement), and a golden-model interpreter over
+//! it ([`FunctionalCore`]) that the test suite uses as an oracle.
 //!
 //! # Examples
 //!

@@ -63,8 +63,8 @@ fn scaling_reports_are_engine_invariant() {
 }
 
 /// Serial ↔ parallel byte-identity: cells at different pair counts are
-/// independent systems, so a work-stealing schedule must reassemble the
-/// identical report.
+/// independent systems, so workers claiming them costliest-first off one
+/// shared cursor must reassemble the identical report.
 #[test]
 fn scaling_reports_are_schedule_invariant() {
     let grid = scaling_grid(Engine::default());
