@@ -67,6 +67,6 @@ mod tlb;
 pub use check::{CheckEvent, ReleaseGrant, SyncRequest};
 pub use config::{Consistency, CoreConfig, Role, TlbMode};
 pub use core_impl::Core;
-pub use predictor::Gshare;
+pub(crate) use predictor::Gshare;
 pub use stats::CoreStats;
-pub use tlb::{software_tlb_handler, Tlb};
+pub(crate) use tlb::{software_tlb_handler, Tlb};

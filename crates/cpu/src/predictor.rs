@@ -9,22 +9,8 @@
 /// (divergent predictions only perturb timing). Our cores are seeded
 /// identically so predictions match, keeping slip attributable to the memory
 /// system.
-///
-/// # Examples
-///
-/// ```
-/// use reunion_cpu::Gshare;
-///
-/// let mut bp = Gshare::new(12);
-/// // Train on an always-taken branch at PC 100.
-/// for _ in 0..8 {
-///     let _ = bp.predict(100);
-///     bp.update(100, true);
-/// }
-/// assert!(bp.predict(100));
-/// ```
 #[derive(Clone, Debug)]
-pub struct Gshare {
+pub(crate) struct Gshare {
     table: Vec<u8>,
     history: u64,
     mask: u64,

@@ -15,18 +15,8 @@ use reunion_mem::CacheArray;
 /// Defaults elsewhere follow Table 1: 512-entry 2-way DTLB, 128-entry 2-way
 /// ITLB. Entries live in a [`CacheArray`], so a TLB owns storage only for
 /// the sets a run has filled.
-///
-/// # Examples
-///
-/// ```
-/// use reunion_cpu::Tlb;
-///
-/// let mut dtlb = Tlb::new(512, 2);
-/// assert!(!dtlb.access(42)); // cold miss
-/// assert!(dtlb.access(42));  // now cached
-/// ```
 #[derive(Clone, Debug)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     entries: CacheArray<()>,
 }
 
@@ -52,7 +42,7 @@ impl Tlb {
 /// The UltraSPARC III "fast TLB miss handler" instruction sequence:
 /// a trap into the handler, three non-idempotent MMU accesses, and the
 /// return trap. All five serialize retirement.
-pub fn software_tlb_handler() -> Vec<Instruction> {
+pub(crate) fn software_tlb_handler() -> Vec<Instruction> {
     vec![
         Instruction::trap(),
         Instruction::mmu_op(0x08),

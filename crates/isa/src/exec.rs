@@ -5,8 +5,8 @@ use std::sync::Arc;
 use reunion_kernel::FastHashMap;
 
 use crate::{
-    Addr, AluOp, ArchState, AtomicOp, BranchCond, Instruction, Opcode, Program, RegId, LINE_BYTES,
-    WORDS_PER_LINE,
+    Addr, AluOp, ArchState, AtomicOp, BaseImage, BranchCond, Instruction, Opcode, Program, RegId,
+    LINE_BYTES, WORDS_PER_LINE,
 };
 
 /// Computes an ALU result. All arithmetic wraps; shifts use the low six bits
@@ -67,7 +67,7 @@ impl<M: DataMemory + ?Sized> DataMemory for &mut M {
 }
 
 /// A sparse word-granular memory image, optionally layered over a shared
-/// read-only base.
+/// read-only [`BaseImage`].
 ///
 /// Unwritten locations read as a deterministic hash of their address (rather
 /// than zero) so that accidental dependence on uninitialized memory shows up
@@ -77,37 +77,36 @@ impl<M: DataMemory + ?Sized> DataMemory for &mut M {
 ///
 /// A workload's initial image can be half a million words (em3d's pointer
 /// ring), and an experiment grid builds dozens of systems from it. Instead
-/// of replaying the word list into a fresh map per system, the image is
-/// built once ([`from_words`](Self::from_words)), frozen behind an `Arc`,
-/// and every system gets an empty image [`over`](Self::over) it: reads fall
-/// through own words → base → [`uninit_value`](Self::uninit_value), writes
-/// go to the own words only. The base is never mutated, so any number of
-/// systems — on any number of threads — share one copy, and construction is
-/// a reference-count bump.
+/// of replaying the word list into a fresh map per system, the list is
+/// frozen once as a [`BaseImage`] behind an `Arc`, and every system gets an
+/// empty image [`over`](Self::over) it: reads fall through own words →
+/// base → [`uninit_value`](Self::uninit_value), writes go to the own words
+/// only. The base has no writer, so any number of systems — on any number
+/// of threads — share one copy, and construction is a reference-count bump.
 ///
 /// The write layer stays word-granular on purpose: the generators scatter
 /// private-region stores one word per line (or page), so a line- or
 /// page-granular copy-on-write layer materializes 8–512× the bytes actually
 /// written.
 ///
-/// Equality compares the stored representation (own words, then bases), not
+/// Equality compares the stored representation (own words, then base), not
 /// the read-through view.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use reunion_isa::{Addr, DataMemory, SparseMemory};
+/// use reunion_isa::{Addr, BaseImage, DataMemory, SparseMemory};
 ///
 /// let mut mem = SparseMemory::new();
 /// mem.store(Addr::new(0x40), 7);
 /// assert_eq!(mem.load(Addr::new(0x40)), 7);
 ///
-/// let base = Arc::new(SparseMemory::from_words(&[(Addr::new(0x80), 1)]));
+/// let base = Arc::new(BaseImage::new(vec![(Addr::new(0x80), 1)].into()));
 /// let mut layer = SparseMemory::over(base.clone());
 /// layer.poke(Addr::new(0x80), 2);
 /// assert_eq!(layer.peek(Addr::new(0x80)), 2);
-/// assert_eq!(base.peek(Addr::new(0x80)), 1); // the base never moves
+/// assert_eq!(base.get(Addr::new(0x80)), Some(1)); // the base never moves
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseMemory {
@@ -116,7 +115,7 @@ pub struct SparseMemory {
     // point-lookup cost.
     words: FastHashMap<u64, u64>,
     /// The read-only image this one is layered over, if any.
-    under: Option<Arc<SparseMemory>>,
+    under: Option<Arc<BaseImage>>,
 }
 
 impl SparseMemory {
@@ -125,38 +124,25 @@ impl SparseMemory {
         Self::default()
     }
 
-    /// Builds an image holding `words` (later entries win), sized once up
-    /// front instead of through a chain of rehash growths.
-    pub fn from_words(words: &[(Addr, u64)]) -> Self {
-        let mut image = Self::new();
-        image.words.reserve(words.len());
-        for &(addr, value) in words {
-            image.poke(addr, value);
-        }
-        image
-    }
-
     /// Creates an empty write layer over the shared read-only `base`.
-    pub fn over(base: Arc<SparseMemory>) -> Self {
+    pub fn over(base: Arc<BaseImage>) -> Self {
         SparseMemory {
             under: Some(base),
             ..Self::new()
         }
     }
 
-    /// The stored value of word address `w` in this image or its bases.
-    #[inline]
-    fn get(&self, w: u64) -> Option<u64> {
-        match self.words.get(&w) {
-            Some(&value) => Some(value),
-            None => self.under.as_ref()?.get(w),
-        }
-    }
-
     /// Reads without mutating (same value a `load` would return).
     pub fn peek(&self, addr: Addr) -> u64 {
         let w = addr.word().as_u64();
-        self.get(w).unwrap_or_else(|| Self::uninit_value(w))
+        match self.words.get(&w) {
+            Some(&value) => value,
+            None => self
+                .under
+                .as_ref()
+                .and_then(|base| base.get(addr))
+                .unwrap_or_else(|| Self::uninit_value(w)),
+        }
     }
 
     /// Writes a word directly (test setup). A layered image writes its own
@@ -168,16 +154,15 @@ impl SparseMemory {
     /// Reads the eight words of cache line `line` (the line *index*,
     /// [`Addr::line_index`]) — the same values eight `peek`s would return.
     ///
-    /// One level at a time, base first, rather than eight own → base
-    /// chains: the eight probes of a level are independent, so their cache
-    /// misses (the base can be tens of megabytes) overlap instead of
-    /// queueing behind each other's branches.
+    /// Base first, then own words: the base's words of a line are adjacent
+    /// in its list, so it is located once and walked rather than probed
+    /// eight times.
     pub fn peek_line(&self, line: u64) -> [u64; WORDS_PER_LINE] {
         let first = line * LINE_BYTES;
-        let mut out = match &self.under {
-            Some(base) => base.peek_line(line),
-            None => std::array::from_fn(|i| Self::uninit_value(first + i as u64 * 8)),
-        };
+        let mut out = std::array::from_fn(|i| Self::uninit_value(first + i as u64 * 8));
+        if let Some(base) = &self.under {
+            base.read_line(line, &mut out);
+        }
         for (i, word) in out.iter_mut().enumerate() {
             if let Some(&value) = self.words.get(&(first + i as u64 * 8)) {
                 *word = value;

@@ -49,6 +49,7 @@
 mod addr;
 pub mod asm;
 mod exec;
+mod image;
 mod inst;
 mod program;
 mod reg;
@@ -60,6 +61,7 @@ pub use exec::{
     alu_compute, atomic_update, branch_decides, effective_address, execute, DataMemory,
     FunctionalCore, SparseMemory, StepEffect,
 };
+pub use image::BaseImage;
 pub use inst::{AluOp, AtomicOp, BranchCond, Instruction, Opcode};
 pub use program::{Program, ProgramError};
 pub use reg::{RegFile, RegId, NUM_REGS};

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use reunion_isa::asm::{self, KernelImage};
-use reunion_isa::{Addr, Instruction, Program, SparseMemory};
+use reunion_isa::{Addr, BaseImage, Instruction, Program};
 
 use crate::{gen, kernels, SharingModel, WorkloadClass, WorkloadSpec};
 
@@ -28,10 +28,10 @@ struct ArtifactCache {
     /// The initial memory image (pointer rings etc.) — up to half a million
     /// entries for em3d; generated at most once per workload.
     memory: OnceLock<Arc<[(Addr, u64)]>>,
-    /// `memory` hashed into a point-lookup image, built at most once per
-    /// workload with its capacity reserved up front — the read-only base
-    /// every system layers its stores over (see [`SparseMemory`]).
-    base: OnceLock<Arc<SparseMemory>>,
+    /// `memory` frozen as the read-only base every system layers its
+    /// stores over, built at most once per workload. It shares `memory`'s
+    /// list and adds only a radix index (see [`BaseImage`]).
+    base: OnceLock<Arc<BaseImage>>,
     /// The parsed kernel image for an assembly-sourced workload — parsed at
     /// most once per workload; `None` source never touches it.
     image: OnceLock<Arc<KernelImage>>,
@@ -238,13 +238,14 @@ impl Workload {
         }
     }
 
-    /// The initial memory contents as a point-lookup image — built from
-    /// [`initial_memory`](Self::initial_memory) once per workload and
-    /// shared read-only; a system layers its own stores over it with
-    /// [`SparseMemory::over`]. An [`uncached`](Self::uncached) workload
-    /// builds a private one per call through the same code.
-    pub fn base_image(&self) -> Arc<SparseMemory> {
-        let make = || Arc::new(SparseMemory::from_words(&self.initial_memory()));
+    /// The initial memory contents as a read-only [`BaseImage`] — built
+    /// once per workload over the [`initial_memory`](Self::initial_memory)
+    /// list itself (no copy), plus an index; a system layers its own stores
+    /// over it with [`SparseMemory::over`](reunion_isa::SparseMemory::over). An
+    /// [`uncached`](Self::uncached) workload builds a private one per call
+    /// through the same code.
+    pub fn base_image(&self) -> Arc<BaseImage> {
+        let make = || Arc::new(BaseImage::new(self.initial_memory()));
         match &self.cache {
             Some(cache) => cache.base.get_or_init(make).clone(),
             None => make(),
@@ -801,5 +802,28 @@ mod tests {
         assert_eq!(a.cache_population(), populated);
         assert_eq!(b.cache_population(), populated);
         assert!(Arc::ptr_eq(&image, &a.base_image()), "one shared copy");
+    }
+
+    /// The base image is the cached word list plus an index, not a second
+    /// copy of the words: em3d's 525 076 words cost at most 24 B each
+    /// (16 B of list, at most two 4 B index entries).
+    #[test]
+    fn base_images_share_the_word_list_and_stay_small() {
+        for w in suite().into_iter().chain(kernels::kernel_suite()) {
+            let base = w.base_image();
+            assert!(
+                Arc::ptr_eq(base.words(), &w.initial_memory()),
+                "{}: the base must share the cached list, not copy it",
+                w.name()
+            );
+        }
+        let em3d = Workload::by_name("em3d").unwrap().base_image();
+        let len = em3d.words().len();
+        assert!(len > 500_000, "em3d's pointer ring is {len} words");
+        assert!(
+            em3d.index_len() <= 2 * len + 2,
+            "{} index entries",
+            em3d.index_len()
+        );
     }
 }

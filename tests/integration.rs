@@ -17,7 +17,7 @@ fn quick() -> SampleConfig {
 #[test]
 fn systems_sharing_a_base_image_keep_their_stores_private() {
     use reunion_core::CmpSystem;
-    use reunion_isa::{Addr, SparseMemory};
+    use reunion_isa::{Addr, BaseImage, SparseMemory};
     use reunion_workloads::PRIVATE_BASE;
 
     let em3d = Workload::by_name("em3d").expect("in suite");
@@ -25,20 +25,21 @@ fn systems_sharing_a_base_image_keep_their_stores_private() {
     let mut ran = CmpSystem::new(&cfg, &em3d);
     let idle = CmpSystem::new(&cfg, &em3d);
     let base = em3d.base_image();
+    let untouched = SparseMemory::over(base.clone());
     ran.run(20_000);
 
     // Thread 0's private region: where its stores land.
     let region = (0..em3d.spec().private_bytes / 8).map(|i| Addr::new(PRIVATE_BASE + i * 8));
     let mut stored = 0;
     for addr in region {
-        let initial = base.peek(addr);
+        let initial = untouched.peek(addr);
         assert_eq!(idle.memory().peek_coherent(addr), initial, "{addr}");
         stored += usize::from(ran.memory().peek_coherent(addr) != initial);
     }
     assert!(stored > 0, "the system that ran must have stored something");
     assert_eq!(
         *base,
-        SparseMemory::from_words(&em3d.initial_memory()),
+        BaseImage::new(em3d.initial_memory()),
         "the shared base must hold exactly the initial words"
     );
 }

@@ -89,45 +89,83 @@ fn sparse_memory_last_write_wins() {
 
 /// A write layer over a shared base reads exactly like a flat image poked
 /// with the base's words and then the same writes — word reads and line
-/// reads, never-written words included — and never moves the base.
+/// reads, never-written words included. Bases come empty, as one word, as
+/// an unsorted list with repeated and misaligned words (later entries win),
+/// or as a sorted list around a dense run that spans many index buckets;
+/// probes reach below the first word and above the last.
 #[test]
 fn layered_image_reads_like_a_flat_one() {
+    use reunion_isa::BaseImage;
     use std::sync::Arc;
     for_cases(0xA1_000B, |rng| {
         // A few lines' worth of address space, so base words, own words
         // and untouched words share lines.
         let arb_addr = |rng: &mut SimRng| Addr::new(0x8000 + rng.next_u64() % 0x400);
-        let base_words: Vec<(Addr, u64)> = (0..rng.next_u64() % 48)
-            .map(|_| (arb_addr(rng), rng.next_u64()))
-            .collect();
-        let base = Arc::new(SparseMemory::from_words(&base_words));
-        let frozen = SparseMemory::clone(&base);
+        let mut base_words: Vec<(Addr, u64)> = match rng.next_u64() % 4 {
+            0 => Vec::new(),
+            1 => vec![(arb_addr(rng), rng.next_u64())],
+            2 => (0..rng.next_u64() % 64)
+                .map(|_| (arb_addr(rng), rng.next_u64()))
+                .collect(),
+            _ => {
+                let start = arb_addr(rng).word();
+                let mut words: Vec<(Addr, u64)> = (0..2 + rng.next_u64() % 40)
+                    .map(|i| (start.offset(i * 8), rng.next_u64()))
+                    .collect();
+                for _ in 0..rng.next_u64() % 8 {
+                    words.push((arb_addr(rng).word(), rng.next_u64()));
+                }
+                words.sort_by_key(|&(addr, _)| addr);
+                words.dedup_by_key(|&mut (addr, _)| addr);
+                words
+            }
+        };
+        if rng.next_u64() % 2 == 0 {
+            // A repeat of an earlier word: the later value must win.
+            if let Some(&(addr, _)) = base_words.first() {
+                base_words.push((addr.offset(rng.next_u64() % 8), rng.next_u64()));
+            }
+        }
+        let base = Arc::new(BaseImage::new(base_words.clone().into()));
         let mut layered = SparseMemory::over(base.clone());
         let mut flat = SparseMemory::new();
         for &(addr, value) in &base_words {
             flat.poke(addr, value);
         }
+        let check_word = |layered: &mut SparseMemory, flat: &mut SparseMemory, addr: Addr| {
+            assert_eq!(layered.peek(addr), flat.peek(addr), "{addr}");
+            assert_eq!(layered.load(addr), flat.load(addr), "{addr}");
+        };
+        let check_line = |layered: &SparseMemory, flat: &SparseMemory, addr: Addr| {
+            let line = addr.line_index();
+            let words = layered.peek_line(line);
+            assert_eq!(words, flat.peek_line(line), "line {line:#x}");
+            for (i, &word) in words.iter().enumerate() {
+                let addr = addr.line().offset(i as u64 * 8);
+                assert_eq!(word, flat.peek(addr), "line read vs word read at {addr}");
+            }
+        };
+        // The ends of the base and one word beyond each.
+        let (lo, hi) = (base.words().first(), base.words().last());
+        if let (Some(&(lo, _)), Some(&(hi, _))) = (lo, hi) {
+            for addr in [lo.offset(8u64.wrapping_neg()), lo, hi, hi.offset(8)] {
+                check_word(&mut layered, &mut flat, addr);
+                check_line(&layered, &flat, addr);
+            }
+        }
+        // Probes a line beyond the base's address space on either side.
+        let arb_probe = |rng: &mut SimRng| Addr::new(0x7FC0 + rng.next_u64() % 0x480);
         for _ in 0..rng.next_u64() % 96 {
-            let addr = arb_addr(rng);
             match rng.next_u64() % 3 {
                 0 => {
-                    let value = rng.next_u64();
+                    let (addr, value) = (arb_addr(rng), rng.next_u64());
                     layered.poke(addr, value);
                     flat.poke(addr, value);
                 }
-                1 => assert_eq!(layered.peek(addr), flat.peek(addr), "{addr}"),
-                _ => {
-                    let line = addr.line_index();
-                    let words = layered.peek_line(line);
-                    assert_eq!(words, flat.peek_line(line), "line {line:#x}");
-                    for (i, &word) in words.iter().enumerate() {
-                        let addr = addr.line().offset(i as u64 * 8);
-                        assert_eq!(word, flat.peek(addr), "line read vs word read at {addr}");
-                    }
-                }
+                1 => check_word(&mut layered, &mut flat, arb_probe(rng)),
+                _ => check_line(&layered, &flat, arb_probe(rng)),
             }
         }
-        assert_eq!(*base, frozen, "writes must stay in the layer");
     });
 }
 
