@@ -33,7 +33,7 @@ use crate::{Addr, LINE_BYTES, WORDS_PER_LINE};
 /// assert_eq!(base.get(Addr::new(0x8C)), Some(3)); // any byte of the word
 /// assert_eq!(base.get(Addr::new(0x90)), None);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BaseImage {
     /// Word-aligned addresses, strictly ascending.
     words: Arc<[(Addr, u64)]>,
