@@ -7,9 +7,7 @@
 //!
 //! `<id>` is a row of [`reunion_bench::registry`] (`fig5`, `table3`,
 //! `kernels`, …): the run prints the experiment's table and writes
-//! `BENCH_<id>.json` under `$REUNION_OUT_DIR`, or — with `--shard i/N` —
-//! streams one shard's cells to a resumable manifest for `merge_shards`.
-//! `counters` prints the deterministic work counters CI diffs against
+//! `BENCH_<id>.json` under `$REUNION_OUT_DIR`. `counters` prints the deterministic work counters CI diffs against
 //! `baselines/BENCH_counters.txt` ([`reunion_bench::counters`]).
 
 use reunion_bench::{counters, registry, RunOptions, RUN_OPTIONS_USAGE};

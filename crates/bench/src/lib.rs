@@ -3,9 +3,9 @@
 //! Every table and figure of the paper's evaluation is one row of the
 //! [`registry`]: an id, a caption, how to declare its [`ExperimentGrid`]
 //! and how to print its table. `reunion-bench run <id>` looks the row up
-//! and hands it to [`run_and_emit`]; the grid's cells execute in parallel
-//! through [`reunion_sim::Runner`] and the resulting report both drives the
-//! printed table and lands on disk as `BENCH_<id>.json`.
+//! and runs it ([`registry::Experiment::run`]); the grid's cells execute
+//! in parallel through [`reunion_sim::Runner`] and the resulting report
+//! both drives the printed table and lands on disk as `BENCH_<id>.json`.
 //! Run e.g. `cargo run --release -p reunion-bench -- run fig5`.
 //!
 //! `reunion-bench counters` prints the deterministic work counters
@@ -22,18 +22,14 @@
 //!   default event-driven time-skipping engine. `BENCH_<id>.json` output
 //!   is byte-identical between the two (gated by the engine-parity CI
 //!   step).
-//! * `--shard i/N` — run only shard `i` of an `N`-way partition of the
-//!   grid, appending per-cell results to a resumable manifest instead of
-//!   writing `BENCH_<id>.json` (combine with `merge_shards`).
 //! * `--threads <n>` — worker threads; `1` runs the cells one at a time
 //!   in grid order (determinism checks).
 //! * `--obs` and `--trace-cap <n>` — opt into the observability layer
 //!   (latency histograms, stall/skip summaries and the bounded per-pair
 //!   event trace); off by default so the gated artifacts stay byte-stable.
-//! * `REUNION_OUT_DIR=<dir>` — where `BENCH_<id>.json` reports,
-//!   `MANIFEST_*.jsonl` shard manifests and `TRACE_*.jsonl` dumps are
-//!   written (resolved with the rest, into [`RunOptions::out_dir`]); the
-//!   one value read from the environment.
+//! * `REUNION_OUT_DIR=<dir>` — where `BENCH_<id>.json` reports and
+//!   `TRACE_*.jsonl` dumps are written (resolved with the rest, into
+//!   [`RunOptions::out_dir`]); the one value read from the environment.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -49,34 +45,34 @@ pub use reunion_sim::{RunOptions, RUN_OPTIONS_USAGE};
 
 /// The comparison latencies of the paper's sensitivity sweeps — the shared
 /// x-axis of Figure 6, Figure 7(b) and the SC ablation.
-pub const SWEEP_LATENCIES: [u64; 5] = [0, 10, 20, 30, 40];
+pub(crate) const SWEEP_LATENCIES: [u64; 5] = [0, 10, 20, 30, 40];
 
 /// Canonical patch label for a latency sweep point (`"lat=10"`).
-pub fn latency_label(latency: u64) -> String {
+pub(crate) fn latency_label(latency: u64) -> String {
     format!("lat={latency}")
 }
 
 /// Canonical patch label for a two-axis sweep point (`"sw:lat=10"`), where
 /// `key` names the second axis value (TLB model, consistency model, …).
-pub fn keyed_latency_label(key: &str, latency: u64) -> String {
+pub(crate) fn keyed_latency_label(key: &str, latency: u64) -> String {
     format!("{key}:lat={latency}")
 }
 
 /// Prints a figure/table banner.
-pub fn banner(id: &str, caption: &str) {
+pub(crate) fn banner(id: &str, caption: &str) {
     println!("==============================================================");
     println!("{id}: {caption}");
     println!("==============================================================");
 }
 
 /// The workload suite in presentation order.
-pub fn workloads() -> Vec<Workload> {
+pub(crate) fn workloads() -> Vec<Workload> {
     suite()
 }
 
 /// The commercial (Web+OLTP+DSS) subset of the suite, in presentation
 /// order — the population of Figures 7(b) and the SC ablation.
-pub fn commercial_workloads() -> Vec<Workload> {
+pub(crate) fn commercial_workloads() -> Vec<Workload> {
     suite()
         .into_iter()
         .filter(|w| w.class().is_commercial())
@@ -85,70 +81,34 @@ pub fn commercial_workloads() -> Vec<Workload> {
 
 /// The real-code kernel suite (`asm/`), in presentation order — the
 /// population of the `kernels` experiment.
-pub fn kernel_workloads() -> Vec<Workload> {
+pub(crate) fn kernel_workloads() -> Vec<Workload> {
     kernel_suite()
 }
 
-/// Executes the grid and persists its artifact.
+/// Executes the grid on [`RunOptions::runner`], writes `BENCH_<id>.json`
+/// to `opts.out_dir` and returns the report for table printing.
 ///
 /// This is the single entry point every experiment funnels through: no
 /// driver runs simulations in a hand-rolled loop.
 ///
-/// `opts.out_dir` is created first if it is missing (a failure exits with
-/// status 1, naming the path): shard manifests and `TRACE_*.jsonl` dumps
-/// are written there while cells run, long before the report is.
-///
-/// Without a shard selection in `opts`, the whole grid runs on
-/// [`RunOptions::runner`], `BENCH_<id>.json` lands in `opts.out_dir` (a
-/// failed write exits with status 1), and the report is returned for table
-/// printing.
-///
-/// With `--shard i/N`, only shard `i`'s cells run; each finished cell
-/// streams to the shard's resumable manifest under `opts.out_dir` and
-/// `None` is returned — there is no complete report to print until every
-/// shard has run and `merge_shards` has combined the manifests (the merged
-/// `BENCH_<id>.json` is byte-identical to a single-process run's).
-pub fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> Option<ExperimentReport> {
+/// `opts.out_dir` is created first if it is missing, because `--obs` runs
+/// write `TRACE_*.jsonl` dumps there while cells run, long before the
+/// report. Failing to create it or to write the report exits with
+/// status 1, naming the path.
+pub(crate) fn run_and_emit(grid: &ExperimentGrid, opts: &RunOptions) -> ExperimentReport {
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
         eprintln!("could not create {}: {e}", opts.out_dir.display());
         std::process::exit(1);
     }
-    let runner = opts.runner();
-    let Some(shard) = opts.shard else {
-        let report = runner.run(grid);
-        match report.write_json(&opts.out_dir) {
-            Ok(path) => {
-                println!("[report: {}]", path.display());
-                return Some(report);
-            }
-            Err(e) => {
-                eprintln!("could not write BENCH_{}.json: {e}", report.id);
-                std::process::exit(1);
-            }
-        }
-    };
-    match runner.run_shard(grid, shard, &opts.out_dir) {
-        Ok(outcome) => {
-            println!(
-                "[shard {shard} of {}: {} cells owned, {} resumed, {} executed]",
-                grid.id(),
-                outcome.owned_cells,
-                outcome.resumed,
-                outcome.executed,
-            );
-            println!("[manifest: {}]", outcome.manifest_path.display());
-            println!(
-                "[once all {} shards have run: merge_shards {}]",
-                shard.count(),
-                opts.out_dir.display(),
-            );
-            None
-        }
+    let report = opts.runner().run(grid);
+    match report.write_json(&opts.out_dir) {
+        Ok(path) => println!("[report: {}]", path.display()),
         Err(e) => {
-            eprintln!("shard {shard} of {} failed: {e}", grid.id());
+            eprintln!("could not write BENCH_{}.json: {e}", report.id);
             std::process::exit(1);
         }
     }
+    report
 }
 
 /// The fixed reference grid behind the deterministic bench counters
@@ -266,7 +226,7 @@ pub fn counters(opts: &RunOptions) -> String {
 }
 
 /// Averages `(class, value)` pairs per class, in presentation order.
-pub fn class_averages(rows: &[(WorkloadClass, f64)]) -> Vec<(WorkloadClass, f64)> {
+pub(crate) fn class_averages(rows: &[(WorkloadClass, f64)]) -> Vec<(WorkloadClass, f64)> {
     WorkloadClass::ALL
         .iter()
         .map(|&class| {
@@ -281,7 +241,7 @@ pub fn class_averages(rows: &[(WorkloadClass, f64)]) -> Vec<(WorkloadClass, f64)
 
 /// Averages values over the commercial (Web+OLTP+DSS) and scientific
 /// workloads, the paper's two headline groups.
-pub fn commercial_scientific_averages(rows: &[(WorkloadClass, f64)]) -> (f64, f64) {
+pub(crate) fn commercial_scientific_averages(rows: &[(WorkloadClass, f64)]) -> (f64, f64) {
     let mut commercial = ClassSummary::new();
     let mut scientific = ClassSummary::new();
     for &(class, value) in rows {
@@ -345,25 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn a_sharded_run_creates_its_missing_output_directory() {
-        let sharded = RunOptions {
-            shard: Some(reunion_sim::ShardSpec::new(1, 2)),
-            ..RunOptions::default()
-        };
-        let (opts, root) = into_missing_dir("mkdir-shard", sharded);
-        let report = run_and_emit(&counters_grid(&opts), &opts);
-        assert!(report.is_none(), "one shard, no report");
-        assert_eq!(files_in(&opts), ["MANIFEST_counters.shard1of2.jsonl"]);
-        std::fs::remove_dir_all(root).ok();
-    }
-
-    #[test]
     fn an_obs_run_leaves_its_traces_in_a_missing_output_directory() {
         let mut with_obs = RunOptions::default();
         with_obs.observability.enabled = true;
         let (opts, root) = into_missing_dir("mkdir-obs", with_obs);
         let grid = counters_grid(&opts);
-        run_and_emit(&grid, &opts).expect("whole grid, so a report");
+        run_and_emit(&grid, &opts);
         let files = files_in(&opts);
         let traces = files.iter().filter(|f| f.starts_with("TRACE_counters_"));
         assert_eq!(traces.count(), grid.cells().len(), "{files:?}");

@@ -130,13 +130,11 @@ impl Experiment {
         (self.axes)(builder, opts).build()
     }
 
-    /// Runs the experiment end to end: banner, grid, [`run_and_emit`], and
-    /// — unless only one shard ran — the printed table.
+    /// Runs the experiment end to end: banner, grid, `BENCH_<id>.json`
+    /// under `opts.out_dir`, and the printed table.
     pub fn run(&self, opts: &RunOptions) {
         banner(self.title, self.caption);
-        if let Some(report) = run_and_emit(&self.grid(opts), opts) {
-            (self.print)(&report);
-        }
+        (self.print)(&run_and_emit(&self.grid(opts), opts));
     }
 }
 

@@ -131,8 +131,8 @@ impl std::str::FromStr for Engine {
 /// ```
 ///
 /// Run-time concerns (engine selection, observability) are injected by the
-/// harness — `reunion_sim::RunOptions::apply` — or explicitly via
-/// [`with_engine`](Self::with_engine) /
+/// harness — `reunion_sim::GridBuilder::run_options`, for every cell of a
+/// grid — or explicitly via [`with_engine`](Self::with_engine) /
 /// [`with_observability`](Self::with_observability).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -165,12 +165,12 @@ pub struct SystemConfig {
     /// Timing engine (dense cycle stepping or event-driven time skipping).
     /// Constructors default to [`Engine::Skip`]; outputs are
     /// engine-invariant. Inject a run-time choice via
-    /// [`with_engine`](Self::with_engine) or `RunOptions::apply`.
+    /// [`with_engine`](Self::with_engine) or `GridBuilder::run_options`.
     pub engine: Engine,
     /// Opt-in observability (latency histograms + bounded event traces).
     /// Constructors default to off so every deterministic output stays
     /// byte-stable; inject via [`with_observability`](Self::with_observability)
-    /// or `RunOptions::apply`.
+    /// or `GridBuilder::run_options`.
     pub obs: ObsConfig,
 }
 

@@ -103,7 +103,7 @@ impl ExperimentGrid {
     }
 
     /// What each cell measures.
-    pub fn metric(&self) -> Metric {
+    pub(crate) fn metric(&self) -> Metric {
         self.metric
     }
 
@@ -128,23 +128,6 @@ impl ExperimentGrid {
             .unwrap_or(&self.sample)
     }
 
-    /// The base configuration constructor (patches apply on top of this).
-    pub fn base(&self) -> fn(ExecutionMode) -> SystemConfig {
-        self.base
-    }
-
-    /// The timing engine every cell simulates under (set by
-    /// [`GridBuilder::run_options`]; default: [`Engine::default`]).
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// The observability configuration every cell simulates under (set by
-    /// [`GridBuilder::run_options`]; default: off).
-    pub fn observability(&self) -> &ObsConfig {
-        &self.obs
-    }
-
     /// The directory the runner writes retained event traces to, as
     /// `TRACE_<id>_<cell>.jsonl` files, or `None` for no dump. Only the
     /// command-line surface — [`GridBuilder::run_options`] with
@@ -152,7 +135,7 @@ impl ExperimentGrid {
     /// enabling collection through [`GridBuilder::observability`] gets the
     /// in-memory trace and the report block without files appearing in the
     /// working directory.
-    pub fn trace_dir(&self) -> Option<&Path> {
+    pub(crate) fn trace_dir(&self) -> Option<&Path> {
         self.trace_dir.as_deref()
     }
 
@@ -230,25 +213,15 @@ impl GridBuilder {
     ///
     /// The experiment binaries call this with their
     /// [`RunOptions`] so `--engine` / `--obs` reach the simulated systems;
-    /// the execution-scoped choices (profile, threads, shard) are consumed
-    /// by the runner, not the grid. Enabling observability here — and only
-    /// here — also opts the run into `TRACE_*.jsonl` file dumps under
-    /// `opts.out_dir` (see [`ExperimentGrid::trace_dir`]): trace files are
-    /// part of the command-line artifact contract, not of in-memory
-    /// collection.
+    /// the execution-scoped choices (profile, threads) are consumed by the
+    /// runner, not the grid. Enabling observability here — and only here —
+    /// also opts the run into `TRACE_<id>_<cell>.jsonl` file dumps under
+    /// `opts.out_dir`: trace files are part of the command-line artifact
+    /// contract, not of in-memory collection.
     pub fn run_options(mut self, opts: &RunOptions) -> Self {
         self.engine = opts.engine;
         self.obs = opts.observability;
         self.trace_dir = opts.observability.enabled.then(|| opts.out_dir.clone());
-        self
-    }
-
-    /// Sets the timing engine overlay directly (default:
-    /// [`Engine::default`]). [`run_options`](Self::run_options) is the
-    /// usual entry point; this exists for embedders sweeping engines
-    /// without a command line.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -407,8 +380,6 @@ mod tests {
             .workloads(two_workloads())
             .patches(vec![ConfigPatch::new("lat=5").latency(5)])
             .build();
-        assert_eq!(grid.engine(), Engine::Dense);
-        assert!(grid.observability().enabled);
         assert_eq!(
             grid.trace_dir(),
             Some(opts.out_dir.as_path()),
@@ -429,8 +400,9 @@ mod tests {
             .base(SystemConfig::small_test)
             .workloads(two_workloads())
             .build();
-        assert_eq!(grid.engine(), Engine::default());
-        assert!(!grid.observability().enabled);
+        let cfg = grid.cell_config(&grid.cells()[0]);
+        assert_eq!(cfg.engine, Engine::default());
+        assert!(!cfg.obs.enabled);
         assert!(grid.trace_dir().is_none());
     }
 
@@ -444,12 +416,14 @@ mod tests {
             })
             .workloads(two_workloads())
             .build();
-        assert!(grid.observability().enabled, "collection is on");
+        assert!(
+            grid.cell_config(&grid.cells()[0]).obs.enabled,
+            "collection is on"
+        );
         assert!(
             grid.trace_dir().is_none(),
             "library callers must not litter the working directory"
         );
-        assert!(grid.cell_config(&grid.cells()[0]).obs.enabled);
     }
 
     #[test]

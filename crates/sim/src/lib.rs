@@ -1,5 +1,5 @@
-//! Experiment-runner subsystem: declarative grids, parallel/sharded
-//! execution, resumable manifests, structured reports.
+//! Experiment-runner subsystem: declarative grids, parallel execution,
+//! structured reports.
 //!
 //! The paper's evaluation is a pile of cartesian products — every figure
 //! and table sweeps (workload × execution mode × one or two configuration
@@ -17,22 +17,20 @@
 //!   first, so heterogeneous cells don't straggle; [`measure_cell`] is the
 //!   unit of work it schedules, callable one cell at a time.
 //! * [`RunOptions`] — one typed resolution of the run surface every
-//!   experiment driver shares (profile, engine, serial/threads, shard,
+//!   experiment driver shares (profile, engine, serial/threads,
 //!   observability, artifact directory): one command-line flag each —
 //!   the artifact directory alone is `REUNION_OUT_DIR` — with unrecognized
 //!   arguments handed back to the caller ([`RUN_OPTIONS_USAGE`] is the
 //!   usage line). [`RunOptions::parse_cli`], called once at `main`, is the
 //!   only reader of the process environment; everything below takes the
 //!   resolved value.
-//! * [`ShardSpec`] / [`ShardManifest`] / [`merge_manifests`] — sharded,
-//!   resumable execution: `--shard i/N` (or the programmatic
-//!   [`ShardSpec`] API) selects a deterministic round-robin slice of the
-//!   grid, [`Runner::run_shard`] streams each finished cell to a crash-safe
-//!   manifest (a [`ManifestHeader`] line, then one record per cell;
-//!   [`ShardRunOutcome`] says how much was resumed) so an interrupted run
-//!   resumes instead of restarting, and merging a complete partition
-//!   ([`find_manifests`], [`read_manifest`]; an incomplete or mixed one is
-//!   a [`MergeError`]) reproduces the single-process report byte for byte.
+//! * [`ShardSpec`] / [`ShardManifest`] / [`merge_manifests`] — a manifest
+//!   library: a crash-safe, append-only file of one [`ManifestHeader`]
+//!   line and one record per cell, owned by a round-robin [`ShardSpec`]
+//!   slice of the grid. A torn trailing line is dropped on reopening, and
+//!   merging a complete partition ([`read_manifest`]; an incomplete or
+//!   mixed one is a [`MergeError`]) reproduces the report byte for byte.
+//!   No run writes one: the repo benchmark times this round trip.
 //! * [`ExperimentReport`] / [`RunRecord`] — results in grid enumeration
 //!   order with lookup and aggregation helpers; a record's [`Outcome`] is
 //!   a [`NormalizedSummary`], a [`MeasureSummary`] or a [`StaticSummary`]
@@ -43,11 +41,11 @@
 //!   JSON serializer and reader ([`JsonValue`], [`JsonParseError`]) behind
 //!   every artifact and manifest.
 //!
-//! Determinism is a hard invariant: a parallel run, a serial run, and any
-//! `N`-way sharded-then-merged run of the same grid produce
-//! **byte-identical** JSON (guarded by tests in [`runner`](crate::Runner)
-//! and the `sharding` integration suite): nothing about scheduling or
-//! partitioning leaks into results.
+//! Determinism is a hard invariant: a parallel run and a serial run of the
+//! same grid produce **byte-identical** JSON, and so does a report merged
+//! from any `N`-way partition of its records into manifests (guarded by
+//! tests in [`runner`](crate::Runner) and the `sharding` integration
+//! suite): nothing about scheduling or partitioning leaks into results.
 //!
 //! # Examples
 //!
@@ -72,25 +70,42 @@
 //! assert!(fast.normalized_ipc().unwrap() > 0.0);
 //! ```
 //!
-//! Sharded execution of the same grid (two shards, one process):
+//! A report's records, split over two manifests and merged back:
 //!
 //! ```
 //! use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-//! use reunion_sim::{merge_manifests, ExperimentGrid, Runner, ShardSpec};
+//! use reunion_sim::{
+//!     merge_manifests, ExperimentGrid, ManifestHeader, Runner, ShardManifest, ShardSpec,
+//! };
 //! use reunion_workloads::Workload;
 //!
-//! let grid = ExperimentGrid::builder("doc_shard", "sharded run")
+//! let grid = ExperimentGrid::builder("doc_shard", "manifest round trip")
 //!     .base(SystemConfig::small_test)
 //!     .sample(SampleConfig::quick())
 //!     .workloads(vec![Workload::by_name("sparse").unwrap()])
 //!     .modes(&[ExecutionMode::NonRedundant, ExecutionMode::Reunion])
 //!     .build();
+//! let report = Runner::serial().run(&grid);
 //! let dir = std::env::temp_dir().join(format!("reunion-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
-//! let a = Runner::serial().run_shard(&grid, ShardSpec::new(1, 2), &dir).unwrap();
-//! let b = Runner::serial().run_shard(&grid, ShardSpec::new(2, 2), &dir).unwrap();
-//! let merged = merge_manifests(&[a.manifest_path, b.manifest_path]).unwrap();
-//! assert_eq!(merged.to_json(), Runner::serial().run(&grid).to_json());
+//! let mut paths = Vec::new();
+//! for shard in [ShardSpec::new(1, 2), ShardSpec::new(2, 2)] {
+//!     let header = ManifestHeader {
+//!         id: report.id.clone(),
+//!         caption: report.caption.clone(),
+//!         shard,
+//!         cells: report.records.len(),
+//!         sample: report.sample,
+//!         sample_overrides: report.sample_overrides.clone(),
+//!         obs: Default::default(),
+//!     };
+//!     let mut manifest = ShardManifest::create_or_resume(&dir, header).unwrap();
+//!     for (i, record) in report.records.iter().enumerate().filter(|(i, _)| shard.owns(*i)) {
+//!         manifest.append(i, record).unwrap();
+//!     }
+//!     paths.push(dir.join(shard.manifest_file_name(&report.id)));
+//! }
+//! assert_eq!(merge_manifests(&paths).unwrap().to_json(), report.to_json());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!
@@ -112,11 +127,11 @@ mod shard;
 pub use grid::{Cell, ExperimentGrid, GridBuilder, Metric};
 pub use json::{parse_json, JsonParseError, JsonValue, JsonWriter};
 pub use manifest::{read_manifest, ManifestHeader, ShardManifest};
-pub use merge::{find_manifests, merge_manifests, MergeError};
+pub use merge::{merge_manifests, MergeError};
 pub use options::{RunOptions, RUN_OPTIONS_USAGE};
 pub use patch::ConfigPatch;
 pub use report::{
     ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
-pub use runner::{measure_cell, Runner, ShardRunOutcome};
+pub use runner::{measure_cell, Runner};
 pub use shard::ShardSpec;

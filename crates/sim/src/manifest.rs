@@ -1,11 +1,11 @@
-//! Incremental shard manifests: the crash-safe unit of sharded execution.
+//! Incremental shard manifests: crash-safe, append-only record files.
 //!
 //! A manifest is an append-only JSONL file (`MANIFEST_<id>.shard<i>of<N>.jsonl`)
 //! holding one header line describing the (grid, shard, sampling) contract,
-//! followed by one compact line per completed cell. The runner appends a
-//! line the moment a cell finishes, so a killed run loses at most the cell
-//! in flight: reopening the manifest with the same contract resumes from
-//! the recorded cells instead of restarting. [`crate::merge_manifests`]
+//! followed by one compact line per completed cell. A writer appends a
+//! line the moment a cell finishes, so a killed writer loses at most the
+//! cell in flight: reopening the manifest with the same contract keeps the
+//! recorded cells instead of restarting. [`crate::merge_manifests`]
 //! combines a complete set of manifests back into an
 //! [`ExperimentReport`](crate::ExperimentReport) that is byte-identical to
 //! a single-process run.
@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use reunion_core::{ObsConfig, SampleConfig};
 
@@ -58,7 +58,7 @@ pub struct ManifestHeader {
 impl ManifestHeader {
     /// Whether `other` records a shard of the same experiment: everything
     /// must match except the shard index (the partition width must agree).
-    pub fn same_experiment(&self, other: &ManifestHeader) -> bool {
+    pub(crate) fn same_experiment(&self, other: &ManifestHeader) -> bool {
         self.id == other.id
             && self.caption == other.caption
             && self.shard.count() == other.shard.count()
@@ -97,7 +97,7 @@ impl ManifestHeader {
         w.finish()
     }
 
-    pub(crate) fn from_line(line: &str) -> Result<Self, String> {
+    fn from_line(line: &str) -> Result<Self, String> {
         let prefix = |e: String| format!("manifest header: {e}");
         let v = parse_json(line).map_err(|e| prefix(e.to_string()))?;
         if v.get("kind").and_then(JsonValue::as_str) != Some("reunion-shard-manifest") {
@@ -144,14 +144,11 @@ impl ManifestHeader {
 
 /// An open, appendable shard manifest.
 ///
-/// Created (or resumed) by [`ShardManifest::create_or_resume`]; the runner
+/// Created (or resumed) by [`ShardManifest::create_or_resume`]; the writer
 /// calls [`append`](ShardManifest::append) once per completed cell.
 #[derive(Debug)]
 pub struct ShardManifest {
-    path: PathBuf,
     file: File,
-    header: ManifestHeader,
-    completed: BTreeMap<usize, RunRecord>,
 }
 
 impl ShardManifest {
@@ -195,40 +192,17 @@ impl ShardManifest {
         }
         std::fs::rename(&tmp, &path)?;
         let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(ShardManifest {
-            path,
-            file,
-            header,
-            completed,
-        })
-    }
-
-    /// The manifest's on-disk location.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The contract this manifest was opened with.
-    pub fn header(&self) -> &ManifestHeader {
-        &self.header
-    }
-
-    /// Records recovered from a previous interrupted run (plus any appended
-    /// since opening), keyed by cell index.
-    pub fn completed(&self) -> &BTreeMap<usize, RunRecord> {
-        &self.completed
+        Ok(ShardManifest { file })
     }
 
     /// Appends one completed cell and fsyncs it, making the record durable
-    /// (host crash included) before the runner moves on. Cells take seconds
+    /// (host crash included) before the writer moves on. Cells take seconds
     /// to minutes to simulate, so one `fdatasync` per cell is noise.
     pub fn append(&mut self, index: usize, record: &RunRecord) -> io::Result<()> {
         let mut line = entry_line(index, record);
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
-        self.completed.insert(index, record.clone());
-        Ok(())
+        self.file.sync_data()
     }
 }
 

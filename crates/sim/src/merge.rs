@@ -1,8 +1,7 @@
 //! Merging shard manifests back into a single experiment report.
 //!
-//! The inverse of [`Runner::run_shard`](crate::Runner::run_shard): given
-//! the manifests of a complete partition (any `N`, produced on any mix of
-//! machines), [`merge_manifests`] reassembles the
+//! Given the manifests of a complete partition (any `N`),
+//! [`merge_manifests`] reassembles the
 //! [`ExperimentReport`](crate::ExperimentReport) — byte-identical to the
 //! report a single-process run of the same grid would have produced,
 //! because cell measurement is a pure function of (grid, cell) and records
@@ -10,9 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::manifest::{read_manifest, ManifestHeader};
 use crate::report::ExperimentReport;
@@ -128,42 +125,4 @@ fn report_from_parts(
         sample_overrides: header.sample_overrides,
         records: records.into_values().collect(),
     }
-}
-
-/// All shard manifests (`MANIFEST_*.jsonl`) directly under `dir`, sorted by
-/// file name, grouped by the grid id recorded in each header.
-///
-/// Only the header line of each file is read here — grouping must stay
-/// cheap even over a campaign directory whose record lines run to
-/// thousands; the records are parsed once, by [`merge_manifests`].
-///
-/// # Errors
-///
-/// Propagates directory-read failures; unreadable or foreign `.jsonl`
-/// files are skipped rather than failing the scan.
-pub fn find_manifests(dir: &Path) -> io::Result<BTreeMap<String, Vec<PathBuf>>> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("MANIFEST_") && n.ends_with(".jsonl"))
-        })
-        .collect();
-    files.sort();
-    let mut groups: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
-    for path in files {
-        let Ok(file) = File::open(&path) else {
-            continue;
-        };
-        let mut first = String::new();
-        if BufReader::new(file).read_line(&mut first).is_err() {
-            continue;
-        }
-        if let Ok(header) = ManifestHeader::from_line(first.trim_end()) {
-            groups.entry(header.id).or_default().push(path);
-        }
-    }
-    Ok(groups)
 }

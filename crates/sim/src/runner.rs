@@ -1,8 +1,6 @@
-//! Parallel, sharded, resumable execution of experiment grids.
+//! Parallel execution of experiment grids.
 
 use std::cmp::Reverse;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -12,11 +10,9 @@ use reunion_core::{
 
 use crate::grid::{Cell, ExperimentGrid, Metric};
 use crate::json::JsonWriter;
-use crate::manifest::{ManifestHeader, ShardManifest};
 use crate::report::{
     ExperimentReport, MeasureSummary, NormalizedSummary, Outcome, RunRecord, StaticSummary,
 };
-use crate::shard::ShardSpec;
 
 /// Executes the cells of an [`ExperimentGrid`] and assembles an
 /// [`ExperimentReport`].
@@ -38,33 +34,12 @@ use crate::shard::ShardSpec;
 /// of its key, so the report is the same bytes as measuring each cell on
 /// its own ([`measure_cell`]); a second call measures everything again.
 ///
-/// [`Runner::run_shard`] executes one [`ShardSpec`] slice of the grid,
-/// streaming each finished cell to a crash-safe shard manifest;
-/// `merge_shards` (or [`crate::merge_manifests`]) later combines the
-/// manifests into the same byte-identical `BENCH_<id>.json`.
-///
 /// The runner never reads the environment: a command-line driver gets its
 /// runner from [`RunOptions::runner`](crate::RunOptions::runner), which
 /// honours the resolved `--threads` choice.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     threads: usize,
-}
-
-/// What [`Runner::run_shard`] did: where the manifest lives and how much of
-/// the shard ran now versus was recovered from an interrupted run.
-#[derive(Clone, Debug)]
-pub struct ShardRunOutcome {
-    /// The manifest file holding this shard's per-cell records.
-    pub manifest_path: PathBuf,
-    /// The shard that was executed.
-    pub shard: ShardSpec,
-    /// Number of grid cells this shard owns.
-    pub owned_cells: usize,
-    /// Cells recovered from an earlier interrupted run's manifest.
-    pub resumed: usize,
-    /// Cells executed by this invocation.
-    pub executed: usize,
 }
 
 impl Runner {
@@ -91,122 +66,53 @@ impl Runner {
 
     /// Executes every cell of `grid` and returns the assembled report.
     pub fn run(&self, grid: &ExperimentGrid) -> ExperimentReport {
-        let indices: Vec<usize> = (0..grid.cells().len()).collect();
-        let mut slots: Vec<Option<RunRecord>> = indices.iter().map(|_| None).collect();
-        self.execute(grid, &indices, &Baselines::default(), |i, record| {
-            slots[i] = Some(record);
-            Ok(())
-        })
-        .expect("collecting records in memory cannot fail");
         ExperimentReport {
             id: grid.id().to_string(),
             caption: grid.caption().to_string(),
             sample: *grid.sample(),
             sample_overrides: grid.sample_overrides().to_vec(),
-            records: slots
-                .into_iter()
-                .map(|r| r.expect("every cell must produce a record"))
-                .collect(),
+            records: self.execute(grid, &Baselines::default()),
         }
     }
 
-    /// Executes the slice of `grid` owned by `shard`, streaming every
-    /// finished cell to the shard's manifest under `dir` and resuming from
-    /// any compatible manifest already there.
-    ///
-    /// The manifest (`MANIFEST_<id>.shard<i>of<N>.jsonl`) is flushed after
-    /// each cell, so an interrupted run loses at most the cells in flight.
-    /// Re-invoking with the same grid and shard picks up where the previous
-    /// run stopped; a manifest written by a *different* grid, profile, or
-    /// partition is discarded, not merged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manifest I/O failures; the simulation itself cannot fail.
-    pub fn run_shard(
-        &self,
-        grid: &ExperimentGrid,
-        shard: ShardSpec,
-        dir: &Path,
-    ) -> io::Result<ShardRunOutcome> {
-        let header = ManifestHeader {
-            id: grid.id().to_string(),
-            caption: grid.caption().to_string(),
-            shard,
-            cells: grid.cells().len(),
-            sample: *grid.sample(),
-            sample_overrides: grid.sample_overrides().to_vec(),
-            obs: *grid.observability(),
-        };
-        let mut manifest = ShardManifest::create_or_resume(dir, header)?;
-        let owned = shard.cell_indices(grid.cells().len());
-        let todo: Vec<usize> = owned
-            .iter()
-            .copied()
-            .filter(|i| !manifest.completed().contains_key(i))
-            .collect();
-        self.execute(grid, &todo, &Baselines::default(), |i, record| {
-            manifest.append(i, &record)
-        })?;
-        Ok(ShardRunOutcome {
-            manifest_path: manifest.path().to_path_buf(),
-            shard,
-            owned_cells: owned.len(),
-            resumed: owned.len() - todo.len(),
-            executed: todo.len(),
-        })
-    }
-
-    /// The one scheduling loop: measures the cells at `indices` and hands
-    /// each record to `sink` the moment it completes. A single worker runs
-    /// on the calling thread in index order (so serial manifests are
-    /// deterministic files); several claim cells costliest-first through
-    /// one shared cursor — list scheduling, longest processing time first
-    /// — and reach `sink` in completion order, one at a time. Scheduling
-    /// never affects results: each record is a pure function of (grid,
-    /// cell) and `sink` is told which cell it belongs to — `baselines`,
-    /// which the caller creates empty for the call, only saves repeating
-    /// work. The first error `sink` returns stops every worker before its
-    /// next cell and is returned.
-    fn execute(
-        &self,
-        grid: &ExperimentGrid,
-        indices: &[usize],
-        baselines: &Baselines,
-        sink: impl FnMut(usize, RunRecord) -> io::Result<()> + Send,
-    ) -> io::Result<()> {
-        let state = Mutex::new((sink, Ok(())));
-        let work = |next: &mut dyn FnMut() -> Option<usize>| {
-            while let Some(i) = next() {
-                if state.lock().expect("sink panicked").1.is_err() {
-                    return;
-                }
-                let record = measure_cell_with(grid, &grid.cells()[i], baselines);
-                let mut guard = state.lock().expect("sink panicked");
-                let (sink, result) = &mut *guard;
-                if result.is_ok() {
-                    *result = sink(i, record);
-                }
-            }
-        };
-        let workers = self.threads.min(indices.len());
+    /// The one scheduling loop: measures every cell of `grid` and returns
+    /// the records in grid order. A single worker runs on the calling
+    /// thread in grid order; several claim cells costliest-first through
+    /// one shared cursor — list scheduling, longest processing time first.
+    /// Scheduling never affects results: each record is a pure function of
+    /// (grid, cell), and `baselines`, which the caller creates empty for
+    /// the call, only saves repeating work.
+    fn execute(&self, grid: &ExperimentGrid, baselines: &Baselines) -> Vec<RunRecord> {
+        let cells = grid.cells();
+        let run_cell = |i: usize| measure_cell_with(grid, &cells[i], baselines);
+        let workers = self.threads.min(cells.len());
         if workers <= 1 {
-            let mut in_order = indices.iter().copied();
-            work(&mut || in_order.next());
-        } else {
-            let claims = costliest_first(grid, indices);
-            // Relaxed: the cursor only hands out tickets; `claims` was
-            // written before the workers were spawned.
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        work(&mut || claims.get(cursor.fetch_add(1, Ordering::Relaxed)).copied())
-                    });
-                }
-            });
+            return (0..cells.len()).map(run_cell).collect();
         }
-        state.into_inner().expect("sink panicked").1
+        let claims = costliest_first(grid);
+        // Relaxed: the cursor only hands out tickets; `claims` was
+        // written before the workers were spawned.
+        let cursor = AtomicUsize::new(0);
+        let mut done: Vec<(usize, RunRecord)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(&i) = claims.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            done.push((i, run_cell(i)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("a worker panicked"))
+                .collect()
+        });
+        // Each index was claimed once, so sorting restores grid order.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, record)| record).collect()
     }
 }
 
@@ -226,10 +132,10 @@ fn cell_cost(grid: &ExperimentGrid, cell: &Cell) -> u64 {
     systems * (sample.warmup + sample.window * sample.windows as u64)
 }
 
-/// `indices` in the order parallel workers claim them: by descending
-/// [`cell_cost`], ties in the order given (the sort is stable).
-fn costliest_first(grid: &ExperimentGrid, indices: &[usize]) -> Vec<usize> {
-    let mut claims = indices.to_vec();
+/// The cell indices of `grid` in the order parallel workers claim them: by
+/// descending [`cell_cost`], ties in grid order (the sort is stable).
+fn costliest_first(grid: &ExperimentGrid) -> Vec<usize> {
+    let mut claims: Vec<usize> = (0..grid.cells().len()).collect();
     claims.sort_by_key(|&i| Reverse(cell_cost(grid, &grid.cells()[i])));
     claims
 }
@@ -278,7 +184,7 @@ impl Baselines {
 ///
 /// Pure apart from the simulation itself: the outcome is a function of
 /// (grid base config, cell, cell sampling profile) only — which is what
-/// lets cells run on any thread, in any order or shard, or one at a time
+/// lets cells run on any thread, in any order, or one at a time
 /// from a caller's own loop, and still assemble into a byte-identical
 /// report. A call on its own measures the cell's baseline too; only a
 /// [`Runner`] call shares baselines between cells.
@@ -362,7 +268,7 @@ fn dump_trace(grid: &ExperimentGrid, cell_index: usize, trace: &[TraceEvent]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{merge_manifests, ConfigPatch};
+    use crate::ConfigPatch;
     use reunion_core::{ExecutionMode, ObsConfig};
     use reunion_workloads::Workload;
 
@@ -392,10 +298,9 @@ mod tests {
     }
 
     /// Sharing baselines changes no byte: a run, whatever its thread count,
-    /// and a 2-way sharded run merged, both equal a loop of independent
-    /// `measure_cell` calls (each measuring its own baseline) — with
-    /// observability off and on. (A short profile: every cell is measured
-    /// twelve times.)
+    /// equals a loop of independent `measure_cell` calls (each measuring
+    /// its own baseline) — with observability off and on. (A short
+    /// profile: every cell is measured ten times.)
     #[test]
     fn shared_baselines_give_the_bytes_of_one_baseline_per_cell() {
         let sample = SampleConfig {
@@ -425,23 +330,6 @@ mod tests {
                 let report = Runner::with_threads(threads).run(&grid).to_json();
                 assert!(report == expected, "{threads} threads, obs {enabled}");
             }
-
-            let dir = std::env::temp_dir().join(format!(
-                "reunion-runner-memo-{}-{enabled}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let manifests: Vec<PathBuf> = (1..=2)
-                .map(|i| {
-                    let shard = ShardSpec::new(i, 2);
-                    let run = Runner::with_threads(2).run_shard(&grid, shard, &dir);
-                    run.unwrap().manifest_path
-                })
-                .collect();
-            let merged = merge_manifests(&manifests).unwrap().to_json();
-            std::fs::remove_dir_all(&dir).ok();
-            assert!(merged == expected, "sharded, obs {enabled}");
         }
     }
 
@@ -450,12 +338,9 @@ mod tests {
     #[test]
     fn a_run_measures_one_baseline_per_workload() {
         let grid = quick_grid(Metric::Normalized);
-        let indices: Vec<usize> = (0..grid.cells().len()).collect();
         for threads in [1, 4] {
             let baselines = Baselines::default();
-            Runner::with_threads(threads)
-                .execute(&grid, &indices, &baselines, |_, _| Ok(()))
-                .unwrap();
+            Runner::with_threads(threads).execute(&grid, &baselines);
             let slots = baselines.slots.into_inner().unwrap();
             let workloads: Vec<&str> = slots.iter().map(|(w, ..)| *w).collect();
             let mut sorted = workloads.clone();
@@ -475,15 +360,19 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// However many workers race over the grid — fewer, as many as, or more
+    /// than its cells — each cell yields one record, in grid order.
     #[test]
     fn records_follow_grid_order() {
         let grid = quick_grid(Metric::Static);
-        let report = Runner::with_threads(3).run(&grid);
-        assert_eq!(report.records.len(), grid.cells().len());
-        for (record, cell) in report.records.iter().zip(grid.cells()) {
-            assert_eq!(record.workload, cell.workload.name());
-            assert_eq!(record.mode, cell.mode);
-            assert_eq!(record.patch, cell.patch.label());
+        for threads in [1usize, 2, 3, 8, 64] {
+            let report = Runner::with_threads(threads).run(&grid);
+            assert_eq!(report.records.len(), grid.cells().len());
+            for (record, cell) in report.records.iter().zip(grid.cells()) {
+                assert_eq!(record.workload, cell.workload.name());
+                assert_eq!(record.mode, cell.mode);
+                assert_eq!(record.patch, cell.patch.label(), "{threads} threads");
+            }
         }
     }
 
@@ -550,54 +439,8 @@ mod tests {
     #[test]
     fn the_widened_cells_are_claimed_first() {
         let grid = widened_moldyn_grid(Metric::Normalized);
-        // Ties keep the order given, so the claim order is one fixed list.
-        assert_eq!(costliest_first(&grid, &[0, 1, 2, 3]), [2, 3, 0, 1]);
-        assert_eq!(costliest_first(&grid, &[3, 1, 2]), [3, 2, 1]);
-    }
-
-    /// Whatever subset `run_shard` passes, in whatever order, and however
-    /// many workers race over it: each index reaches the sink once.
-    #[test]
-    fn every_index_of_a_subset_reaches_the_sink_exactly_once() {
-        let grid = quick_grid(Metric::Static);
-        let subset = [6usize, 1, 4, 0, 7];
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut seen = vec![0u32; grid.cells().len()];
-            Runner::with_threads(threads)
-                .execute(&grid, &subset, &Baselines::default(), |i, record| {
-                    assert_eq!(record.patch, grid.cells()[i].patch.label());
-                    seen[i] += 1;
-                    Ok(())
-                })
-                .unwrap();
-            let expected: Vec<u32> = (0..seen.len())
-                .map(|i| u32::from(subset.contains(&i)))
-                .collect();
-            assert_eq!(seen, expected, "{threads} threads");
-        }
-    }
-
-    /// The sink's first error ends the run: it is what `execute` returns,
-    /// and no later record — not even one already being measured on
-    /// another thread — is handed to the sink.
-    #[test]
-    fn a_failing_sink_stops_the_run_and_its_error_is_returned() {
-        let grid = quick_grid(Metric::Static);
-        let indices: Vec<usize> = (0..grid.cells().len()).collect();
-        for threads in [1usize, 4] {
-            let mut calls = 0;
-            let err = Runner::with_threads(threads)
-                .execute(&grid, &indices, &Baselines::default(), |_, _| {
-                    calls += 1;
-                    match calls {
-                        1 => Ok(()),
-                        _ => Err(io::Error::other(format!("disk full at call {calls}"))),
-                    }
-                })
-                .expect_err("the sink's error must surface");
-            assert_eq!(err.to_string(), "disk full at call 2", "{threads} threads");
-            assert_eq!(calls, 2, "{threads} threads: sink called after it failed");
-        }
+        // Ties keep grid order, so the claim order is one fixed list.
+        assert_eq!(costliest_first(&grid), [2, 3, 0, 1]);
     }
 
     #[test]

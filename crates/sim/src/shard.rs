@@ -9,22 +9,18 @@
 //! byte-identical to a single-process run (see [`crate::merge_manifests`]).
 
 use std::fmt;
-use std::str::FromStr;
 
 /// One shard of an `N`-way partition of a grid's cells (1-based).
-///
-/// Construct programmatically with [`ShardSpec::new`] or parse the `i/N`
-/// spelling of `--shard` (resolved, like every run option, by
-/// [`RunOptions`](crate::RunOptions)):
 ///
 /// ```
 /// use reunion_sim::ShardSpec;
 ///
-/// let shard: ShardSpec = "2/3".parse().unwrap();
+/// let shard = ShardSpec::new(2, 3);
 /// assert_eq!(shard.index(), 2);
 /// assert_eq!(shard.count(), 3);
 /// // Round-robin: shard 2 of 3 owns cells 1, 4, 7, ...
-/// assert_eq!(shard.cell_indices(8), vec![1, 4, 7]);
+/// let owned: Vec<usize> = (0..8).filter(|&i| shard.owns(i)).collect();
+/// assert_eq!(owned, [1, 4, 7]);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
@@ -42,9 +38,9 @@ impl ShardSpec {
         Self::try_new(index, count).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Non-panicking [`new`](Self::new) — how untrusted sources (manifest
-    /// headers, environment strings) construct shard positions.
-    pub fn try_new(index: usize, count: usize) -> Result<Self, String> {
+    /// Non-panicking [`new`](Self::new): how a manifest header, an
+    /// untrusted source, constructs its shard position.
+    pub(crate) fn try_new(index: usize, count: usize) -> Result<Self, String> {
         if count == 0 {
             return Err("shard count must be at least 1".to_string());
         }
@@ -57,11 +53,6 @@ impl ShardSpec {
     /// The trivial 1/1 "partition": every cell in one shard.
     pub fn single() -> Self {
         ShardSpec { index: 1, count: 1 }
-    }
-
-    /// Whether this is the trivial single-shard partition.
-    pub fn is_single(&self) -> bool {
-        self.count == 1
     }
 
     /// This shard's 1-based position within the partition.
@@ -79,12 +70,6 @@ impl ShardSpec {
         cell_index % self.count == self.index - 1
     }
 
-    /// The cell indices this shard owns, out of `total` grid cells,
-    /// in ascending order.
-    pub fn cell_indices(&self, total: usize) -> Vec<usize> {
-        (0..total).filter(|&i| self.owns(i)).collect()
-    }
-
     /// Canonical manifest file name for this shard of grid `id`:
     /// `MANIFEST_<id>.shard<i>of<N>.jsonl`.
     pub fn manifest_file_name(&self, id: &str) -> String {
@@ -98,26 +83,6 @@ impl fmt::Display for ShardSpec {
     }
 }
 
-impl FromStr for ShardSpec {
-    type Err = String;
-
-    /// Parses `"i/N"` with `1 <= i <= N`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (i, n) = s
-            .split_once('/')
-            .ok_or_else(|| format!("expected i/N (e.g. 1/2), got {s:?}"))?;
-        let index: usize = i
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard index in {s:?}"))?;
-        let count: usize = n
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard count in {s:?}"))?;
-        ShardSpec::try_new(index, count).map_err(|e| format!("{e} in {s:?}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +93,8 @@ mod tests {
         for count in [1usize, 2, 3, 8] {
             let mut seen = vec![0u32; total];
             for index in 1..=count {
-                for i in ShardSpec::new(index, count).cell_indices(total) {
+                let shard = ShardSpec::new(index, count);
+                for i in (0..total).filter(|&i| shard.owns(i)) {
                     seen[i] += 1;
                 }
             }
@@ -140,21 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_display() {
-        for s in ["1/1", "2/3", "8/8"] {
-            let spec: ShardSpec = s.parse().unwrap();
-            assert_eq!(spec.to_string(), s);
-        }
-    }
-
-    #[test]
     fn rejects_malformed_specs() {
-        assert!("".parse::<ShardSpec>().is_err());
-        assert!("3".parse::<ShardSpec>().is_err());
-        assert!("0/2".parse::<ShardSpec>().is_err());
-        assert!("3/2".parse::<ShardSpec>().is_err());
-        assert!("1/0".parse::<ShardSpec>().is_err());
-        assert!("a/b".parse::<ShardSpec>().is_err());
+        assert!(ShardSpec::try_new(0, 2).is_err());
+        assert!(ShardSpec::try_new(3, 2).is_err());
+        assert!(ShardSpec::try_new(1, 0).is_err());
+        assert_eq!(ShardSpec::try_new(2, 3), Ok(ShardSpec::new(2, 3)));
+        assert_eq!(ShardSpec::new(2, 3).to_string(), "2/3");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Three properties gate the layer:
 //!
-//! 1. **Determinism is preserved with observability on** — serial,
-//!    parallel and shard-merged runs of an obs-enabled grid produce
-//!    byte-identical reports, exactly as they do with it off.
+//! 1. **Determinism is preserved with observability on** — serial and
+//!    parallel runs of an obs-enabled grid produce byte-identical reports,
+//!    exactly as they do with it off, and so does a report merged back
+//!    from shard manifests of its records.
 //! 2. **Engine invariance** — `check_latency`, `stall_episodes` and
 //!    `incoherence_gaps` (and the bounded event trace) are recorded only
 //!    inside ticks, so dense and skip engines must agree on them exactly;
@@ -23,7 +24,9 @@ use reunion_core::{
     measure, Engine, ExecutionMode, ObsConfig, ObsReport, SampleConfig, SystemConfig,
 };
 use reunion_kernel::SimRng;
-use reunion_sim::{merge_manifests, ExperimentGrid, Runner, ShardSpec};
+use reunion_sim::{
+    merge_manifests, ExperimentGrid, ManifestHeader, Runner, ShardManifest, ShardSpec,
+};
 use reunion_workloads::{suite, Workload};
 
 const DEFAULT_SEED: u64 = 0xE16_16E5;
@@ -126,23 +129,35 @@ fn obs_disabled_reports_have_no_observability_block() {
     assert!(!json.contains("\"observability\""));
 }
 
-/// Sharding an obs-enabled grid and merging the manifests reproduces the
-/// single-process report byte for byte — the histogram serialization
-/// round-trips exactly through the manifest records.
+/// An obs-enabled report's records, written into a 3-way partition of
+/// manifests and merged, reproduce the report byte for byte — the
+/// histogram serialization round-trips exactly through manifest records.
 #[test]
 fn obs_enabled_shard_merge_is_byte_identical() {
-    let grid = obs_grid("obsshard");
-    let expected = Runner::serial().run(&grid).to_json();
+    let report = Runner::serial().run(&obs_grid("obsshard"));
     let scratch = Scratch::new("merge");
     let mut paths = Vec::new();
     for index in 1..=3usize {
-        let outcome = Runner::serial()
-            .run_shard(&grid, ShardSpec::new(index, 3), &scratch.0)
-            .expect("shard run");
-        paths.push(outcome.manifest_path);
+        let shard = ShardSpec::new(index, 3);
+        let header = ManifestHeader {
+            id: report.id.clone(),
+            caption: report.caption.clone(),
+            shard,
+            cells: report.records.len(),
+            sample: report.sample,
+            sample_overrides: report.sample_overrides.clone(),
+            obs: OBS_ON,
+        };
+        let mut manifest = ShardManifest::create_or_resume(&scratch.0, header).expect("open");
+        for (i, record) in report.records.iter().enumerate() {
+            if shard.owns(i) {
+                manifest.append(i, record).expect("append");
+            }
+        }
+        paths.push(scratch.0.join(shard.manifest_file_name(&report.id)));
     }
     let merged = merge_manifests(&paths).expect("complete partition");
-    assert_eq!(merged.to_json(), expected);
+    assert_eq!(merged.to_json(), report.to_json());
 }
 
 /// Randomized engine-parity property: the tick-recorded histograms and the

@@ -11,7 +11,7 @@
 
 use reunion_core::{Engine, ExecutionMode, SampleConfig, SystemConfig};
 use reunion_mem::MemConfig;
-use reunion_sim::{ConfigPatch, ExperimentGrid, Runner};
+use reunion_sim::{ConfigPatch, ExperimentGrid, RunOptions, Runner};
 use reunion_workloads::Workload;
 
 /// The contention-enabled base the scaling study uses, shrunk to the
@@ -26,7 +26,10 @@ fn scaling_base(mode: ExecutionMode) -> SystemConfig {
 
 fn scaling_grid(engine: Engine) -> ExperimentGrid {
     ExperimentGrid::builder("scalingtest", "scaling determinism grid")
-        .engine(engine)
+        .run_options(&RunOptions {
+            engine,
+            ..Default::default()
+        })
         .base(scaling_base)
         .sample(SampleConfig::quick())
         .workloads(vec![

@@ -1,17 +1,21 @@
-//! Sharded, resumable execution: the byte-identity and crash-recovery
-//! guarantees the multi-machine campaign workflow rests on.
+//! Shard manifests: the byte-identity and crash-recovery guarantees of the
+//! manifest library.
 //!
-//! Property under test: for any `N`-way partition of a grid, running every
-//! shard (in any order, on any runner) and merging the manifests produces
-//! a report byte-identical to a serial single-process run — and an
-//! interrupted shard, resumed, converges to exactly the manifest an
-//! uninterrupted run writes.
+//! Property under test: for any `N`-way partition of a report's records
+//! into manifests, merging them produces a report byte-identical to a
+//! serial single-process run — and a manifest torn mid-append, reopened and
+//! completed, converges to exactly the manifest an uninterrupted writer
+//! leaves.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
-use reunion_core::{ExecutionMode, SampleConfig, SystemConfig};
-use reunion_sim::{merge_manifests, ConfigPatch, ExperimentGrid, MergeError, Runner, ShardSpec};
+use reunion_core::{ExecutionMode, ObsConfig, SampleConfig, SystemConfig};
+use reunion_sim::{
+    merge_manifests, read_manifest, ConfigPatch, ExperimentGrid, ExperimentReport, ManifestHeader,
+    MergeError, Runner, ShardManifest, ShardSpec,
+};
 use reunion_workloads::Workload;
 
 /// A fresh scratch directory per test invocation (std-only; the build
@@ -47,10 +51,10 @@ fn small_sample() -> SampleConfig {
 
 /// A grid with heterogeneous cells: two workloads, one with a widened
 /// sampling override (the `table3` em3d shape), two modes, two patches.
-fn grid() -> ExperimentGrid {
+fn grid(sample: SampleConfig) -> ExperimentGrid {
     ExperimentGrid::builder("shardprop", "sharding property grid")
         .base(SystemConfig::small_test)
-        .sample(small_sample())
+        .sample(sample)
         .sample_override("moldyn", small_sample().widened(3))
         .workloads(vec![
             Workload::by_name("sparse").unwrap(),
@@ -64,31 +68,57 @@ fn grid() -> ExperimentGrid {
         .build()
 }
 
-/// The shard-determinism property of the ISSUE: merging any shard
-/// partition (N ∈ {1, 2, 3, 8}) of a grid is byte-identical to the serial
-/// single-process report — including N = 8 > cell count per shard class,
-/// where some shards own very few cells.
+/// The property grid, run once on three threads and shared by every test.
+fn report() -> &'static ExperimentReport {
+    static REPORT: OnceLock<ExperimentReport> = OnceLock::new();
+    REPORT.get_or_init(|| Runner::with_threads(3).run(&grid(small_sample())))
+}
+
+fn header(report: &ExperimentReport, shard: ShardSpec) -> ManifestHeader {
+    ManifestHeader {
+        id: report.id.clone(),
+        caption: report.caption.clone(),
+        shard,
+        cells: report.records.len(),
+        sample: report.sample,
+        sample_overrides: report.sample_overrides.clone(),
+        obs: ObsConfig::default(),
+    }
+}
+
+/// Appends the records of `report` that `shard` owns to `manifest`, in
+/// cell order.
+fn append_owned(manifest: &mut ShardManifest, report: &ExperimentReport, shard: ShardSpec) {
+    for (i, record) in report.records.iter().enumerate() {
+        if shard.owns(i) {
+            manifest.append(i, record).expect("append");
+        }
+    }
+}
+
+/// Writes `shard`'s records of `report` to a fresh manifest under `dir`,
+/// as a writer streaming finished cells would, and returns its path.
+fn write_shard(report: &ExperimentReport, shard: ShardSpec, dir: &Path) -> PathBuf {
+    let mut manifest =
+        ShardManifest::create_or_resume(dir, header(report, shard)).expect("manifest opens");
+    append_owned(&mut manifest, report, shard);
+    dir.join(shard.manifest_file_name(&report.id))
+}
+
+/// Merging any partition (N ∈ {1, 2, 3, 8}) of a threaded run's records is
+/// byte-identical to the serial single-process report — including N = 8,
+/// where some shards own a single cell.
 #[test]
 fn any_partition_merges_byte_identical_to_serial_run() {
-    let grid = grid();
-    let expected = Runner::serial().run(&grid).to_json();
+    let expected = Runner::serial().run(&grid(small_sample())).to_json();
     for count in [1usize, 2, 3, 8] {
         let scratch = Scratch::new("partition");
-        let mut paths = Vec::new();
-        // Run shards in reverse order on runners of varying parallelism:
-        // neither execution order nor scheduling may leak into the bytes.
-        for index in (1..=count).rev() {
-            let runner = if index % 2 == 0 {
-                Runner::with_threads(3)
-            } else {
-                Runner::serial()
-            };
-            let outcome = runner
-                .run_shard(&grid, ShardSpec::new(index, count), &scratch.0)
-                .expect("shard run");
-            assert_eq!(outcome.resumed, 0, "fresh dir: nothing to resume");
-            paths.push(outcome.manifest_path);
-        }
+        // Shards written in reverse: the order manifests are produced in
+        // may not leak into the bytes.
+        let paths: Vec<PathBuf> = (1..=count)
+            .rev()
+            .map(|index| write_shard(report(), ShardSpec::new(index, count), &scratch.0))
+            .collect();
         let merged = merge_manifests(&paths).expect("complete partition merges");
         assert_eq!(
             merged.to_json(),
@@ -98,20 +128,18 @@ fn any_partition_merges_byte_identical_to_serial_run() {
     }
 }
 
-/// Killing a shard mid-run (simulated by truncating its manifest inside a
-/// record line) and re-running resumes the remaining cells and converges
-/// to exactly the manifest an uninterrupted serial run writes.
+/// A manifest torn inside a record line (a kill mid-append), reopened with
+/// the same header and completed, equals the manifest an uninterrupted
+/// writer leaves, byte for byte.
 #[test]
 fn resume_after_kill_reproduces_the_manifest() {
-    let grid = grid();
+    let report = report();
     let shard = ShardSpec::new(1, 2);
 
     let clean = Scratch::new("clean");
-    let outcome = Runner::serial()
-        .run_shard(&grid, shard, &clean.0)
-        .expect("clean shard run");
-    let clean_bytes = std::fs::read_to_string(&outcome.manifest_path).expect("clean manifest");
-    let owned = outcome.owned_cells;
+    let clean_path = write_shard(report, shard, &clean.0);
+    let clean_bytes = std::fs::read_to_string(&clean_path).expect("clean manifest");
+    let owned = (0..report.records.len()).filter(|&i| shard.owns(i)).count();
     assert!(owned >= 3, "grid too small to interrupt meaningfully");
 
     // "Kill" after two completed cells plus a torn half-record: keep the
@@ -121,19 +149,19 @@ fn resume_after_kill_reproduces_the_manifest() {
     torn.push('\n');
     torn.push_str(&lines[3][..lines[3].len() / 2]);
     let killed = Scratch::new("killed");
-    let manifest_path = killed.0.join(shard.manifest_file_name("shardprop"));
-    std::fs::write(&manifest_path, &torn).expect("write torn manifest");
+    let path = killed.0.join(shard.manifest_file_name(&report.id));
+    std::fs::write(&path, &torn).expect("write torn manifest");
 
-    let resumed = Runner::serial()
-        .run_shard(&grid, shard, &killed.0)
-        .expect("resumed shard run");
-    assert_eq!(resumed.resumed, 2, "both whole records must be recovered");
-    assert_eq!(
-        resumed.executed,
-        owned - 2,
-        "only the torn cell and the never-run cells re-execute"
-    );
-    let resumed_bytes = std::fs::read_to_string(&resumed.manifest_path).expect("resumed manifest");
+    let mut manifest =
+        ShardManifest::create_or_resume(&killed.0, header(report, shard)).expect("resume");
+    let (_, recovered) = read_manifest(&path).expect("resumed manifest reads");
+    assert_eq!(recovered.len(), 2, "both whole records must be recovered");
+    for (i, record) in report.records.iter().enumerate() {
+        if shard.owns(i) && !recovered.contains_key(&i) {
+            manifest.append(i, record).expect("append");
+        }
+    }
+    let resumed_bytes = std::fs::read_to_string(&path).expect("resumed manifest");
     assert_eq!(
         resumed_bytes, clean_bytes,
         "resumed manifest must equal the uninterrupted one byte for byte"
@@ -141,56 +169,41 @@ fn resume_after_kill_reproduces_the_manifest() {
 }
 
 /// A manifest left by a *different* experiment (here: another sampling
-/// profile) must not be resumed — it is truncated and the shard re-runs
-/// from scratch.
+/// profile) is not resumed: reopening truncates it, so none of its
+/// records survives into the new one.
 #[test]
 fn stale_manifest_from_different_profile_is_discarded() {
-    let shard = ShardSpec::new(1, 1);
+    let shard = ShardSpec::single();
     let scratch = Scratch::new("stale");
+    let path = write_shard(report(), shard, &scratch.0);
 
-    let narrow = grid();
-    Runner::serial()
-        .run_shard(&narrow, shard, &scratch.0)
-        .expect("first run");
-
-    let wide = ExperimentGrid::builder("shardprop", "sharding property grid")
-        .base(SystemConfig::small_test)
-        .sample(small_sample().widened(2))
-        .sample_override("moldyn", small_sample().widened(3))
-        .workloads(vec![
-            Workload::by_name("sparse").unwrap(),
-            Workload::by_name("moldyn").unwrap(),
-        ])
-        .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
-        .patches(vec![
-            ConfigPatch::new("lat=0").latency(0),
-            ConfigPatch::new("lat=20").latency(20),
-        ])
-        .build();
-    let outcome = Runner::serial()
-        .run_shard(&wide, shard, &scratch.0)
-        .expect("re-run under changed profile");
-    assert_eq!(
-        outcome.resumed, 0,
+    let wide = Runner::serial().run(&grid(small_sample().widened(2)));
+    assert_ne!(wide.sample, report().sample, "the profiles must differ");
+    let mut manifest =
+        ShardManifest::create_or_resume(&scratch.0, header(&wide, shard)).expect("reopen");
+    let (_, recovered) = read_manifest(&path).expect("reopened manifest reads");
+    assert!(
+        recovered.is_empty(),
         "a manifest from a different profile must not satisfy any cell"
     );
-    assert_eq!(outcome.executed, outcome.owned_cells);
-    let merged = merge_manifests(&[outcome.manifest_path]).expect("merge");
-    assert_eq!(merged.to_json(), Runner::serial().run(&wide).to_json());
+    append_owned(&mut manifest, &wide, shard);
+    let merged = merge_manifests(&[path]).expect("merge");
+    assert_eq!(merged.to_json(), wide.to_json());
 }
 
 /// Merging an incomplete partition names the uncovered cells instead of
 /// silently producing a short report.
 #[test]
 fn merging_incomplete_partition_reports_missing_cells() {
-    let grid = grid();
+    let report = report();
     let scratch = Scratch::new("missing");
-    let outcome = Runner::serial()
-        .run_shard(&grid, ShardSpec::new(1, 2), &scratch.0)
-        .expect("shard 1 run");
-    match merge_manifests(std::slice::from_ref(&outcome.manifest_path)) {
+    let path = write_shard(report, ShardSpec::new(1, 2), &scratch.0);
+    match merge_manifests(&[path]) {
         Err(MergeError::MissingCells { missing }) => {
-            let expected = ShardSpec::new(2, 2).cell_indices(grid.cells().len());
+            let second = ShardSpec::new(2, 2);
+            let expected: Vec<usize> = (0..report.records.len())
+                .filter(|&i| second.owns(i))
+                .collect();
             assert_eq!(missing, expected, "exactly shard 2's cells are missing");
         }
         other => panic!("expected MissingCells, got {other:?}"),
@@ -201,16 +214,11 @@ fn merging_incomplete_partition_reports_missing_cells() {
 /// than double-counted.
 #[test]
 fn merging_overlapping_shards_is_rejected() {
-    let grid = grid();
     let a = Scratch::new("overlap-a");
     let b = Scratch::new("overlap-b");
-    let one = Runner::serial()
-        .run_shard(&grid, ShardSpec::new(1, 2), &a.0)
-        .expect("run in dir a");
-    let dup = Runner::serial()
-        .run_shard(&grid, ShardSpec::new(1, 2), &b.0)
-        .expect("run in dir b");
-    match merge_manifests(&[one.manifest_path, dup.manifest_path]) {
+    let one = write_shard(report(), ShardSpec::new(1, 2), &a.0);
+    let dup = write_shard(report(), ShardSpec::new(1, 2), &b.0);
+    match merge_manifests(&[one, dup]) {
         Err(MergeError::DuplicateCell { .. }) => {}
         other => panic!("expected DuplicateCell, got {other:?}"),
     }
