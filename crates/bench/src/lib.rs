@@ -163,7 +163,8 @@ pub fn counters(opts: &RunOptions) -> String {
     // Tag storage owned, as a count, on any host: a directory allocated
     // up front reads every set of every system here (256 × 16 = 4 096 on
     // this grid's small L2, whose runs leave only a few sets untouched;
-    // 32 768 a system on the Table 1 machine, whose samples touch 2–11 %).
+    // 32 768 a system on the Table 1 machine, whose full-profile samples
+    // touch 8 % (em3d) to 65 % (db2_dss_q2) of them).
     let mut l2_sets_materialised = 0usize;
     for cell in grid.cells() {
         let cfg = grid.cell_config(cell);
@@ -191,16 +192,17 @@ pub fn counters(opts: &RunOptions) -> String {
     // workload share one cache; count each underlying cache once.
     let mut seen = std::collections::BTreeSet::new();
     let mut cached_programs = 0usize;
-    let mut cached_memories = 0usize;
     // One image per workload however many systems were built from it: a
     // regression to per-system image builds leaves this slot empty.
-    let mut cached_images = 0usize;
+    let mut cached_memories = 0usize;
+    // What those images hold on the heap: moves with their representation.
+    let mut image_bytes = 0usize;
     for cell in grid.cells() {
         if seen.insert(cell.workload.name()) {
             let cached = cell.workload.cache_population();
             cached_programs += cached.programs;
             cached_memories += usize::from(cached.memory);
-            cached_images += usize::from(cached.base_image);
+            image_bytes += cell.workload.initial_memory().heap_bytes();
         }
     }
     let lines = [
@@ -216,7 +218,7 @@ pub fn counters(opts: &RunOptions) -> String {
         ("store_chain_spills", store_chain_spills),
         ("workload_programs_cached", cached_programs as u64),
         ("workload_memories_cached", cached_memories as u64),
-        ("workload_images_cached", cached_images as u64),
+        ("workload_image_bytes", image_bytes as u64),
         ("l2_sets_materialised", l2_sets_materialised as u64),
     ];
     lines

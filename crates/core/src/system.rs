@@ -157,7 +157,7 @@ impl CmpSystem {
     ///
     /// The initial contents are not copied: the memory system's coherent
     /// image starts as an empty write layer over the workload's shared
-    /// base image ([`Workload::base_image`]), so every system built from
+    /// base image ([`Workload::initial_memory`]), so every system built from
     /// one workload — a cell's model and baseline, and every other cell of
     /// the grid — reads the same immutable copy and owns only the words it
     /// stores itself. Tag storage follows the same rule: the L2 directory,
@@ -166,7 +166,7 @@ impl CmpSystem {
     /// machine's shape costs to describe, not what its caches can hold.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {
         let mem_cfg = cfg.mem.clone().scaled_for_cores(cfg.physical_cores());
-        let image = SparseMemory::over(workload.base_image());
+        let image = SparseMemory::over(workload.initial_memory());
         let mut mem = MemorySystem::with_image(mem_cfg, image);
 
         let core_cfg = |role| CoreConfig {

@@ -77,9 +77,9 @@ impl<M: DataMemory + ?Sized> DataMemory for &mut M {
 ///
 /// A workload's initial image can be half a million words (em3d's pointer
 /// ring), and an experiment grid builds dozens of systems from it. Instead
-/// of replaying the word list into a fresh map per system, the list is
-/// frozen once as a [`BaseImage`] behind an `Arc`, and every system gets an
-/// empty image [`over`](Self::over) it: reads fall through own words →
+/// of replaying the words into a fresh map per system, the workload builds
+/// them once into a [`BaseImage`] (strided runs, 8 B a word) behind an
+/// `Arc`, and every system gets an empty image [`over`](Self::over) it: reads fall through own words →
 /// base → [`uninit_value`](Self::uninit_value), writes go to the own words
 /// only. The base has no writer, so any number of systems — on any number
 /// of threads — share one copy, and construction is a reference-count bump.
@@ -102,7 +102,7 @@ impl<M: DataMemory + ?Sized> DataMemory for &mut M {
 /// mem.store(Addr::new(0x40), 7);
 /// assert_eq!(mem.load(Addr::new(0x40)), 7);
 ///
-/// let base = Arc::new(BaseImage::new(vec![(Addr::new(0x80), 1)].into()));
+/// let base = Arc::new(BaseImage::new([(Addr::new(0x80), 1)]));
 /// let mut layer = SparseMemory::over(base.clone());
 /// layer.poke(Addr::new(0x80), 2);
 /// assert_eq!(layer.peek(Addr::new(0x80)), 2);
@@ -154,9 +154,9 @@ impl SparseMemory {
     /// Reads the eight words of cache line `line` (the line *index*,
     /// [`Addr::line_index`]) — the same values eight `peek`s would return.
     ///
-    /// Base first, then own words: the base's words of a line are adjacent
-    /// in its list, so it is located once and walked rather than probed
-    /// eight times.
+    /// Base first, then own words: the base finds the run holding the
+    /// line's first word once and walks it by its stride
+    /// ([`BaseImage::read_line`]) rather than searching eight times.
     pub fn peek_line(&self, line: u64) -> [u64; WORDS_PER_LINE] {
         let first = line * LINE_BYTES;
         let mut out = std::array::from_fn(|i| Self::uninit_value(first + i as u64 * 8));

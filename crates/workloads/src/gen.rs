@@ -385,31 +385,37 @@ fn emit_producer_consumer(b: &mut ProgramBuilder, rng: &mut SimRng, sharing: &Sh
     b.push(I::alu(AluOp::Xor, r(10), r(10), r(6)));
 }
 
-/// Initial memory contents required by the workload: the pointer-chase ring
-/// through the shared region (one pointer per cache line).
+/// Initial memory contents required by the workload: released locks,
+/// zeroed hot and flag lines, and the pointer-chase ring through the shared
+/// region (one pointer per cache line) — in ascending address order when
+/// each region fits below the next, as in every suite spec.
 ///
 /// The ring visits every line of the shared region in a strided order, so a
-/// chase's working set is the full region — em3d's defining property.
-pub fn initial_memory(spec: &WorkloadSpec) -> Vec<(Addr, u64)> {
+/// chase's working set is the full region — em3d's defining property. The
+/// words are yielded, not collected: em3d's ring is half a million of them,
+/// and [`BaseImage::new`](reunion_isa::BaseImage::new) stores them as they
+/// come.
+pub fn initial_memory(spec: &WorkloadSpec) -> impl Iterator<Item = (Addr, u64)> {
+    let zeroed = |base: u64, lines: u64| (0..lines).map(move |i| (Addr::new(base + i * 64), 0));
     // Locks must start released: unwritten words read as a nonzero hash,
     // which would leave every spin lock permanently "held". Bank 0 is the
     // globally shared bank; banks 1..=32 are thread-affine.
-    let mut init: Vec<(Addr, u64)> = (0..spec.locks * (16 + 32))
-        .map(|i| (Addr::new(LOCK_BASE + i * 64), 0))
-        .collect();
+    let locks = zeroed(LOCK_BASE, spec.locks * (16 + 32));
     // Hot shared lines and producer-consumer flags start at zero so reads
     // observe defined data rather than the uninitialized-word hash.
-    init.extend((0..spec.sharing.hot_lines).map(|i| (Addr::new(HOT_BASE + i * 64), 0)));
-    init.extend((0..FLAG_SLOTS).map(|i| (Addr::new(FLAG_BASE + i * 64), 0)));
-    if spec.chase_weight > 0.0 {
-        let lines = spec.shared_bytes / 64;
-        // A sequential ring over every line of the region: the working set
-        // is the full region (em3d's defining property) with realistic page
-        // locality (one DTLB miss per 128 chased lines).
-        let pos = |i: u64| SHARED_BASE + (i % lines) * 64;
-        init.extend((0..lines).map(|i| (Addr::new(pos(i)), pos(i + 1))));
-    }
-    init
+    let hot = zeroed(HOT_BASE, spec.sharing.hot_lines);
+    let flags = zeroed(FLAG_BASE, FLAG_SLOTS);
+    // A sequential ring over every line of the region: the working set is
+    // the full region (em3d's defining property) with realistic page
+    // locality (one DTLB miss per 128 chased lines).
+    let lines = if spec.chase_weight > 0.0 {
+        spec.shared_bytes / 64
+    } else {
+        0
+    };
+    let pos = move |i: u64| SHARED_BASE + (i % lines) * 64;
+    let ring = (0..lines).map(move |i| (Addr::new(pos(i)), pos(i + 1)));
+    locks.chain(hot).chain(flags).chain(ring)
 }
 
 #[cfg(test)]
@@ -520,7 +526,7 @@ mod tests {
         let mut s = spec();
         s.chase_weight = 2.0;
         s.shared_bytes = 1 << 16; // 1024 lines for a fast test
-        let init = initial_memory(&s);
+        let init: Vec<_> = initial_memory(&s).collect();
         let static_init = (s.locks * 48 + s.sharing.hot_lines + FLAG_SLOTS) as usize;
         assert_eq!(init.len(), (s.shared_bytes / 64) as usize + static_init);
         // Follow the ring; it must return to the start after exactly
@@ -547,7 +553,7 @@ mod tests {
     #[test]
     fn no_chase_still_initializes_locks_and_hot_lines() {
         let s = spec();
-        let init = initial_memory(&s);
+        let init: Vec<_> = initial_memory(&s).collect();
         assert_eq!(
             init.len() as u64,
             s.locks * 48 + s.sharing.hot_lines + FLAG_SLOTS

@@ -127,10 +127,7 @@ mod tests {
             let threads = w.kernel_image().unwrap().threads();
             for t in 0..threads {
                 let prog = w.program(t);
-                let mut mem = SparseMemory::new();
-                for &(addr, value) in w.initial_memory().iter() {
-                    mem.poke(addr, value);
-                }
+                let mut mem = SparseMemory::over(w.initial_memory());
                 let mut core = FunctionalCore::new();
                 let steps = core.run(&prog, &mut mem, 20_000);
                 assert_eq!(steps, 20_000, "{} thread {t} must loop forever", w.name());
@@ -152,10 +149,7 @@ mod tests {
     fn quicksort_self_check_passes() {
         let qs = Workload::by_name("quicksort").unwrap();
         let prog = qs.program(0);
-        let mut mem = SparseMemory::new();
-        for &(addr, value) in qs.initial_memory().iter() {
-            mem.poke(addr, value);
-        }
+        let mut mem = SparseMemory::over(qs.initial_memory());
         let mut core = FunctionalCore::new();
         core.run(&prog, &mut mem, 400_000);
         let passes = mem.peek(Addr::new(0x4000_2000));
@@ -171,9 +165,8 @@ mod tests {
             for thread in 0..3 {
                 assert_eq!(cached.program(thread), fresh.program(thread), "{name}");
             }
-            assert_eq!(
-                cached.initial_memory().as_ref(),
-                fresh.initial_memory().as_ref(),
+            assert!(
+                *cached.initial_memory() == *fresh.initial_memory(),
                 "{name}"
             );
             assert_eq!(fresh.cache_population(), Default::default());

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use reunion_isa::asm::{self, KernelImage};
-use reunion_isa::{Addr, BaseImage, Instruction, Program};
+use reunion_isa::{BaseImage, Instruction, Program};
 
 use crate::{gen, kernels, SharingModel, WorkloadClass, WorkloadSpec};
 
@@ -17,21 +17,19 @@ use crate::{gen, kernels, SharingModel, WorkloadClass, WorkloadSpec};
 ///
 /// Every slot is immutable once filled: the cache hands out `Arc` handles
 /// and nothing downstream can write through one. In particular the
-/// [`base`](Self::base) image is only ever read *under* a per-system write
-/// layer, so systems running concurrently on runner threads share it
+/// [`memory`](Self::memory) image is only ever read *under* a per-system
+/// write layer, so systems running concurrently on runner threads share it
 /// without synchronization.
 #[derive(Debug, Default)]
 struct ArtifactCache {
     /// Per-thread program images. `Program` is `Arc`-backed, so the stored
     /// clone and every handout share one instruction allocation.
     programs: Mutex<HashMap<usize, Program>>,
-    /// The initial memory image (pointer rings etc.) — up to half a million
-    /// entries for em3d; generated at most once per workload.
-    memory: OnceLock<Arc<[(Addr, u64)]>>,
-    /// `memory` frozen as the read-only base every system layers its
-    /// stores over, built at most once per workload. It shares `memory`'s
-    /// list and adds only a radix index (see [`BaseImage`]).
-    base: OnceLock<Arc<BaseImage>>,
+    /// The initial memory image (pointer rings etc.), frozen as the
+    /// read-only base every system layers its stores over — half a million
+    /// words for em3d, built at most once per workload straight from the
+    /// generator's stream (see [`BaseImage`]).
+    memory: OnceLock<Arc<BaseImage>>,
     /// The parsed kernel image for an assembly-sourced workload — parsed at
     /// most once per workload; `None` source never touches it.
     image: OnceLock<Arc<KernelImage>>,
@@ -54,10 +52,8 @@ enum ProgramSource {
 pub struct CachePopulation {
     /// Per-thread programs generated.
     pub programs: usize,
-    /// Whether the initial-memory word list has been generated.
+    /// Whether the initial memory image has been built.
     pub memory: bool,
-    /// Whether the shared base image has been built from it.
-    pub base_image: bool,
 }
 
 /// A named workload: its parameterization plus program/memory generation.
@@ -217,37 +213,28 @@ impl Workload {
         }
     }
 
-    /// Initial memory contents (pointer rings, `.data` images) as a word
-    /// list — generated once and shared. Systems do not replay it; they
-    /// read it through [`base_image`](Self::base_image).
-    pub fn initial_memory(&self) -> Arc<[(Addr, u64)]> {
-        let make = || -> Arc<[(Addr, u64)]> {
-            match self.source {
-                ProgramSource::Generated => gen::initial_memory(&self.spec).into(),
-                ProgramSource::Kernel(_) => self
-                    .kernel_image()
-                    .expect("kernel source")
-                    .memory()
-                    .to_vec()
-                    .into(),
-            }
+    /// Initial memory contents (pointer rings, `.data` images) as a
+    /// read-only [`BaseImage`] — built once per workload from the
+    /// generator's word stream or the kernel's `.data` words, and shared. A
+    /// system layers its own stores over it with
+    /// [`SparseMemory::over`](reunion_isa::SparseMemory::over). An
+    /// [`uncached`](Self::uncached) workload builds a private one per call
+    /// through the same code.
+    pub fn initial_memory(&self) -> Arc<BaseImage> {
+        let make = || {
+            Arc::new(match self.source {
+                ProgramSource::Generated => BaseImage::new(gen::initial_memory(&self.spec)),
+                ProgramSource::Kernel(_) => BaseImage::new(
+                    self.kernel_image()
+                        .expect("kernel source")
+                        .memory()
+                        .iter()
+                        .copied(),
+                ),
+            })
         };
         match &self.cache {
             Some(cache) => cache.memory.get_or_init(make).clone(),
-            None => make(),
-        }
-    }
-
-    /// The initial memory contents as a read-only [`BaseImage`] — built
-    /// once per workload over the [`initial_memory`](Self::initial_memory)
-    /// list itself (no copy), plus an index; a system layers its own stores
-    /// over it with [`SparseMemory::over`](reunion_isa::SparseMemory::over). An
-    /// [`uncached`](Self::uncached) workload builds a private one per call
-    /// through the same code.
-    pub fn base_image(&self) -> Arc<BaseImage> {
-        let make = || Arc::new(BaseImage::new(self.initial_memory()));
-        match &self.cache {
-            Some(cache) => cache.base.get_or_init(make).clone(),
             None => make(),
         }
     }
@@ -259,7 +246,6 @@ impl Workload {
             Some(cache) => CachePopulation {
                 programs: cache.programs.lock().expect("program cache poisoned").len(),
                 memory: cache.memory.get().is_some(),
-                base_image: cache.base.get().is_some(),
             },
             None => CachePopulation::default(),
         }
@@ -709,10 +695,7 @@ mod tests {
     fn every_workload_runs_functionally() {
         for w in suite() {
             let prog = w.program(0);
-            let mut mem = SparseMemory::new();
-            for &(addr, value) in w.initial_memory().iter() {
-                mem.poke(addr, value);
-            }
+            let mut mem = SparseMemory::over(w.initial_memory());
             let mut core = FunctionalCore::new();
             let steps = core.run(&prog, &mut mem, 20_000);
             assert_eq!(steps, 20_000, "{} must loop forever", w.name());
@@ -766,22 +749,12 @@ mod tests {
         for thread in 0..3 {
             assert_eq!(cached.program(thread), fresh.program(thread));
         }
-        assert_eq!(
-            cached.initial_memory().as_ref(),
-            fresh.initial_memory().as_ref()
-        );
-        let populated = CachePopulation {
-            programs: 3,
-            memory: true,
-            base_image: false,
-        };
-        assert_eq!(cached.cache_population(), populated);
-        assert_eq!(cached.base_image(), fresh.base_image());
+        assert!(*cached.initial_memory() == *fresh.initial_memory());
         assert_eq!(
             cached.cache_population(),
             CachePopulation {
-                base_image: true,
-                ..populated
+                programs: 3,
+                memory: true,
             }
         );
         assert_eq!(fresh.cache_population(), CachePopulation::default());
@@ -792,38 +765,34 @@ mod tests {
         let a = Workload::by_name("moldyn").unwrap();
         let b = a.clone();
         let _ = a.program(0);
-        let image = b.base_image();
+        let image = b.initial_memory();
         // Work done through either clone is visible through the other.
         let populated = CachePopulation {
             programs: 1,
             memory: true,
-            base_image: true,
         };
         assert_eq!(a.cache_population(), populated);
         assert_eq!(b.cache_population(), populated);
-        assert!(Arc::ptr_eq(&image, &a.base_image()), "one shared copy");
+        assert!(Arc::ptr_eq(&image, &a.initial_memory()), "one shared copy");
     }
 
-    /// The base image is the cached word list plus an index, not a second
-    /// copy of the words: em3d's 525 076 words cost at most 24 B each
-    /// (16 B of list, at most two 4 B index entries).
+    /// Every suite image is a few stride-64 runs, so a word costs its
+    /// 8-byte value and little else: em3d's 525 076 words fit in at most
+    /// 8 runs of 20 B each.
     #[test]
-    fn base_images_share_the_word_list_and_stay_small() {
-        for w in suite().into_iter().chain(kernels::kernel_suite()) {
-            let base = w.base_image();
-            assert!(
-                Arc::ptr_eq(base.words(), &w.initial_memory()),
-                "{}: the base must share the cached list, not copy it",
-                w.name()
-            );
+    fn base_images_cost_eight_bytes_a_word() {
+        for w in suite() {
+            let image = w.initial_memory();
+            let per_word = image.heap_bytes() as f64 / image.len() as f64;
+            assert!(per_word <= 8.1, "{}: {per_word:.3} B a word", w.name());
         }
-        let em3d = Workload::by_name("em3d").unwrap().base_image();
-        let len = em3d.words().len();
+        let em3d = Workload::by_name("em3d").unwrap().initial_memory();
+        let len = em3d.len();
         assert!(len > 500_000, "em3d's pointer ring is {len} words");
         assert!(
-            em3d.index_len() <= 2 * len + 2,
-            "{} index entries",
-            em3d.index_len()
+            em3d.heap_bytes() <= 8 * len + 20 * 8,
+            "{} B for {len} words: more than 8 runs",
+            em3d.heap_bytes()
         );
     }
 }

@@ -108,8 +108,9 @@ fn shared_and_private_base_images_measure_equal() {
             assert_eq!(shared.skipped_cycles, private.skipped_cycles);
         }
     }
-    assert!(cached.cache_population().base_image);
-    assert!(!uncached.cache_population().base_image);
+    assert!(cached.cache_population().memory);
+    assert!(!uncached.cache_population().memory);
+    assert!(*cached.initial_memory() == *uncached.initial_memory());
 }
 
 /// Randomized matched pairs: the normalized-IPC path (model and baseline

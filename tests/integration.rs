@@ -17,14 +17,14 @@ fn quick() -> SampleConfig {
 #[test]
 fn systems_sharing_a_base_image_keep_their_stores_private() {
     use reunion_core::CmpSystem;
-    use reunion_isa::{Addr, BaseImage, SparseMemory};
+    use reunion_isa::{Addr, SparseMemory};
     use reunion_workloads::PRIVATE_BASE;
 
     let em3d = Workload::by_name("em3d").expect("in suite");
     let cfg = SystemConfig::small_test(ExecutionMode::Reunion);
     let mut ran = CmpSystem::new(&cfg, &em3d);
     let idle = CmpSystem::new(&cfg, &em3d);
-    let base = em3d.base_image();
+    let base = em3d.initial_memory();
     let untouched = SparseMemory::over(base.clone());
     ran.run(20_000);
 
@@ -37,9 +37,8 @@ fn systems_sharing_a_base_image_keep_their_stores_private() {
         stored += usize::from(ran.memory().peek_coherent(addr) != initial);
     }
     assert!(stored > 0, "the system that ran must have stored something");
-    assert_eq!(
-        *base,
-        BaseImage::new(em3d.initial_memory()),
+    assert!(
+        *base == *Workload::uncached(em3d.spec().clone()).initial_memory(),
         "the shared base must hold exactly the initial words"
     );
 }

@@ -91,23 +91,30 @@ fn sparse_memory_last_write_wins() {
 /// with the base's words and then the same writes — word reads and line
 /// reads, never-written words included. Bases come empty, as one word, as
 /// an unsorted list with repeated and misaligned words (later entries win),
-/// or as a sorted list around a dense run that spans many index buckets;
-/// probes reach below the first word and above the last.
+/// as a sorted list around a dense run, or as power-of-two-strided runs
+/// (8–512 B) broken by gaps with lone words between them, given in order,
+/// shuffled or with words repeated; probes reach below the first word and
+/// above the last. An image of n words drawn as r runs costs at most
+/// 8 n + 20 r bytes.
 #[test]
 fn layered_image_reads_like_a_flat_one() {
     use reunion_isa::BaseImage;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
+    const LO: u64 = 0x8000;
     for_cases(0xA1_000B, |rng| {
         // A few lines' worth of address space, so base words, own words
         // and untouched words share lines.
-        let arb_addr = |rng: &mut SimRng| Addr::new(0x8000 + rng.next_u64() % 0x400);
-        let mut base_words: Vec<(Addr, u64)> = match rng.next_u64() % 4 {
+        let arb_addr = |rng: &mut SimRng| Addr::new(LO + rng.next_u64() % 0x400);
+        // The runs drawn, when the base is drawn as runs.
+        let mut drawn_runs = None;
+        let mut base_words: Vec<(Addr, u64)> = match rng.next_u64() % 5 {
             0 => Vec::new(),
             1 => vec![(arb_addr(rng), rng.next_u64())],
             2 => (0..rng.next_u64() % 64)
                 .map(|_| (arb_addr(rng), rng.next_u64()))
                 .collect(),
-            _ => {
+            3 => {
                 let start = arb_addr(rng).word();
                 let mut words: Vec<(Addr, u64)> = (0..2 + rng.next_u64() % 40)
                     .map(|i| (start.offset(i * 8), rng.next_u64()))
@@ -119,6 +126,36 @@ fn layered_image_reads_like_a_flat_one() {
                 words.dedup_by_key(|&mut (addr, _)| addr);
                 words
             }
+            _ => {
+                let mut words = Vec::new();
+                let mut at = arb_addr(rng).word();
+                let runs = 1 + rng.next_u64() % 5;
+                for _ in 0..runs {
+                    let (len, stride) = if rng.chance(0.3) {
+                        (1, 8)
+                    } else {
+                        (2 + rng.next_u64() % 8, 8 << (rng.next_u64() % 7))
+                    };
+                    for i in 0..len {
+                        words.push((at.offset(i * stride), rng.next_u64()));
+                    }
+                    // A gap of any whole number of words after the last.
+                    at = at.offset((len - 1) * stride + 8 * (1 + rng.next_u64() % 40));
+                }
+                drawn_runs = Some(runs as usize);
+                if rng.chance(0.3) {
+                    for i in (1..words.len()).rev() {
+                        words.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                }
+                if rng.chance(0.3) {
+                    for _ in 0..1 + rng.next_u64() % 4 {
+                        let (addr, _) = words[rng.below(words.len() as u64) as usize];
+                        words.push((addr, rng.next_u64()));
+                    }
+                }
+                words
+            }
         };
         if rng.next_u64() % 2 == 0 {
             // A repeat of an earlier word: the later value must win.
@@ -126,7 +163,17 @@ fn layered_image_reads_like_a_flat_one() {
                 base_words.push((addr.offset(rng.next_u64() % 8), rng.next_u64()));
             }
         }
-        let base = Arc::new(BaseImage::new(base_words.clone().into()));
+        let base = Arc::new(BaseImage::new(base_words.iter().copied()));
+        let distinct: BTreeSet<Addr> = base_words.iter().map(|&(addr, _)| addr.word()).collect();
+        assert_eq!(base.len(), distinct.len());
+        if let Some(runs) = drawn_runs {
+            let bound = 8 * base.len() + 20 * runs;
+            assert!(
+                base.heap_bytes() <= bound,
+                "{} > {bound}",
+                base.heap_bytes()
+            );
+        }
         let mut layered = SparseMemory::over(base.clone());
         let mut flat = SparseMemory::new();
         for &(addr, value) in &base_words {
@@ -145,16 +192,21 @@ fn layered_image_reads_like_a_flat_one() {
                 assert_eq!(word, flat.peek(addr), "line read vs word read at {addr}");
             }
         };
-        // The ends of the base and one word beyond each.
-        let (lo, hi) = (base.words().first(), base.words().last());
-        if let (Some(&(lo, _)), Some(&(hi, _))) = (lo, hi) {
-            for addr in [lo.offset(8u64.wrapping_neg()), lo, hi, hi.offset(8)] {
+        // Every base word and one word beyond it on either side: the ends
+        // of the base and of each run.
+        for &word in &distinct {
+            for addr in [word.offset(8u64.wrapping_neg()), word, word.offset(8)] {
                 check_word(&mut layered, &mut flat, addr);
                 check_line(&layered, &flat, addr);
             }
         }
         // Probes a line beyond the base's address space on either side.
-        let arb_probe = |rng: &mut SimRng| Addr::new(0x7FC0 + rng.next_u64() % 0x480);
+        let top = distinct
+            .last()
+            .map_or(0, |addr| addr.as_u64() + 8)
+            .max(LO + 0x400);
+        let arb_probe =
+            |rng: &mut SimRng| Addr::new(LO - 0x40 + rng.next_u64() % (top + 0x80 - LO));
         for _ in 0..rng.next_u64() % 96 {
             match rng.next_u64() % 3 {
                 0 => {
