@@ -160,12 +160,15 @@ pub fn counters(opts: &RunOptions) -> String {
     let mut store_chain_spills = 0u64;
     let mut skipped = 0u64;
     let mut proc_ticks = 0u64;
-    // Tag storage owned, as a count, on any host: a directory allocated
-    // up front reads every set of every system here (256 × 16 = 4 096 on
-    // this grid's small L2, whose runs leave only a few sets untouched;
-    // 32 768 a system on the Table 1 machine, whose full-profile samples
-    // touch 8 % (em3d) to 65 % (db2_dss_q2) of them).
+    // Tag storage owned, as counts, on any host. Sets: a directory
+    // allocated up front reads every set of every system here (256 × 16 =
+    // 4 096 on this grid's small L2, whose runs leave only a few sets
+    // untouched; 32 768 a system on the Table 1 machine, whose
+    // full-profile samples touch 8 % (em3d) to 65 % (db2_dss_q2) of them).
+    // Ways: sets allocated at full associativity read 4 × the sets here;
+    // sets that grow by size class read what their lines needed.
     let mut l2_sets_materialised = 0usize;
+    let mut l2_ways_allocated = 0usize;
     for cell in grid.cells() {
         let cfg = grid.cell_config(cell);
         for side in [&cfg, &cfg.baseline()] {
@@ -185,6 +188,7 @@ pub fn counters(opts: &RunOptions) -> String {
             skipped += run.measurement.skipped_cycles;
             proc_ticks += run.system.proc_ticks();
             l2_sets_materialised += run.system.memory().l2_sets_materialised();
+            l2_ways_allocated += run.system.memory().l2_ways_allocated();
         }
     }
     // Workload artifact cache population after the sweep. The grid's cells
@@ -220,6 +224,7 @@ pub fn counters(opts: &RunOptions) -> String {
         ("workload_memories_cached", cached_memories as u64),
         ("workload_image_bytes", image_bytes as u64),
         ("l2_sets_materialised", l2_sets_materialised as u64),
+        ("l2_ways_allocated", l2_ways_allocated as u64),
     ];
     lines
         .iter()

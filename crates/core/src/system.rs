@@ -161,8 +161,9 @@ impl CmpSystem {
     /// one workload — a cell's model and baseline, and every other cell of
     /// the grid — reads the same immutable copy and owns only the words it
     /// stores itself. Tag storage follows the same rule: the L2 directory,
-    /// every L1 and every TLB start as a slot table and grow a set at a
-    /// time ([`reunion_mem::CacheArray`]), so construction costs what the
+    /// every L1 and every TLB start as a slot table, and a set gets ways
+    /// only as it fills them, 1 → 2 → 4 → up to its associativity
+    /// ([`reunion_mem::CacheArray`]), so construction costs what the
     /// machine's shape costs to describe, not what its caches can hold.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {
         let mem_cfg = cfg.mem.clone().scaled_for_cores(cfg.physical_cores());

@@ -90,8 +90,8 @@ impl MemorySystem {
     /// starts as `image` — typically an empty write layer
     /// ([`SparseMemory::over`]) on a workload's shared initial image, so
     /// the system owns only the words it stores. Tag storage is as lazy as
-    /// the image: the L2 directory costs one slot per set here and grows a
-    /// set at a time as lines are first brought in ([`CacheArray`]).
+    /// the image: the L2 directory costs one slot per set here, and a set
+    /// gets ways only as lines are brought into it ([`CacheArray`]).
     pub fn with_image(cfg: MemConfig, image: SparseMemory) -> Self {
         let l2 = L2State {
             tags: CacheArray::new(cfg.l2_lines(), cfg.l2_assoc),
@@ -160,6 +160,13 @@ impl MemorySystem {
     /// ([`CacheArray::materialised_sets`]).
     pub fn l2_sets_materialised(&self) -> usize {
         self.l2.tags.materialised_sets()
+    }
+
+    /// Number of L2 directory ways this system owns storage for
+    /// ([`CacheArray::ways_allocated`]): at most `l2_assoc` a materialised
+    /// set, fewer where a set has held fewer lines.
+    pub fn l2_ways_allocated(&self) -> usize {
+        self.l2.tags.ways_allocated()
     }
 
     /// The value `l1` would read for `addr` *right now* without timing
@@ -724,7 +731,10 @@ mod tests {
         let v0 = mem.register_l1(Owner::vocal(0));
         let m0 = mem.register_l1(Owner::mute(0));
         assert_eq!(mem.l2.tags.sets(), 32_768);
-        assert_eq!(mem.l2_sets_materialised(), 0);
+        assert_eq!(
+            (mem.l2_sets_materialised(), mem.l2_ways_allocated()),
+            (0, 0)
+        );
         for l1 in &mem.l1s {
             assert_eq!(l1.tags.materialised_sets(), 0);
         }
@@ -736,9 +746,12 @@ mod tests {
         );
         assert_eq!(mem.l2_sets_materialised(), 0);
 
-        // One vocal miss fills one L2 set and one set of that L1.
+        // One vocal miss fills one way of one L2 set and of one set of that L1.
         mem.load(Cycle::ZERO, v0, Addr::new(0x1000), PhantomStrength::Global);
-        assert_eq!(mem.l2_sets_materialised(), 1);
+        assert_eq!(
+            (mem.l2_sets_materialised(), mem.l2_ways_allocated()),
+            (1, 1)
+        );
         assert_eq!(mem.l1s[v0.0].tags.materialised_sets(), 1);
         assert_eq!(mem.l1s[m0.0].tags.materialised_sets(), 0);
     }
