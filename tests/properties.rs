@@ -494,6 +494,116 @@ fn vocal_store_visibility() {
     });
 }
 
+/// Model-based: what a mute L1 reads is its own copy of the line. Two
+/// pairs on the small machine (32-set 2-way L1s) take random mute loads,
+/// stores and atomics under every phantom strength, vocal loads and stores,
+/// and synchronizing requests over 192 lines, so mute copies are evicted
+/// and refilled. A model per mute knows, word by word, what its copy must
+/// hold: the coherent line after a coherent fill or a synchronizing
+/// request, nothing after an arbitrary fill, and whatever the mute itself
+/// wrote. Every mute hit must return a word the model knows, and no mute
+/// access may change the coherent image.
+#[test]
+fn mute_copies_hold_what_their_fills_and_writes_left() {
+    use std::collections::HashMap;
+    const LINES: u64 = 192;
+    const STRENGTHS: [PhantomStrength; 3] = [
+        PhantomStrength::Null,
+        PhantomStrength::Shared,
+        PhantomStrength::Global,
+    ];
+    let (mut hits, mut refills) = (0u64, 0u64);
+    for_cases(0xA1_000E, |rng| {
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let pairs = [
+            (
+                mem.register_l1(Owner::vocal(0)),
+                mem.register_l1(Owner::mute(0)),
+            ),
+            (
+                mem.register_l1(Owner::vocal(1)),
+                mem.register_l1(Owner::mute(1)),
+            ),
+        ];
+        for word in 0..LINES * 8 {
+            mem.poke(Addr::new(word * 8), rng.next_u64());
+        }
+        let coherent_line = |mem: &MemorySystem, line: u64| -> [Option<u64>; 8] {
+            std::array::from_fn(|w| Some(mem.peek_coherent(Addr::new(line * 64 + w as u64 * 8))))
+        };
+        let mut models: [HashMap<u64, [Option<u64>; 8]>; 2] = Default::default();
+        let mut now = Cycle::ZERO;
+        for step in 0..400 {
+            now = now + rng.next_u64() % 40;
+            let pair = (rng.next_u64() % 2) as usize;
+            let (vocal, mute) = pairs[pair];
+            let line = rng.next_u64() % LINES;
+            let slot = (rng.next_u64() % 8) as usize;
+            let addr = Addr::new(line * 64 + slot as u64 * 8);
+            let strength = STRENGTHS[(rng.next_u64() % 3) as usize];
+            let operand = rng.next_u64();
+            let op = rng.next_u64() % 7;
+            let ctx = format!("step {step} op {op} pair {pair} line {line} word {slot}");
+            let before = coherent_line(&mem, line);
+            let acc = match op {
+                0 | 1 => mem.load(now, mute, addr, strength),
+                2 => mem.atomic_read(now, mute, addr, AtomicOp::FetchAdd, operand, strength),
+                3 => mem.drain_store(now, mute, addr, operand),
+                4 => {
+                    let acc = mem.load(now, vocal, addr, strength);
+                    assert_eq!(Some(acc.value), before[slot], "{ctx}: vocal read");
+                    continue;
+                }
+                5 => {
+                    mem.drain_store(now, vocal, addr, operand);
+                    assert_eq!(mem.peek_coherent(addr), operand, "{ctx}: vocal store");
+                    continue;
+                }
+                _ => {
+                    let rmw = (rng.next_u64() % 2 == 0).then_some((AtomicOp::FetchAdd, operand));
+                    let sync = mem.sync_access(now, vocal, mute, addr, rmw);
+                    assert_eq!(Some(sync.value), before[slot], "{ctx}: sync value");
+                    models[pair].insert(line, coherent_line(&mem, line));
+                    continue;
+                }
+            };
+
+            // A mute access: a refill replaces the model's line, a hit must
+            // return every word the model knows.
+            let known = models[pair].contains_key(&line);
+            let words = models[pair].entry(line).or_insert([None; 8]);
+            if acc.l1_hit {
+                hits += 1;
+            } else {
+                refills += u64::from(known);
+                *words = if acc.incoherent_fill {
+                    [None; 8]
+                } else {
+                    before
+                };
+            }
+            if op == 3 {
+                assert_eq!(acc.value, operand, "{ctx}: mute store");
+                words[slot] = Some(operand);
+            } else {
+                if let Some(expected) = words[slot] {
+                    assert_eq!(acc.value, expected, "{ctx}: mute read");
+                }
+                if op == 2 {
+                    words[slot] = Some(atomic_update(AtomicOp::FetchAdd, acc.value, operand));
+                    mem.atomic_commit(mute, addr, AtomicOp::FetchAdd, operand, acc.value);
+                }
+            }
+            assert_eq!(
+                coherent_line(&mem, line),
+                before,
+                "{ctx}: a mute access changed the coherent image"
+            );
+        }
+    });
+    assert!(hits > 0 && refills > 0, "{hits} hits, {refills} refills");
+}
+
 /// Deterministic replay: the same seed gives the same RNG stream.
 #[test]
 fn rng_replay() {
