@@ -162,7 +162,8 @@ impl CmpSystem {
     /// the grid — reads the same immutable copy and owns only the words it
     /// stores itself. Tag storage follows the same rule: the L2 directory,
     /// every L1 and every TLB start as a slot table, and a set gets ways
-    /// only as it fills them, 1 → 2 → 4 → up to its associativity
+    /// only when a line first enters it: the L2's grow 1 → 2 → 4 → 8 as
+    /// they fill, a 2-way L1's or TLB's take both ways at once
     /// ([`reunion_mem::CacheArray`]), so construction costs what the
     /// machine's shape costs to describe, not what its caches can hold.
     pub fn new(cfg: &SystemConfig, workload: &Workload) -> Self {

@@ -2,11 +2,10 @@
 //!
 //! `std`'s default `HashMap` hasher (SipHash behind a per-process random
 //! seed) is built to resist collision attacks from untrusted keys. The
-//! simulator's hot maps — sparse memory words, store buffers, check
-//! grants, mute cache images — are keyed by its own addresses and
-//! sequence numbers, so that defense buys nothing and costs a long
-//! permutation per lookup on paths executed once per simulated memory
-//! access. [`FastHasher`] replaces it with a fixed-seed multiply/rotate
+//! simulator's hot maps — sparse memory words and the stores pending
+//! behind them — are keyed by its own addresses, so that defense buys
+//! nothing and costs a long permutation per lookup on paths executed once
+//! per simulated memory access. [`FastHasher`] replaces it with a fixed-seed multiply/rotate
 //! mix: a few cycles per word, identical across processes and platforms.
 //!
 //! None of the maps using this hasher have output that depends on

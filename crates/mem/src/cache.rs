@@ -3,39 +3,44 @@
 /// A set-associative tag array with true-LRU replacement.
 ///
 /// `CacheArray` tracks *presence and per-line state* (the type parameter
-/// `S`); data values live elsewhere (the global image for coherent readers,
-/// the mute overlay for mute caches). Lines are addressed by their global
-/// line index (`address / 64`).
+/// `S`). What that state is belongs to the caller: a directory entry in the
+/// L2, a MESI state in a vocal L1, the line's own words in a mute L1 (whose
+/// copy nothing else may see). Lines are addressed by their global line
+/// index (`address / 64`).
 ///
 /// Storage is proportional to the lines a run has held, not to the cache's
 /// capacity. A per-set slot table (4 bytes a set) names the chunk that
 /// holds a set's ways; a set never inserted into owns nothing else. Chunks
-/// come in size classes of 1, 2, 4, … ways, the last capped at `assoc`,
-/// and each class is one arena with no holes. A set's first insert gives
-/// it a 1-way chunk; an insert that finds its chunk full below `assoc`
-/// ways moves the set to a chunk of the next class. A full-profile sample
-/// of the Table 1 machine inserts into 8–65 % of its 32 768 L2 sets and
-/// holds 1.1–4.5 valid lines in each of them (1.7 for db2_dss_q2, the
-/// most sets), so a set allocated at its full 8 ways would stand mostly
-/// empty; grown by class, the directory takes 13–88 % of those ways
-/// (25 % for db2_dss_q2). An array that every set fills, such as an L1
-/// or a TLB, ends with exactly `assoc` ways a set. Replacement, LRU stamps
-/// and every returned value are those of a dense array: only a way's
-/// position inside its set differs, and stamps are unique, so the victim
-/// (the smallest stamp) does not depend on it.
+/// come in size classes, and each class is one arena with no holes. An
+/// array of at most two ways, such as an L1 or a TLB, has one class of
+/// `assoc` ways: a set takes all its ways on its first insert. A wider
+/// array has classes of 1, 2, 4, … ways, the last capped at `assoc`; a
+/// set's first insert gives it a 1-way chunk, and an insert that finds its
+/// chunk full below `assoc` ways moves the set to a chunk of the next
+/// class. A full-profile sample of the Table 1 machine inserts into 8–65 %
+/// of its 32 768 L2 sets and holds 1.1–4.5 valid lines in each of them (1.7
+/// for db2_dss_q2, the most sets), so a set allocated at its full 8 ways
+/// would stand mostly empty; grown by class, the directory takes 13–88 % of
+/// those ways (25 % for db2_dss_q2). A 2-way set, by contrast, soon holds
+/// two lines, and a 1-way class would only leave an emptied arena behind.
+/// Replacement, LRU stamps and every returned value are those of a dense
+/// array: only a way's position inside its set differs, and stamps are
+/// unique, so the victim (the smallest stamp) does not depend on it.
 ///
 /// # Examples
 ///
 /// ```
 /// use reunion_mem::CacheArray;
 ///
-/// // 4 lines, 2-way: two sets.
-/// let mut cache: CacheArray<u8> = CacheArray::new(4, 2);
+/// // 8 lines, 4-way: two sets.
+/// let mut cache: CacheArray<u8> = CacheArray::new(8, 4);
 /// assert!(cache.insert(0, 1).is_none());
 /// assert_eq!(cache.ways_allocated(), 1); // set 0 holds one line in one way
 /// assert!(cache.insert(2, 2).is_none()); // same set as line 0: it grows
-/// assert_eq!(cache.ways_allocated(), 2);
-/// let evicted = cache.insert(4, 3);      // set 0 full -> evict LRU (line 0)
+/// assert!(cache.insert(4, 3).is_none()); // and grows again, to 4 ways
+/// assert_eq!(cache.ways_allocated(), 4);
+/// assert!(cache.insert(6, 4).is_none());
+/// let evicted = cache.insert(8, 5);      // set 0 full -> evict LRU (line 0)
 /// assert_eq!(evicted, Some((0, 1)));
 /// assert_eq!(cache.materialised_sets(), 1); // set 1 was never inserted into
 /// ```
@@ -44,7 +49,8 @@ pub struct CacheArray<S> {
     /// Per set: its chunk packed as `chunk << CLASS_BITS | class`, or
     /// [`UNTOUCHED`] while nothing has ever been inserted into it.
     slots: Vec<u32>,
-    /// Class `c` holds chunks of `min(2^c, assoc)` ways.
+    /// Chunk widths double from class to class up to `assoc`; see
+    /// [`CacheArray::new`].
     classes: Vec<SizeClass<S>>,
     assoc: usize,
     tick: u64,
@@ -99,7 +105,8 @@ fn unpack(slot: u32) -> (usize, usize) {
 impl<S> CacheArray<S> {
     /// Creates an array holding `lines` lines with `assoc` ways per set.
     /// Costs one slot per set; no way is allocated until the first
-    /// [`insert`](Self::insert).
+    /// [`insert`](Self::insert). Chunks are `assoc` ways wide when `assoc`
+    /// is at most 2, and 1, 2, 4, … ways, capped at `assoc`, otherwise.
     ///
     /// # Panics
     ///
@@ -117,17 +124,23 @@ impl<S> CacheArray<S> {
             sets < 1 << (32 - CLASS_BITS),
             "chunk indices must fit 28 bits of a u32 slot"
         );
-        let classes = assoc.next_power_of_two().trailing_zeros() + 1;
-        assert!(classes <= 1 << CLASS_BITS, "size classes must fit 4 bits");
+        let smallest = if assoc <= 2 { assoc } else { 1 };
+        let classes: Vec<SizeClass<S>> = std::iter::successors(Some(smallest), |&width| {
+            (width < assoc).then(|| (2 * width).min(assoc))
+        })
+        .map(|width| SizeClass {
+            width,
+            ways: Vec::new(),
+            owners: Vec::new(),
+        })
+        .collect();
+        assert!(
+            classes.len() <= 1 << CLASS_BITS,
+            "size classes must fit 4 bits"
+        );
         CacheArray {
             slots: vec![UNTOUCHED; sets],
-            classes: (0..classes)
-                .map(|c| SizeClass {
-                    width: (1 << c).min(assoc),
-                    ways: Vec::new(),
-                    owners: Vec::new(),
-                })
-                .collect(),
+            classes,
             assoc,
             tick: 0,
         }
@@ -150,8 +163,8 @@ impl<S> CacheArray<S> {
     }
 
     /// Number of ways this array owns storage for: each materialised set's
-    /// chunk, at most `assoc` ways and fewer than twice the most lines the
-    /// set has held at once.
+    /// chunk, at most `assoc` ways and at most twice the most lines the set
+    /// has held at once.
     pub fn ways_allocated(&self) -> usize {
         self.classes.iter().map(|c| c.ways.len()).sum()
     }
@@ -408,6 +421,22 @@ mod tests {
         assert_eq!(c.invalidate(6), Some(60));
         assert!(c.insert(6, 61).is_none());
         assert_eq!((c.materialised_sets(), c.ways_allocated()), (2, 3));
+    }
+
+    #[test]
+    fn a_two_way_set_takes_both_ways_on_its_first_insert() {
+        let mut c: CacheArray<u32> = CacheArray::new(8, 2); // 4 sets
+        assert!(c.insert(1, 10).is_none());
+        assert_eq!((c.materialised_sets(), c.ways_allocated()), (1, 2));
+        assert!(c.insert(1 + 4, 11).is_none()); // fills the set: no growth
+        assert_eq!((c.materialised_sets(), c.ways_allocated()), (1, 2));
+        assert_eq!(c.insert(1 + 8, 12), Some((1, 10)));
+        assert!(c.insert(2, 20).is_none());
+        assert_eq!((c.materialised_sets(), c.ways_allocated()), (2, 4));
+
+        let mut direct: CacheArray<u32> = CacheArray::new(4, 1);
+        assert!(direct.insert(3, 30).is_none());
+        assert_eq!(direct.ways_allocated(), 1);
     }
 
     #[test]

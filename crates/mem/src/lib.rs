@@ -23,9 +23,9 @@
 //! limits); data values are exact. The *globally coherent* value of every
 //! word lives in a [`reunion_isa::SparseMemory`] image updated when vocal
 //! stores drain — a per-system write layer, optionally over a workload's
-//! shared read-only initial image ([`MemorySystem::with_image`]); mute
-//! caches keep private (possibly stale) line snapshots, which is how input
-//! incoherence arises organically.
+//! shared read-only initial image ([`MemorySystem::with_image`]). A mute
+//! cache keeps a private (possibly stale) copy of each line it holds, in
+//! that line's tag way, which is how input incoherence arises organically.
 //!
 //! # Examples
 //!

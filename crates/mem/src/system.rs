@@ -8,7 +8,7 @@
 //! the synchronizing request used by the re-execution protocol.
 
 use reunion_isa::{Addr, AtomicOp, SparseMemory, WORDS_PER_LINE};
-use reunion_kernel::{Cycle, FastHashMap};
+use reunion_kernel::Cycle;
 
 use crate::{
     garbage_word, BankedArbiter, CacheArray, DirEntry, L1Id, MemConfig, MemStats, MesiState, Owner,
@@ -44,14 +44,51 @@ pub struct SyncOutcome {
 
 #[derive(Debug)]
 struct L1State {
-    owner: Owner,
-    tags: CacheArray<MesiState>,
-    /// Private data snapshots for mute caches, line index → words. Vocal
-    /// caches read the coherent image instead. Point-lookup only, once per
-    /// mute access, hence the fast fixed-seed hasher.
-    mute_data: FastHashMap<u64, [u64; WORDS_PER_LINE]>,
+    tags: L1Tags,
     /// Completion times (raw cycles) of outstanding misses, pruned lazily.
     outstanding: Vec<u64>,
+}
+
+/// A private L1's lines and what each one carries.
+#[derive(Debug)]
+enum L1Tags {
+    /// A vocal L1: each line's MESI state. Its data is the coherent image.
+    Vocal(CacheArray<MesiState>),
+    /// A mute L1: each line's private, possibly stale, copy of its words.
+    /// Nothing else reads a copy, and the controller ignores its eviction,
+    /// so the copy lives and dies with its way; a mute has no MESI state.
+    Mute(CacheArray<[u64; WORDS_PER_LINE]>),
+}
+
+impl L1State {
+    fn is_mute(&self) -> bool {
+        matches!(self.tags, L1Tags::Mute(_))
+    }
+
+    /// The tags of a vocal L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mute L1: the directory never lists one as a sharer or
+    /// owner, so reaching one through the directory is a protocol bug.
+    fn vocal(&mut self) -> &mut CacheArray<MesiState> {
+        match &mut self.tags {
+            L1Tags::Vocal(tags) => tags,
+            L1Tags::Mute(_) => panic!("a mute L1 reached through the directory"),
+        }
+    }
+
+    /// The line copies of a mute L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a vocal L1.
+    fn mute(&mut self) -> &mut CacheArray<[u64; WORDS_PER_LINE]> {
+        match &mut self.tags {
+            L1Tags::Mute(copies) => copies,
+            L1Tags::Vocal(_) => panic!("a vocal L1 taken for a mute"),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -115,10 +152,14 @@ impl MemorySystem {
     pub fn register_l1(&mut self, owner: Owner) -> L1Id {
         assert!(self.l1s.len() < 64, "at most 64 private L1s supported");
         let id = L1Id(self.l1s.len());
+        let (lines, assoc) = (self.cfg.l1_lines(), self.cfg.l1_assoc);
+        let tags = if owner.is_mute() {
+            L1Tags::Mute(CacheArray::new(lines, assoc))
+        } else {
+            L1Tags::Vocal(CacheArray::new(lines, assoc))
+        };
         self.l1s.push(L1State {
-            owner,
-            tags: CacheArray::new(self.cfg.l1_lines(), self.cfg.l1_assoc),
-            mute_data: FastHashMap::default(),
+            tags,
             outstanding: Vec::new(),
         });
         id
@@ -152,7 +193,19 @@ impl MemorySystem {
     /// Whether `l1` currently caches the line containing `addr`.
     #[cfg(test)]
     fn l1_contains(&self, l1: L1Id, addr: Addr) -> bool {
-        self.l1s[l1.0].tags.contains(addr.line_index())
+        match &self.l1s[l1.0].tags {
+            L1Tags::Vocal(tags) => tags.contains(addr.line_index()),
+            L1Tags::Mute(copies) => copies.contains(addr.line_index()),
+        }
+    }
+
+    /// Number of sets of `l1` a line has ever been brought into.
+    #[cfg(test)]
+    fn l1_sets_materialised(&self, l1: L1Id) -> usize {
+        match &self.l1s[l1.0].tags {
+            L1Tags::Vocal(tags) => tags.materialised_sets(),
+            L1Tags::Mute(copies) => copies.materialised_sets(),
+        }
     }
 
     /// Number of L2 sets a line has ever been brought into — the part of
@@ -170,17 +223,17 @@ impl MemorySystem {
     }
 
     /// The value `l1` would read for `addr` *right now* without timing
-    /// effects: the mute snapshot if `l1` is a mute cache holding the line,
+    /// effects: the mute's copy if `l1` is a mute cache holding the line,
     /// otherwise the coherent value.
     #[cfg(test)]
     fn peek_view(&self, l1: L1Id, addr: Addr) -> u64 {
-        let state = &self.l1s[l1.0];
-        if state.owner.is_mute() && state.tags.contains(addr.line_index()) {
-            if let Some(words) = state.mute_data.get(&addr.line_index()) {
-                return words[Self::word_slot(addr)];
-            }
+        match &self.l1s[l1.0].tags {
+            L1Tags::Mute(copies) => copies
+                .peek(addr.line_index())
+                .map(|words| words[Self::word_slot(addr)])
+                .unwrap_or_else(|| self.image.peek(addr)),
+            L1Tags::Vocal(_) => self.image.peek(addr),
         }
-        self.image.peek(addr)
     }
 
     #[inline]
@@ -231,7 +284,7 @@ impl MemorySystem {
             if let Some((victim_line, victim_dir)) = self.l2.tags.insert(line, DirEntry::new()) {
                 // Inclusive L2: back-invalidate vocal L1 copies of the victim.
                 for s in victim_dir.sharers() {
-                    if self.l1s[s.0].tags.invalidate(victim_line).is_some() {
+                    if self.l1s[s.0].vocal().invalidate(victim_line).is_some() {
                         self.stats.invalidations.incr();
                     }
                 }
@@ -240,14 +293,10 @@ impl MemorySystem {
         }
     }
 
-    /// Inserts `line` into `l1`, handling the eviction per vocal/mute rules.
+    /// Inserts `line` into vocal L1 `l1`; a victim leaves the directory.
     fn l1_fill(&mut self, l1: usize, line: u64, state: MesiState) {
-        let is_mute = self.l1s[l1].owner.is_mute();
-        if let Some((victim_line, _)) = self.l1s[l1].tags.insert(line, state) {
-            if is_mute {
-                // The controller ignores all mute evictions and writebacks.
-                self.l1s[l1].mute_data.remove(&victim_line);
-            } else if let Some(dir) = self.l2.tags.lookup(victim_line) {
+        if let Some((victim_line, _)) = self.l1s[l1].vocal().insert(line, state) {
+            if let Some(dir) = self.l2.tags.lookup(victim_line) {
                 dir.remove_sharer(L1Id(l1));
             }
         }
@@ -263,12 +312,12 @@ impl MemorySystem {
         let idx = l1.0;
         let now_raw = now.as_u64();
 
-        if self.l1s[idx].owner.is_mute() {
-            return self.mute_load(now_raw, idx, addr, strength);
+        if self.l1s[idx].is_mute() {
+            return self.mute_access(now_raw, idx, addr, strength, |word| word);
         }
 
         // Vocal L1 hit.
-        if self.l1s[idx].tags.lookup(line).is_some() {
+        if self.l1s[idx].vocal().lookup(line).is_some() {
             self.stats.l1_hits.incr();
             return Access {
                 value: self.image.peek(addr),
@@ -301,10 +350,11 @@ impl MemorySystem {
         if was_owned {
             // Dirty-forward from the owner's L1: roughly one more L2 trip.
             ready += self.cfg.l2_hit_latency / 2;
-            // The former owner keeps the line Shared.
-            for peer in 0..self.l1s.len() {
-                if peer != idx && !self.l1s[peer].owner.is_mute() {
-                    if let Some(st) = self.l1s[peer].tags.lookup(line) {
+            // The former owner keeps the line Shared. Every vocal L1 that
+            // holds the line is a sharer, so the walk reaches it.
+            if let Some(dir) = self.l2.tags.peek(line) {
+                for peer in dir.sharers_except(L1Id(idx)) {
+                    if let Some(st) = self.l1s[peer.0].vocal().lookup(line) {
                         if st.can_write() {
                             *st = MesiState::Shared;
                         }
@@ -336,18 +386,27 @@ impl MemorySystem {
         }
     }
 
-    fn mute_load(&mut self, now: u64, idx: usize, addr: Addr, strength: PhantomStrength) -> Access {
+    /// A mute L1's access to the word at `addr`: returns the word its copy
+    /// of the line holds and replaces that word with `update(word)` (the
+    /// identity for a load). A miss fills the copy with a phantom request
+    /// of the given [`PhantomStrength`] and evicts the set's LRU copy,
+    /// which the controller never hears of.
+    fn mute_access(
+        &mut self,
+        now: u64,
+        idx: usize,
+        addr: Addr,
+        strength: PhantomStrength,
+        update: impl FnOnce(u64) -> u64,
+    ) -> Access {
         let line = addr.line_index();
         let slot = Self::word_slot(addr);
 
-        // Mute L1 hit: read the private (possibly stale) snapshot.
-        if self.l1s[idx].tags.lookup(line).is_some() {
+        // Mute L1 hit: its private (possibly stale) copy.
+        if let Some(words) = self.l1s[idx].mute().lookup(line) {
             self.stats.l1_hits.incr();
-            let value = self.l1s[idx]
-                .mute_data
-                .get(&line)
-                .map(|w| w[slot])
-                .unwrap_or_else(|| self.image.peek(addr));
+            let value = words[slot];
+            words[slot] = update(value);
             return Access {
                 value,
                 done_at: Cycle::new(now + self.cfg.l1_hit_latency),
@@ -362,7 +421,7 @@ impl MemorySystem {
         self.stats.phantom_requests.incr();
         self.epoch += 1;
 
-        let (words, done, l2_hit, incoherent) = match strength {
+        let (mut words, done, l2_hit, incoherent) = match strength {
             PhantomStrength::Null => {
                 // Arbitrary data on any L1 miss; no hierarchy search.
                 let words = Self::garbage_line_words(line, self.epoch);
@@ -406,13 +465,15 @@ impl MemorySystem {
             self.stats.phantom_garbage_fills.incr();
         }
 
-        // Phantom replies grant write permission within the mute hierarchy.
-        self.l1_fill(idx, line, MesiState::Exclusive);
-        self.l1s[idx].mute_data.insert(line, words);
+        // The evicted copy, if any, is dropped: the controller ignores mute
+        // evictions and writebacks.
+        let value = words[slot];
+        words[slot] = update(value);
+        self.l1s[idx].mute().insert(line, words);
         self.l1s[idx].outstanding.push(done);
 
         Access {
-            value: words[slot],
+            value,
             done_at: Cycle::new(done),
             l1_hit: false,
             l2_hit,
@@ -425,18 +486,31 @@ impl MemorySystem {
     /// For a vocal L1 this is the point where the store becomes globally
     /// visible: the coherent image is updated and other vocal sharers are
     /// invalidated (write-invalidate protocol). For a mute L1 the store only
-    /// updates the private snapshot — mute updates are never exposed.
+    /// updates the mute's private copy — mute updates are never exposed.
     pub fn drain_store(&mut self, now: Cycle, l1: L1Id, addr: Addr, value: u64) -> Access {
         let line = addr.line_index();
         let idx = l1.0;
         let now_raw = now.as_u64();
 
-        if self.l1s[idx].owner.is_mute() {
-            return self.mute_store(now_raw, idx, addr, value);
+        if self.l1s[idx].is_mute() {
+            // Write-allocate: a miss fills through a Global phantom read,
+            // because store misses are rare and the stored word is
+            // overwritten regardless. The fill is non-coherent either way.
+            let fill = self.mute_access(now_raw, idx, addr, PhantomStrength::Global, |_| value);
+            let done_at = if fill.l1_hit {
+                now + 1
+            } else {
+                fill.done_at + 1
+            };
+            return Access {
+                value,
+                done_at,
+                ..fill
+            };
         }
 
         // Fast path: already writable.
-        if let Some(state) = self.l1s[idx].tags.lookup(line) {
+        if let Some(state) = self.l1s[idx].vocal().lookup(line) {
             if state.can_write() {
                 *state = MesiState::Modified;
                 self.stats.l1_hits.incr();
@@ -464,43 +538,6 @@ impl MemorySystem {
         }
     }
 
-    fn mute_store(&mut self, now: u64, idx: usize, addr: Addr, value: u64) -> Access {
-        let line = addr.line_index();
-        let slot = Self::word_slot(addr);
-
-        if self.l1s[idx].tags.lookup(line).is_some() {
-            self.stats.l1_hits.incr();
-            self.l1s[idx]
-                .mute_data
-                .entry(line)
-                .or_insert([0; WORDS_PER_LINE])[slot] = value;
-            return Access {
-                value,
-                done_at: Cycle::new(now + 1),
-                l1_hit: true,
-                l2_hit: false,
-                incoherent_fill: false,
-            };
-        }
-
-        // Write-allocate: fill via a phantom read, then update the word.
-        // Strength mirrors the configured load path; the fill itself uses
-        // Global here because store misses are rare and the stored word is
-        // overwritten regardless. The fill is non-coherent either way.
-        let fill = self.mute_load(now, idx, addr, PhantomStrength::Global);
-        self.l1s[idx]
-            .mute_data
-            .entry(line)
-            .or_insert([0; WORDS_PER_LINE])[slot] = value;
-        Access {
-            value,
-            done_at: fill.done_at + 1,
-            l1_hit: false,
-            l2_hit: fill.l2_hit,
-            incoherent_fill: fill.incoherent_fill,
-        }
-    }
-
     /// The read half of an atomic read-modify-write.
     ///
     /// For a vocal L1 this performs a coherent read-for-ownership —
@@ -521,17 +558,11 @@ impl MemorySystem {
         strength: PhantomStrength,
     ) -> Access {
         let idx = l1.0;
-        if self.l1s[idx].owner.is_mute() {
-            let read = self.mute_load(now.as_u64(), idx, addr, strength);
-            let new = reunion_isa::atomic_update(op, read.value, operand);
-            let line = addr.line_index();
-            let slot = Self::word_slot(addr);
-            self.l1s[idx]
-                .mute_data
-                .entry(line)
-                .or_insert([0; WORDS_PER_LINE])[slot] = new;
+        if self.l1s[idx].is_mute() {
+            let read = self.mute_access(now.as_u64(), idx, addr, strength, |old| {
+                reunion_isa::atomic_update(op, old, operand)
+            });
             return Access {
-                value: read.value,
                 done_at: read.done_at + 2,
                 ..read
             };
@@ -542,7 +573,7 @@ impl MemorySystem {
         // image is left untouched until commit.
         let line = addr.line_index();
         let (timing, l1_hit, l2_hit);
-        if let Some(state) = self.l1s[idx].tags.lookup(line) {
+        if let Some(state) = self.l1s[idx].vocal().lookup(line) {
             if state.can_write() {
                 *state = MesiState::Modified;
                 self.stats.l1_hits.incr();
@@ -590,8 +621,7 @@ impl MemorySystem {
         operand: u64,
         old_read: u64,
     ) {
-        if self.l1s[l1.0].owner.is_mute()
-            || reunion_isa::atomic_update(op, old_read, operand) == old_read
+        if self.l1s[l1.0].is_mute() || reunion_isa::atomic_update(op, old_read, operand) == old_read
         {
             return;
         }
@@ -599,7 +629,7 @@ impl MemorySystem {
         // Re-invalidate any vocal sharer that joined since the read.
         if let Some(d) = self.l2.tags.peek(line) {
             for s in d.sharers_except(l1) {
-                if !self.l1s[s.0].owner.is_mute() && self.l1s[s.0].tags.invalidate(line).is_some() {
+                if self.l1s[s.0].vocal().invalidate(line).is_some() {
                     self.stats.invalidations.incr();
                 }
             }
@@ -622,7 +652,7 @@ impl MemorySystem {
         // `self.stats`, so no intermediate collection is needed.
         if let Some(d) = self.l2.tags.peek(line) {
             for s in d.sharers_except(L1Id(idx)) {
-                self.l1s[s.0].tags.invalidate(line);
+                self.l1s[s.0].vocal().invalidate(line);
                 self.stats.invalidations.incr();
             }
         }
@@ -655,11 +685,11 @@ impl MemorySystem {
         rmw: Option<(AtomicOp, u64)>,
     ) -> SyncOutcome {
         assert!(
-            !self.l1s[vocal.0].owner.is_mute(),
+            !self.l1s[vocal.0].is_mute(),
             "sync: vocal handle is a mute cache"
         );
         assert!(
-            self.l1s[mute.0].owner.is_mute(),
+            self.l1s[mute.0].is_mute(),
             "sync: mute handle is a vocal cache"
         );
         self.stats.sync_requests.incr();
@@ -668,13 +698,12 @@ impl MemorySystem {
         // Flush: the vocal copy returns to the shared cache (its data is
         // already reflected in the image at drain time), the mute copy is
         // discarded.
-        if self.l1s[vocal.0].tags.invalidate(line).is_some() {
+        if self.l1s[vocal.0].vocal().invalidate(line).is_some() {
             if let Some(dir) = self.l2.tags.lookup(line) {
                 dir.remove_sharer(vocal);
             }
         }
-        self.l1s[mute.0].tags.invalidate(line);
-        self.l1s[mute.0].mute_data.remove(&line);
+        self.l1s[mute.0].mute().invalidate(line);
 
         // One coherent write transaction on behalf of the pair. Latency is
         // comparable to a shared-cache hit (§4.2).
@@ -684,7 +713,7 @@ impl MemorySystem {
         // Invalidate remaining vocal sharers (write semantics).
         if let Some(d) = self.l2.tags.peek(line) {
             for s in d.sharers_except(vocal) {
-                if !self.l1s[s.0].owner.is_mute() && self.l1s[s.0].tags.invalidate(line).is_some() {
+                if self.l1s[s.0].vocal().invalidate(line).is_some() {
                     self.stats.invalidations.incr();
                 }
             }
@@ -702,8 +731,7 @@ impl MemorySystem {
         // Refill both halves coherently and atomically.
         self.l1_fill(vocal.0, line, MesiState::Modified);
         let words = self.image.peek_line(line);
-        self.l1_fill(mute.0, line, MesiState::Exclusive);
-        self.l1s[mute.0].mute_data.insert(line, words);
+        self.l1s[mute.0].mute().insert(line, words);
 
         SyncOutcome {
             value: old,
@@ -735,8 +763,8 @@ mod tests {
             (mem.l2_sets_materialised(), mem.l2_ways_allocated()),
             (0, 0)
         );
-        for l1 in &mem.l1s {
-            assert_eq!(l1.tags.materialised_sets(), 0);
+        for l1 in [v0, m0] {
+            assert_eq!(mem.l1_sets_materialised(l1), 0);
         }
         // Read-only probes leave it that way.
         assert!(!mem.l1_contains(v0, Addr::new(0x1000)));
@@ -752,8 +780,8 @@ mod tests {
             (mem.l2_sets_materialised(), mem.l2_ways_allocated()),
             (1, 1)
         );
-        assert_eq!(mem.l1s[v0.0].tags.materialised_sets(), 1);
-        assert_eq!(mem.l1s[m0.0].tags.materialised_sets(), 0);
+        assert_eq!(mem.l1_sets_materialised(v0), 1);
+        assert_eq!(mem.l1_sets_materialised(m0), 0);
     }
 
     #[test]
@@ -805,7 +833,7 @@ mod tests {
         mem.load(Cycle::ZERO, m0, a, PhantomStrength::Global);
         // Remote vocal writes the line.
         mem.drain_store(Cycle::new(10), v1, a, 99);
-        // Vocal re-fetches coherent data; mute still hits its snapshot.
+        // Vocal re-fetches coherent data; mute still hits its copy.
         let vl = mem.load(Cycle::new(500), v0, a, PhantomStrength::Global);
         let ml = mem.load(Cycle::new(500), m0, a, PhantomStrength::Global);
         assert_eq!(vl.value, 99);
@@ -855,6 +883,30 @@ mod tests {
         assert!(!warm.incoherent_fill);
         assert_eq!(warm.value, 88);
         assert!(warm.l2_hit);
+    }
+
+    #[test]
+    fn a_mute_drops_its_copy_on_eviction() {
+        let (mut mem, _, m0, ..) = two_pair_system();
+        let cfg = mem.config().clone();
+        let set_stride = (cfg.l1_lines() / cfg.l1_assoc) as u64 * reunion_isa::LINE_BYTES;
+        let a = Addr::new(0xE000);
+        mem.poke(a, 5);
+        mem.drain_store(Cycle::ZERO, m0, a, 6);
+        assert_eq!(mem.peek_view(m0, a), 6);
+        // Two more lines of the same set push the written copy out.
+        for i in 1..=cfg.l1_assoc as u64 {
+            mem.load(
+                Cycle::new(i * 1000),
+                m0,
+                a.offset(i * set_stride),
+                PhantomStrength::Global,
+            );
+        }
+        assert!(!mem.l1_contains(m0, a));
+        let reload = mem.load(Cycle::new(10_000), m0, a, PhantomStrength::Global);
+        assert!(!reload.l1_hit);
+        assert_eq!(reload.value, 5, "the private word left with its way");
     }
 
     #[test]

@@ -534,7 +534,7 @@ fn mute_copies_hold_what_their_fills_and_writes_left() {
         let mut models: [HashMap<u64, [Option<u64>; 8]>; 2] = Default::default();
         let mut now = Cycle::ZERO;
         for step in 0..400 {
-            now = now + rng.next_u64() % 40;
+            now += rng.next_u64() % 40;
             let pair = (rng.next_u64() % 2) as usize;
             let (vocal, mute) = pairs[pair];
             let line = rng.next_u64() % LINES;
