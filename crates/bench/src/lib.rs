@@ -261,6 +261,128 @@ pub(crate) fn commercial_scientific_averages(rows: &[(WorkloadClass, f64)]) -> (
     (commercial.mean(), scientific.mean())
 }
 
+/// A rate of `events` per million `instructions` with its exact Poisson
+/// 95 % interval ([`poisson_ci95`]), as `rate [low, high]`; no events print
+/// as the interval's upper end, `< high`.
+pub(crate) fn rate_with_ci95(events: u64, instructions: u64) -> String {
+    if instructions == 0 {
+        return "-".to_string();
+    }
+    let per_million = |count: f64| count * 1.0e6 / instructions as f64;
+    let (low, high) = poisson_ci95(events);
+    if events == 0 {
+        return format!("< {}", three_figures(per_million(high)));
+    }
+    format!(
+        "{} [{}, {}]",
+        three_figures(per_million(events as f64)),
+        three_figures(per_million(low)),
+        three_figures(per_million(high)),
+    )
+}
+
+/// `x` to at least three significant figures, with no exponent.
+fn three_figures(x: f64) -> String {
+    let decimals = (2.0 - x.abs().log10().floor()).clamp(0.0, 6.0) as usize;
+    format!("{x:.decimals$}")
+}
+
+/// The exact 95 % confidence interval on the mean of a Poisson count after
+/// `events` events (Garwood 1936): the means under which `events` or more,
+/// and `events` or fewer, are each 2.5 % likely. Both ends are found by
+/// bisection on the Poisson tails, which are regularized incomplete gamma
+/// functions: P(X ≤ k) = Q(k + 1, μ) and P(X ≥ k) = P(k, μ).
+fn poisson_ci95(events: u64) -> (f64, f64) {
+    const TAIL: f64 = 0.025;
+    let k = events as f64;
+    // Both ends lie well inside [0, k + 10 √(k + 1) + 10].
+    let bound = k + 10.0 * (k + 1.0).sqrt() + 10.0;
+    // The μ at which `tail_exceeds(μ)`, true below it, turns false.
+    let bisect = |tail_exceeds: &dyn Fn(f64) -> bool| {
+        let (mut lo, mut hi) = (0.0, bound);
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            if tail_exceeds(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    };
+    let low = match events {
+        0 => 0.0,
+        _ => bisect(&|mu| lower_gamma(k, mu) < TAIL),
+    };
+    let high = bisect(&|mu| 1.0 - lower_gamma(k + 1.0, mu) > TAIL);
+    (low, high)
+}
+
+/// The regularized lower incomplete gamma function P(a, x), a > 0: its
+/// series below x = a + 1, one minus the continued fraction of Q above
+/// (Press et al., *Numerical Recipes*, §6.2).
+fn lower_gamma(a: f64, x: f64) -> f64 {
+    const EPS: f64 = 1e-15;
+    const TINY: f64 = 1e-300;
+    if x <= 0.0 {
+        return 0.0;
+    }
+    let prefactor = (a * x.ln() - x - ln_gamma(a)).exp();
+    if x < a + 1.0 {
+        let (mut term, mut sum, mut n) = (1.0 / a, 1.0 / a, a);
+        while term.abs() > sum.abs() * EPS {
+            n += 1.0;
+            term *= x / n;
+            sum += term;
+        }
+        sum * prefactor
+    } else {
+        // Lentz's method.
+        let mut b = x + 1.0 - a;
+        let (mut c, mut d) = (1.0 / TINY, 1.0 / b);
+        let mut h = d;
+        for i in 1.. {
+            let an = -f64::from(i) * (f64::from(i) - a);
+            b += 2.0;
+            d = an * d + b;
+            d = if d.abs() < TINY { TINY } else { d };
+            c = b + an / c;
+            c = if c.abs() < TINY { TINY } else { c };
+            d = 1.0 / d;
+            let delta = d * c;
+            h *= delta;
+            if (delta - 1.0).abs() <= EPS {
+                break;
+            }
+        }
+        1.0 - h * prefactor
+    }
+}
+
+/// ln Γ(x) for x > 0 by the Lanczos approximation (g = 7, nine terms),
+/// good to about 15 significant figures.
+fn ln_gamma(x: f64) -> f64 {
+    const G: f64 = 7.0;
+    const COEF: [f64; 9] = [
+        0.999_999_999_999_809_9,
+        676.520_368_121_885_1,
+        -1_259.139_216_722_402_8,
+        771.323_428_777_653_1,
+        -176.615_029_162_140_6,
+        12.507_343_278_686_905,
+        -0.138_571_095_265_720_12,
+        9.984_369_578_019_572e-6,
+        1.505_632_735_149_311_6e-7,
+    ];
+    let x = x - 1.0;
+    let mut sum = COEF[0];
+    for (i, &c) in COEF.iter().enumerate().skip(1) {
+        sum += c / (x + i as f64);
+    }
+    let t = x + G + 0.5;
+    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + sum.ln()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +495,34 @@ mod tests {
         let (c, s) = commercial_scientific_averages(&rows);
         assert!((c - 0.8).abs() < 1e-12);
         assert!((s - 0.5).abs() < 1e-12);
+    }
+
+    /// Garwood's interval against tabulated values (halved χ² quantiles).
+    #[test]
+    fn poisson_intervals_match_the_tables() {
+        for (events, low, high) in [(0, 0.0, 3.689), (1, 0.0253, 5.572), (10, 4.795, 18.39)] {
+            let (l, h) = poisson_ci95(events);
+            assert!((l - low).abs() < 5e-4, "{events}: low {l}");
+            assert!((h - high).abs() < 5e-3, "{events}: high {h}");
+        }
+        // A large count sits near its normal approximation, k ± 1.96 √k.
+        let (l, h) = poisson_ci95(10_000);
+        assert!(
+            (l - 9_804.9).abs() < 1.0 && (h - 10_198.0).abs() < 1.0,
+            "{l} {h}"
+        );
+        // 276 388 events (em3d's null cell at 32 M cycles) resolve too.
+        let (l, h) = poisson_ci95(276_388);
+        assert!(l < 276_388.0 && h > 276_388.0 && h - l < 2_200.0, "{l} {h}");
+    }
+
+    #[test]
+    fn rates_print_with_their_interval() {
+        assert_eq!(rate_with_ci95(0, 1_000_000), "< 3.69");
+        assert_eq!(rate_with_ci95(10, 1_000_000), "10.0 [4.80, 18.4]");
+        // em3d's global cell: 1 event in 2.56 M instructions.
+        assert_eq!(rate_with_ci95(1, 2_560_000), "0.391 [0.00989, 2.18]");
+        assert_eq!(rate_with_ci95(3, 0), "-");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use reunion_core::ExecutionMode;
 use reunion_sim::{ExperimentReport, GridBuilder};
 
-use crate::{commercial_scientific_averages, workloads, RunOptions};
+use crate::{commercial_scientific_averages, rate_with_ci95, workloads, RunOptions};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.workloads(workloads())
@@ -13,8 +13,8 @@ pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
 
 pub(super) fn print(report: &ExperimentReport) {
     println!(
-        "{:<12} {:<11} {:>9} {:>9} {:>12} {:>9}",
-        "workload", "class", "strict", "reunion", "incoh/1M", "base-IPC"
+        "{:<12} {:<11} {:>9} {:>9} {:>24} {:>9}",
+        "workload", "class", "strict", "reunion", "incoh/1M [95 %]", "base-IPC"
     );
     for w in workloads() {
         let strict = report
@@ -26,12 +26,15 @@ pub(super) fn print(report: &ExperimentReport) {
             .and_then(|r| r.normalized())
             .expect("reunion record");
         println!(
-            "{:<12} {:<11} {:>9.3} {:>9.3} {:>12.1} {:>9.3}",
+            "{:<12} {:<11} {:>9.3} {:>9.3} {:>24} {:>9.3}",
             w.name(),
             w.class().to_string(),
             strict.normalized_ipc,
             reunion.normalized_ipc,
-            reunion.model.incoherence_per_million,
+            rate_with_ci95(
+                reunion.model.input_incoherence,
+                reunion.model.user_instructions
+            ),
             reunion.baseline.ipc,
         );
     }
@@ -39,8 +42,10 @@ pub(super) fn print(report: &ExperimentReport) {
         commercial_scientific_averages(&report.normalized_rows(ExecutionMode::Strict, "base"));
     let (rc, rs) =
         commercial_scientific_averages(&report.normalized_rows(ExecutionMode::Reunion, "base"));
-    println!("--------------------------------------------------------------");
+    println!("{}", "-".repeat(78));
     println!("average normalized IPC   commercial   scientific");
     println!("  strict                 {sc:>10.3} {ss:>12.3}   (paper: 0.95 / 0.98)");
     println!("  reunion                {rc:>10.3} {rs:>12.3}   (paper: 0.90 / 0.92)");
+    println!("(incoh/1M: events /1M instructions [exact Poisson 95 % interval]; no");
+    println!(" events print as < the interval's upper end.)");
 }

@@ -78,8 +78,9 @@ impl<M: DataMemory + ?Sized> DataMemory for &mut M {
 /// A workload's initial image can be half a million words (em3d's pointer
 /// ring), and an experiment grid builds dozens of systems from it. Instead
 /// of replaying the words into a fresh map per system, the workload builds
-/// them once into a [`BaseImage`] (strided runs, 8 B a word) behind an
-/// `Arc`, and every system gets an empty image [`over`](Self::over) it: reads fall through own words →
+/// them once into a [`BaseImage`] (strided runs whose values are listed or
+/// stored as a first value and a step) behind an `Arc`, and every system
+/// gets an empty image [`over`](Self::over) it: reads fall through own words →
 /// base → [`uninit_value`](Self::uninit_value), writes go to the own words
 /// only. The base has no writer, so any number of systems — on any number
 /// of threads — share one copy, and construction is a reference-count bump.

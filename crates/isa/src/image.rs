@@ -3,22 +3,30 @@
 use crate::{Addr, LINE_BYTES, WORDS_PER_LINE};
 
 /// A workload's initial memory, frozen as strided runs: each run is a
-/// start address, a power-of-two stride and a slice of values.
+/// start address, a power-of-two stride and the run's values — listed one
+/// a word, or, when they step evenly, a first value and a step (word `k`
+/// reads `first + k·step`, wrapping).
 ///
 /// An experiment grid builds dozens of systems from one workload, and the
 /// workload's image can be half a million words (em3d's pointer ring).
 /// Every image the repo generates has a regular shape — the suite's lock,
 /// hot-line, flag and ring regions are stride-64 runs (one word a line), a
-/// kernel's `.data` words stride-8 runs — so `BaseImage` stores a word as
-/// its 8-byte value alone; an address costs 20 B per run (start, value
-/// index, length, stride). em3d's 525 076 words in 4 runs cost 8.00 B a
-/// word. Every system reads it under its own write layer
+/// kernel's `.data` words stride-8 runs — and so do its values: the lock,
+/// hot-line and flag words are zeros, and each ring word holds the address
+/// of the next line, 64 B on, but the last, which wraps to the first. So
+/// `BaseImage` stores a listed word as its 8-byte value alone and a
+/// progression as 16 B however long it is; an address costs 20 B per run
+/// (start, value index, length, stride, kind). Eight or more evenly
+/// stepping words in a row are stored as a progression, so an image never
+/// costs more than its words listed would: 8 n + 20 r bytes for n words in
+/// r runs. em3d's 525 076 words in 5 runs cost 188 B. Every system reads
+/// it under its own write layer
 /// ([`SparseMemory::over`](crate::SparseMemory::over)).
 ///
 /// Lookup: one `partition_point` over the run starts (a handful per image)
 /// finds the run that could hold a word; a mask test and a shift give its
-/// value. [`read_line`](Self::read_line) finds a line's first run once and
-/// walks it.
+/// index in the run, and the run's list or step its value.
+/// [`read_line`](Self::read_line) finds a line's first run once and walks it.
 ///
 /// # Examples
 ///
@@ -33,6 +41,15 @@ use crate::{Addr, LINE_BYTES, WORDS_PER_LINE};
 /// assert_eq!(base.get(Addr::new(0x90)), None);
 /// assert_eq!(base.len(), 2);
 /// assert_eq!(base.heap_bytes(), 2 * 8 + 20); // one stride-8 run
+///
+/// // A ring of 1000 lines, each pointing at the next: one progression.
+/// let next = |i: u64| 0x1000 + 64 * ((i + 1) % 1000);
+/// let ring = BaseImage::new((0..1000).map(|i| (Addr::new(0x1000 + 64 * i), next(i))));
+/// assert_eq!(ring.get(Addr::new(0x1000 + 64 * 998)), Some(0x1000 + 64 * 999));
+/// assert_eq!(ring.get(Addr::new(0x1000 + 64 * 999)), Some(0x1000)); // the wrap
+/// assert_eq!(ring.len(), 1000);
+/// // 999 words as a first value and a step, the wrapping word listed.
+/// assert_eq!(ring.heap_bytes(), 16 + 8 + 2 * 20);
 /// ```
 #[derive(Debug, PartialEq, Eq)]
 pub struct BaseImage {
@@ -41,7 +58,8 @@ pub struct BaseImage {
     starts: Box<[u64]>,
     /// The runs, in the order of `starts`.
     runs: Box<[Run]>,
-    /// Every run's values, run after run.
+    /// Every run's values, run after run: a listed run's, one a word; a
+    /// progression's first value and step.
     values: Box<[u64]>,
 }
 
@@ -53,23 +71,45 @@ struct Run {
     /// Words in the run, at least one.
     len: u32,
     /// The stride's log2 (3 for a lone word, which has no stride).
-    shift: u32,
+    shift: u8,
+    /// Whether `values` holds the run's first value and step rather than
+    /// one value a word.
+    progression: bool,
+}
+
+// 12 B a run, with its 8-byte start: the 20 B a run that `heap_bytes` and the
+// 8 n + 20 r bound count on.
+const _: () = assert!(std::mem::size_of::<Run>() == 12);
+
+impl Run {
+    /// The value of the run's word `k` (`k < len`) out of the image's
+    /// `values`.
+    #[inline]
+    fn value(&self, values: &[u64], k: u64) -> u64 {
+        let first = self.first as usize;
+        if self.progression {
+            values[first].wrapping_add(k.wrapping_mul(values[first + 1]))
+        } else {
+            values[first + k as usize]
+        }
+    }
 }
 
 impl BaseImage {
     /// Freezes `words`; a later entry for the same word wins. Word-aligned
     /// input in strictly ascending order (every generated and kernel image)
-    /// streams straight into runs; any other input is collected and sorted
-    /// stably first.
+    /// streams straight into runs; any other input, a repeated word
+    /// included, is collected and sorted stably first.
     ///
     /// # Panics
     ///
-    /// Panics if the image holds more than `u32::MAX - 1` words.
+    /// Panics if a run would hold, or the image would list, more than
+    /// `u32::MAX` values.
     pub fn new(words: impl IntoIterator<Item = (Addr, u64)>) -> Self {
         let mut words = words.into_iter();
-        let mut runs = RunBuilder::with_capacity(words.size_hint().0);
+        let mut runs = RunBuilder::default();
         while let Some((addr, value)) = words.next() {
-            if addr != addr.word() || runs.last.is_some_and(|last| addr.as_u64() < last) {
+            if addr != addr.word() || runs.last.is_some_and(|last| addr.as_u64() <= last) {
                 let rest = std::iter::once((addr, value)).chain(words);
                 return Self::sorted(runs.finish().entries().chain(rest));
             }
@@ -83,9 +123,12 @@ impl BaseImage {
         let mut words: Vec<(u64, u64)> = words.map(|(a, v)| (a.word().as_u64(), v)).collect();
         // Stable, so a word's entries keep their input order and the last wins.
         words.sort_by_key(|&(addr, _)| addr);
-        let mut runs = RunBuilder::with_capacity(words.len());
-        for (addr, value) in words {
-            runs.push(addr, value);
+        let mut runs = RunBuilder::default();
+        let mut words = words.into_iter().peekable();
+        while let Some((addr, value)) = words.next() {
+            if !words.peek().is_some_and(|&(next, _)| next == addr) {
+                runs.push(addr, value);
+            }
         }
         runs.finish()
     }
@@ -102,7 +145,7 @@ impl BaseImage {
         let offset = w - self.starts[i];
         let k = offset >> run.shift;
         (offset & ((1 << run.shift) - 1) == 0 && k < u64::from(run.len))
-            .then(|| self.values[run.first as usize + k as usize])
+            .then(|| run.value(&self.values, k))
     }
 
     /// Overwrites `out[i]` with the image's word `i` of cache line `line`
@@ -132,7 +175,7 @@ impl BaseImage {
                 if addr > last {
                     break;
                 }
-                out[((addr - first) >> 3) as usize] = self.values[run.first as usize + k as usize];
+                out[((addr - first) >> 3) as usize] = run.value(&self.values, k);
                 k += 1;
             }
         }
@@ -140,15 +183,16 @@ impl BaseImage {
 
     /// Words the image holds.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.runs.iter().map(|run| run.len as usize).sum()
     }
 
     /// Whether the image holds no word.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.runs.is_empty()
     }
 
-    /// The bytes the image owns on the heap: 8 per word plus 20 per run.
+    /// The bytes the image owns on the heap: 8 per listed word, 16 per
+    /// progression, plus 20 per run.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.starts)
             + std::mem::size_of_val(&*self.runs)
@@ -157,56 +201,96 @@ impl BaseImage {
 
     /// Every word and its value, in address order.
     fn entries(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
+        let values = &self.values;
         self.starts
             .iter()
             .zip(self.runs.iter())
-            .flat_map(|(&start, run)| {
-                let values = &self.values[run.first as usize..][..run.len as usize];
-                (0u64..)
-                    .zip(values)
-                    .map(move |(k, &value)| (Addr::new(start + (k << run.shift)), value))
+            .flat_map(move |(&start, run)| {
+                (0..u64::from(run.len))
+                    .map(move |k| (Addr::new(start + (k << run.shift)), run.value(values, k)))
             })
     }
 }
 
-/// Cuts a stream of word addresses, non-decreasing, into maximal runs.
+/// Words in a row whose values step evenly before [`RunBuilder`] stores
+/// them as a progression. Splitting one off a listed run can add two runs
+/// (its own and one for the listed words after it, 40 B) and saves 8 B a
+/// word less the 16 B it keeps: eight words save 48 B, so an image never
+/// costs more than its words listed would, 8 n + 20 r bytes for n words in
+/// r runs. Seven would only break even, six can cost more.
+const PROGRESSION_MIN: u32 = 8;
+
+/// Cuts a stream of word addresses, strictly ascending, into maximal runs.
+#[derive(Default)]
 struct RunBuilder {
     starts: Vec<u64>,
     runs: Vec<Run>,
     values: Vec<u64>,
     /// The last word pushed.
     last: Option<u64>,
+    /// When the open run is listed: how many of its last words step evenly
+    /// in value (1 for its first word).
+    streak: u32,
 }
 
 impl RunBuilder {
-    fn with_capacity(words: usize) -> Self {
-        RunBuilder {
-            starts: Vec::new(),
-            runs: Vec::new(),
-            values: Vec::with_capacity(words),
-            last: None,
-        }
-    }
-
-    /// Appends word `addr` (word-aligned, at or above the last one; the
-    /// same word again overwrites its value). It extends the open run when
-    /// it is one stride on, or sets a lone word's stride when the gap is a
-    /// power of two; otherwise it opens a run.
+    /// Appends word `addr` (word-aligned, above the last one). It extends
+    /// the open run when it is one stride on, or sets a lone word's stride
+    /// when the gap is a power of two, and, if the open run is a
+    /// progression, when its value is the next step; otherwise it opens a
+    /// listed run. A listed run whose last `PROGRESSION_MIN` words step
+    /// evenly hands them to a progression of their own.
     fn push(&mut self, addr: u64, value: u64) {
-        if self.last == Some(addr) {
-            *self.values.last_mut().expect("a pushed word holds a value") = value;
-            return;
-        }
-        assert!(
-            self.values.len() < u32::MAX as usize,
-            "a base image holds fewer than 2^32 - 1 words"
-        );
-        match (self.last.map(|last| addr - last), self.runs.last_mut()) {
+        let gap = self.last.map(|last| addr - last);
+        self.last = Some(addr);
+        match (gap, self.runs.last_mut()) {
             (Some(gap), Some(run))
-                if gap == 1 << run.shift || (run.len == 1 && gap.is_power_of_two()) =>
+                if run.progression
+                    && gap == 1 << run.shift
+                    && value == run.value(&self.values, u64::from(run.len)) =>
             {
-                run.shift = gap.trailing_zeros();
+                assert!(run.len < u32::MAX, "a run holds at most u32::MAX words");
                 run.len += 1;
+            }
+            (Some(gap), Some(run))
+                if !run.progression
+                    && (gap == 1 << run.shift || (run.len == 1 && gap.is_power_of_two())) =>
+            {
+                run.shift = gap.trailing_zeros() as u8;
+                run.len += 1;
+                let n = self.values.len();
+                let prev = self.values[n - 1];
+                self.streak = if self.streak >= 2
+                    && value.wrapping_sub(prev) == prev.wrapping_sub(self.values[n - 2])
+                {
+                    self.streak + 1
+                } else {
+                    2
+                };
+                self.list(value);
+                if self.streak == PROGRESSION_MIN {
+                    // The streak's first value stays; the step replaces the
+                    // rest.
+                    let at = self.values.len() - PROGRESSION_MIN as usize;
+                    let step = value.wrapping_sub(prev);
+                    self.values.truncate(at + 1);
+                    self.values.push(step);
+                    let run = self.runs.last_mut().expect("an open run");
+                    if run.len == PROGRESSION_MIN {
+                        run.progression = true;
+                    } else {
+                        run.len -= PROGRESSION_MIN;
+                        let shift = run.shift;
+                        self.starts
+                            .push(addr - (u64::from(PROGRESSION_MIN - 1) << shift));
+                        self.runs.push(Run {
+                            first: at as u32,
+                            len: PROGRESSION_MIN,
+                            shift,
+                            progression: true,
+                        });
+                    }
+                }
             }
             _ => {
                 self.starts.push(addr);
@@ -214,11 +298,21 @@ impl RunBuilder {
                     first: self.values.len() as u32,
                     len: 1,
                     shift: 3,
+                    progression: false,
                 });
+                self.streak = 1;
+                self.list(value);
             }
         }
+    }
+
+    /// Appends a listed value.
+    fn list(&mut self, value: u64) {
+        assert!(
+            self.values.len() < u32::MAX as usize,
+            "a base image lists at most u32::MAX values"
+        );
         self.values.push(value);
-        self.last = Some(addr);
     }
 
     fn finish(self) -> BaseImage {
@@ -285,18 +379,87 @@ mod tests {
         }
     }
 
+    /// The two tests above with progressions: runs of 8 to 20 words whose
+    /// values step down by one from 3, so wrap past `u64::MAX`, at the top
+    /// and at the bottom of the address space.
+    #[test]
+    fn progressions_at_the_ends_of_the_address_space_index_without_wrapping() {
+        let top = !7u64;
+        let down = |k: u64| 3u64.wrapping_sub(k);
+        for shift in [3u32, 4, 6, 9] {
+            let stride = 1u64 << shift;
+            for len in [8u64, 9, 20] {
+                let words: Vec<(u64, u64)> = (0..len)
+                    .map(|k| (top - (len - 1 - k) * stride, down(k)))
+                    .collect();
+                let run = image(&words);
+                let ctx = format!("stride {stride}, {len} words");
+                assert_eq!(run.heap_bytes(), 16 + 20, "{ctx}: one progression");
+                for &(addr, value) in &words {
+                    assert_eq!(run.get(Addr::new(addr)), Some(value), "{ctx}");
+                }
+                assert_eq!(run.get(Addr::new(top.wrapping_add(stride))), None);
+                assert_eq!(run.get(Addr::new(0)), None);
+                let mut line = [7; WORDS_PER_LINE];
+                run.read_line(0, &mut line);
+                assert_eq!(line, [7; WORDS_PER_LINE], "{ctx}");
+                run.read_line(top / LINE_BYTES, &mut line);
+                assert_eq!(line[7], down(len - 1), "{ctx}");
+            }
+        }
+
+        let mut words: Vec<(u64, u64)> = (0..8).map(|k| (8 * k, down(k))).collect();
+        words.push((top, 3));
+        let wide = image(&words);
+        assert_eq!(wide.heap_bytes(), 16 + 8 + 2 * 20);
+        assert_eq!(wide.get(Addr::new(56)), Some(u64::MAX - 3));
+        assert_eq!(wide.get(Addr::new(64)), None);
+        assert_eq!(wide.get(Addr::new(top)), Some(3));
+        let mut line = [7; WORDS_PER_LINE];
+        wide.read_line(0, &mut line);
+        assert_eq!(line, std::array::from_fn(|i| down(i as u64)));
+    }
+
+    /// A progression never takes a repeated word in place: the repeat goes
+    /// through the sort, and the later value wins.
+    #[test]
+    fn a_word_repeated_after_a_progression_takes_its_later_value() {
+        let at = |k: u64| 0x1000 + 64 * k;
+        for len in [8u64, 9, 12] {
+            let stepping = |k: u64| (at(k), 100 + 5 * k);
+            let mut words: Vec<(u64, u64)> = (0..len).map(stepping).collect();
+            // The progression's last word again, then more of the same step.
+            words.push((at(len - 1), 7));
+            words.extend((len..len + 10).map(stepping));
+            let base = image(&words);
+            let mut expect: Vec<(u64, u64)> = (0..len + 10).map(stepping).collect();
+            expect[len as usize - 1].1 = 7;
+            let rebuilt: Vec<(u64, u64)> = base.entries().map(|(a, v)| (a.as_u64(), v)).collect();
+            assert_eq!(rebuilt, expect, "{len} words before the repeat");
+            let mut line = [0; WORDS_PER_LINE];
+            for &(addr, value) in &expect {
+                assert_eq!(base.get(Addr::new(addr)), Some(value), "{addr:#x}");
+                base.read_line(addr / LINE_BYTES, &mut line);
+                assert_eq!(line[0], value, "line of {addr:#x}");
+            }
+            assert_eq!(base, image(&expect));
+        }
+    }
+
     #[test]
     fn runs_are_maximal_and_rebuild_their_input() {
         // Two stride-64 runs broken by a gap, a lone word between them, a
-        // stride-8 run: four runs.
+        // stride-8 run whose nine values step evenly: four runs, the last a
+        // progression.
         let mut words: Vec<(u64, u64)> = (0..5).map(|i| (0x1000 + i * 64, i)).collect();
         words.push((0x1800, 9));
         words.extend((0..3).map(|i| (0x2018 + i * 64, 10 + i)));
         words.extend((0..9).map(|i| (0x4000 + i * 8, 20 + i)));
         let base = image(&words);
         assert_eq!(base.len(), words.len());
-        // 0x1800 joins no run: 0x1800 - 0x1100 is no power of two.
-        assert_eq!(base.heap_bytes(), 8 * words.len() + 20 * 4);
+        // 0x1800 joins no run: 0x1800 - 0x1100 is no power of two. Nine
+        // listed words, a first value and a step, four runs.
+        assert_eq!(base.heap_bytes(), 168);
         let rebuilt: Vec<(u64, u64)> = base.entries().map(|(a, v)| (a.as_u64(), v)).collect();
         assert_eq!(rebuilt, words);
         // Reversed, with every word given twice: the later entry wins.

@@ -94,8 +94,12 @@ fn sparse_memory_last_write_wins() {
 /// as a sorted list around a dense run, or as power-of-two-strided runs
 /// (8–512 B) broken by gaps with lone words between them, given in order,
 /// shuffled or with words repeated; probes reach below the first word and
-/// above the last. An image of n words drawn as r runs costs at most
-/// 8 n + 20 r bytes.
+/// above the last. A drawn run's values are random or step evenly, by 0,
+/// by its stride from the next word's address (a pointer ring), downwards
+/// past `u64::MAX` or by any step, over 2 to 25 words, perhaps broken at
+/// the last word or in the middle. An image of n words drawn as r runs
+/// costs at most 8 n + 20 r bytes, and a run of 8 or more words whose
+/// values all step evenly costs 36 B on its own, whatever its length.
 #[test]
 fn layered_image_reads_like_a_flat_one() {
     use reunion_isa::BaseImage;
@@ -134,11 +138,51 @@ fn layered_image_reads_like_a_flat_one() {
                     let (len, stride) = if rng.chance(0.3) {
                         (1, 8)
                     } else {
-                        (2 + rng.next_u64() % 8, 8 << (rng.next_u64() % 7))
+                        (2 + rng.next_u64() % 24, 8 << (rng.next_u64() % 7))
                     };
-                    for i in 0..len {
-                        words.push((at.offset(i * stride), rng.next_u64()));
+                    // Listed values, or a first value and a step: zeros, a
+                    // pointer ring (each word the next one's address), a
+                    // descending step that wraps past u64::MAX, any step.
+                    let (first, step) = match rng.next_u64() % 5 {
+                        0 => (rng.next_u64(), 0),
+                        1 => (at.as_u64() + stride, stride),
+                        2 => (
+                            rng.next_u64() % 4,
+                            (1 + rng.next_u64() % 1000).wrapping_neg(),
+                        ),
+                        3 => (rng.next_u64(), rng.next_u64()),
+                        _ => (0, 0),
+                    };
+                    let listed = rng.chance(0.3);
+                    let mut values: Vec<u64> = (0..len)
+                        .map(|i| {
+                            if listed {
+                                rng.next_u64()
+                            } else {
+                                first.wrapping_add(i.wrapping_mul(step))
+                            }
+                        })
+                        .collect();
+                    // A progression broken at its last word (em3d's ring
+                    // wraps there) or in its middle.
+                    match rng.next_u64() % 4 {
+                        0 => values[len as usize - 1] = rng.next_u64(),
+                        1 => values[len as usize / 2] = rng.next_u64(),
+                        _ => {}
                     }
+                    let run: Vec<(Addr, u64)> = (0..)
+                        .zip(values)
+                        .map(|(i, value)| (at.offset(i * stride), value))
+                        .collect();
+                    let steps_evenly = run
+                        .windows(3)
+                        .all(|w| w[2].1.wrapping_sub(w[1].1) == w[1].1.wrapping_sub(w[0].1));
+                    if steps_evenly && len >= 8 {
+                        // A first value and a step, however many words.
+                        let alone = BaseImage::new(run.iter().copied());
+                        assert_eq!(alone.heap_bytes(), 16 + 20, "{len} words");
+                    }
+                    words.extend(run);
                     // A gap of any whole number of words after the last.
                     at = at.offset((len - 1) * stride + 8 * (1 + rng.next_u64() % 40));
                 }
