@@ -6,7 +6,8 @@
 /// `S`). What that state is belongs to the caller: a directory entry in the
 /// L2, a MESI state in a vocal L1, the line's own words in a mute L1 (whose
 /// copy nothing else may see). Lines are addressed by their global line
-/// index (`address / 64`).
+/// index (`address / 64`), so no line reaches `u64::MAX`, the line a free
+/// way holds.
 ///
 /// Storage is proportional to the lines a run has held, not to the cache's
 /// capacity. A per-set slot table (4 bytes a set) names the chunk that
@@ -23,9 +24,21 @@
 /// would stand mostly empty; grown by class, the directory takes 13–88 % of
 /// those ways (25 % for db2_dss_q2). A 2-way set, by contrast, soon holds
 /// two lines, and a 1-way class would only leave an emptied arena behind.
-/// Replacement, LRU stamps and every returned value are those of a dense
-/// array: only a way's position inside its set differs, and stamps are
-/// unique, so the victim (the smallest stamp) does not depend on it.
+///
+/// Replacement is kept by position, not by a per-way stamp: a way is its
+/// line and its state, nothing more. A chunk holds its valid ways first,
+/// most recently used first, and its free ways after them. [`lookup`]
+/// and an [`insert`] move the line to the front, [`invalidate`] closes the
+/// gap it leaves, and [`peek`] and [`contains`] leave the order alone. A
+/// miss in a full set evicts the last way, which is the way a stamped
+/// array would pick (the least recently looked up or inserted), so every
+/// hit, victim and returned value is that of a dense stamped array.
+///
+/// [`lookup`]: Self::lookup
+/// [`insert`]: Self::insert
+/// [`invalidate`]: Self::invalidate
+/// [`peek`]: Self::peek
+/// [`contains`]: Self::contains
 ///
 /// # Examples
 ///
@@ -53,7 +66,6 @@ pub struct CacheArray<S> {
     /// [`CacheArray::new`].
     classes: Vec<SizeClass<S>>,
     assoc: usize,
-    tick: u64,
 }
 
 /// Slot of a set that has never been inserted into. A chunk index is below
@@ -64,29 +76,35 @@ const UNTOUCHED: u32 = u32::MAX;
 /// Low slot bits that hold the size class; the chunk index takes the rest.
 const CLASS_BITS: u32 = 4;
 
+/// The line of a free way.
+const FREE: u64 = u64::MAX;
+
 /// The chunks of one size class, packed with no holes: chunk `k` is
 /// `ways[k * width..(k + 1) * width]` and belongs to set `owners[k]`.
 #[derive(Clone, Debug)]
 struct SizeClass<S> {
     width: usize,
-    ways: Vec<Option<Way<S>>>,
+    ways: Vec<Way<S>>,
     owners: Vec<u32>,
 }
 
+/// One way: a valid line and its state, or [`FREE`] and `S::default()`.
 #[derive(Clone, Debug)]
 struct Way<S> {
     line: u64,
     state: S,
-    last_use: u64,
 }
 
-impl<S> SizeClass<S> {
-    /// Appends an empty chunk for `set` and returns its index.
+impl<S: Default> SizeClass<S> {
+    /// Appends a chunk of free ways for `set` and returns its index.
     fn push(&mut self, set: usize) -> usize {
         // `set` is below the set count, which `CacheArray::new` bounds.
         self.owners.push(set as u32);
         self.ways
-            .resize_with(self.owners.len() * self.width, || None);
+            .resize_with(self.owners.len() * self.width, || Way {
+                line: FREE,
+                state: S::default(),
+            });
         self.owners.len() - 1
     }
 }
@@ -102,7 +120,16 @@ fn unpack(slot: u32) -> (usize, usize) {
     ((slot >> CLASS_BITS) as usize, class as usize)
 }
 
-impl<S> CacheArray<S> {
+/// The position of `line` among a set's ways; a free way matches nothing.
+#[inline]
+fn find<S>(ways: &[Way<S>], line: u64) -> Option<usize> {
+    if line == FREE {
+        return None;
+    }
+    ways.iter().position(|w| w.line == line)
+}
+
+impl<S: Default> CacheArray<S> {
     /// Creates an array holding `lines` lines with `assoc` ways per set.
     /// Costs one slot per set; no way is allocated until the first
     /// [`insert`](Self::insert). Chunks are `assoc` ways wide when `assoc`
@@ -142,7 +169,6 @@ impl<S> CacheArray<S> {
             slots: vec![UNTOUCHED; sets],
             classes,
             assoc,
-            tick: 0,
         }
     }
 
@@ -176,7 +202,7 @@ impl<S> CacheArray<S> {
 
     /// The ways of the set `line` maps to; empty while the set is untouched.
     #[inline]
-    fn set_ways(&self, line: u64) -> &[Option<Way<S>>] {
+    fn set_ways(&self, line: u64) -> &[Way<S>] {
         match self.slots[self.set_of(line)] {
             UNTOUCHED => &[],
             slot => {
@@ -189,7 +215,7 @@ impl<S> CacheArray<S> {
 
     /// Mutable [`set_ways`](Self::set_ways).
     #[inline]
-    fn set_ways_mut(&mut self, line: u64) -> &mut [Option<Way<S>>] {
+    fn set_ways_mut(&mut self, line: u64) -> &mut [Way<S>] {
         match self.slots[self.set_of(line)] {
             UNTOUCHED => &mut [],
             slot => {
@@ -200,11 +226,10 @@ impl<S> CacheArray<S> {
         }
     }
 
-    /// Moves `set`'s chunk, ways in order, to an empty chunk of the next
-    /// size class and returns the first way past them, which is free. The
-    /// class it leaves stays hole-free: that class's last chunk takes the
-    /// vacated place.
-    fn grow(&mut self, set: usize) -> &mut Option<Way<S>> {
+    /// Moves `set`'s chunk, ways in order, to a chunk of free ways of the
+    /// next size class and returns that chunk. The class it leaves stays
+    /// hole-free: that class's last chunk takes the vacated place.
+    fn grow(&mut self, set: usize) -> &mut [Way<S>] {
         let (chunk, class) = unpack(self.slots[set]);
         let (lower, upper) = self.classes.split_at_mut(class + 1);
         let (from, to) = (&mut lower[class], &mut upper[0]);
@@ -220,30 +245,22 @@ impl<S> CacheArray<S> {
         to.ways[grown * to.width..][..width].swap_with_slice(&mut from.ways[last * width..]);
         from.ways.truncate(last * width);
         self.slots[set] = pack(grown, class + 1);
-        &mut to.ways[grown * to.width + width]
+        &mut to.ways[grown * to.width..][..to.width]
     }
 
-    /// Looks up a line, updating LRU on hit. Returns the line state.
+    /// Looks up a line, making it the most recently used on a hit. Returns
+    /// the line state.
     pub fn lookup(&mut self, line: u64) -> Option<&mut S> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.set_ways_mut(line)
-            .iter_mut()
-            .flatten()
-            .find(|w| w.line == line)
-            .map(|w| {
-                w.last_use = tick;
-                &mut w.state
-            })
+        let ways = self.set_ways_mut(line);
+        let hit = find(ways, line)?;
+        ways[..=hit].rotate_right(1);
+        Some(&mut ways[0].state)
     }
 
     /// Looks up a line without touching LRU.
     pub fn peek(&self, line: u64) -> Option<&S> {
-        self.set_ways(line)
-            .iter()
-            .flatten()
-            .find(|w| w.line == line)
-            .map(|w| &w.state)
+        let ways = self.set_ways(line);
+        find(ways, line).map(|hit| &ways[hit].state)
     }
 
     /// Whether the line is present.
@@ -251,61 +268,57 @@ impl<S> CacheArray<S> {
         self.peek(line).is_some()
     }
 
-    /// Inserts a line (or replaces its state if already present), returning
-    /// the evicted `(line, state)` if the set was full.
+    /// Inserts a line as the most recently used (or replaces its state if
+    /// already present), returning the evicted `(line, state)` if the set
+    /// was full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is `u64::MAX`, the line that marks a free way.
     pub fn insert(&mut self, line: u64, state: S) -> Option<(u64, S)> {
-        self.tick += 1;
-        let new = Way {
-            line,
-            state,
-            last_use: self.tick,
-        };
+        assert!(line != FREE, "line u64::MAX marks a free way");
+        let new = Way { line, state };
         let (set, assoc) = (self.set_of(line), self.assoc);
         if self.slots[set] == UNTOUCHED {
             self.slots[set] = pack(self.classes[0].push(set), 0);
         }
 
-        // Already present: update in place.
+        // Valid ways come first, so the first way that holds `line` or is
+        // free is `line`'s own whenever the set holds it. A full chunk
+        // below `assoc` ways grows to get a free way.
         let ways = self.set_ways_mut(line);
-        if let Some(way) = ways.iter_mut().flatten().find(|w| w.line == line) {
-            *way = new;
-            return None;
-        }
-
-        // Free way? A full chunk below `assoc` ways grows to get one.
-        if let Some(free) = ways.iter_mut().find(|w| w.is_none()) {
-            *free = Some(new);
-            return None;
-        }
-        if ways.len() < assoc {
-            *self.grow(set) = Some(new);
-            return None;
-        }
-
-        // Evict LRU: all `assoc` ways are valid and no two share a stamp.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| w.as_ref().map(|w| w.last_use).unwrap_or(0))
-            .expect("nonzero associativity");
-        let old = victim.replace(new).expect("victim way was full");
-        Some((old.line, old.state))
+        let held = ways.len();
+        let (ways, way) = match ways.iter().position(|w| w.line == line || w.line == FREE) {
+            Some(way) => (ways, way),
+            None if held < assoc => (self.grow(set), held),
+            None => {
+                // Full: the last way is the least recently used.
+                let old = std::mem::replace(&mut ways[held - 1], new);
+                ways.rotate_right(1);
+                return Some((old.line, old.state));
+            }
+        };
+        ways[way] = new;
+        ways[..=way].rotate_right(1);
+        None
     }
 
-    /// Removes a line, returning its state.
+    /// Removes a line, returning its state. The ways after it move up one,
+    /// keeping their order.
     pub fn invalidate(&mut self, line: u64) -> Option<S> {
-        for slot in self.set_ways_mut(line) {
-            if slot.as_ref().is_some_and(|w| w.line == line) {
-                return slot.take().map(|w| w.state);
-            }
-        }
-        None
+        let ways = self.set_ways_mut(line);
+        let hit = find(ways, line)?;
+        ways[hit].line = FREE;
+        let state = std::mem::take(&mut ways[hit].state);
+        ways[hit..].rotate_left(1);
+        Some(state)
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
         self.classes
             .iter()
-            .map(|c| c.ways.iter().flatten().count())
+            .map(|c| c.ways.iter().filter(|w| w.line != FREE).count())
             .sum()
     }
 }
@@ -332,6 +345,71 @@ mod tests {
         let evicted = c.insert(2, 12);
         assert_eq!(evicted, Some((1, 11)));
         assert!(c.contains(0) && c.contains(2));
+    }
+
+    /// Every way of set 0 of a one-set array, in recency order, most
+    /// recently used first.
+    fn order(c: &CacheArray<u32>) -> Vec<u64> {
+        c.set_ways(0)
+            .iter()
+            .map(|w| w.line)
+            .take_while(|&line| line != FREE)
+            .collect()
+    }
+
+    #[test]
+    fn lookup_reorders_a_set_and_peek_and_contains_do_not() {
+        let mut c: CacheArray<u32> = CacheArray::new(4, 4); // one set
+        for line in 0..4 {
+            c.insert(line, line as u32);
+        }
+        assert_eq!(order(&c), [3, 2, 1, 0]);
+        assert_eq!(c.lookup(1), Some(&mut 1));
+        assert_eq!(order(&c), [1, 3, 2, 0]);
+        assert_eq!(c.peek(0), Some(&0));
+        assert!(c.contains(2));
+        assert_eq!(order(&c), [1, 3, 2, 0]);
+        assert_eq!(c.insert(2, 20), None); // a hit moves to the front too
+        assert!(c.lookup(9).is_none());
+        assert_eq!(order(&c), [2, 1, 3, 0]);
+        assert_eq!(c.lookup(0), Some(&mut 0));
+        assert_eq!(order(&c), [0, 2, 1, 3]);
+        // Line 3 was neither looked up nor inserted since the fill.
+        assert_eq!(c.insert(4, 4), Some((3, 3)));
+        assert_eq!(order(&c), [4, 0, 2, 1]);
+    }
+
+    #[test]
+    fn invalidating_a_middle_way_keeps_the_order_and_frees_a_way() {
+        let mut c: CacheArray<u32> = CacheArray::new(4, 4); // one set
+        for line in 0..4 {
+            c.insert(line, line as u32);
+        }
+        assert_eq!(c.invalidate(2), Some(2));
+        assert_eq!(order(&c), [3, 1, 0]);
+        assert_eq!(c.ways_allocated(), 4);
+        assert_eq!(c.insert(5, 5), None); // fills the freed way
+        assert_eq!(order(&c), [5, 3, 1, 0]);
+        assert_eq!(c.insert(6, 6), Some((0, 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "free way")]
+    fn inserting_the_free_line_panics() {
+        let mut c: CacheArray<u32> = CacheArray::new(4, 4);
+        c.insert(u64::MAX, 0);
+    }
+
+    /// A way holds only its line and its state: no stamp, no `Option` tag.
+    #[test]
+    fn ways_are_their_line_and_state() {
+        use crate::{DirEntry, MesiState};
+        use reunion_isa::WORDS_PER_LINE;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Way<DirEntry>>(), 24); // the L2 directory
+        assert_eq!(size_of::<Way<[u64; WORDS_PER_LINE]>>(), 72); // a mute L1
+        assert_eq!(size_of::<Way<MesiState>>(), 16); // a vocal L1
+        assert_eq!(size_of::<Way<()>>(), 8); // a TLB entry
     }
 
     #[test]

@@ -98,7 +98,19 @@ impl MesiState {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirEntry {
     sharers: u64,
-    owner: Option<L1Id>,
+    /// The exclusive owner's id plus one; 0 while no L1 owns the line.
+    owner: u8,
+}
+
+/// `l1`'s bit in a sharer mask.
+///
+/// # Panics
+///
+/// Panics if `l1` is not below 64: a shift by 64 or more would wrap in a
+/// release build and name another L1.
+fn sharer_bit(l1: L1Id) -> u64 {
+    assert!(l1.0 < 64, "directory supports at most 64 vocal L1s");
+    1 << l1.0
 }
 
 impl DirEntry {
@@ -111,40 +123,48 @@ impl DirEntry {
     ///
     /// # Panics
     ///
-    /// Panics if more than 64 vocal L1s are registered.
+    /// Panics if `l1` is not among the first 64 vocal L1s.
     pub fn add_sharer(&mut self, l1: L1Id) {
-        assert!(l1.0 < 64, "directory supports at most 64 vocal L1s");
-        self.sharers |= 1 << l1.0;
+        self.sharers |= sharer_bit(l1);
     }
 
     /// Removes `l1` from the sharer set (and ownership if it was the owner).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l1` is not among the first 64 vocal L1s.
     pub fn remove_sharer(&mut self, l1: L1Id) {
-        self.sharers &= !(1 << l1.0);
-        if self.owner == Some(l1) {
-            self.owner = None;
+        self.sharers &= !sharer_bit(l1);
+        if self.owner() == Some(l1) {
+            self.owner = 0;
         }
     }
 
     /// Whether `l1` is recorded as a sharer.
     #[cfg(test)]
     fn has_sharer(&self, l1: L1Id) -> bool {
-        self.sharers & (1 << l1.0) != 0
+        self.sharers & sharer_bit(l1) != 0
     }
 
     /// Grants exclusive ownership to `l1`, clearing all other sharers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l1` is not among the first 64 vocal L1s.
     pub fn set_owner(&mut self, l1: L1Id) {
-        self.sharers = 1 << l1.0;
-        self.owner = Some(l1);
+        self.sharers = sharer_bit(l1);
+        // Below 64, so the id plus one fits a `u8`.
+        self.owner = l1.0 as u8 + 1;
     }
 
     /// The current exclusive owner, if any.
     pub fn owner(&self) -> Option<L1Id> {
-        self.owner
+        self.owner.checked_sub(1).map(|id| L1Id(id as usize))
     }
 
     /// Clears exclusive ownership but keeps the (former) owner as a sharer.
     pub fn downgrade_owner(&mut self) {
-        self.owner = None;
+        self.owner = 0;
     }
 
     /// Iterates over all sharers, in ascending id order.
@@ -153,8 +173,12 @@ impl DirEntry {
     }
 
     /// Iterates over all sharers except `except`, in ascending id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `except` is not among the first 64 vocal L1s.
     pub fn sharers_except(&self, except: L1Id) -> impl Iterator<Item = L1Id> {
-        set_bits(self.sharers & !(1 << except.0))
+        set_bits(self.sharers & !sharer_bit(except))
     }
 
     /// Number of sharers.
@@ -238,6 +262,36 @@ mod tests {
         d.remove_sharer(L1Id(4));
         assert_eq!(d.owner(), None);
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn owner_round_trips_for_the_first_and_last_id() {
+        for l1 in [L1Id(0), L1Id(63)] {
+            let mut d = DirEntry::new();
+            d.add_sharer(L1Id(1));
+            d.set_owner(l1);
+            assert_eq!(d.owner(), Some(l1));
+            assert_eq!(d.sharers().collect::<Vec<_>>(), vec![l1]);
+            d.downgrade_owner();
+            assert_eq!(d.owner(), None);
+            assert!(d.has_sharer(l1));
+            d.set_owner(l1);
+            d.remove_sharer(l1);
+            assert_eq!(d.owner(), None);
+            assert!(d.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn set_owner_rejects_an_id_past_the_sharer_mask() {
+        DirEntry::new().set_owner(L1Id(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn remove_sharer_rejects_an_id_past_the_sharer_mask() {
+        DirEntry::new().remove_sharer(L1Id(64));
     }
 
     #[test]

@@ -360,10 +360,12 @@ fn cache_capacity_and_presence() {
     });
 }
 
-/// The dense tag array `CacheArray` used to be — every way of every set
-/// allocated up front, sets at `set * assoc` — kept as the oracle for the
-/// one that grows a set's ways as it fills them. `(line, state, last_use)`
-/// per valid way, and per set the most lines it has held at once.
+/// The dense, stamped tag array `CacheArray` used to be — every way of
+/// every set allocated up front, sets at `set * assoc`, and LRU kept by a
+/// per-way stamp — kept as the oracle for the one that grows a set's ways
+/// as it fills them and keeps them in recency order instead of stamping
+/// them. `(line, state, last_use)` per valid way, and per set the most
+/// lines it has held at once.
 struct EagerArray {
     ways: Vec<Option<(u64, u32, u64)>>,
     peaks: Vec<usize>,
