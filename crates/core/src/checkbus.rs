@@ -57,7 +57,7 @@ impl CheckBus {
     }
 
     /// Whether the bus actually models contention (occupancy > 0).
-    pub fn is_modeled(&self) -> bool {
+    pub(crate) fn is_modeled(&self) -> bool {
         self.occupancy > 0
     }
 

@@ -1,8 +1,8 @@
 //! System-level configuration.
 
 use reunion_cpu::{Consistency, Role, TlbMode};
+use reunion_kernel::obs::ObsConfig;
 use reunion_mem::{MemConfig, PhantomStrength};
-use reunion_obs::ObsConfig;
 
 /// Which redundant execution model the CMP runs (§5.1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -21,13 +21,13 @@ pub enum ExecutionMode {
 
 impl ExecutionMode {
     /// Whether this mode runs two cores per logical processor.
-    pub fn is_redundant(self) -> bool {
+    pub(crate) fn is_redundant(self) -> bool {
         !matches!(self, ExecutionMode::NonRedundant)
     }
 
     /// The roles of a logical processor's vocal core and, in a redundant
     /// mode, of its mute core.
-    pub fn roles(self) -> (Role, Option<Role>) {
+    pub(crate) fn roles(self) -> (Role, Option<Role>) {
         match self {
             ExecutionMode::NonRedundant => (Role::Unchecked, None),
             ExecutionMode::Strict => (Role::StrictLeader, Some(Role::StrictTrailer)),

@@ -55,10 +55,8 @@ pub use sampling::{
 };
 pub use system::{CmpSystem, SystemStats};
 
-// The observability vocabulary travels with the execution model so
-// downstream crates (sim, bench) need no direct `reunion-obs`
-// dependency.
-pub use reunion_obs::{
-    EpisodeSummary, EventTrace, LatencyHistogram, ObsConfig, ObsReport, TraceEvent, TraceKind,
-    DEFAULT_TRACE_CAP, HISTOGRAM_BUCKETS,
+// The observability vocabulary travels with the execution model, so
+// `reunion-sim` and the repo benchmark name it from here.
+pub use reunion_kernel::obs::{
+    EpisodeSummary, LatencyHistogram, ObsConfig, ObsReport, TraceEvent, HISTOGRAM_BUCKETS,
 };

@@ -3,10 +3,10 @@
 use std::collections::VecDeque;
 
 use reunion_cpu::{CheckEvent, Core, ReleaseGrant, Role};
+use reunion_kernel::obs::{EventTrace, LatencyHistogram, TraceEvent, TraceKind};
 use reunion_kernel::stats::Counter;
 use reunion_kernel::{Cycle, EventHorizon};
 use reunion_mem::MemorySystem;
-use reunion_obs::{EventTrace, LatencyHistogram, TraceEvent, TraceKind};
 
 use crate::CheckBus;
 
@@ -23,7 +23,7 @@ pub enum RecoveryPhase {
 }
 
 /// Statistics maintained per logical processor pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PairStats {
     /// Fingerprint mismatches detected, including escalations raised while
     /// a recovery is already in flight.
@@ -53,31 +53,9 @@ pub struct PairStats {
 }
 
 impl PairStats {
-    fn new() -> Self {
-        PairStats {
-            mismatches: Counter::new("mismatches"),
-            input_incoherence: Counter::new("input_incoherence"),
-            recoveries: Counter::new("recoveries"),
-            phase2_recoveries: Counter::new("phase2_recoveries"),
-            failures: Counter::new("failures"),
-            sync_requests: Counter::new("sync_requests"),
-            check_bus_waits: Counter::new("check_bus_waits"),
-            check_latency: LatencyHistogram::new(),
-            incoherence_gaps: LatencyHistogram::new(),
-        }
-    }
-
     /// Resets every counter (between measurement windows).
     pub fn reset(&mut self) {
-        self.mismatches.reset();
-        self.input_incoherence.reset();
-        self.recoveries.reset();
-        self.phase2_recoveries.reset();
-        self.failures.reset();
-        self.sync_requests.reset();
-        self.check_bus_waits.reset();
-        self.check_latency = LatencyHistogram::new();
-        self.incoherence_gaps = LatencyHistogram::new();
+        *self = Self::default();
     }
 }
 
@@ -150,7 +128,7 @@ impl PairDriver {
             sync_interval: None,
             pending_mismatch: None,
             recovery_started: 0,
-            stats: PairStats::new(),
+            stats: PairStats::default(),
             recovery_timeout: 100_000,
             obs_enabled: false,
             lp: 0,
@@ -162,7 +140,7 @@ impl PairDriver {
     /// Turns on observability recording for this pair: check-latency and
     /// incoherence-gap histograms plus a bounded event trace of `trace_cap`
     /// events, stamped with logical-processor index `lp`.
-    pub fn enable_observability(&mut self, lp: u32, trace_cap: usize) {
+    pub(crate) fn enable_observability(&mut self, lp: u32, trace_cap: usize) {
         self.obs_enabled = true;
         self.lp = lp;
         self.trace = Some(Box::new(EventTrace::with_capacity(trace_cap)));
@@ -170,7 +148,7 @@ impl PairDriver {
 
     /// The pair's event trace, if observability is enabled (mutable:
     /// drained for a per-cell dump).
-    pub fn trace_mut(&mut self) -> Option<&mut EventTrace> {
+    pub(crate) fn trace_mut(&mut self) -> Option<&mut EventTrace> {
         self.trace.as_deref_mut()
     }
 

@@ -11,8 +11,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use reunion_kernel::obs::{ObsReport, TraceEvent};
 use reunion_kernel::stats::RunningStats;
-use reunion_obs::{ObsReport, TraceEvent};
 use reunion_workloads::Workload;
 
 use crate::{CmpSystem, Measurement, NormalizedResult, SystemConfig, SystemStats};
@@ -343,7 +343,7 @@ mod tests {
     fn observed(mode: ExecutionMode, engine: Engine) -> SystemConfig {
         SystemConfig::small_test(mode)
             .with_engine(engine)
-            .with_observability(reunion_obs::ObsConfig {
+            .with_observability(reunion_kernel::obs::ObsConfig {
                 enabled: true,
                 ..Default::default()
             })

@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use reunion_cpu::{Core, CoreConfig};
 use reunion_isa::SparseMemory;
+use reunion_kernel::obs::{EpisodeSummary, ObsReport, TraceEvent};
 use reunion_kernel::{Cycle, HorizonTree};
 use reunion_mem::{MemorySystem, Owner};
-use reunion_obs::{EpisodeSummary, ObsReport, TraceEvent};
 use reunion_workloads::Workload;
 
 use crate::{CheckBus, Engine, PairDriver, SystemConfig};
@@ -97,7 +97,7 @@ impl SystemStats {
     }
 
     /// Events per million user instructions (Table 3 normalization).
-    pub fn per_million(&self, events: u64) -> f64 {
+    pub(crate) fn per_million(&self, events: u64) -> f64 {
         if self.user_instructions == 0 {
             0.0
         } else {
@@ -478,7 +478,7 @@ impl CmpSystem {
     /// are cumulative over the whole measurement and are assigned once by
     /// the sampling layer. Returns an empty report when observability is
     /// disabled.
-    pub fn window_obs(&self) -> ObsReport {
+    pub(crate) fn window_obs(&self) -> ObsReport {
         let mut obs = ObsReport::new();
         if !self.obs_enabled {
             return obs;
@@ -505,7 +505,7 @@ impl CmpSystem {
     /// returning `(pushed, evicted, events)` totals. Events stay grouped by
     /// pair (each stamped with its `lp`), oldest-first within a pair.
     /// Empty when observability is disabled.
-    pub fn take_trace(&mut self) -> (u64, u64, Vec<TraceEvent>) {
+    pub(crate) fn take_trace(&mut self) -> (u64, u64, Vec<TraceEvent>) {
         let mut pushed = 0;
         let mut evicted = 0;
         let mut events = Vec::new();

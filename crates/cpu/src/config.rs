@@ -58,7 +58,7 @@ pub enum Role {
 impl Role {
     /// Whether retirement is gated by check-stage release grants (any
     /// redundant execution model).
-    pub fn checked(self) -> bool {
+    pub(crate) fn checked(self) -> bool {
         self != Role::Unchecked
     }
 
@@ -68,7 +68,7 @@ impl Role {
     }
 
     /// Whether loads are served from the load-value queue.
-    pub fn consumes_lvq(self) -> bool {
+    pub(crate) fn consumes_lvq(self) -> bool {
         self == Role::StrictTrailer
     }
 
@@ -147,7 +147,7 @@ impl CoreConfig {
 
     /// Whether a store serializes retirement under the configured
     /// consistency model.
-    pub fn store_serializes(&self) -> bool {
+    pub(crate) fn store_serializes(&self) -> bool {
         matches!(self.consistency, Consistency::Sc)
     }
 }

@@ -207,7 +207,7 @@ impl Core {
             predictor: Gshare::new(12),
             error_at: None,
             stall_run: 0,
-            stats: CoreStats::new(),
+            stats: CoreStats::default(),
             #[cfg(debug_assertions)]
             shadow: oracle::Shadow::new(entry),
         }

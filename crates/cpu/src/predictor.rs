@@ -22,7 +22,7 @@ impl Gshare {
     /// # Panics
     ///
     /// Panics if `log2_entries` is zero or greater than 24.
-    pub fn new(log2_entries: u32) -> Self {
+    pub(crate) fn new(log2_entries: u32) -> Self {
         assert!(
             (1..=24).contains(&log2_entries),
             "unreasonable predictor size"
@@ -42,12 +42,12 @@ impl Gshare {
     }
 
     /// Predicts the direction of the branch at `pc`.
-    pub fn predict(&self, pc: u64) -> bool {
+    pub(crate) fn predict(&self, pc: u64) -> bool {
         self.table[self.index(pc)] >= 2
     }
 
     /// Trains the predictor with the resolved direction and shifts history.
-    pub fn update(&mut self, pc: u64, taken: bool) {
+    pub(crate) fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.index(pc);
         let counter = &mut self.table[idx];
         if taken {

@@ -1,10 +1,10 @@
 //! Per-core statistics.
 
+use reunion_kernel::obs::EpisodeSummary;
 use reunion_kernel::stats::Counter;
-use reunion_obs::EpisodeSummary;
 
 /// Event counters maintained by one core.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CoreStats {
     /// Retired user (workload) instructions — the IPC numerator.
     pub retired_user: Counter,
@@ -52,59 +52,14 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        CoreStats {
-            retired_user: Counter::new("retired_user"),
-            retired_total: Counter::new("retired_total"),
-            serializing: Counter::new("serializing"),
-            mispredicts: Counter::new("mispredicts"),
-            branches: Counter::new("branches"),
-            dtlb_misses: Counter::new("dtlb_misses"),
-            itlb_misses: Counter::new("itlb_misses"),
-            rollbacks: Counter::new("rollbacks"),
-            forwarded_loads: Counter::new("forwarded_loads"),
-            sync_loads: Counter::new("sync_loads"),
-            intervals: Counter::new("intervals"),
-            serializing_stall_cycles: Counter::new("serializing_stall_cycles"),
-            reexec_penalty_cycles: Counter::new("reexec_penalty_cycles"),
-            peak_check_events: 0,
-            peak_store_chain: 0,
-            store_chain_spills: Counter::new("store_chain_spills"),
-            stall_episodes: EpisodeSummary::new(),
-        }
-    }
-
     /// Resets every counter (between measurement windows).
     pub fn reset(&mut self) {
-        self.retired_user.reset();
-        self.retired_total.reset();
-        self.serializing.reset();
-        self.mispredicts.reset();
-        self.branches.reset();
-        self.dtlb_misses.reset();
-        self.itlb_misses.reset();
-        self.rollbacks.reset();
-        self.forwarded_loads.reset();
-        self.sync_loads.reset();
-        self.intervals.reset();
-        self.serializing_stall_cycles.reset();
-        self.reexec_penalty_cycles.reset();
-        self.peak_check_events = 0;
-        self.peak_store_chain = 0;
-        self.store_chain_spills.reset();
-        self.stall_episodes = EpisodeSummary::new();
+        *self = Self::default();
     }
 
     /// Combined TLB misses (Table 3's "TLB Misses" column).
     pub fn tlb_misses(&self) -> u64 {
         self.dtlb_misses.value() + self.itlb_misses.value()
-    }
-}
-
-impl Default for CoreStats {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -114,7 +69,7 @@ mod tests {
 
     #[test]
     fn tlb_misses_combines_both() {
-        let mut s = CoreStats::new();
+        let mut s = CoreStats::default();
         s.dtlb_misses.add(3);
         s.itlb_misses.add(2);
         assert_eq!(s.tlb_misses(), 5);
@@ -122,7 +77,7 @@ mod tests {
 
     #[test]
     fn reset_clears() {
-        let mut s = CoreStats::new();
+        let mut s = CoreStats::default();
         s.retired_user.add(100);
         s.reset();
         assert_eq!(s.retired_user.value(), 0);

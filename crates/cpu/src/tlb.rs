@@ -22,14 +22,14 @@ pub(crate) struct Tlb {
 
 impl Tlb {
     /// Creates a TLB with `entries` entries and `assoc` ways.
-    pub fn new(entries: usize, assoc: usize) -> Self {
+    pub(crate) fn new(entries: usize, assoc: usize) -> Self {
         Tlb {
             entries: CacheArray::new(entries, assoc),
         }
     }
 
     /// Looks up `page`, filling on miss. Returns `true` on a hit.
-    pub fn access(&mut self, page: u64) -> bool {
+    pub(crate) fn access(&mut self, page: u64) -> bool {
         if self.entries.lookup(page).is_some() {
             true
         } else {

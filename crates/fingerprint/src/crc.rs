@@ -135,11 +135,6 @@ impl Crc {
         Crc::new(16, 0x1021, 0xFFFF)
     }
 
-    /// The CRC register width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     #[inline]
     fn mask(&self) -> u32 {
         if self.width == 32 {

@@ -44,7 +44,7 @@ impl ParityTree {
     }
 
     /// Output width in bits.
-    pub fn output_bits(&self) -> u32 {
+    pub(crate) fn output_bits(&self) -> u32 {
         self.n_out
     }
 

@@ -9,7 +9,7 @@ pub const LINE_BYTES: u64 = 64;
 pub const WORDS_PER_LINE: usize = (LINE_BYTES / 8) as usize;
 
 /// Page size in bytes (Table 1: 8 KB pages).
-pub const PAGE_BYTES: u64 = 8192;
+pub(crate) const PAGE_BYTES: u64 = 8192;
 
 /// A byte address in the simulated flat address space.
 ///

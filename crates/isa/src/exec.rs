@@ -27,7 +27,7 @@ pub fn alu_compute(op: AluOp, a: u64, b: u64) -> u64 {
 
 /// Evaluates a branch condition on a register value.
 #[inline]
-pub fn branch_decides(cond: BranchCond, value: u64) -> bool {
+pub(crate) fn branch_decides(cond: BranchCond, value: u64) -> bool {
     match cond {
         BranchCond::Eqz => value == 0,
         BranchCond::Nez => value != 0,

@@ -310,7 +310,7 @@ impl Instruction {
     }
 
     /// The branch target for control-transfer instructions.
-    pub fn branch_target(&self) -> Option<usize> {
+    pub(crate) fn branch_target(&self) -> Option<usize> {
         if self.op.is_branch() {
             Some(self.imm as usize)
         } else {

@@ -55,11 +55,11 @@ mod program;
 mod reg;
 mod state;
 
-pub use addr::{Addr, LINE_BYTES, PAGE_BYTES, WORDS_PER_LINE};
+pub use addr::{Addr, LINE_BYTES, WORDS_PER_LINE};
 pub use asm::{AsmError, AsmErrorKind, KernelImage, Span};
 pub use exec::{
-    alu_compute, atomic_update, branch_decides, effective_address, execute, DataMemory,
-    FunctionalCore, SparseMemory, StepEffect,
+    alu_compute, atomic_update, effective_address, execute, DataMemory, FunctionalCore,
+    SparseMemory, StepEffect,
 };
 pub use image::BaseImage;
 pub use inst::{AluOp, AtomicOp, BranchCond, Instruction, Opcode};

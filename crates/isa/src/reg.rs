@@ -90,7 +90,7 @@ impl RegFile {
 
     /// Copies every register from `other`, the operation performed by
     /// phase two of the re-execution protocol (vocal ARF → mute ARF).
-    pub fn copy_from(&mut self, other: &RegFile) {
+    pub(crate) fn copy_from(&mut self, other: &RegFile) {
         self.regs = other.regs;
     }
 

@@ -39,13 +39,6 @@ impl Cycle {
         self.0
     }
 
-    /// Returns the timestamp advanced by `delta` cycles, saturating at the
-    /// maximum representable cycle.
-    #[inline]
-    pub const fn saturating_add(self, delta: u64) -> Self {
-        Cycle(self.0.saturating_add(delta))
-    }
-
     /// Returns the number of cycles from `earlier` to `self`, or zero if
     /// `earlier` is in the future.
     #[inline]

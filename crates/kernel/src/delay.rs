@@ -21,7 +21,7 @@ const NEAR_WINDOW: usize = 64;
 /// heap. Almost every push lands within a few cycles of the consumer's
 /// clock, so those go to a 64-cycle ring of per-cycle buckets: push and
 /// pop are `O(1)` (a bitmask rotate finds the earliest pending bucket),
-/// and [`peek_time`](Self::peek_time) never touches a heap in the common
+/// and finding the earliest delivery time never touches a heap in the common
 /// case. Pushes beyond the ring land in a *far* overflow heap and migrate
 /// into the ring as the window advances; pushes behind the window (the
 /// consumer already popped past that cycle) land in a *past* heap that
@@ -180,7 +180,7 @@ impl<T> DelayQueue<T> {
     }
 
     /// Returns the delivery time of the earliest pending item.
-    pub fn peek_time(&self) -> Option<Cycle> {
+    pub(crate) fn peek_time(&self) -> Option<Cycle> {
         if let Some(e) = self.past.peek() {
             return Some(Cycle::new(e.key.0 .0));
         }
@@ -188,18 +188,6 @@ impl<T> DelayQueue<T> {
             return Some(Cycle::new(self.base + self.first_occupied_offset() as u64));
         }
         self.far.peek().map(|e| Cycle::new(e.key.0 .0))
-    }
-
-    /// Returns the earliest cycle at which [`pop_ready`](Self::pop_ready)
-    /// can deliver an item — the queue's contribution to an event-driven
-    /// engine's *next-ready* horizon.
-    ///
-    /// Equivalent to [`peek_time`](Self::peek_time); peeking never disturbs
-    /// the FIFO order of same-cycle items, so a time-skipping engine may
-    /// interleave `peek_next_ready` probes with pops freely and still
-    /// deliver same-cycle items in push order.
-    pub fn peek_next_ready(&self) -> Option<Cycle> {
-        self.peek_time()
     }
 
     /// Number of pending items (ready or not).
@@ -312,14 +300,13 @@ mod tests {
         let mut q = DelayQueue::new();
         for i in 0..3 {
             q.push_at(Cycle::new(4), i);
-            assert_eq!(q.peek_next_ready(), Some(Cycle::new(4)));
+            assert_eq!(q.peek_time(), Some(Cycle::new(4)));
         }
         for expect in 0..3 {
-            assert_eq!(q.peek_next_ready(), Some(Cycle::new(4)));
-            assert_eq!(q.peek_next_ready(), q.peek_time());
+            assert_eq!(q.peek_time(), Some(Cycle::new(4)));
             assert_eq!(q.pop_ready(Cycle::new(4)), Some(expect));
         }
-        assert_eq!(q.peek_next_ready(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -328,11 +315,11 @@ mod tests {
         q.push_at(Cycle::new(9), "late");
         q.push_at(Cycle::new(2), "early-a");
         q.push_at(Cycle::new(2), "early-b");
-        assert_eq!(q.peek_next_ready(), Some(Cycle::new(2)));
+        assert_eq!(q.peek_time(), Some(Cycle::new(2)));
         assert_eq!(q.pop_ready(Cycle::new(2)), Some("early-a"));
-        assert_eq!(q.peek_next_ready(), Some(Cycle::new(2)));
+        assert_eq!(q.peek_time(), Some(Cycle::new(2)));
         assert_eq!(q.pop_ready(Cycle::new(2)), Some("early-b"));
-        assert_eq!(q.peek_next_ready(), Some(Cycle::new(9)));
+        assert_eq!(q.peek_time(), Some(Cycle::new(9)));
     }
 
     #[test]

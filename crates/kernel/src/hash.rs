@@ -13,7 +13,7 @@
 //! the hasher cannot move a byte of any `BENCH_<id>.json` artifact; the
 //! fixed seed additionally keeps memory layout reproducible run to run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd 64-bit multiplier (the splitmix64 increment); the multiply smears
@@ -90,9 +90,6 @@ impl Hasher for FastHasher {
 /// simulator's hot per-access paths. Construct with `FastHashMap::default()`.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` counterpart of [`FastHashMap`].
-pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +137,7 @@ mod tests {
     fn high_bits_spread_for_sequential_keys() {
         // HashMap derives the bucket from the top hash bits; sequential
         // keys must not share them.
-        let tops: FastHashSet<u64> = (0..256u64).map(|i| hash_of(i) >> 57).collect();
+        let tops: std::collections::HashSet<u64> = (0..256u64).map(|i| hash_of(i) >> 57).collect();
         assert!(
             tops.len() > 64,
             "only {} distinct top-7-bit values",

@@ -6,73 +6,38 @@
 
 use std::fmt;
 
-/// A named monotonically increasing event counter.
+/// A monotonically increasing event counter; `Default` is zero.
 ///
 /// # Examples
 ///
 /// ```
 /// use reunion_kernel::stats::Counter;
 ///
-/// let mut c = Counter::new("input_incoherence_events");
+/// let mut c = Counter::default();
 /// c.incr();
 /// c.add(2);
 /// assert_eq!(c.value(), 3);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Counter(u64);
 
 impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
     /// Increments by one.
     #[inline]
     pub fn incr(&mut self) {
-        self.value += 1;
+        self.0 += 1;
     }
 
     /// Increments by `n`.
     #[inline]
     pub fn add(&mut self, n: u64) {
-        self.value += n;
+        self.0 += n;
     }
 
     /// Current count.
     #[inline]
     pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets the count to zero (used between measurement windows).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
-    /// Events per million of `per`, the paper's favourite normalization.
-    ///
-    /// Returns 0 when `per` is zero.
-    pub fn per_million(&self, per: u64) -> f64 {
-        if per == 0 {
-            0.0
-        } else {
-            self.value as f64 * 1.0e6 / per as f64
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
+        self.0
     }
 }
 
@@ -149,21 +114,13 @@ mod tests {
 
     #[test]
     fn counter_accumulates_and_resets() {
-        let mut c = Counter::new("x");
+        let mut c = Counter::default();
         c.incr();
         c.add(9);
         assert_eq!(c.value(), 10);
-        c.reset();
+        c = Counter::default();
         assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn counter_per_million() {
-        let mut c = Counter::new("events");
-        c.add(5);
-        assert_eq!(c.per_million(1_000_000), 5.0);
-        assert_eq!(c.per_million(0), 0.0);
-        assert!((c.per_million(500_000) - 10.0).abs() < 1e-9);
+        assert_eq!(std::mem::size_of::<Counter>(), 8);
     }
 
     #[test]

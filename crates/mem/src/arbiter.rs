@@ -162,7 +162,11 @@ mod tests {
 
     #[test]
     fn bounded_ports_serialize_simultaneous_injections() {
-        let cfg = MemConfig::default().with_banks(8).with_xbar_ports(2);
+        let cfg = MemConfig {
+            l2_banks: 8,
+            ..MemConfig::default()
+        }
+        .with_xbar_ports(2);
         let mut arb = BankedArbiter::new(&cfg);
         let mut st = stats();
         // Four same-cycle requests to four distinct banks: with only two
@@ -187,10 +191,12 @@ mod tests {
 
     #[test]
     fn full_bank_queue_stalls_injection() {
-        let cfg = MemConfig::default()
-            .with_banks(1)
-            .with_bank_occupancy(10)
-            .with_bank_queue_depth(2);
+        let cfg = MemConfig {
+            l2_banks: 1,
+            bank_occupancy: 10,
+            ..MemConfig::default()
+        }
+        .with_bank_queue_depth(2);
         let mut arb = BankedArbiter::new(&cfg);
         let mut st = stats();
         // Three same-cycle requests to one bank with a depth-2 queue: the
@@ -206,7 +212,11 @@ mod tests {
 
     #[test]
     fn unbounded_queue_never_stalls() {
-        let cfg = MemConfig::default().with_banks(1).with_bank_occupancy(5);
+        let cfg = MemConfig {
+            l2_banks: 1,
+            bank_occupancy: 5,
+            ..MemConfig::default()
+        };
         let mut arb = BankedArbiter::new(&cfg);
         let mut st = stats();
         for _ in 0..32 {

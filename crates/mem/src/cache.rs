@@ -172,11 +172,6 @@ impl<S: Default> CacheArray<S> {
         }
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Associativity.
     pub fn assoc(&self) -> usize {
         self.assoc
@@ -432,9 +427,16 @@ mod tests {
 
     #[test]
     fn sets_are_indexed_by_low_bits() {
-        let c: CacheArray<()> = CacheArray::new(16, 4); // 4 sets
-        assert_eq!(c.sets(), 4);
+        let mut c: CacheArray<()> = CacheArray::new(16, 4); // 4 sets
         assert_eq!(c.assoc(), 4);
+        // Lines 0, 4, 8 and 12 share set 0 and fill it; lines 1 to 3 land
+        // in the other three sets and evict nothing.
+        for line in [0, 4, 8, 12, 1, 2, 3] {
+            assert_eq!(c.insert(line, ()), None);
+        }
+        assert_eq!(c.materialised_sets(), 4);
+        // A fifth line whose low bits are 00 evicts set 0's oldest line.
+        assert_eq!(c.insert(16, ()), Some((0, ())));
     }
 
     #[test]

@@ -17,13 +17,6 @@ impl fmt::Display for CoreId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct L1Id(pub(crate) usize);
 
-impl L1Id {
-    /// The raw index of this L1 in registration order.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 impl fmt::Display for L1Id {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "l1#{}", self.0)
@@ -53,15 +46,8 @@ impl Owner {
     }
 
     /// Whether this is a mute cache.
-    pub fn is_mute(self) -> bool {
+    pub(crate) fn is_mute(self) -> bool {
         matches!(self, Owner::Mute(_))
-    }
-
-    /// The logical processor this cache serves.
-    pub fn core(self) -> CoreId {
-        match self {
-            Owner::Vocal(c) | Owner::Mute(c) => c,
-        }
     }
 }
 
@@ -70,7 +56,7 @@ impl Owner {
 /// Mute L1 lines carry no coherence state — the protocol behaves as if mute
 /// cores were absent from the system (§4.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MesiState {
+pub(crate) enum MesiState {
     /// Not present (only used transiently; invalid lines are removed).
     #[default]
     Invalid,
@@ -84,7 +70,7 @@ pub enum MesiState {
 
 impl MesiState {
     /// Whether this state grants write permission without a bus transaction.
-    pub fn can_write(self) -> bool {
+    pub(crate) fn can_write(self) -> bool {
         matches!(self, MesiState::Exclusive | MesiState::Modified)
     }
 }
@@ -96,7 +82,7 @@ impl MesiState {
 /// recorded, implementing the paper's "sharers lists never include mute
 /// caches" rule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DirEntry {
+pub(crate) struct DirEntry {
     sharers: u64,
     /// The exclusive owner's id plus one; 0 while no L1 owns the line.
     owner: u8,
@@ -115,7 +101,7 @@ fn sharer_bit(l1: L1Id) -> u64 {
 
 impl DirEntry {
     /// An empty directory entry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -124,7 +110,7 @@ impl DirEntry {
     /// # Panics
     ///
     /// Panics if `l1` is not among the first 64 vocal L1s.
-    pub fn add_sharer(&mut self, l1: L1Id) {
+    pub(crate) fn add_sharer(&mut self, l1: L1Id) {
         self.sharers |= sharer_bit(l1);
     }
 
@@ -133,7 +119,7 @@ impl DirEntry {
     /// # Panics
     ///
     /// Panics if `l1` is not among the first 64 vocal L1s.
-    pub fn remove_sharer(&mut self, l1: L1Id) {
+    pub(crate) fn remove_sharer(&mut self, l1: L1Id) {
         self.sharers &= !sharer_bit(l1);
         if self.owner() == Some(l1) {
             self.owner = 0;
@@ -151,24 +137,24 @@ impl DirEntry {
     /// # Panics
     ///
     /// Panics if `l1` is not among the first 64 vocal L1s.
-    pub fn set_owner(&mut self, l1: L1Id) {
+    pub(crate) fn set_owner(&mut self, l1: L1Id) {
         self.sharers = sharer_bit(l1);
         // Below 64, so the id plus one fits a `u8`.
         self.owner = l1.0 as u8 + 1;
     }
 
     /// The current exclusive owner, if any.
-    pub fn owner(&self) -> Option<L1Id> {
+    pub(crate) fn owner(&self) -> Option<L1Id> {
         self.owner.checked_sub(1).map(|id| L1Id(id as usize))
     }
 
     /// Clears exclusive ownership but keeps the (former) owner as a sharer.
-    pub fn downgrade_owner(&mut self) {
+    pub(crate) fn downgrade_owner(&mut self) {
         self.owner = 0;
     }
 
     /// Iterates over all sharers, in ascending id order.
-    pub fn sharers(&self) -> impl Iterator<Item = L1Id> {
+    pub(crate) fn sharers(&self) -> impl Iterator<Item = L1Id> {
         set_bits(self.sharers)
     }
 
@@ -177,18 +163,13 @@ impl DirEntry {
     /// # Panics
     ///
     /// Panics if `except` is not among the first 64 vocal L1s.
-    pub fn sharers_except(&self, except: L1Id) -> impl Iterator<Item = L1Id> {
+    pub(crate) fn sharers_except(&self, except: L1Id) -> impl Iterator<Item = L1Id> {
         set_bits(self.sharers & !sharer_bit(except))
     }
 
     /// Number of sharers.
-    pub fn sharer_count(&self) -> u32 {
+    pub(crate) fn sharer_count(&self) -> u32 {
         self.sharers.count_ones()
-    }
-
-    /// Whether no vocal L1 holds the line.
-    pub fn is_empty(&self) -> bool {
-        self.sharers == 0
     }
 }
 
@@ -214,8 +195,8 @@ mod tests {
     fn owner_classification() {
         assert!(Owner::mute(1).is_mute());
         assert!(!Owner::vocal(1).is_mute());
-        assert_eq!(Owner::vocal(3).core(), CoreId(3));
-        assert_eq!(Owner::mute(3).core(), CoreId(3));
+        assert_eq!(Owner::vocal(3), Owner::Vocal(CoreId(3)));
+        assert_eq!(Owner::mute(3), Owner::Mute(CoreId(3)));
     }
 
     #[test]
@@ -236,9 +217,9 @@ mod tests {
         assert_eq!(d.sharer_count(), 2);
         d.remove_sharer(L1Id(0));
         assert!(!d.has_sharer(L1Id(0)));
-        assert!(!d.is_empty());
+        assert_ne!(d.sharer_count(), 0);
         d.remove_sharer(L1Id(2));
-        assert!(d.is_empty());
+        assert_eq!(d.sharer_count(), 0);
     }
 
     #[test]
@@ -261,7 +242,7 @@ mod tests {
         d.set_owner(L1Id(4));
         d.remove_sharer(L1Id(4));
         assert_eq!(d.owner(), None);
-        assert!(d.is_empty());
+        assert_eq!(d.sharer_count(), 0);
     }
 
     #[test]
@@ -278,7 +259,7 @@ mod tests {
             d.set_owner(l1);
             d.remove_sharer(l1);
             assert_eq!(d.owner(), None);
-            assert!(d.is_empty());
+            assert_eq!(d.sharer_count(), 0);
         }
     }
 

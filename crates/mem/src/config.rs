@@ -107,20 +107,6 @@ impl MemConfig {
         }
     }
 
-    /// Sets the L2 bank count.
-    pub fn with_banks(mut self, banks: usize) -> Self {
-        assert!(banks >= 1, "need at least one L2 bank");
-        self.l2_banks = banks;
-        self
-    }
-
-    /// Sets the per-request L2 bank occupancy in cycles.
-    pub fn with_bank_occupancy(mut self, cycles: u64) -> Self {
-        assert!(cycles >= 1, "a bank request occupies at least one cycle");
-        self.bank_occupancy = cycles;
-        self
-    }
-
     /// Bounds the crossbar at `ports` request ports (`0` = unbounded).
     pub fn with_xbar_ports(mut self, ports: usize) -> Self {
         self.xbar_ports = ports;
@@ -157,12 +143,12 @@ impl MemConfig {
     }
 
     /// Number of lines in an L1.
-    pub fn l1_lines(&self) -> usize {
+    pub(crate) fn l1_lines(&self) -> usize {
         (self.l1_bytes / reunion_isa::LINE_BYTES) as usize
     }
 
     /// Number of lines in the L2.
-    pub fn l2_lines(&self) -> usize {
+    pub(crate) fn l2_lines(&self) -> usize {
         (self.l2_bytes / reunion_isa::LINE_BYTES) as usize
     }
 }
@@ -187,12 +173,8 @@ mod tests {
     #[test]
     fn builders_chain() {
         let cfg = MemConfig::default()
-            .with_banks(8)
-            .with_bank_occupancy(3)
             .with_xbar_ports(2)
             .with_bank_queue_depth(4);
-        assert_eq!(cfg.l2_banks, 8);
-        assert_eq!(cfg.bank_occupancy, 3);
         assert_eq!(cfg.xbar_ports, 2);
         assert_eq!(cfg.bank_queue_depth, 4);
     }

@@ -55,8 +55,10 @@ mod system;
 
 pub use arbiter::BankedArbiter;
 pub use cache::CacheArray;
-pub use coherence::{CoreId, DirEntry, L1Id, MesiState, Owner};
+pub use coherence::{CoreId, L1Id, Owner};
+pub(crate) use coherence::{DirEntry, MesiState};
 pub use config::MemConfig;
-pub use phantom::{garbage_word, PhantomStrength};
+pub(crate) use phantom::garbage_word;
+pub use phantom::PhantomStrength;
 pub use stats::MemStats;
 pub use system::{Access, MemorySystem, SyncOutcome};

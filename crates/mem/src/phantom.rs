@@ -52,7 +52,7 @@ impl fmt::Display for PhantomStrength {
 ///
 /// Determinism keeps whole simulations replayable: the same seed produces
 /// the same incoherence events, recoveries, and final state.
-pub fn garbage_word(word_addr: u64, epoch: u64) -> u64 {
+pub(crate) fn garbage_word(word_addr: u64, epoch: u64) -> u64 {
     let mut z = word_addr
         .rotate_left(17)
         .wrapping_add(epoch.wrapping_mul(0xA24B_AED4_963E_E407))

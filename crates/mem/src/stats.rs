@@ -6,7 +6,7 @@ use reunion_kernel::stats::Counter;
 ///
 /// These feed the evaluation directly: Table 3 reports incoherent phantom
 /// fills, and the performance figures depend on hit/miss behaviour.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MemStats {
     /// L1 load/store lookups that hit.
     pub l1_hits: Counter,
@@ -18,8 +18,6 @@ pub struct MemStats {
     pub phantom_requests: Counter,
     /// Phantom fills that returned arbitrary (non-coherent) data.
     pub phantom_garbage_fills: Counter,
-    /// Synchronizing requests performed for re-execution.
-    pub sync_requests: Counter,
     /// Invalidations sent to vocal sharers on write upgrades.
     pub invalidations: Counter,
     /// Cycles requests spent waiting for a bounded crossbar port
@@ -35,32 +33,12 @@ pub struct MemStats {
 impl MemStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
-        MemStats {
-            l1_hits: Counter::new("l1_hits"),
-            l1_misses: Counter::new("l1_misses"),
-            l2_misses: Counter::new("l2_misses"),
-            phantom_requests: Counter::new("phantom_requests"),
-            phantom_garbage_fills: Counter::new("phantom_garbage_fills"),
-            sync_requests: Counter::new("sync_requests"),
-            invalidations: Counter::new("invalidations"),
-            xbar_port_waits: Counter::new("xbar_port_waits"),
-            bank_conflict_waits: Counter::new("bank_conflict_waits"),
-            bank_queue_stalls: Counter::new("bank_queue_stalls"),
-        }
+        Self::default()
     }
 
     /// Resets every counter (between measurement windows).
     pub fn reset(&mut self) {
-        self.l1_hits.reset();
-        self.l1_misses.reset();
-        self.l2_misses.reset();
-        self.phantom_requests.reset();
-        self.phantom_garbage_fills.reset();
-        self.sync_requests.reset();
-        self.invalidations.reset();
-        self.xbar_port_waits.reset();
-        self.bank_conflict_waits.reset();
-        self.bank_queue_stalls.reset();
+        *self = Self::default();
     }
 
     /// L1 hit rate in `[0, 1]` (1.0 when there were no accesses).
@@ -71,12 +49,6 @@ impl MemStats {
         } else {
             self.l1_hits.value() as f64 / total as f64
         }
-    }
-}
-
-impl Default for MemStats {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -97,9 +69,9 @@ mod tests {
     fn reset_zeroes_counters() {
         let mut s = MemStats::new();
         s.phantom_requests.add(5);
-        s.sync_requests.incr();
+        s.invalidations.incr();
         s.reset();
         assert_eq!(s.phantom_requests.value(), 0);
-        assert_eq!(s.sync_requests.value(), 0);
+        assert_eq!(s.invalidations.value(), 0);
     }
 }

@@ -35,7 +35,6 @@ pub struct ConfigPatch {
     logical_processors: Option<usize>,
     seed: Option<u64>,
     check_bandwidth: Option<u64>,
-    xbar_ports: Option<usize>,
 }
 
 impl ConfigPatch {
@@ -107,12 +106,6 @@ impl ConfigPatch {
         self
     }
 
-    /// Overrides the number of L1↔L2 crossbar ports (`0` = unbounded).
-    pub fn xbar_ports(mut self, ports: usize) -> Self {
-        self.xbar_ports = Some(ports);
-        self
-    }
-
     /// Applies the overrides to `cfg`, leaving unset fields untouched.
     pub fn apply(&self, cfg: &mut SystemConfig) {
         if let Some(v) = self.comparison_latency {
@@ -138,9 +131,6 @@ impl ConfigPatch {
         }
         if let Some(v) = self.check_bandwidth {
             cfg.check_bus_occupancy = v;
-        }
-        if let Some(v) = self.xbar_ports {
-            cfg.mem.xbar_ports = v;
         }
     }
 }
@@ -181,12 +171,11 @@ mod tests {
         ConfigPatch::new("p8:bw2")
             .logical_processors(8)
             .check_bandwidth(2)
-            .xbar_ports(4)
             .apply(&mut cfg);
         assert_eq!(cfg.logical_processors, 8);
         assert_eq!(cfg.check_bus_occupancy, 2);
-        assert_eq!(cfg.mem.xbar_ports, 4);
         // The unset mem knobs keep their Table 1 values.
         assert_eq!(cfg.mem.bank_queue_depth, 0);
+        assert_eq!(cfg.mem.xbar_ports, 0);
     }
 }

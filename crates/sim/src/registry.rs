@@ -5,9 +5,7 @@
 //! under `baselines/`), its caption, how its grid is built and how its
 //! table is printed.
 
-use reunion_sim::{ExperimentGrid, ExperimentReport, GridBuilder};
-
-use crate::{banner, run_and_emit, RunOptions};
+use crate::{banner, run_and_emit, ExperimentGrid, ExperimentReport, GridBuilder, RunOptions};
 
 mod fig5;
 mod fig6;
@@ -21,13 +19,13 @@ mod table2;
 mod table3;
 
 /// One experiment of the evaluation.
-pub struct Experiment {
+pub(crate) struct Experiment {
     /// Grid identifier: names `BENCH_<id>.json` and the `run <id>` argument.
-    pub id: &'static str,
+    pub(crate) id: &'static str,
     /// What the paper (or this repo) calls it, for the banner.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// One-line caption, printed in the banner and recorded in the report.
-    pub caption: &'static str,
+    pub(crate) caption: &'static str,
     /// Declares the grid's axes on a builder that already carries the id,
     /// the caption, the run's engine/observability overlay and its
     /// profile's sampling parameters.
@@ -37,7 +35,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in presentation order.
-pub static EXPERIMENTS: [Experiment; 10] = [
+pub(crate) static EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         id: "fig5",
         title: "Figure 5",
@@ -111,19 +109,19 @@ pub static EXPERIMENTS: [Experiment; 10] = [
 ];
 
 /// Every registered id, space-separated, for usage messages.
-pub fn ids() -> String {
+pub(crate) fn ids() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     ids.join(" ")
 }
 
 /// The experiment registered under `id`, if any.
-pub fn find(id: &str) -> Option<&'static Experiment> {
+pub(crate) fn find(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 impl Experiment {
     /// The experiment's grid under the resolved run options.
-    pub fn grid(&self, opts: &RunOptions) -> ExperimentGrid {
+    pub(crate) fn grid(&self, opts: &RunOptions) -> ExperimentGrid {
         let builder = ExperimentGrid::builder(self.id, self.caption)
             .run_options(opts)
             .sample(opts.sample());
@@ -132,7 +130,7 @@ impl Experiment {
 
     /// Runs the experiment end to end: banner, grid, `BENCH_<id>.json`
     /// under `opts.out_dir`, and the printed table.
-    pub fn run(&self, opts: &RunOptions) {
+    pub(crate) fn run(&self, opts: &RunOptions) {
         banner(self.title, self.caption);
         (self.print)(&run_and_emit(&self.grid(opts), opts));
     }
@@ -143,7 +141,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::Profile;
+    use reunion_core::Profile;
 
     #[test]
     fn every_row_builds_the_grid_it_names() {

@@ -2,9 +2,11 @@
 //! non-redundant CMP, at a 10-cycle comparison latency.
 
 use reunion_core::ExecutionMode;
-use reunion_sim::{ExperimentReport, GridBuilder};
 
-use crate::{commercial_scientific_averages, rate_with_ci95, workloads, RunOptions};
+use crate::{
+    commercial_scientific_averages, rate_with_ci95, workloads, ExperimentReport, GridBuilder,
+    RunOptions,
+};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.workloads(workloads())

@@ -2,10 +2,12 @@
 //! comparison latency (0–40 cycles), averaged per workload class.
 
 use reunion_core::ExecutionMode;
-use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 use reunion_workloads::WorkloadClass;
 
-use crate::{banner, class_averages, latency_label, workloads, RunOptions, SWEEP_LATENCIES};
+use crate::{
+    banner, class_averages, latency_label, workloads, ConfigPatch, ExperimentReport, GridBuilder,
+    RunOptions, SWEEP_LATENCIES,
+};
 
 fn panel(report: &ExperimentReport, mode: ExecutionMode) {
     println!(

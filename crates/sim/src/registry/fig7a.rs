@@ -3,9 +3,8 @@
 
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
-use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 
-use crate::{workloads, RunOptions};
+use crate::{workloads, ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
 
 /// The phantom-request strengths, strongest first (shared with Table 3).
 pub(super) const STRENGTHS: [PhantomStrength; 3] = [

@@ -2,9 +2,8 @@
 //! difference between intervals of 1 and 50 instructions insignificant.
 
 use reunion_core::ExecutionMode;
-use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 
-use crate::{workloads, RunOptions};
+use crate::{workloads, ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
 
 const INTERVALS: [u32; 3] = [1, 5, 50];
 

@@ -7,9 +7,8 @@
 //! races drive genuine input incoherence.
 
 use reunion_core::{ExecutionMode, SystemConfig};
-use reunion_sim::{ExperimentReport, GridBuilder};
 
-use crate::{kernel_workloads, RunOptions};
+use crate::{kernel_workloads, ExperimentReport, GridBuilder, RunOptions};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.base(SystemConfig::kernel_pair)

@@ -22,10 +22,9 @@
 //! *contention and arbitration* effects rather than capacity starvation.
 
 use reunion_core::{ExecutionMode, SystemConfig};
-use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder};
 use reunion_workloads::Workload;
 
-use crate::RunOptions;
+use crate::{ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
 
 /// Pair counts of the sweep; 4 is the paper's CMP.
 const PAIRS: [usize; 5] = [1, 2, 4, 8, 16];

@@ -1,9 +1,8 @@
 //! Table 2: application parameters of the workload suite.
 
 use reunion_core::ExecutionMode;
-use reunion_sim::{ExperimentReport, GridBuilder, Metric};
 
-use crate::{workloads, RunOptions};
+use crate::{workloads, ExperimentReport, GridBuilder, Metric, RunOptions};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.metric(Metric::Static)

@@ -3,10 +3,11 @@
 
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
-use reunion_sim::{ConfigPatch, ExperimentReport, GridBuilder, Metric};
 
 use super::fig7a::STRENGTHS;
-use crate::{rate_with_ci95, workloads, RunOptions};
+use crate::{
+    rate_with_ci95, workloads, ConfigPatch, ExperimentReport, GridBuilder, Metric, RunOptions,
+};
 
 /// How many cycles em3d's widened measured window must cover.
 ///

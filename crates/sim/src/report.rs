@@ -503,8 +503,12 @@ impl ExperimentReport {
     }
 
     /// `(class, normalized IPC)` pairs for one (mode, patch) slice —
-    /// the input shape of the class-average helpers in `reunion-bench`.
-    pub fn normalized_rows(&self, mode: ExecutionMode, patch: &str) -> Vec<(WorkloadClass, f64)> {
+    /// the input shape of the registry's class-average helpers.
+    pub(crate) fn normalized_rows(
+        &self,
+        mode: ExecutionMode,
+        patch: &str,
+    ) -> Vec<(WorkloadClass, f64)> {
         self.rows(mode, patch)
             .filter_map(|r| r.normalized_ipc().map(|v| (r.class, v)))
             .collect()

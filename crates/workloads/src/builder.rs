@@ -4,30 +4,15 @@ use reunion_isa::{BranchCond, Instruction, Program, ProgramError, RegId};
 
 /// An incremental program builder with label/patch support for forward
 /// branches.
-///
-/// # Examples
-///
-/// ```
-/// use reunion_isa::{BranchCond, Instruction, RegId};
-/// use reunion_workloads::ProgramBuilder;
-///
-/// let mut b = ProgramBuilder::new("demo");
-/// let top = b.here();
-/// b.push(Instruction::add_imm(RegId::new(1), RegId::new(1), 1));
-/// b.jump_to(top);
-/// let prog = b.build()?;
-/// assert_eq!(prog.len(), 2);
-/// # Ok::<(), reunion_isa::ProgramError>(())
-/// ```
 #[derive(Clone, Debug)]
-pub struct ProgramBuilder {
+pub(crate) struct ProgramBuilder {
     name: String,
     code: Vec<Instruction>,
 }
 
 impl ProgramBuilder {
     /// Creates an empty builder.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         ProgramBuilder {
             name: name.into(),
             code: Vec::new(),
@@ -35,31 +20,31 @@ impl ProgramBuilder {
     }
 
     /// The PC the next pushed instruction will occupy.
-    pub fn here(&self) -> usize {
+    pub(crate) fn here(&self) -> usize {
         self.code.len()
     }
 
     /// Appends one instruction.
-    pub fn push(&mut self, inst: Instruction) -> &mut Self {
+    pub(crate) fn push(&mut self, inst: Instruction) -> &mut Self {
         self.code.push(inst);
         self
     }
 
     /// Appends a conditional branch to a known (usually backward) target.
-    pub fn branch_to(&mut self, cond: BranchCond, reg: RegId, target: usize) -> &mut Self {
+    pub(crate) fn branch_to(&mut self, cond: BranchCond, reg: RegId, target: usize) -> &mut Self {
         self.code.push(Instruction::branch(cond, reg, target));
         self
     }
 
     /// Appends an unconditional jump to a known target.
-    pub fn jump_to(&mut self, target: usize) -> &mut Self {
+    pub(crate) fn jump_to(&mut self, target: usize) -> &mut Self {
         self.code.push(Instruction::jump(target));
         self
     }
 
     /// Appends a conditional branch whose target is patched later; returns
     /// the branch's PC for [`patch_to_here`](Self::patch_to_here).
-    pub fn branch_forward(&mut self, cond: BranchCond, reg: RegId) -> usize {
+    pub(crate) fn branch_forward(&mut self, cond: BranchCond, reg: RegId) -> usize {
         let at = self.code.len();
         // Placeholder target 0 is always in range once the program builds.
         self.code.push(Instruction::branch(cond, reg, 0));
@@ -71,21 +56,11 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `branch_pc` does not hold a branch.
-    pub fn patch_to_here(&mut self, branch_pc: usize) {
+    pub(crate) fn patch_to_here(&mut self, branch_pc: usize) {
         let target = self.code.len();
         let inst = &mut self.code[branch_pc];
         assert!(inst.op.is_branch(), "patching a non-branch at {branch_pc}");
         inst.imm = target as i64;
-    }
-
-    /// Number of instructions so far.
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether no instructions have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
     }
 
     /// Validates and finalizes the program.
@@ -95,7 +70,7 @@ impl ProgramBuilder {
     /// Returns [`ProgramError`] if validation fails (e.g. a forward branch
     /// was never patched past the end — impossible via this API — or the
     /// program is empty).
-    pub fn build(self) -> Result<Program, ProgramError> {
+    pub(crate) fn build(self) -> Result<Program, ProgramError> {
         Program::new(self.name, self.code)
     }
 }

@@ -41,19 +41,19 @@ use reunion_kernel::SimRng;
 use crate::{ProgramBuilder, SharingModel, WorkloadSpec};
 
 /// Base of the lock region (cache-line-separated spin locks).
-pub const LOCK_BASE: u64 = 0x0100_0000;
+pub(crate) const LOCK_BASE: u64 = 0x0100_0000;
 /// Base of the hot truly-shared region (one word per cache line).
 pub const HOT_BASE: u64 = 0x0200_0000;
 /// Base of the producer-consumer flag lines (one per thread slot).
-pub const FLAG_BASE: u64 = 0x0300_0000;
+pub(crate) const FLAG_BASE: u64 = 0x0300_0000;
 /// Number of producer-consumer flag slots (threads wrap modulo this).
-pub const FLAG_SLOTS: u64 = 4;
+pub(crate) const FLAG_SLOTS: u64 = 4;
 /// Base of the shared data region.
-pub const SHARED_BASE: u64 = 0x1000_0000;
+pub(crate) const SHARED_BASE: u64 = 0x1000_0000;
 /// Base of thread 0's private region; threads are spaced widely apart.
 pub const PRIVATE_BASE: u64 = 0x4000_0000;
 /// Address distance between consecutive threads' private regions.
-pub const PRIVATE_SPACING: u64 = 0x0800_0000;
+pub(crate) const PRIVATE_SPACING: u64 = 0x0800_0000;
 
 fn r(i: u8) -> RegId {
     RegId::new(i)

@@ -45,11 +45,8 @@ mod kernels;
 mod spec;
 mod suite;
 
-pub use builder::ProgramBuilder;
-pub use gen::{
-    generate_program, initial_memory, FLAG_BASE, FLAG_SLOTS, HOT_BASE, LOCK_BASE, PRIVATE_BASE,
-    PRIVATE_SPACING, SHARED_BASE,
-};
+pub(crate) use builder::ProgramBuilder;
+pub use gen::{generate_program, initial_memory, HOT_BASE, PRIVATE_BASE};
 pub use kernels::{kernel_suite, KERNEL_SOURCES};
 pub use spec::{SharingModel, WorkloadClass, WorkloadSpec};
 pub use suite::{suite, CachePopulation, Workload};

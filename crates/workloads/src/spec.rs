@@ -132,7 +132,7 @@ impl SharingModel {
     /// # Panics
     ///
     /// Panics (with `name` in the message) if a bound is violated.
-    pub fn assert_valid(&self, name: &str) {
+    pub(crate) fn assert_valid(&self, name: &str) {
         assert!(
             self.hot_lines.is_power_of_two(),
             "{name}: hot_lines must be a power of two"

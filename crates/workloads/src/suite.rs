@@ -117,18 +117,6 @@ impl Workload {
         }
     }
 
-    /// [`kernel`](Self::kernel) with the artifact cache disabled — the
-    /// reference behaviour (re-parse on every call) that the cache
-    /// byte-identity test compares against.
-    pub fn kernel_uncached(spec: WorkloadSpec, source: &'static str) -> Self {
-        spec.assert_valid();
-        Workload {
-            spec,
-            source: ProgramSource::Kernel(source),
-            cache: None,
-        }
-    }
-
     /// Looks up a workload by (case-insensitive) name, first in the
     /// standard suite, then in the kernel suite.
     pub fn by_name(name: &str) -> Option<Workload> {
