@@ -358,10 +358,7 @@ impl PairDriver {
                 continue;
             }
 
-            let structural_divergence = v.fingerprint.interval_id != m.fingerprint.interval_id;
-            let matched = !structural_divergence
-                && v.fingerprint.hash == m.fingerprint.hash
-                && v.fingerprint.count == m.fingerprint.count;
+            let matched = v.fingerprint == m.fingerprint;
 
             // Both fingerprints cross the shared check bus regardless of
             // whether they match; each departure waits for a bus slot
@@ -544,6 +541,7 @@ mod tests {
     use std::sync::Arc;
 
     use reunion_cpu::CoreConfig;
+    use reunion_fingerprint::Fingerprint;
     use reunion_isa::{Instruction as I, Program, RegId};
     use reunion_mem::{MemConfig, MemorySystem, Owner};
 
@@ -711,6 +709,38 @@ mod tests {
             pair.retired_user()
         );
         assert_eq!(pair.phase(), RecoveryPhase::Normal);
+    }
+
+    #[test]
+    fn equal_id_and_hash_with_a_different_count_is_a_mismatch() {
+        let mut rig = Rig::new(counting_loop(), false);
+        let vocal = Fingerprint {
+            interval_id: 0,
+            count: 3,
+            hash: 0x1d0f,
+        };
+        let mute = Fingerprint { count: 4, ..vocal };
+        let event = |epoch, fingerprint| CheckEvent {
+            epoch,
+            fingerprint,
+            ready_at: Cycle::new(0),
+            serializing: false,
+        };
+        let pair = &mut rig.pair;
+        pair.vocal_events
+            .push_back(event(pair.vocal.epoch(), vocal));
+        pair.mute_events.push_back(event(pair.mute.epoch(), mute));
+        pair.compare_and_release(Cycle::new(100), &mut rig.mem, &mut rig.bus);
+        assert_eq!(pair.stats().mismatches.value(), 1);
+        assert_eq!(pair.stats().recoveries.value(), 1);
+        assert_eq!(pair.phase(), RecoveryPhase::Phase1);
+    }
+
+    #[test]
+    fn a_default_histogram_reports_its_first_sample_as_min() {
+        let mut stats = PairStats::default();
+        stats.check_latency.record(5);
+        assert_eq!(stats.check_latency.min(), Some(5));
     }
 
     #[test]

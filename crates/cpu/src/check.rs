@@ -6,10 +6,10 @@ use reunion_kernel::Cycle;
 
 /// A fingerprint emitted by a core's check stage at an interval boundary.
 ///
-/// The pair driver collects events from both cores, matches them by
-/// `(epoch, fingerprint.interval_id)`, compares hashes and instruction
-/// counts, and answers with a [`ReleaseGrant`] on a match or begins
-/// recovery on a mismatch.
+/// The pair driver collects events from both cores, drops stale epochs,
+/// compares the two fingerprints for equality (interval id, instruction
+/// count and hash), and answers with a [`ReleaseGrant`] on a match or
+/// begins recovery on a mismatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckEvent {
     /// Recovery epoch the event belongs to; events from before a rollback

@@ -10,16 +10,18 @@
 //!
 //! * [`Crc`] — a table-driven CRC of configurable width (the paper's 16-bit
 //!   CRC "already exceeds industry system error coverage goals by an order
-//!   of magnitude").
-//! * [`ParityTree`] — single-cycle space compression of a wide update vector
-//!   down to the width a CRC circuit can consume.
-//! * [`TwoStageCompressor`] — the paper's parity-trees-then-CRC pipeline for
-//!   wide superscalar retirement (>256 bits of state per cycle), which at
-//!   most doubles the aliasing probability to `2^-(N-1)`.
+//!   of magnitude"), with [`BitwiseCrc`] as its bit-at-a-time reference.
 //! * [`FingerprintUnit`] — accumulates [`UpdateRecord`]s over a configurable
 //!   *fingerprint interval* and emits [`Fingerprint`]s for comparison.
-//! * [`aliasing`] — analytic bounds and a Monte Carlo estimator for the
-//!   probability that a corrupted execution aliases to the same fingerprint.
+//!
+//! The paper puts parity trees in front of the CRC so that hardware
+//! retiring more than 256 bits of state per cycle can still hash it in one
+//! clock; the trees at most double the aliasing probability, to
+//! `2^-(N-1)`. That front end is not modelled. A fingerprint here is the
+//! CRC of each interval's update records serialized to bytes, so its
+//! aliasing bound is the CRC's `2^-N`. Nothing simulated depends on the
+//! hash's internals: timing, detection and every report read only whether
+//! the two fingerprints of an interval are equal.
 //!
 //! # Examples
 //!
@@ -37,13 +39,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aliasing;
 mod crc;
-mod parity;
-mod two_stage;
 mod unit;
 
 pub use crc::{BitwiseCrc, Crc};
-pub use parity::ParityTree;
-pub use two_stage::TwoStageCompressor;
 pub use unit::{Fingerprint, FingerprintUnit, UpdateRecord};

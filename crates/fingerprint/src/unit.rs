@@ -7,9 +7,9 @@ use crate::Crc;
 /// A compressed summary of architectural updates over one fingerprint
 /// interval, as swapped between the vocal and mute cores.
 ///
-/// Equality of fingerprints is the check-stage comparison; the `interval_id`
-/// ensures fingerprints from different intervals are never confused even if
-/// the hash values coincide.
+/// Equality (`==`, over all three fields) is the check-stage comparison:
+/// the `interval_id` keeps fingerprints of different intervals apart even
+/// where the hashes coincide, and a differing `count` is a mismatch too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     /// Monotonic interval number within the run.
@@ -27,16 +27,6 @@ impl fmt::Display for Fingerprint {
             "fp#{}[{} insts]={:#06x}",
             self.interval_id, self.count, self.hash
         )
-    }
-}
-
-impl Fingerprint {
-    /// Whether two fingerprints cover the same interval and match.
-    ///
-    /// Fingerprints for different intervals are incomparable; callers align
-    /// intervals before checking.
-    pub fn matches(&self, other: &Fingerprint) -> bool {
-        self.interval_id == other.interval_id && self.hash == other.hash
     }
 }
 
@@ -220,7 +210,7 @@ mod tests {
             a.absorb(&rec);
             b.absorb(&rec);
         }
-        assert!(a.emit().matches(&b.emit()));
+        assert_eq!(a.emit(), b.emit());
     }
 
     #[test]
@@ -229,7 +219,7 @@ mod tests {
         let mut b = FingerprintUnit::new(16);
         a.absorb(&UpdateRecord::reg(1, 100));
         b.absorb(&UpdateRecord::reg(1, 101));
-        assert!(!a.emit().matches(&b.emit()));
+        assert_ne!(a.emit(), b.emit());
     }
 
     #[test]
@@ -251,7 +241,7 @@ mod tests {
         b.absorb(&UpdateRecord::reg(1, 1));
         let fb = b.emit();
         assert_eq!(fa.hash, fb.hash);
-        assert!(!fa.matches(&fb), "different intervals must not match");
+        assert_ne!(fa, fb, "different intervals must not match");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub const HISTOGRAM_BUCKETS: usize = 16;
 /// Merge is associative and commutative: merging per-window (or per-shard)
 /// histograms in any order yields byte-identical totals, which is what lets
 /// shard-merged observability output equal a single-process run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -46,6 +46,14 @@ pub struct LatencyHistogram {
     /// `u64::MAX` sentinel while empty.
     min: u64,
     max: u64,
+}
+
+/// The empty histogram of [`new`](LatencyHistogram::new), so a `min`
+/// sentinel holds in every derived `Default` that contains one.
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 fn bucket_index(value: u64) -> usize {

@@ -572,26 +572,17 @@ impl MemorySystem {
         // Read-for-ownership timing: same path as a store upgrade, but the
         // image is left untouched until commit.
         let line = addr.line_index();
-        let (timing, l1_hit, l2_hit);
-        if let Some(state) = self.l1s[idx].vocal().lookup(line) {
-            if state.can_write() {
+        let (timing, l1_hit, l2_hit) = match self.l1s[idx].vocal().lookup(line) {
+            Some(state) if state.can_write() => {
                 *state = MesiState::Modified;
                 self.stats.l1_hits.incr();
-                timing = now.as_u64() + self.cfg.l1_hit_latency;
-                l1_hit = true;
-                l2_hit = false;
-            } else {
-                let (t, h) = self.vocal_rfo(idx, line, now.as_u64());
-                timing = t;
-                l1_hit = false;
-                l2_hit = h;
+                (now.as_u64() + self.cfg.l1_hit_latency, true, false)
             }
-        } else {
-            let (t, h) = self.vocal_rfo(idx, line, now.as_u64());
-            timing = t;
-            l1_hit = false;
-            l2_hit = h;
-        }
+            _ => {
+                let (t, h) = self.vocal_rfo(idx, line, now.as_u64());
+                (t, false, h)
+            }
+        };
         Access {
             value: old,
             done_at: Cycle::new(timing + 2),
@@ -627,16 +618,29 @@ impl MemorySystem {
         }
         let line = addr.line_index();
         // Re-invalidate any vocal sharer that joined since the read.
+        self.invalidate_other_sharers(line, l1);
+        let current = self.image.peek(addr);
+        self.image
+            .poke(addr, reunion_isa::atomic_update(op, current, operand));
+    }
+
+    /// Invalidates `line` in every vocal sharer but `keep`, counting each
+    /// L1 that still held it. The directory iterator only borrows
+    /// `self.l2`; the invalidations touch `self.l1s` and `self.stats`, so no
+    /// intermediate collection is needed.
+    ///
+    /// The sharer bits stay set, so the directory keeps a stale sharer for
+    /// every L1 invalidated here. This is the one place the fix belongs
+    /// (ROADMAP item 12, step 2); clearing the bits can move simulated
+    /// numbers, because `load` reads the sharer count.
+    fn invalidate_other_sharers(&mut self, line: u64, keep: L1Id) {
         if let Some(d) = self.l2.tags.peek(line) {
-            for s in d.sharers_except(l1) {
+            for s in d.sharers_except(keep) {
                 if self.l1s[s.0].vocal().invalidate(line).is_some() {
                     self.stats.invalidations.incr();
                 }
             }
         }
-        let current = self.image.peek(addr);
-        self.image
-            .poke(addr, reunion_isa::atomic_update(op, current, operand));
     }
 
     /// Coherent read-for-ownership used by vocal store upgrades and
@@ -647,16 +651,7 @@ impl MemorySystem {
         let start = self.miss_start_time(idx, now);
         let bank_start = self.bank_service(line, start + self.cfg.crossbar_latency);
         let (l2_hit, ready) = self.l2_fill(line, bank_start);
-        // Invalidate all other vocal sharers. The directory iterator only
-        // borrows `self.l2`; the invalidations touch `self.l1s` and
-        // `self.stats`, so no intermediate collection is needed.
-        if let Some(d) = self.l2.tags.peek(line) {
-            for s in d.sharers_except(L1Id(idx)) {
-                if self.l1s[s.0].vocal().invalidate(line).is_some() {
-                    self.stats.invalidations.incr();
-                }
-            }
-        }
+        self.invalidate_other_sharers(line, L1Id(idx));
         if let Some(dir) = self.l2.tags.lookup(line) {
             dir.set_owner(L1Id(idx));
         }
@@ -711,13 +706,7 @@ impl MemorySystem {
         let (_, ready) = self.l2_fill(line, bank_start);
 
         // Invalidate remaining vocal sharers (write semantics).
-        if let Some(d) = self.l2.tags.peek(line) {
-            for s in d.sharers_except(vocal) {
-                if self.l1s[s.0].vocal().invalidate(line).is_some() {
-                    self.stats.invalidations.incr();
-                }
-            }
-        }
+        self.invalidate_other_sharers(line, vocal);
 
         let old = self.image.peek(addr);
         if let Some((op, operand)) = rmw {

@@ -5,7 +5,12 @@
 //! under `baselines/`), its caption, how its grid is built and how its
 //! table is printed.
 
-use crate::{banner, run_and_emit, ExperimentGrid, ExperimentReport, GridBuilder, RunOptions};
+use reunion_core::ExecutionMode;
+
+use crate::{
+    banner, commercial_workloads, keyed_latency_label, latency_label, run_and_emit, ConfigPatch,
+    ExperimentGrid, ExperimentReport, GridBuilder, RunOptions, SWEEP_LATENCIES,
+};
 
 mod fig5;
 mod fig6;
@@ -133,6 +138,65 @@ impl Experiment {
     pub(crate) fn run(&self, opts: &RunOptions) {
         banner(self.title, self.caption);
         (self.print)(&run_and_emit(&self.grid(opts), opts));
+    }
+}
+
+/// A comparison-latency sweep with a second, keyed axis (Figure 7(b)'s TLB
+/// model, the SC ablation's consistency model): the commercial workloads
+/// under Reunion, one patch per row and [`SWEEP_LATENCIES`] point, printed
+/// as one row of commercial averages per key. The two experiments differ
+/// only in this data.
+struct KeyedSweep<T: 'static> {
+    /// Per row: the key in its patch labels (`"sw:lat=10"`), the printed
+    /// row label and the value its patches set.
+    rows: &'static [(&'static str, &'static str, T)],
+    /// Sets a row's value on a patch.
+    set: fn(ConfigPatch, T) -> ConfigPatch,
+    /// The first column's header.
+    header: &'static str,
+    /// The first column's width.
+    width: usize,
+    /// The paper's reading, printed under the table one line each.
+    note: &'static [&'static str],
+}
+
+impl<T: Copy> KeyedSweep<T> {
+    fn axes(&self, grid: GridBuilder) -> GridBuilder {
+        let mut patches = Vec::new();
+        for &(key, _, value) in self.rows {
+            for &latency in &SWEEP_LATENCIES {
+                let patch = ConfigPatch::new(keyed_latency_label(key, latency));
+                patches.push((self.set)(patch, value).latency(latency));
+            }
+        }
+        grid.workloads(commercial_workloads())
+            .modes(&[ExecutionMode::Reunion])
+            .patches(patches)
+    }
+
+    fn print(&self, report: &ExperimentReport) {
+        let width = self.width;
+        print!("{:<width$}", self.header);
+        for &latency in &SWEEP_LATENCIES {
+            print!(" {:>8}", latency_label(latency));
+        }
+        println!();
+        for &(key, label, _) in self.rows {
+            print!("{label:<width$}");
+            for &latency in &SWEEP_LATENCIES {
+                let avg = report.mean_normalized_where(
+                    ExecutionMode::Reunion,
+                    &keyed_latency_label(key, latency),
+                    |c| c.is_commercial(),
+                );
+                print!(" {avg:>8.3}");
+            }
+            println!();
+        }
+        println!("--------------------------------------------------------------");
+        for line in self.note {
+            println!("{line}");
+        }
     }
 }
 

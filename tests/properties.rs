@@ -5,7 +5,7 @@
 //! kernel's own seeded [`SimRng`]: every property is checked against a few
 //! hundred pseudo-random cases and the stream is reproducible by seed.
 
-use reunion_fingerprint::{Crc, FingerprintUnit, ParityTree, UpdateRecord};
+use reunion_fingerprint::{Crc, FingerprintUnit, UpdateRecord};
 use reunion_isa::{alu_compute, atomic_update, Addr, AluOp, AtomicOp, DataMemory, SparseMemory};
 use reunion_kernel::{Cycle, SimRng};
 use reunion_mem::{CacheArray, MemConfig, MemorySystem, Owner, PhantomStrength};
@@ -281,7 +281,7 @@ fn fingerprints_never_false_positive() {
         }
         let fa = a.emit();
         let fb = b.emit();
-        assert!(fa.matches(&fb));
+        assert_eq!(fa, fb);
         assert_eq!(fa.count as usize, n);
     });
 }
@@ -325,22 +325,6 @@ fn crc_chunking_is_associative() {
         parts.consume(&data[..split]);
         parts.consume(&data[split..]);
         assert_eq!(whole.value(), parts.value());
-    });
-}
-
-/// Parity trees XOR-fold: compress(a) XOR compress(b) == compress(a^b)
-/// word-wise (linearity, the property the aliasing bound rests on).
-#[test]
-fn parity_tree_is_linear() {
-    for_cases(0xA1_0007, |rng| {
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        let tree = ParityTree::new(16);
-        let ca = tree.compress(&[a]);
-        let cb = tree.compress(&[b]);
-        let cab = tree.compress(&[a ^ b]);
-        let folded: Vec<u8> = ca.iter().zip(&cb).map(|(x, y)| x ^ y).collect();
-        assert_eq!(folded, cab);
     });
 }
 
