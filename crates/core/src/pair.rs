@@ -257,7 +257,9 @@ impl PairDriver {
     /// * the defensive recovery-escalation timeout while a re-execution is
     ///   in flight,
     /// * uncompared events sitting in both comparison queues (possible only
-    ///   transiently; the comparator must run on the next cycle).
+    ///   transiently; the comparator must run on the next cycle) — unless a
+    ///   mismatch is pending: `tick` then leaves the comparator alone until
+    ///   `detect_at`, so the queues wake nothing before it.
     ///
     /// `None` means the pair is permanently idle absent external input.
     pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
@@ -274,14 +276,13 @@ impl PairDriver {
         let mut horizon = EventHorizon::new();
         horizon.note_opt(vocal);
         horizon.note_opt(mute);
-        if let Some(detect_at) = self.pending_mismatch {
-            horizon.note(detect_at.max(from));
-        }
         if self.phase != RecoveryPhase::Normal {
             let escalate = self.recovery_started + self.recovery_timeout + 1;
             horizon.note(Cycle::new(escalate).max(from));
         }
-        if !self.vocal_events.is_empty() && !self.mute_events.is_empty() {
+        if let Some(detect_at) = self.pending_mismatch {
+            horizon.note(detect_at.max(from));
+        } else if !self.vocal_events.is_empty() && !self.mute_events.is_empty() {
             horizon.note(from);
         }
         horizon.next_ready()
@@ -902,6 +903,32 @@ mod tests {
             next <= at,
             "horizon {next:?} must not overshoot the mismatch deadline {at:?}"
         );
+    }
+
+    #[test]
+    fn a_pending_mismatch_sleeps_until_detection_despite_full_queues() {
+        let code = vec![I::add_imm(r(1), r(1), 1), I::halt()];
+        let mut rig = Rig::new(code, false);
+        rig.run(5_000);
+        assert_eq!(rig.pair.next_activity_at(Cycle::new(rig.now)), None);
+        let pair = &mut rig.pair;
+        let event = |epoch, count| CheckEvent {
+            epoch,
+            fingerprint: Fingerprint {
+                interval_id: 9,
+                count,
+                hash: 0,
+            },
+            ready_at: Cycle::new(0),
+            serializing: false,
+        };
+        pair.vocal_events.push_back(event(pair.vocal.epoch(), 1));
+        pair.mute_events.push_back(event(pair.mute.epoch(), 2));
+        let now = Cycle::new(rig.now);
+        assert_eq!(pair.next_activity_at(now), Some(now), "the comparator runs");
+        let detect_at = now + 300;
+        pair.pending_mismatch = Some(detect_at);
+        assert_eq!(pair.next_activity_at(now), Some(detect_at));
     }
 
     #[test]

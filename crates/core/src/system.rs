@@ -860,6 +860,23 @@ mod tests {
         assert!(sys.all_quiescent(), "the bespoke program halts");
     }
 
+    /// The same oracle over pairs waiting out detected mismatches. Under
+    /// null phantoms a mute's missing loads bind garbage, so em3d's pairs
+    /// mismatch again and again, and each waits for the later fingerprint
+    /// to cross the channel before it recovers: those windows must be held
+    /// to the pair's bound, not ticked.
+    #[test]
+    fn a_pair_waiting_out_a_mismatch_is_held_to_its_bound() {
+        let workload = Workload::by_name("em3d").expect("suite workload");
+        let mut cfg = SystemConfig::small_test(ExecutionMode::Reunion);
+        cfg.phantom = reunion_mem::PhantomStrength::Null;
+        let mut sys = CmpSystem::new(&cfg, &workload);
+        let held = step_checking_bounds(&mut sys, 2_000, "null-phantom/em3d");
+        let recoveries = sys.window_stats().recoveries;
+        assert!(recoveries > 2, "only {recoveries} recoveries");
+        assert!(held > 1_000, "only {held} ticks were held to a bound");
+    }
+
     #[test]
     fn all_halted_system_early_exits_under_both_engines() {
         for engine in [crate::Engine::Dense, crate::Engine::Skip] {

@@ -107,11 +107,11 @@ impl Core {
             horizon.note(Cycle::new(self.fetch_free));
         }
         if let Some(head) = self.rob.front() {
-            if head.completion != u64::MAX {
+            if head.check_time != u64::MAX {
                 if self.cfg.role.checked() {
                     // Ungranted heads wait on the partner's fingerprint —
                     // the partner core's activity, not this core's.
-                    if let Some(granted_at) = self.granted_at(head.interval_id) {
+                    if let Some(granted_at) = self.granted_at(head) {
                         horizon.note(Cycle::new(head.check_time.max(granted_at).max(floor)));
                     }
                 } else {

@@ -27,7 +27,8 @@ pub struct CheckEvent {
 }
 
 /// Permission from the pair driver for an interval to retire — the answer
-/// to a matched pair of [`CheckEvent`]s.
+/// to a matched pair of [`CheckEvent`]s. An interval is granted at most
+/// once per epoch; grants may arrive in any order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReleaseGrant {
     /// Recovery epoch the grant belongs to; grants from before a rollback

@@ -11,7 +11,7 @@ use reunion_isa::{
 use reunion_kernel::{Cycle, FastHashMap, SimRng};
 use reunion_mem::{L1Id, MemorySystem};
 
-use crate::config::{FINGERPRINT_WIDTH, MISPREDICT_PENALTY, WIDTH};
+use crate::config::{FINGERPRINT_WIDTH, MISPREDICT_PENALTY, ROB_ENTRIES, WIDTH};
 use crate::{
     software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, Role,
     SyncRequest, Tlb, TlbMode,
@@ -28,26 +28,32 @@ mod bounds;
 #[path = "oracle.rs"]
 mod oracle;
 
-/// Architectural effects carried by a ROB entry until retirement.
+/// What retirement reads of one dispatched instruction: 48 bytes, so a
+/// full 256-entry ROB is 12 KB.
 #[derive(Clone, Copy, Debug)]
 struct RobEntry {
-    interval_id: u64,
-    user: bool,
-    serializing: bool,
-    /// Completion time (raw cycles); `u64::MAX` while awaiting a
-    /// synchronizing-request fulfillment.
-    completion: u64,
-    /// In-order check-stage time: running max of completions.
-    check_time: u64,
     /// What [`execute`] computed at dispatch, applied to the ARF and memory
     /// at retirement; [`StepEffect::Nop`] while awaiting a sync fulfillment.
     effect: StepEffect,
-    /// Vocal atomics take exclusive ownership at dispatch but apply their
-    /// memory write only at retirement, after output comparison (the update
-    /// must not be visible before it is checked): `(op, operand)`.
-    atomic_commit: Option<(AtomicOp, u64)>,
+    /// In-order check-stage time: running max of completions; `u64::MAX`
+    /// while awaiting a synchronizing-request fulfillment.
+    check_time: u64,
     /// PC after this instruction (unchanged for injected handler code).
-    next_pc: usize,
+    next_pc: u32,
+    /// The low 16 bits of the entry's fingerprint interval id. Entries of
+    /// one interval are contiguous and no interval is empty, so adjacent
+    /// entries' ids differ by 0 or 1 and the low bits tell intervals apart.
+    interval: u16,
+    user: bool,
+    serializing: bool,
+}
+
+impl RobEntry {
+    /// The entry's slot in the grant ring: its interval id modulo
+    /// `ROB_ENTRIES`, which the low 16 bits give since 256 divides 2^16.
+    fn grant_slot(&self) -> usize {
+        usize::from(self.interval) % ROB_ENTRIES
+    }
 }
 
 /// The memory [`execute`] sees from the pipeline: reads return the value
@@ -60,6 +66,13 @@ impl DataMemory for Replay {
     }
 
     fn store(&mut self, _: Addr, _: u64) {}
+}
+
+/// A PC as a ROB entry keeps it. Programs are far shorter than 2^32
+/// instructions.
+fn pc_u32(pc: usize) -> u32 {
+    debug_assert!(u32::try_from(pc).is_ok(), "pc {pc} exceeds 32 bits");
+    pc as u32
 }
 
 /// What an instruction's effect contributes to its interval's fingerprint.
@@ -121,15 +134,23 @@ pub struct Core {
 
     fp: FingerprintUnit,
     events: Vec<CheckEvent>,
-    /// Release grants for the current epoch, ordered by interval id.
+    /// Release times for the current epoch, indexed by interval id modulo
+    /// [`ROB_ENTRIES`]; `u64::MAX` is a free slot. Empty for an unchecked
+    /// core, which never waits for a grant.
     ///
-    /// The pair driver compares fingerprints in interval order and the ROB
-    /// consumes intervals in program order, so grants behave as a FIFO:
-    /// `(interval_id, granted_at)` pairs are pushed at the back, looked up
-    /// at the front, and popped when their interval fully retires. Stale
-    /// epochs never enter ([`grant`](Self::grant) filters them) and
-    /// [`rollback`](Self::rollback) clears the queue wholesale.
-    grants: VecDeque<(u64, u64)>,
+    /// No interval is empty and a granted interval still has an entry in
+    /// the ROB, so at most `ROB_ENTRIES` intervals are in flight and two
+    /// of them never share a slot. A slot is written by
+    /// [`grant`](Self::grant) (stale epochs never enter), freed when its
+    /// interval's last entry retires, and [`rollback`](Self::rollback)
+    /// frees them all.
+    grants: Box<[u64]>,
+    /// A vocal atomic's memory update, `(op, operand)`. The atomic takes
+    /// exclusive ownership at dispatch but applies its write only at
+    /// retirement, after output comparison (the update must not be visible
+    /// before it is checked). Atomics serialize, so at most one is in
+    /// flight.
+    atomic_commit: Option<(AtomicOp, u64)>,
 
     lvq: VecDeque<u64>,
     load_values_out: Vec<u64>,
@@ -174,6 +195,11 @@ impl Core {
     /// same seed.
     pub fn new(cfg: CoreConfig, program: Arc<Program>, l1: L1Id, pair_seed: u64) -> Self {
         let entry = program.entry();
+        let grants = if cfg.role.checked() {
+            vec![u64::MAX; ROB_ENTRIES].into()
+        } else {
+            Box::default()
+        };
         Core {
             cfg,
             program,
@@ -191,7 +217,8 @@ impl Core {
             last_drain_done: 0,
             fp: FingerprintUnit::new(FINGERPRINT_WIDTH),
             events: Vec::new(),
-            grants: VecDeque::new(),
+            grants,
+            atomic_commit: None,
             lvq: VecDeque::new(),
             load_values_out: Vec::new(),
             inject: VecDeque::new(),
@@ -294,32 +321,24 @@ impl Core {
     }
 
     /// Grants retirement permission for an interval (driver use).
-    ///
-    /// Grants arrive in increasing interval order within an epoch (the
-    /// comparator works through its queues in FIFO order), which is what
-    /// keeps the internal grant queue sorted without searching.
     pub fn grant(&mut self, grant: ReleaseGrant) {
         if grant.epoch == self.epoch {
-            self.grants
-                .push_back((grant.interval_id, grant.at.as_u64()));
+            let slot = &mut self.grants[grant.interval_id as usize % ROB_ENTRIES];
+            debug_assert_eq!(
+                *slot,
+                u64::MAX,
+                "interval {} granted into an occupied slot",
+                grant.interval_id
+            );
+            *slot = grant.at.as_u64();
         }
     }
 
-    /// The release time granted to `interval_id`, if its grant has arrived.
-    ///
-    /// Spent grants are popped promptly at retirement, so the front of the
-    /// queue is almost always the answer; the scan exists for the
-    /// interval>1 case where several ROB entries share one grant.
-    fn granted_at(&self, interval_id: u64) -> Option<u64> {
-        for &(id, at) in &self.grants {
-            if id == interval_id {
-                return Some(at);
-            }
-            if id > interval_id {
-                return None;
-            }
-        }
-        None
+    /// The release time granted to `entry`'s interval, if its grant has
+    /// arrived.
+    fn granted_at(&self, entry: &RobEntry) -> Option<u64> {
+        let at = self.grants[entry.grant_slot()];
+        (at != u64::MAX).then_some(at)
     }
 
     /// The synchronizing request this core is blocked on, if any.
@@ -344,21 +363,21 @@ impl Core {
         // A pending request closes the front end, and `dispatch` stops
         // right after pushing the awaiting entry: it is the youngest.
         let entry = self.rob.back_mut().expect("sync entry in ROB");
-        debug_assert_eq!(entry.completion, u64::MAX, "youngest entry awaits the sync");
+        debug_assert_eq!(entry.check_time, u64::MAX, "youngest entry awaits the sync");
         // A re-executed instruction pays the full check round trip on top of
         // the coherent access: its fingerprint crosses to the partner and
         // the release grant crosses back before anything younger may run.
         let penalty = 2 * self.cfg.check_latency;
-        entry.completion = done_at.as_u64() + penalty;
+        let completion = done_at.as_u64() + penalty;
         self.stats.reexec_penalty_cycles.add(penalty);
-        let ct = self.last_check_time.max(entry.completion);
+        let ct = self.last_check_time.max(completion);
         entry.check_time = ct;
         self.last_check_time = ct;
         self.stats.sync_loads.incr();
         entry.effect = effect;
-        entry.next_pc = self.spec.pc;
+        entry.next_pc = pc_u32(self.spec.pc);
         if let StepEffect::Load { dst, .. } | StepEffect::Atomic { dst, .. } = effect {
-            self.reg_ready[dst.index()] = entry.completion;
+            self.reg_ready[dst.index()] = completion;
         }
         if self.cfg.role.checked() {
             self.fp.absorb(&update_record(&effect));
@@ -406,10 +425,10 @@ impl Core {
     /// re-execution protocol starts from.
     pub fn drain_granted(&mut self, now: Cycle, mem: &mut MemorySystem) {
         while let Some(head) = self.rob.front() {
-            if head.completion == u64::MAX {
+            if head.check_time == u64::MAX {
                 break;
             }
-            if self.cfg.role.checked() && self.granted_at(head.interval_id).is_none() {
+            if self.cfg.role.checked() && self.granted_at(head).is_none() {
                 break;
             }
             let entry = self.rob.pop_front().expect("head exists");
@@ -433,7 +452,8 @@ impl Core {
         self.shadow.resync(&self.retired, false);
         self.fp.reset();
         self.epoch += 1;
-        self.grants.clear();
+        self.grants.fill(u64::MAX);
+        self.atomic_commit = None;
         self.events.clear();
         self.inject.clear();
         self.pending_sync = None;
@@ -460,19 +480,16 @@ impl Core {
     // Retirement.
     // ------------------------------------------------------------------
 
-    /// Reclaims the retired entry's release grant once the last ROB entry
-    /// of its interval leaves the pipeline. A grant only exists after its
-    /// whole interval has dispatched (its fingerprint must have been
-    /// emitted and compared first), and an interval's entries are
-    /// contiguous in program order — so when the new ROB head belongs to a
-    /// different interval, nothing can look this grant up again. Keeps the
-    /// queue at O(in-flight intervals) instead of growing for a whole epoch.
+    /// Frees the retired entry's grant slot once the last ROB entry of its
+    /// interval leaves the pipeline. An entry retires only under its
+    /// interval's grant, which exists only after the whole interval has
+    /// dispatched (its fingerprint must have been emitted and compared
+    /// first), and an interval's entries are contiguous in program order —
+    /// so when the new ROB head belongs to a different interval, nothing
+    /// can look this grant up again.
     fn release_spent_grant(&mut self, entry: &RobEntry) {
-        if self.cfg.role.checked()
-            && self.rob.front().map(|h| h.interval_id) != Some(entry.interval_id)
-            && self.grants.front().map(|&(id, _)| id) == Some(entry.interval_id)
-        {
-            self.grants.pop_front();
+        if self.cfg.role.checked() && self.rob.front().map(|h| h.interval) != Some(entry.interval) {
+            self.grants[entry.grant_slot()] = u64::MAX;
         }
     }
 
@@ -481,11 +498,12 @@ impl Core {
         let mut retired = 0;
         while retired < WIDTH {
             let Some(head) = self.rob.front() else { break };
-            if head.completion == u64::MAX || head.check_time > now_raw {
+            // An entry awaiting a sync fulfillment has `check_time` MAX.
+            if head.check_time > now_raw {
                 break;
             }
             if self.cfg.role.checked() {
-                let Some(granted_at) = self.granted_at(head.interval_id) else {
+                let Some(granted_at) = self.granted_at(head) else {
                     break;
                 };
                 // An interval ending in a serializing instruction drains the
@@ -518,14 +536,14 @@ impl Core {
     /// leader), the store buffer, and the retirement statistics.
     fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
         self.release_spent_grant(&entry);
-        self.retired.pc = entry.next_pc;
+        self.retired.pc = entry.next_pc as usize;
         match entry.effect {
             StepEffect::Reg { dst, value } | StepEffect::Load { dst, value, .. } => {
                 self.retired.regs.write(dst, value);
             }
             StepEffect::Atomic { dst, addr, old, .. } => {
                 self.retired.regs.write(dst, old);
-                if let Some((op, operand)) = entry.atomic_commit {
+                if let Some((op, operand)) = self.atomic_commit.take() {
                     mem.atomic_commit(self.l1, addr, op, operand, old);
                 }
             }
@@ -682,7 +700,6 @@ impl Core {
                 _ => None,
             };
             let mut bound = 0;
-            let mut atomic_commit = None;
             let mut completion = exec_start + inst.op.exec_latency();
             match inst.op {
                 Opcode::Load | Opcode::Atomic(_) if self.single_step => {
@@ -713,7 +730,8 @@ impl Core {
                     completion = acc.done_at.as_u64();
                     // Mute atomics update the private view at read time;
                     // vocal atomics commit to memory at retirement.
-                    atomic_commit = rmw;
+                    debug_assert!(self.atomic_commit.is_none(), "atomics serialize");
+                    self.atomic_commit = rmw;
                 }
                 Opcode::Store => completion = exec_start + 1,
                 Opcode::Membar => completion = exec_start.max(self.last_drain_done),
@@ -769,16 +787,13 @@ impl Core {
                 ct
             };
 
-            let interval_id = self.fp.next_interval_id();
             self.rob.push_back(RobEntry {
-                interval_id,
+                effect,
+                check_time,
+                next_pc: pc_u32(self.spec.pc),
+                interval: self.fp.next_interval_id() as u16,
                 user,
                 serializing,
-                completion,
-                check_time,
-                effect,
-                atomic_commit,
-                next_pc: self.spec.pc,
             });
 
             if self.cfg.role.checked() && !awaiting_sync {
@@ -1018,6 +1033,111 @@ mod tests {
             assert!(peak > 4, "seed {seed}: no chain grew past four");
             assert_eq!(core.stats().peak_store_chain, peak, "seed {seed}");
             assert_eq!(core.stats().store_chain_spills.value(), spills);
+        }
+    }
+
+    /// The grant ring against a list of grants: each in-flight interval
+    /// with its entries in the ROB and its release time once granted.
+    /// Random steps emit intervals into the ROB, grant any in-flight
+    /// interval in any order, retire and roll back; after each, every ROB
+    /// entry must find its interval's grant, and the ring must hold exactly
+    /// the list's grants. Even seeds emit one-entry intervals, so 256 of
+    /// them fill the ROB; odd seeds emit up to three entries each, so
+    /// retirement stops inside an interval.
+    #[test]
+    fn the_grant_ring_agrees_with_a_list_of_grants() {
+        for seed in 0..4 {
+            let mut rng = SimRng::seed_from(0x6A27 ^ seed);
+            let program = Arc::new(Program::new("ring", vec![I::halt()]).unwrap());
+            let mut mem = MemorySystem::new(MemConfig::small());
+            let l1 = mem.register_l1(Owner::vocal(0));
+            let mut core = Core::new(CoreConfig::for_role(Role::Reunion), program, l1, 7);
+            // Oldest first: (interval id, entries in the ROB, release time).
+            let mut in_flight: VecDeque<(u64, usize, Option<u64>)> = VecDeque::new();
+            let mut next_id = 0;
+            let mut peak = 0;
+            for now in 0..16_000u64 {
+                // Every other thousand steps nothing retires or rolls back,
+                // so the ROB fills.
+                let filling = now % 2_000 < 1_000;
+                match rng.below(if filling { 80 } else { 100 }) {
+                    0..=44 => {
+                        let len = 1 + (seed % 2 * rng.below(3)) as usize;
+                        if core.rob.len() + len <= ROB_ENTRIES {
+                            let entry = RobEntry {
+                                effect: StepEffect::Nop,
+                                check_time: 0,
+                                next_pc: 0,
+                                interval: next_id as u16,
+                                user: false,
+                                serializing: false,
+                            };
+                            core.rob.extend(std::iter::repeat_n(entry, len));
+                            in_flight.push_back((next_id, len, None));
+                            next_id += 1;
+                        }
+                    }
+                    45..=79 => {
+                        let ungranted: Vec<usize> = (0..in_flight.len())
+                            .filter(|&i| in_flight[i].2.is_none())
+                            .collect();
+                        if !ungranted.is_empty() {
+                            let i = ungranted[rng.below(ungranted.len() as u64) as usize];
+                            let at = now + rng.below(8);
+                            core.grant(ReleaseGrant {
+                                epoch: core.epoch(),
+                                interval_id: in_flight[i].0,
+                                at: Cycle::new(at),
+                            });
+                            in_flight[i].2 = Some(at);
+                        }
+                    }
+                    80..=98 => {
+                        core.retire(Cycle::new(now), &mut mem);
+                        for _ in 0..WIDTH {
+                            let Some((_, left, Some(at))) = in_flight.front_mut() else {
+                                break;
+                            };
+                            if *at > now {
+                                break;
+                            }
+                            *left -= 1;
+                            if *left == 0 {
+                                in_flight.pop_front();
+                            }
+                        }
+                    }
+                    _ => {
+                        core.rollback(Cycle::new(now));
+                        in_flight.clear();
+                        next_id = 0;
+                    }
+                }
+                peak = peak.max(in_flight.len());
+                let mut rob = core.rob.iter();
+                for &(id, len, at) in &in_flight {
+                    for entry in rob.by_ref().take(len) {
+                        assert_eq!(entry.interval, id as u16, "seed {seed} at {now}");
+                        assert_eq!(core.granted_at(entry), at, "seed {seed} at {now}");
+                    }
+                }
+                assert!(
+                    rob.next().is_none(),
+                    "seed {seed} at {now}: ROB longer than the list"
+                );
+                let held = core.grants.iter().filter(|&&at| at != u64::MAX).count();
+                let granted = in_flight.iter().filter(|g| g.2.is_some()).count();
+                assert_eq!(
+                    held, granted,
+                    "seed {seed} at {now}: ring holds stale grants"
+                );
+            }
+            if seed % 2 == 0 {
+                assert_eq!(
+                    peak, ROB_ENTRIES,
+                    "seed {seed}: the ROB never held 256 intervals"
+                );
+            }
         }
     }
 
@@ -1543,11 +1663,11 @@ mod tests {
         }
     }
 
-    /// The entry carries `execute`'s effect in place of the separate
-    /// register write, store and atomic tuples, and is smaller for it
-    /// (120 bytes before).
+    /// The entry holds what retirement reads: `execute`'s effect, the
+    /// check time, the next PC as 32 bits and the interval id's low 16
+    /// bits.
     #[test]
-    fn a_rob_entry_fits_in_88_bytes() {
-        assert!(std::mem::size_of::<RobEntry>() <= 88);
+    fn a_rob_entry_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<RobEntry>() <= 48);
     }
 }

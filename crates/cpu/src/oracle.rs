@@ -159,16 +159,14 @@ mod tests {
     }
 
     /// A retired entry of the program `li r1, 0x400; st [r1 + 8], r1`.
-    fn entry(effect: StepEffect, next_pc: usize) -> RobEntry {
+    fn entry(effect: StepEffect, next_pc: u32) -> RobEntry {
         RobEntry {
-            interval_id: 0,
+            effect,
+            check_time: 0,
+            next_pc,
+            interval: 0,
             user: true,
             serializing: false,
-            completion: 0,
-            check_time: 0,
-            effect,
-            atomic_commit: None,
-            next_pc,
         }
     }
 

@@ -9,11 +9,28 @@
 /// (divergent predictions only perturb timing). Our cores are seeded
 /// identically so predictions match, keeping slip attributable to the memory
 /// system.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub(crate) struct Gshare {
     table: Vec<u8>,
     history: u64,
     mask: u64,
+}
+
+/// Terse: the history and a 64-bit FNV-1a digest of the counters, not
+/// 4 096 of them. Two predictors that render alike hold the same history
+/// and, short of a digest collision, the same counters.
+impl std::fmt::Debug for Gshare {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let digest = self.table.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &c| {
+            (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01B3)
+        });
+        write!(
+            f,
+            "Gshare {{ history: {:#x}, table: {} counters, fnv {digest:#018x} }}",
+            self.history,
+            self.table.len()
+        )
+    }
 }
 
 impl Gshare {
@@ -102,6 +119,21 @@ mod tests {
         // Two not-taken updates from saturation shouldn't flip all the way.
         // (History shifts, so just check it doesn't panic and still returns.)
         let _ = bp.predict(1);
+    }
+
+    #[test]
+    fn the_rendering_changes_with_any_one_counter() {
+        let bp = Gshare::new(12);
+        let before = format!("{bp:?}");
+        assert!(before.len() < 100, "{before}");
+        for idx in [0, 1, 2_047, 4_095] {
+            let mut changed = bp.clone();
+            changed.table[idx] = 1;
+            assert_ne!(format!("{changed:?}"), before, "counter {idx}");
+        }
+        let mut shifted = bp.clone();
+        shifted.history = 1;
+        assert_ne!(format!("{shifted:?}"), before);
     }
 
     #[test]

@@ -33,6 +33,18 @@ pub struct Cell {
     pub patch: ConfigPatch,
 }
 
+/// A sampling profile that replaces the grid-wide one for the cells of one
+/// workload under one patch (in every mode).
+#[derive(Clone, Debug, PartialEq)]
+pub struct SampleOverride {
+    /// The workload's name.
+    pub workload: String,
+    /// The patch's label.
+    pub patch: String,
+    /// The profile those cells measure under.
+    pub sample: SampleConfig,
+}
+
 /// A declarative description of one experiment: the full cartesian product
 /// of workloads × execution modes × configuration patches, plus how to
 /// measure each cell.
@@ -64,7 +76,7 @@ pub struct ExperimentGrid {
     caption: String,
     metric: Metric,
     sample: SampleConfig,
-    sample_overrides: Vec<(String, SampleConfig)>,
+    sample_overrides: Vec<SampleOverride>,
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
@@ -107,24 +119,24 @@ impl ExperimentGrid {
         self.metric
     }
 
-    /// The sampling profile shared by every cell (unless overridden per
-    /// workload — see [`cell_sample`](Self::cell_sample)).
+    /// The sampling profile shared by every cell (unless overridden for a
+    /// workload and patch — see [`cell_sample`](Self::cell_sample)).
     pub fn sample(&self) -> &SampleConfig {
         &self.sample
     }
 
-    /// Per-workload sampling overrides, in declaration order.
-    pub fn sample_overrides(&self) -> &[(String, SampleConfig)] {
+    /// Sampling overrides, in declaration order.
+    pub fn sample_overrides(&self) -> &[SampleOverride] {
         &self.sample_overrides
     }
 
-    /// The sampling profile one cell measures under: the workload's
-    /// override if one was declared, the grid-wide profile otherwise.
+    /// The sampling profile one cell measures under: the override declared
+    /// for its workload and patch, if any, the grid-wide profile otherwise.
     pub fn cell_sample(&self, cell: &Cell) -> &SampleConfig {
         self.sample_overrides
             .iter()
-            .find(|(name, _)| name == cell.workload.name())
-            .map(|(_, s)| s)
+            .find(|o| o.workload == cell.workload.name() && o.patch == cell.patch.label())
+            .map(|o| &o.sample)
             .unwrap_or(&self.sample)
     }
 
@@ -164,7 +176,7 @@ pub struct GridBuilder {
     caption: String,
     metric: Metric,
     sample: SampleConfig,
-    sample_overrides: Vec<(String, SampleConfig)>,
+    sample_overrides: Vec<SampleOverride>,
     base: fn(ExecutionMode) -> SystemConfig,
     engine: Engine,
     obs: ObsConfig,
@@ -187,15 +199,27 @@ impl GridBuilder {
         self
     }
 
-    /// Overrides the sampling profile for one workload's cells.
+    /// Overrides the sampling profile for the cells of one workload under
+    /// the patch labelled `patch`.
     ///
-    /// Used where a workload's event rate is below the single-event
-    /// resolution of the shared profile: `table3` widens em3d's measured
-    /// window until one input-incoherence event resolves inside the
-    /// paper's band. Overrides are part of the grid contract and are
-    /// recorded in the report (and shard-manifest headers).
-    pub fn sample_override(mut self, workload: impl Into<String>, sample: SampleConfig) -> Self {
-        self.sample_overrides.push((workload.into(), sample));
+    /// Used where a cell's event rate is below the single-event resolution
+    /// of the shared profile: `table3` widens em3d's measured window under
+    /// global phantoms until one input-incoherence event resolves inside
+    /// the paper's band, and leaves em3d's other phantom strengths, which
+    /// resolve thousands of events, at the shared profile. Overrides are
+    /// part of the grid contract and are recorded in the report (and
+    /// shard-manifest headers).
+    pub fn sample_override(
+        mut self,
+        workload: impl Into<String>,
+        patch: impl Into<String>,
+        sample: SampleConfig,
+    ) -> Self {
+        self.sample_overrides.push(SampleOverride {
+            workload: workload.into(),
+            patch: patch.into(),
+            sample,
+        });
         self
     }
 
@@ -256,8 +280,9 @@ impl GridBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any axis is empty or two patches share a label (labels are
-    /// the lookup key within a report).
+    /// Panics if any axis is empty, two patches share a label (labels are
+    /// the lookup key within a report), or a sample override names a
+    /// workload or patch label the grid does not have.
     pub fn build(self) -> ExperimentGrid {
         assert!(
             !self.workloads.is_empty(),
@@ -294,12 +319,18 @@ impl GridBuilder {
                 }
             }
         }
-        for (workload, _) in &self.sample_overrides {
+        for o in &self.sample_overrides {
             assert!(
-                self.workloads.iter().any(|w| w.name() == workload),
+                self.workloads.iter().any(|w| w.name() == o.workload),
                 "grid {:?}: sample override for unknown workload {:?}",
                 self.id,
-                workload
+                o.workload
+            );
+            assert!(
+                self.patches.iter().any(|p| p.label() == o.patch),
+                "grid {:?}: sample override for unknown patch {:?}",
+                self.id,
+                o.patch
             );
         }
         ExperimentGrid {
@@ -435,13 +466,15 @@ mod tests {
         };
         let grid = ExperimentGrid::builder("t", "t")
             .sample(SampleConfig::quick())
-            .sample_override("moldyn", wide)
+            .sample_override("moldyn", "wide", wide)
             .workloads(two_workloads())
+            .patches(vec![ConfigPatch::new("narrow"), ConfigPatch::new("wide")])
             .build();
-        let sparse = &grid.cells()[0];
-        let moldyn = &grid.cells()[1];
-        assert_eq!(grid.cell_sample(sparse), &SampleConfig::quick());
-        assert_eq!(grid.cell_sample(moldyn), &wide);
+        let samples: Vec<&SampleConfig> =
+            grid.cells().iter().map(|c| grid.cell_sample(c)).collect();
+        let quick = &SampleConfig::quick();
+        // sparse × {narrow, wide}, then moldyn × {narrow, wide}.
+        assert_eq!(samples, [quick, quick, quick, &wide]);
         assert_eq!(grid.sample_overrides().len(), 1);
     }
 
@@ -449,7 +482,16 @@ mod tests {
     #[should_panic(expected = "sample override for unknown workload")]
     fn sample_override_must_name_a_grid_workload() {
         ExperimentGrid::builder("t", "t")
-            .sample_override("nope", SampleConfig::quick())
+            .sample_override("nope", "base", SampleConfig::quick())
+            .workloads(two_workloads())
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "sample override for unknown patch")]
+    fn sample_override_must_name_a_grid_patch() {
+        ExperimentGrid::builder("t", "t")
+            .sample_override("moldyn", "nope", SampleConfig::quick())
             .workloads(two_workloads())
             .build();
     }

@@ -145,7 +145,7 @@ mod report;
 mod runner;
 mod shard;
 
-pub use grid::{Cell, ExperimentGrid, GridBuilder, Metric};
+pub use grid::{Cell, ExperimentGrid, GridBuilder, Metric, SampleOverride};
 pub use json::{parse_json, JsonParseError, JsonValue, JsonWriter};
 pub use manifest::{read_manifest, ManifestHeader, ShardManifest};
 pub use merge::{merge_manifests, MergeError};

@@ -22,6 +22,7 @@ use std::path::Path;
 
 use reunion_core::{ObsConfig, SampleConfig};
 
+use crate::grid::SampleOverride;
 use crate::json::{parse_json, JsonValue, JsonWriter};
 use crate::report::{
     sample_from_json, sample_override_from_json, str_field, u64_field, write_sample_json,
@@ -46,8 +47,8 @@ pub struct ManifestHeader {
     pub cells: usize,
     /// The grid-wide sampling profile.
     pub sample: SampleConfig,
-    /// Per-workload sampling overrides, in grid declaration order.
-    pub sample_overrides: Vec<(String, SampleConfig)>,
+    /// Sampling overrides, in grid declaration order.
+    pub sample_overrides: Vec<SampleOverride>,
     /// Observability configuration the shard ran under. Part of the merge
     /// contract: records carrying `observability` blocks must not merge
     /// with records that lack them. Serialized only when enabled, so
@@ -85,8 +86,8 @@ impl ManifestHeader {
         write_sample_json(&mut w, &self.sample);
         w.key("sample_overrides");
         w.begin_array();
-        for (workload, sample) in &self.sample_overrides {
-            write_sample_override_json(&mut w, workload, sample);
+        for o in &self.sample_overrides {
+            write_sample_override_json(&mut w, o);
         }
         w.end_array();
         if self.obs.enabled {
@@ -274,14 +275,15 @@ mod tests {
             shard,
             cells: 6,
             sample: SampleConfig::quick(),
-            sample_overrides: vec![(
-                "em3d".to_string(),
-                SampleConfig {
+            sample_overrides: vec![SampleOverride {
+                workload: "em3d".to_string(),
+                patch: "global".to_string(),
+                sample: SampleConfig {
                     warmup: 1,
                     window: 2,
                     windows: 3,
                 },
-            )],
+            }],
             obs: ObsConfig::default(),
         }
     }

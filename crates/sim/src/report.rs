@@ -9,6 +9,7 @@ use reunion_core::{
 };
 use reunion_workloads::{Workload, WorkloadClass};
 
+use crate::grid::SampleOverride;
 use crate::json::{JsonValue, JsonWriter};
 
 /// Flattened single-system measurement (one side of a matched pair).
@@ -258,25 +259,26 @@ pub(crate) fn sample_from_json(v: &JsonValue) -> Result<SampleConfig, String> {
     })
 }
 
-/// Writes one per-workload sampling override in the flat
-/// `{workload, warmup, window, windows}` shape — the one schema shared by
-/// `BENCH_<id>.json` reports and shard-manifest headers.
-pub(crate) fn write_sample_override_json(
-    w: &mut JsonWriter,
-    workload: &str,
-    sample: &SampleConfig,
-) {
+/// Writes one sampling override in the flat
+/// `{workload, patch, warmup, window, windows}` shape — the one schema
+/// shared by `BENCH_<id>.json` reports and shard-manifest headers.
+pub(crate) fn write_sample_override_json(w: &mut JsonWriter, o: &SampleOverride) {
     w.begin_object();
-    w.field_str("workload", workload);
-    w.field_u64("warmup", sample.warmup);
-    w.field_u64("window", sample.window);
-    w.field_u64("windows", sample.windows as u64);
+    w.field_str("workload", &o.workload);
+    w.field_str("patch", &o.patch);
+    w.field_u64("warmup", o.sample.warmup);
+    w.field_u64("window", o.sample.window);
+    w.field_u64("windows", o.sample.windows as u64);
     w.end_object();
 }
 
 /// Parses the flat override shape written by [`write_sample_override_json`].
-pub(crate) fn sample_override_from_json(v: &JsonValue) -> Result<(String, SampleConfig), String> {
-    Ok((str_field(v, "workload")?.to_string(), sample_from_json(v)?))
+pub(crate) fn sample_override_from_json(v: &JsonValue) -> Result<SampleOverride, String> {
+    Ok(SampleOverride {
+        workload: str_field(v, "workload")?.to_string(),
+        patch: str_field(v, "patch")?.to_string(),
+        sample: sample_from_json(v)?,
+    })
 }
 
 /// Matched-pair result: the model system and its non-redundant baseline.
@@ -474,11 +476,11 @@ pub struct ExperimentReport {
     pub id: String,
     /// Human-readable caption.
     pub caption: String,
-    /// Sampling profile every cell used, unless overridden per workload.
+    /// Sampling profile every cell used, unless overridden.
     pub sample: SampleConfig,
-    /// Per-workload sampling overrides (e.g. `table3` widens em3d's
-    /// measured window); empty for most grids.
-    pub sample_overrides: Vec<(String, SampleConfig)>,
+    /// Sampling overrides by workload and patch (`table3` widens em3d's
+    /// measured window under global phantoms); empty for most grids.
+    pub sample_overrides: Vec<SampleOverride>,
     /// One record per grid cell, in grid enumeration order.
     pub records: Vec<RunRecord>,
 }
@@ -546,8 +548,8 @@ impl ExperimentReport {
         if !self.sample_overrides.is_empty() {
             w.key("sample_overrides");
             w.begin_array();
-            for (workload, sample) in &self.sample_overrides {
-                write_sample_override_json(&mut w, workload, sample);
+            for o in &self.sample_overrides {
+                write_sample_override_json(&mut w, o);
             }
             w.end_array();
         }

@@ -401,20 +401,19 @@ mod tests {
     }
 
     /// Two cheap workloads, one of them (moldyn, cells 2 and 3) widened to
-    /// many times the other's sampling windows.
+    /// many times the other's sampling windows under both patches.
     fn widened_moldyn_grid(metric: Metric) -> ExperimentGrid {
+        let wide = SampleConfig {
+            warmup: 10_000,
+            window: 10_000,
+            windows: 20,
+        };
         ExperimentGrid::builder("t", "t")
             .metric(metric)
             .base(SystemConfig::small_test)
             .sample(SampleConfig::quick())
-            .sample_override(
-                "moldyn",
-                SampleConfig {
-                    warmup: 10_000,
-                    window: 10_000,
-                    windows: 20,
-                },
-            )
+            .sample_override("moldyn", "a", wide)
+            .sample_override("moldyn", "b", wide)
             .workloads(vec![
                 Workload::by_name("sparse").unwrap(),
                 Workload::by_name("moldyn").unwrap(),
@@ -454,7 +453,7 @@ mod tests {
             .metric(Metric::Raw)
             .base(SystemConfig::small_test)
             .sample(SampleConfig::quick())
-            .sample_override("moldyn", wide)
+            .sample_override("moldyn", "base", wide)
             .workloads(vec![
                 Workload::by_name("sparse").unwrap(),
                 Workload::by_name("moldyn").unwrap(),

@@ -49,13 +49,13 @@ fn small_sample() -> SampleConfig {
     }
 }
 
-/// A grid with heterogeneous cells: two workloads, one with a widened
-/// sampling override (the `table3` em3d shape), two modes, two patches.
+/// A grid with heterogeneous cells: two workloads, two modes, two patches,
+/// and one workload widened under one patch (the `table3` em3d shape).
 fn grid(sample: SampleConfig) -> ExperimentGrid {
     ExperimentGrid::builder("shardprop", "sharding property grid")
         .base(SystemConfig::small_test)
         .sample(sample)
-        .sample_override("moldyn", small_sample().widened(3))
+        .sample_override("moldyn", "lat=0", small_sample().widened(3))
         .workloads(vec![
             Workload::by_name("sparse").unwrap(),
             Workload::by_name("moldyn").unwrap(),
