@@ -10,6 +10,10 @@ use reunion_mem::MemorySystem;
 
 use crate::CheckBus;
 
+/// Cycles a re-execution may run before the pair escalates it (defensive
+/// bound; the protocol itself guarantees forward progress, Lemma 2).
+const RECOVERY_TIMEOUT: u64 = 100_000;
+
 /// Which phase of the re-execution protocol a recovering pair is in
 /// (Figure 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,19 +86,14 @@ pub struct PairDriver {
     pending_mismatch: Option<Cycle>,
     recovery_started: u64,
     stats: PairStats,
-    /// Cycles after which a stuck recovery escalates (defensive bound; the
-    /// protocol itself guarantees forward progress, Lemma 2).
-    recovery_timeout: u64,
-    /// Gate for all per-tick observability recording; kept as one bool so
-    /// the hot path pays a single predictable branch when off.
-    obs_enabled: bool,
     /// Logical-processor index stamped into trace events.
     lp: u32,
     /// Cycle of the previous input-incoherence event (never reset across
     /// windows: inter-arrival gaps span window boundaries).
     last_incoherence: Option<u64>,
     /// Bounded check-protocol event trace, present only under
-    /// observability (boxed: it never burdens the default-off layout).
+    /// observability (boxed: it never burdens the default-off layout). Its
+    /// presence gates all per-tick observability recording.
     trace: Option<Box<EventTrace>>,
 }
 
@@ -129,8 +128,6 @@ impl PairDriver {
             pending_mismatch: None,
             recovery_started: 0,
             stats: PairStats::default(),
-            recovery_timeout: 100_000,
-            obs_enabled: false,
             lp: 0,
             last_incoherence: None,
             trace: None,
@@ -141,7 +138,6 @@ impl PairDriver {
     /// incoherence-gap histograms plus a bounded event trace of `trace_cap`
     /// events, stamped with logical-processor index `lp`.
     pub(crate) fn enable_observability(&mut self, lp: u32, trace_cap: usize) {
-        self.obs_enabled = true;
         self.lp = lp;
         self.trace = Some(Box::new(EventTrace::with_capacity(trace_cap)));
     }
@@ -229,13 +225,14 @@ impl PairDriver {
             self.mute.push_lvq(self.vocal.drain_load_values());
         }
 
-        self.collect_events();
+        self.vocal.drain_check_events_into(&mut self.vocal_events);
+        self.mute.drain_check_events_into(&mut self.mute_events);
         if let Some(detect_at) = self.pending_mismatch {
             // Recovery begins when the later fingerprint has arrived and
             // the comparator has seen the difference.
             if now >= detect_at {
                 self.pending_mismatch = None;
-                self.begin_mismatch_recovery(now, mem);
+                self.mismatch_detected(now, mem);
             }
         } else {
             self.compare_and_release(now, mem, bus);
@@ -277,7 +274,7 @@ impl PairDriver {
         horizon.note_opt(vocal);
         horizon.note_opt(mute);
         if self.phase != RecoveryPhase::Normal {
-            let escalate = self.recovery_started + self.recovery_timeout + 1;
+            let escalate = self.recovery_started + RECOVERY_TIMEOUT + 1;
             horizon.note(Cycle::new(escalate).max(from));
         }
         if let Some(detect_at) = self.pending_mismatch {
@@ -300,21 +297,30 @@ impl PairDriver {
             && (self.vocal_events.is_empty() || self.mute_events.is_empty())
     }
 
-    /// Escalation bookkeeping shared by deferred-mismatch recovery.
-    fn begin_mismatch_recovery(&mut self, now: Cycle, mem: &mut MemorySystem) {
+    /// The comparator's trigger: the fingerprints at the head of both
+    /// queues differ, and the difference has crossed the channel.
+    fn mismatch_detected(&mut self, now: Cycle, mem: &mut MemorySystem) {
         self.stats.mismatches.incr();
-        if self.obs_enabled {
+        if self.trace.is_some() {
             let interval = self
                 .vocal_events
                 .front()
-                .map(|e| e.fingerprint.interval_id)
-                .unwrap_or(0);
+                .map_or(0, |e| e.fingerprint.interval_id);
             self.trace_event(now.as_u64(), TraceKind::Mismatch, interval);
         }
+        self.escalate(now, mem);
+    }
+
+    /// Figure 4's ladder, climbed one rung per divergence: normal execution
+    /// to phase one, phase one to phase two, phase two to failure. Its
+    /// three triggers — the comparator, a synchronizing request the two
+    /// halves disagree on, and the recovery timeout — count their own
+    /// evidence and call this.
+    fn escalate(&mut self, now: Cycle, mem: &mut MemorySystem) {
         match self.phase {
             RecoveryPhase::Normal => {
                 self.stats.input_incoherence.incr();
-                if self.obs_enabled {
+                if self.trace.is_some() {
                     // Inter-arrival gap to the previous incoherence event.
                     // `last_incoherence` survives window resets: a gap
                     // straddling a boundary is credited to the window in
@@ -326,7 +332,7 @@ impl PairDriver {
                     }
                     self.last_incoherence = Some(now.as_u64());
                 }
-                self.start_recovery(now, mem, RecoveryPhase::Phase1)
+                self.start_recovery(now, mem, RecoveryPhase::Phase1);
             }
             RecoveryPhase::Phase1 => {
                 self.stats.phase2_recoveries.incr();
@@ -336,29 +342,8 @@ impl PairDriver {
         }
     }
 
-    fn collect_events(&mut self) {
-        let ve = self.vocal.epoch();
-        let me = self.mute.epoch();
-        self.vocal
-            .drain_check_events_into(ve, &mut self.vocal_events);
-        self.mute.drain_check_events_into(me, &mut self.mute_events);
-    }
-
     fn compare_and_release(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
-        loop {
-            let (Some(v), Some(m)) = (self.vocal_events.front(), self.mute_events.front()) else {
-                return;
-            };
-            // Drop stale-epoch events defensively.
-            if v.epoch != self.vocal.epoch() {
-                self.vocal_events.pop_front();
-                continue;
-            }
-            if m.epoch != self.mute.epoch() {
-                self.mute_events.pop_front();
-                continue;
-            }
-
+        while let (Some(v), Some(m)) = (self.vocal_events.front(), self.mute_events.front()) {
             let matched = v.fingerprint == m.fingerprint;
 
             // Both fingerprints cross the shared check bus regardless of
@@ -400,16 +385,14 @@ impl PairDriver {
                     }
                 }
                 self.vocal.grant(ReleaseGrant {
-                    epoch: v.epoch,
                     interval_id,
                     at: release_v,
                 });
                 self.mute.grant(ReleaseGrant {
-                    epoch: m.epoch,
                     interval_id,
                     at: release_m,
                 });
-                if self.obs_enabled {
+                if self.trace.is_some() {
                     // Round trip as the vocal core experiences it: interval
                     // ready at the check stage -> release grant back.
                     self.stats
@@ -432,7 +415,7 @@ impl PairDriver {
                 // have crossed the channel.
                 let detect_at = v_sent.max(m_sent) + self.comparison_latency;
                 if now >= detect_at {
-                    self.begin_mismatch_recovery(now, mem);
+                    self.mismatch_detected(now, mem);
                 } else {
                     self.pending_mismatch = Some(detect_at);
                 }
@@ -443,45 +426,41 @@ impl PairDriver {
 
     fn start_recovery(&mut self, now: Cycle, mem: &mut MemorySystem, phase: RecoveryPhase) {
         self.stats.recoveries.incr();
-        if self.obs_enabled {
-            self.trace_event(now.as_u64(), TraceKind::Recovery, 0);
-        }
-        // Both cores first apply every already-compared interval so their
-        // rollback lands on identical safe states (the common case of the
-        // protocol; Figure 4).
+        self.trace_event(now.as_u64(), TraceKind::Recovery, 0);
+        self.restore_safe_state(now, mem, phase == RecoveryPhase::Phase2);
+        self.vocal.begin_single_step();
+        self.mute.begin_single_step();
+        self.phase = phase;
+        self.recovery_started = now.as_u64();
+    }
+
+    /// Returns both cores to the pair's safe state (Figure 4). Both first
+    /// apply every already-compared interval, so their rollbacks land on
+    /// identical retired states in the common case; `copy_arf` then
+    /// initializes the mute ARF from the vocal's (Definition 9). Nothing
+    /// compared, detected or synchronized before the rollback survives it.
+    fn restore_safe_state(&mut self, now: Cycle, mem: &mut MemorySystem, copy_arf: bool) {
         self.vocal.drain_granted(now, mem);
         self.mute.drain_granted(now, mem);
         self.vocal.rollback(now);
         self.mute.rollback(now);
-        if phase == RecoveryPhase::Phase2 {
-            // Definition 9 / Figure 4: initialize the mute ARF from the
-            // vocal's safe state.
+        if copy_arf {
             let safe = self.vocal.arch_state().clone();
             self.mute.copy_arch_state_from(&safe);
         }
         self.vocal_events.clear();
         self.mute_events.clear();
-        self.vocal.begin_single_step();
-        self.mute.begin_single_step();
-        self.phase = phase;
         self.sync_interval = None;
         self.pending_mismatch = None;
-        self.recovery_started = now.as_u64();
     }
 
     fn drive_recovery(&mut self, now: Cycle, mem: &mut MemorySystem) {
         if let (Some(v), Some(m)) = (self.vocal.pending_sync(), self.mute.pending_sync()) {
-            if v.addr != m.addr || v.rmw != m.rmw {
+            if v != m {
                 // The two halves disagree about the very instruction to
-                // synchronize: their architectural state diverged. Escalate.
-                match self.phase {
-                    RecoveryPhase::Phase1 => {
-                        self.stats.mismatches.incr();
-                        self.stats.phase2_recoveries.incr();
-                        self.start_recovery(now, mem, RecoveryPhase::Phase2);
-                    }
-                    _ => self.declare_failure(now, mem),
-                }
+                // synchronize: their architectural state diverged.
+                self.stats.mismatches.incr();
+                self.escalate(now, mem);
                 return;
             }
             // Both halves have reached the first memory read: issue one
@@ -493,16 +472,10 @@ impl PairDriver {
             self.sync_interval = Some(self.vocal.next_interval_id());
             self.vocal.fulfill_sync(outcome.value, outcome.done_at);
             self.mute.fulfill_sync(outcome.value, outcome.done_at);
-        } else if now.as_u64().saturating_sub(self.recovery_started) > self.recovery_timeout {
+        } else if now.as_u64().saturating_sub(self.recovery_started) > RECOVERY_TIMEOUT {
             // Defensive: the protocol guarantees progress, but a halted or
             // wedged core must not hang the simulation.
-            match self.phase {
-                RecoveryPhase::Phase1 => {
-                    self.stats.phase2_recoveries.incr();
-                    self.start_recovery(now, mem, RecoveryPhase::Phase2);
-                }
-                _ => self.declare_failure(now, mem),
-            }
+            self.escalate(now, mem);
         }
     }
 
@@ -518,21 +491,9 @@ impl PairDriver {
     /// pair back into a consistent state so the run can continue.
     fn declare_failure(&mut self, now: Cycle, mem: &mut MemorySystem) {
         self.stats.failures.incr();
-        if self.obs_enabled {
-            self.trace_event(now.as_u64(), TraceKind::Failure, 0);
-        }
-        self.vocal.drain_granted(now, mem);
-        self.mute.drain_granted(now, mem);
-        self.vocal.rollback(now);
-        self.mute.rollback(now);
-        let safe = self.vocal.arch_state().clone();
-        self.mute.copy_arch_state_from(&safe);
-        self.vocal_events.clear();
-        self.mute_events.clear();
-        self.vocal.end_single_step();
-        self.mute.end_single_step();
-        self.phase = RecoveryPhase::Normal;
-        self.sync_interval = None;
+        self.trace_event(now.as_u64(), TraceKind::Failure, 0);
+        self.restore_safe_state(now, mem, true);
+        self.finish_recovery();
     }
 }
 
@@ -582,10 +543,64 @@ mod tests {
 
         fn run(&mut self, cycles: u64) {
             for _ in 0..cycles {
-                self.pair
-                    .tick(Cycle::new(self.now), &mut self.mem, &mut self.bus);
-                self.now += 1;
+                self.tick();
             }
+        }
+
+        fn tick(&mut self) {
+            self.pair
+                .tick(Cycle::new(self.now), &mut self.mem, &mut self.bus);
+            self.now += 1;
+        }
+
+        /// Ticks until the pair enters `phase`, for at most `limit` cycles.
+        fn run_until(&mut self, phase: RecoveryPhase, limit: u64) {
+            for _ in 0..limit {
+                self.tick();
+                if self.pair.phase() == phase {
+                    return;
+                }
+            }
+            panic!("the pair did not reach {phase:?} in {limit} cycles");
+        }
+
+        /// Overwrites the mute's safe state through `corrupt`, as if a
+        /// fingerprint had aliased a divergence into it.
+        fn corrupt_mute(&mut self, corrupt: impl FnOnce(&mut reunion_isa::ArchState)) {
+            let mut state = self.pair.mute().arch_state().clone();
+            corrupt(&mut state);
+            self.pair.mute_mut().copy_arch_state_from(&state);
+        }
+
+        /// The five ladder counters: mismatches, input incoherence,
+        /// recoveries, phase-two recoveries, failures.
+        fn ladder(&self) -> [u64; 5] {
+            let s = self.pair.stats();
+            [
+                s.mismatches.value(),
+                s.input_incoherence.value(),
+                s.recoveries.value(),
+                s.phase2_recoveries.value(),
+                s.failures.value(),
+            ]
+        }
+
+        /// Traced mismatch, recovery and failure events.
+        fn traced(&mut self) -> [usize; 3] {
+            let trace = self.pair.trace_mut().expect("observability is on");
+            [TraceKind::Mismatch, TraceKind::Recovery, TraceKind::Failure]
+                .map(|kind| trace.iter().filter(|e| e.kind == kind).count())
+        }
+
+        /// Asserts the pair is back in normal execution and still retires.
+        fn assert_recovered(&mut self) {
+            assert_eq!(self.pair.phase(), RecoveryPhase::Normal);
+            let retired = self.pair.retired_user();
+            self.run(2_000);
+            assert!(
+                self.pair.retired_user() > retired,
+                "the pair stopped retiring at {retired}"
+            );
         }
     }
 
@@ -595,6 +610,28 @@ mod tests {
             I::alu_imm(reunion_isa::AluOp::Xor, r(2), r(1), 0x55),
             I::jump(0),
         ]
+    }
+
+    /// A loop around one load (re-execution ends at its synchronizing
+    /// request), with an unreachable `halt` at [`HALT_PC`].
+    fn load_loop() -> Vec<I> {
+        vec![
+            I::load_imm(r(1), 0x5000),
+            I::load(r(2), r(1), 0),
+            I::alu(reunion_isa::AluOp::Add, r(3), r(3), r(2)),
+            I::jump(1),
+            I::halt(),
+        ]
+    }
+
+    const HALT_PC: usize = 4;
+
+    /// A Reunion pair running [`load_loop`] that traces every event of the
+    /// runs below.
+    fn ladder_rig() -> Rig {
+        let mut rig = Rig::new(load_loop(), false);
+        rig.pair.enable_observability(0, 1 << 16);
+        rig
     }
 
     #[test]
@@ -721,16 +758,14 @@ mod tests {
             hash: 0x1d0f,
         };
         let mute = Fingerprint { count: 4, ..vocal };
-        let event = |epoch, fingerprint| CheckEvent {
-            epoch,
+        let event = |fingerprint| CheckEvent {
             fingerprint,
             ready_at: Cycle::new(0),
             serializing: false,
         };
         let pair = &mut rig.pair;
-        pair.vocal_events
-            .push_back(event(pair.vocal.epoch(), vocal));
-        pair.mute_events.push_back(event(pair.mute.epoch(), mute));
+        pair.vocal_events.push_back(event(vocal));
+        pair.mute_events.push_back(event(mute));
         pair.compare_and_release(Cycle::new(100), &mut rig.mem, &mut rig.bus);
         assert_eq!(pair.stats().mismatches.value(), 1);
         assert_eq!(pair.stats().recoveries.value(), 1);
@@ -744,15 +779,18 @@ mod tests {
         assert_eq!(stats.check_latency.min(), Some(5));
     }
 
+    /// The comparator's rung: a fingerprint difference in normal
+    /// execution starts phase one, which the synchronizing request ends.
     #[test]
     fn soft_error_on_mute_is_detected_and_recovered() {
-        let mut rig = Rig::new(counting_loop(), false);
+        let mut rig = ladder_rig();
         rig.pair.mute_mut().inject_soft_error_at(50, 7);
-        rig.run(5000);
-        assert_eq!(rig.pair.stats().mismatches.value(), 1);
-        assert_eq!(rig.pair.stats().recoveries.value(), 1);
-        assert_eq!(rig.pair.stats().failures.value(), 0);
-        assert!(rig.pair.retired_user() > 100);
+        rig.run_until(RecoveryPhase::Phase1, 5_000);
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
+        assert_eq!(rig.traced(), [1, 1, 0]);
+        assert_eq!(rig.pair.stats().sync_requests.value(), 1);
     }
 
     #[test]
@@ -769,37 +807,86 @@ mod tests {
         );
     }
 
+    /// Simulates fingerprint aliasing having let divergent state retire:
+    /// the mute's load base diverges, so the comparator starts phase one
+    /// and the two halves then disagree about the address to synchronize.
+    /// Leaves the pair at the start of phase two.
+    fn diverge_into_phase2(rig: &mut Rig) {
+        rig.run(1_000);
+        // r1 has no in-flight writers, so the corruption survives into the
+        // retired state.
+        rig.corrupt_mute(|s| s.regs.write(r(1), 0x5008));
+        rig.run_until(RecoveryPhase::Phase1, 20_000);
+        assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
+        rig.run_until(RecoveryPhase::Phase2, 20_000);
+    }
+
+    /// The synchronizing request's rung: it counts a mismatch and traces
+    /// none, and phase two's ARF copy repairs the divergence.
     #[test]
     fn retired_divergence_escalates_to_phase2() {
-        // Simulate fingerprint aliasing having let divergent state retire:
-        // corrupt the mute's retired ARF directly, then force detection.
-        let code = vec![
-            I::load_imm(r(1), 0x5000),
-            I::load(r(2), r(1), 0),
-            I::alu(reunion_isa::AluOp::Add, r(3), r(3), r(2)),
-            I::jump(1),
-        ];
-        let mut rig = Rig::new(code, false);
-        rig.run(1000);
-        // Corrupt mute safe state: r1 (the load base) diverges, so the two
-        // halves will even disagree about which address to synchronize.
-        // (r1 has no in-flight writers, so the corruption survives into the
-        // retired state — as if an aliased fingerprint had let it retire.)
-        let mut corrupted = rig.pair.mute().arch_state().clone();
-        corrupted.regs.write(r(1), 0x5008);
-        rig.pair.mute_mut().copy_arch_state_from(&corrupted);
-        rig.run(20_000);
-        assert!(
-            rig.pair.stats().phase2_recoveries.value() >= 1,
-            "phase 2 must trigger"
-        );
-        assert_eq!(rig.pair.stats().failures.value(), 0);
-        assert_eq!(rig.pair.phase(), RecoveryPhase::Normal);
-        // After phase 2 the pair agrees again and keeps retiring.
+        let mut rig = ladder_rig();
+        diverge_into_phase2(&mut rig);
+        assert_eq!(rig.ladder(), [2, 1, 2, 1, 0]);
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [2, 1, 2, 1, 0]);
+        assert_eq!(rig.traced(), [1, 2, 0]);
         assert_eq!(
             rig.pair.vocal().arch_state().regs.read(r(3)),
             rig.pair.mute().arch_state().regs.read(r(3))
         );
+    }
+
+    /// The timeout's rung: a mute wedged on a `halt` in phase one never
+    /// raises its synchronizing request, so after `RECOVERY_TIMEOUT`
+    /// cycles the pair escalates to phase two, whose ARF copy moves the
+    /// mute off the halt. The timeout counts nothing of its own.
+    #[test]
+    fn a_wedged_phase_one_times_out_into_phase2() {
+        let mut rig = ladder_rig();
+        rig.pair.mute_mut().inject_soft_error_at(50, 7);
+        rig.run_until(RecoveryPhase::Phase1, 5_000);
+        let started = rig.now;
+        // Right after the rollback the ROB is empty: the PC sticks.
+        rig.corrupt_mute(|s| s.pc = HALT_PC);
+        rig.run(100);
+        assert!(rig.pair.mute().is_halted());
+        rig.run_until(RecoveryPhase::Phase2, RECOVERY_TIMEOUT);
+        assert!(rig.now - started > RECOVERY_TIMEOUT);
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [1, 1, 2, 1, 0]);
+        assert_eq!(rig.traced(), [1, 2, 0]);
+    }
+
+    /// The top rung: a divergence in phase two is a detected failure, which
+    /// restores the pair to the vocal's safe state and resumes it.
+    #[test]
+    fn a_divergence_in_phase2_is_a_failure() {
+        let mut rig = ladder_rig();
+        diverge_into_phase2(&mut rig);
+        rig.corrupt_mute(|s| s.regs.write(r(1), 0x5008));
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [3, 1, 2, 1, 1]);
+        assert_eq!(rig.traced(), [1, 2, 1]);
+    }
+
+    /// A failure restores the safe state, so a difference detected before
+    /// it is forgotten: it must not start a recovery or count input
+    /// incoherence when its detection time comes.
+    #[test]
+    fn a_failure_forgets_the_pending_mismatch() {
+        let mut rig = ladder_rig();
+        diverge_into_phase2(&mut rig);
+        let now = Cycle::new(rig.now);
+        rig.pair.pending_mismatch = Some(now + 300);
+        rig.pair.declare_failure(now, &mut rig.mem);
+        rig.run(600);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [2, 1, 2, 1, 1]);
+        assert_eq!(rig.traced(), [1, 2, 1]);
     }
 
     #[test]
@@ -912,8 +999,7 @@ mod tests {
         rig.run(5_000);
         assert_eq!(rig.pair.next_activity_at(Cycle::new(rig.now)), None);
         let pair = &mut rig.pair;
-        let event = |epoch, count| CheckEvent {
-            epoch,
+        let event = |count| CheckEvent {
             fingerprint: Fingerprint {
                 interval_id: 9,
                 count,
@@ -922,8 +1008,8 @@ mod tests {
             ready_at: Cycle::new(0),
             serializing: false,
         };
-        pair.vocal_events.push_back(event(pair.vocal.epoch(), 1));
-        pair.mute_events.push_back(event(pair.mute.epoch(), 2));
+        pair.vocal_events.push_back(event(1));
+        pair.mute_events.push_back(event(2));
         let now = Cycle::new(rig.now);
         assert_eq!(pair.next_activity_at(now), Some(now), "the comparator runs");
         let detect_at = now + 300;

@@ -226,7 +226,6 @@ mod tests {
         let head = &events[0];
         let at = Cycle::new(now + 400);
         core.grant(ReleaseGrant {
-            epoch: head.epoch,
             interval_id: head.fingerprint.interval_id,
             at,
         });

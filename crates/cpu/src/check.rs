@@ -6,15 +6,18 @@ use reunion_kernel::Cycle;
 
 /// A fingerprint emitted by a core's check stage at an interval boundary.
 ///
-/// The pair driver collects events from both cores, drops stale epochs,
-/// compares the two fingerprints for equality (interval id, instruction
-/// count and hash), and answers with a [`ReleaseGrant`] on a match or
-/// begins recovery on a mismatch.
+/// The pair driver collects events from both cores, compares the two
+/// fingerprints for equality (interval id, instruction count and hash),
+/// and answers with a [`ReleaseGrant`] on a match or begins recovery on a
+/// mismatch.
+///
+/// No message outlives a rollback, so neither carries a stamp to tell a
+/// stale one apart: [`Core::rollback`](crate::Core::rollback) clears the
+/// core's unsent events and its grants, the pair driver rolls both cores
+/// back in the same call that clears both comparison queues, and a grant
+/// is issued only in the tick its two events matched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckEvent {
-    /// Recovery epoch the event belongs to; events from before a rollback
-    /// are stale and are discarded by the pair driver.
-    pub epoch: u64,
     /// The interval fingerprint (id, instruction count, hash).
     pub fingerprint: Fingerprint,
     /// Cycle at which this core's fingerprint is ready to send — the
@@ -28,12 +31,9 @@ pub struct CheckEvent {
 
 /// Permission from the pair driver for an interval to retire — the answer
 /// to a matched pair of [`CheckEvent`]s. An interval is granted at most
-/// once per epoch; grants may arrive in any order.
+/// once between two rollbacks; grants may arrive in any order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReleaseGrant {
-    /// Recovery epoch the grant belongs to; grants from before a rollback
-    /// are stale and are ignored by the core.
-    pub epoch: u64,
     /// The interval fingerprint id being released.
     pub interval_id: u64,
     /// Cycle at which the partner's fingerprint has arrived and compared:
@@ -69,13 +69,11 @@ mod tests {
             hash: 0x1234,
         };
         let ev = CheckEvent {
-            epoch: 0,
             fingerprint: fp,
             ready_at: Cycle::new(10),
             serializing: false,
         };
         let grant = ReleaseGrant {
-            epoch: ev.epoch,
             interval_id: ev.fingerprint.interval_id,
             at: Cycle::new(20),
         };

@@ -117,7 +117,6 @@ pub struct Core {
     retired: ArchState,
 
     rob: VecDeque<RobEntry>,
-    epoch: u64,
     reg_ready: [u64; 32],
     last_check_time: u64,
     fetch_free: u64,
@@ -134,16 +133,15 @@ pub struct Core {
 
     fp: FingerprintUnit,
     events: Vec<CheckEvent>,
-    /// Release times for the current epoch, indexed by interval id modulo
-    /// [`ROB_ENTRIES`]; `u64::MAX` is a free slot. Empty for an unchecked
-    /// core, which never waits for a grant.
+    /// Release times, indexed by interval id modulo [`ROB_ENTRIES`];
+    /// `u64::MAX` is a free slot. Empty for an unchecked core, which never
+    /// waits for a grant.
     ///
     /// No interval is empty and a granted interval still has an entry in
     /// the ROB, so at most `ROB_ENTRIES` intervals are in flight and two
     /// of them never share a slot. A slot is written by
-    /// [`grant`](Self::grant) (stale epochs never enter), freed when its
-    /// interval's last entry retires, and [`rollback`](Self::rollback)
-    /// frees them all.
+    /// [`grant`](Self::grant), freed when its interval's last entry
+    /// retires, and [`rollback`](Self::rollback) frees them all.
     grants: Box<[u64]>,
     /// A vocal atomic's memory update, `(op, operand)`. The atomic takes
     /// exclusive ownership at dispatch but applies its write only at
@@ -207,7 +205,6 @@ impl Core {
             spec: ArchState::new(entry),
             retired: ArchState::new(entry),
             rob: VecDeque::new(),
-            epoch: 0,
             reg_ready: [0; 32],
             last_check_time: 0,
             fetch_free: 0,
@@ -248,11 +245,6 @@ impl Core {
     /// The L1 this core issues requests through.
     pub fn l1(&self) -> L1Id {
         self.l1
-    }
-
-    /// The current recovery epoch (incremented by every rollback).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether the core has halted (program ran off its image or hit
@@ -296,14 +288,13 @@ impl Core {
         std::mem::take(&mut self.events)
     }
 
-    /// Appends the fingerprints emitted since the last drain that belong to
-    /// `epoch` onto `out` (program order), discarding stale-epoch
-    /// leftovers. The internal buffer keeps its capacity.
-    pub fn drain_check_events_into(&mut self, epoch: u64, out: &mut VecDeque<CheckEvent>) {
+    /// Appends the fingerprints emitted since the last drain onto `out`
+    /// (program order). The internal buffer keeps its capacity.
+    pub fn drain_check_events_into(&mut self, out: &mut VecDeque<CheckEvent>) {
+        // A loop, not `out.extend(..)`: this runs twice a pair tick, and the
+        // loop stays small enough for rustc to inline it into the pair.
         for ev in self.events.drain(..) {
-            if ev.epoch == epoch {
-                out.push_back(ev);
-            }
+            out.push_back(ev);
         }
     }
 
@@ -322,16 +313,14 @@ impl Core {
 
     /// Grants retirement permission for an interval (driver use).
     pub fn grant(&mut self, grant: ReleaseGrant) {
-        if grant.epoch == self.epoch {
-            let slot = &mut self.grants[grant.interval_id as usize % ROB_ENTRIES];
-            debug_assert_eq!(
-                *slot,
-                u64::MAX,
-                "interval {} granted into an occupied slot",
-                grant.interval_id
-            );
-            *slot = grant.at.as_u64();
-        }
+        let slot = &mut self.grants[grant.interval_id as usize % ROB_ENTRIES];
+        debug_assert_eq!(
+            *slot,
+            u64::MAX,
+            "interval {} granted into an occupied slot",
+            grant.interval_id
+        );
+        *slot = grant.at.as_u64();
     }
 
     /// The release time granted to `entry`'s interval, if its grant has
@@ -437,9 +426,9 @@ impl Core {
     }
 
     /// Rolls the pipeline back to the retired (safe) state: flushes the ROB
-    /// and speculative store buffer, squashes uncompared fingerprints, and
-    /// restarts interval numbering for the new recovery epoch. Memory needs
-    /// no repair: atomics commit their write only at retirement, so nothing
+    /// and speculative store buffer, squashes uncompared fingerprints and
+    /// every grant, and restarts interval numbering. Memory needs no
+    /// repair: atomics commit their write only at retirement, so nothing
     /// speculative ever reached the coherent image.
     pub fn rollback(&mut self, now: Cycle) {
         // Unretired atomics never committed their memory write (the commit
@@ -448,10 +437,11 @@ impl Core {
         self.pending_stores.clear();
         self.sb_count = 0;
         self.spec.restore(&self.retired);
+        // Dispatch halts again if the safe state's PC is on the halt.
+        self.halted = false;
         #[cfg(debug_assertions)]
         self.shadow.resync(&self.retired, false);
         self.fp.reset();
-        self.epoch += 1;
         self.grants.fill(u64::MAX);
         self.atomic_commit = None;
         self.events.clear();
@@ -868,7 +858,6 @@ impl Core {
         let fingerprint = self.fp.emit();
         self.stats.intervals.incr();
         self.events.push(CheckEvent {
-            epoch: self.epoch,
             fingerprint,
             ready_at: ready,
             serializing,
@@ -1085,7 +1074,6 @@ mod tests {
                             let i = ungranted[rng.below(ungranted.len() as u64) as usize];
                             let at = now + rng.below(8);
                             core.grant(ReleaseGrant {
-                                epoch: core.epoch(),
                                 interval_id: in_flight[i].0,
                                 at: Cycle::new(at),
                             });
@@ -1199,9 +1187,8 @@ mod tests {
             core.tick(Cycle::new(c), &mut mem);
         }
         let retired_r1 = core.arch_state().regs.read(r(1));
-        let epoch_before = core.epoch();
         core.rollback(Cycle::new(100));
-        assert_eq!(core.epoch(), epoch_before + 1);
+        assert_eq!(core.stats().rollbacks.value(), 1);
         assert_eq!(core.arch_state().regs.read(r(1)), retired_r1);
         // Continue executing after rollback.
         for c in 101..300 {
@@ -1235,7 +1222,6 @@ mod tests {
                 core.tick(Cycle::new(c), mem);
                 for ev in core.take_check_events() {
                     core.grant(ReleaseGrant {
-                        epoch: ev.epoch,
                         interval_id: ev.fingerprint.interval_id,
                         at: if c < freeze {
                             ev.ready_at
@@ -1326,7 +1312,6 @@ mod tests {
             for ev in core.take_check_events() {
                 if ev.fingerprint.interval_id < 2 {
                     core.grant(ReleaseGrant {
-                        epoch: ev.epoch,
                         interval_id: ev.fingerprint.interval_id,
                         at: ev.ready_at,
                     });
@@ -1343,7 +1328,6 @@ mod tests {
             core.tick(Cycle::new(c), &mut mem);
             for ev in core.take_check_events() {
                 core.grant(ReleaseGrant {
-                    epoch: ev.epoch,
                     interval_id: ev.fingerprint.interval_id,
                     at: ev.ready_at,
                 });
@@ -1368,7 +1352,6 @@ mod tests {
         // Grant everything generously and watch retirement proceed.
         for ev in &events {
             core.grant(ReleaseGrant {
-                epoch: ev.epoch,
                 interval_id: ev.fingerprint.interval_id,
                 at: ev.ready_at,
             });
@@ -1484,7 +1467,6 @@ mod tests {
             core.tick(Cycle::new(cycle), &mut mem);
             for ev in core.take_check_events() {
                 core.grant(ReleaseGrant {
-                    epoch: ev.epoch,
                     interval_id: ev.fingerprint.interval_id,
                     at: ev.ready_at,
                 });
@@ -1498,7 +1480,6 @@ mod tests {
         core.fulfill_sync(77, Cycle::new(cycle + 10));
         for ev in core.take_check_events() {
             core.grant(ReleaseGrant {
-                epoch: ev.epoch,
                 interval_id: ev.fingerprint.interval_id,
                 at: ev.ready_at,
             });
@@ -1507,7 +1488,6 @@ mod tests {
             core.tick(Cycle::new(c + 11), &mut mem);
             for ev in core.take_check_events() {
                 core.grant(ReleaseGrant {
-                    epoch: ev.epoch,
                     interval_id: ev.fingerprint.interval_id,
                     at: ev.ready_at,
                 });
@@ -1567,7 +1547,6 @@ mod tests {
             core.tick(Cycle::new(c), &mut mem);
             for ev in core.take_check_events() {
                 core.grant(ReleaseGrant {
-                    epoch: ev.epoch,
                     interval_id: ev.fingerprint.interval_id,
                     at: ev.ready_at,
                 });
@@ -1579,7 +1558,6 @@ mod tests {
             core.tick(Cycle::new(c), &mut mem);
             for ev in core.take_check_events() {
                 core.grant(ReleaseGrant {
-                    epoch: ev.epoch,
                     interval_id: ev.fingerprint.interval_id,
                     at: ev.ready_at,
                 });
