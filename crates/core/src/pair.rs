@@ -10,8 +10,10 @@ use reunion_mem::MemorySystem;
 
 use crate::CheckBus;
 
-/// Cycles a re-execution may run before the pair escalates it (defensive
-/// bound; the protocol itself guarantees forward progress, Lemma 2).
+/// Cycles a re-execution may run before the pair escalates it. Defensive:
+/// re-execution ends at the synchronized interval's match or once the
+/// interval that mismatched has matched again (Lemma 2's forward
+/// progress), so only a wedged core reaches it.
 const RECOVERY_TIMEOUT: u64 = 100_000;
 
 /// Which phase of the re-execution protocol a recovering pair is in
@@ -84,6 +86,9 @@ pub struct PairDriver {
     /// (both fingerprints exchanged) has not yet arrived. Recovery must not
     /// begin before the later fingerprint has crossed the channel.
     pending_mismatch: Option<Cycle>,
+    /// Single-step intervals the pair must still match, counted from its
+    /// latest rollback, to have re-executed the interval that mismatched.
+    reexec_left: u64,
     recovery_started: u64,
     stats: PairStats,
     /// Logical-processor index stamped into trace events.
@@ -126,6 +131,7 @@ impl PairDriver {
             phase: RecoveryPhase::Normal,
             sync_interval: None,
             pending_mismatch: None,
+            reexec_left: 0,
             recovery_started: 0,
             stats: PairStats::default(),
             lp: 0,
@@ -301,6 +307,12 @@ impl PairDriver {
     /// queues differ, and the difference has crossed the channel.
     fn mismatch_detected(&mut self, now: Cycle, mem: &mut MemorySystem) {
         self.stats.mismatches.incr();
+        if let (Some(v), Some(m)) = (self.vocal_events.front(), self.mute_events.front()) {
+            // Rollback lands at the start of this interval: re-execution
+            // runs at least to its end.
+            let count = v.fingerprint.count.max(m.fingerprint.count);
+            self.reexec_left = self.reexec_left.max(u64::from(count));
+        }
         if self.trace.is_some() {
             let interval = self
                 .vocal_events
@@ -405,10 +417,16 @@ impl PairDriver {
                 self.vocal_events.pop_front();
                 self.mute_events.pop_front();
 
-                // A successful comparison of the synchronized instruction
-                // completes the re-execution protocol.
-                if self.phase != RecoveryPhase::Normal && self.sync_interval == Some(interval_id) {
-                    self.finish_recovery();
+                // Re-execution ends at the synchronized instruction's match,
+                // or once the interval that mismatched has matched again —
+                // whichever comes first. An incoherent load lies inside the
+                // interval it made mismatch, so its synchronizing request
+                // comes first; code with no load ends on the count.
+                if self.phase != RecoveryPhase::Normal {
+                    self.reexec_left = self.reexec_left.saturating_sub(1);
+                    if self.sync_interval == Some(interval_id) || self.reexec_left == 0 {
+                        self.finish_recovery();
+                    }
                 }
             } else {
                 // The difference becomes observable once both fingerprints
@@ -484,6 +502,7 @@ impl PairDriver {
         self.mute.end_single_step();
         self.phase = RecoveryPhase::Normal;
         self.sync_interval = None;
+        self.reexec_left = 0;
     }
 
     /// Phase two also failed: raise a detected, uncorrectable error
@@ -522,6 +541,12 @@ mod tests {
 
     impl Rig {
         fn new(code: Vec<I>, strict: bool) -> Rig {
+            Rig::with_interval(code, strict, 1)
+        }
+
+        /// A rig whose cores close a fingerprint interval every `interval`
+        /// instructions.
+        fn with_interval(code: Vec<I>, strict: bool, interval: u32) -> Rig {
             let program = Arc::new(Program::new("rig", code).unwrap());
             let mut mem = MemorySystem::new(MemConfig::small());
             let vl1 = mem.register_l1(Owner::vocal(0));
@@ -531,8 +556,12 @@ mod tests {
             } else {
                 (Role::Reunion, Role::Reunion)
             };
-            let vocal = Core::new(CoreConfig::for_role(vrole), program.clone(), vl1, 42);
-            let mute = Core::new(CoreConfig::for_role(mrole), program, ml1, 42);
+            let cfg = |role| CoreConfig {
+                fingerprint_interval: interval,
+                ..CoreConfig::for_role(role)
+            };
+            let vocal = Core::new(cfg(vrole), program.clone(), vl1, 42);
+            let mute = Core::new(cfg(mrole), program, ml1, 42);
             Rig {
                 mem,
                 pair: PairDriver::new(vocal, mute, 10),
@@ -625,6 +654,9 @@ mod tests {
     }
 
     const HALT_PC: usize = 4;
+
+    /// A user-instruction index that [`load_loop`] spends on its load.
+    const LOAD_AT: u64 = 49;
 
     /// A Reunion pair running [`load_loop`] that traces every event of the
     /// runs below.
@@ -784,7 +816,7 @@ mod tests {
     #[test]
     fn soft_error_on_mute_is_detected_and_recovered() {
         let mut rig = ladder_rig();
-        rig.pair.mute_mut().inject_soft_error_at(50, 7);
+        rig.pair.mute_mut().inject_soft_error_at(LOAD_AT, 7);
         rig.run_until(RecoveryPhase::Phase1, 5_000);
         rig.run_until(RecoveryPhase::Normal, 5_000);
         rig.assert_recovered();
@@ -798,8 +830,8 @@ mod tests {
         let mut rig = Rig::new(counting_loop(), false);
         rig.pair.vocal_mut().inject_soft_error_at(50, 3);
         rig.run(5000);
-        assert_eq!(rig.pair.stats().mismatches.value(), 1);
-        assert_eq!(rig.pair.stats().recoveries.value(), 1);
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
         // The corrupted value never retired: r1 ends equal on both cores.
         assert_eq!(
             rig.pair.vocal().arch_state().regs.read(r(1)),
@@ -807,17 +839,50 @@ mod tests {
         );
     }
 
-    /// Simulates fingerprint aliasing having let divergent state retire:
-    /// the mute's load base diverges, so the comparator starts phase one
-    /// and the two halves then disagree about the address to synchronize.
-    /// Leaves the pair at the start of phase two.
+    /// Load-free code raises no synchronizing request, so re-execution
+    /// ends once the interval that mismatched has matched again — well
+    /// before the recovery timeout, and without escalating.
+    #[test]
+    fn load_free_reexecution_ends_when_the_mismatched_interval_matches() {
+        let mut rig = Rig::new(counting_loop(), false);
+        rig.pair.mute_mut().inject_soft_error_at(50, 7);
+        rig.run_until(RecoveryPhase::Phase1, 5_000);
+        let started = rig.now;
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        let took = rig.now - started;
+        assert!(took < 100, "re-execution took {took} cycles");
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
+        assert_eq!(rig.pair.stats().sync_requests.value(), 0);
+    }
+
+    /// With several instructions to an interval, re-execution runs through
+    /// the whole interval that mismatched, not just its first instruction:
+    /// single-stepping closes one interval per instruction, numbered from
+    /// zero at the rollback.
+    #[test]
+    fn reexecution_covers_the_whole_mismatched_interval() {
+        let mut rig = Rig::with_interval(counting_loop(), false, 6);
+        rig.pair.mute_mut().inject_soft_error_at(50, 7);
+        rig.run_until(RecoveryPhase::Phase1, 5_000);
+        rig.run_until(RecoveryPhase::Normal, 5_000);
+        let stepped = rig.pair.vocal().next_interval_id();
+        assert!(stepped >= 6, "re-execution ended after {stepped} intervals");
+        rig.assert_recovered();
+        assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
+    }
+
+    /// Simulates fingerprint aliasing having let divergent state retire: a
+    /// flipped load starts phase one, and the mute's load base then
+    /// diverges in its safe state, so the two halves disagree about the
+    /// address to synchronize. Leaves the pair at the start of phase two.
     fn diverge_into_phase2(rig: &mut Rig) {
-        rig.run(1_000);
-        // r1 has no in-flight writers, so the corruption survives into the
-        // retired state.
-        rig.corrupt_mute(|s| s.regs.write(r(1), 0x5008));
+        rig.pair.mute_mut().inject_soft_error_at(LOAD_AT, 7);
         rig.run_until(RecoveryPhase::Phase1, 20_000);
         assert_eq!(rig.ladder(), [1, 1, 1, 0, 0]);
+        // Right after the rollback the ROB is empty, so the corruption
+        // changes the retired r1 and nothing else.
+        rig.corrupt_mute(|s| s.regs.write(r(1), 0x5008));
         rig.run_until(RecoveryPhase::Phase2, 20_000);
     }
 

@@ -165,29 +165,36 @@ pub fn sampled_run(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfi
     let mut sys = CmpSystem::new(cfg, workload);
     sys.run(sample.warmup);
 
+    // One window opens the whole measured portion: counters sum and peaks
+    // take their maximum across windows, histograms and episode summaries
+    // merge associatively, and skip runs clip at every `run` boundary, so
+    // reading the system once after the last window gives the totals the
+    // windows would add up to. Only the IPC series is per window.
+    sys.begin_window();
     let mut window_ipc = Vec::with_capacity(sample.windows);
     let mut ipc = RunningStats::new();
-    let mut totals = SystemStats::default();
-    let mut obs = ObsReport::new();
+    let mut retired = sys.user_instructions();
     for _ in 0..sample.windows {
-        sys.begin_window();
         sys.run(sample.window);
-        let w = sys.window_stats();
-        window_ipc.push(w.ipc());
-        ipc.push(w.ipc());
-        accumulate(&mut totals, &w);
-        if cfg.obs.enabled {
-            obs.merge(&sys.window_obs());
+        let now = sys.user_instructions();
+        let window = SystemStats {
+            user_instructions: now - retired,
+            cycles: sample.window,
+            ..SystemStats::default()
         }
+        .ipc();
+        retired = now;
+        window_ipc.push(window);
+        ipc.push(window);
     }
-    let (obs, trace) = finish_obs(&mut sys, cfg.obs.enabled, obs);
+    let (obs, trace) = finish_obs(&mut sys, cfg.obs.enabled);
 
     SampledRun {
         measurement: Measurement {
             workload: workload.name(),
             ipc: ipc.mean(),
             ipc_ci95: ipc.ci95_half_width(),
-            totals,
+            totals: sys.window_stats(),
             windows: sample.windows,
             skipped_cycles: sys.skipped_cycles(),
             obs,
@@ -203,17 +210,15 @@ pub fn measure(cfg: &SystemConfig, workload: &Workload, sample: &SampleConfig) -
     sampled_run(cfg, workload, sample).measurement
 }
 
-/// Completes a measurement's observability state: fills the cumulative
-/// fields (`skipped_cycles`, trace counters) the per-window merges can't
-/// see, and drains the pairs' bounded traces. `(None, [])` when disabled.
-fn finish_obs(
-    sys: &mut CmpSystem,
-    enabled: bool,
-    mut obs: ObsReport,
-) -> (Option<ObsReport>, Vec<TraceEvent>) {
+/// The measurement's observability state: the measured portion's
+/// [`window_obs`](CmpSystem::window_obs), the cumulative fields
+/// (`skipped_cycles`, trace counters) it leaves out, and the pairs' drained
+/// bounded traces. `(None, [])` when disabled.
+fn finish_obs(sys: &mut CmpSystem, enabled: bool) -> (Option<ObsReport>, Vec<TraceEvent>) {
     if !enabled {
         return (None, Vec::new());
     }
+    let mut obs = sys.window_obs();
     obs.skipped_cycles = sys.skipped_cycles();
     let (pushed, evicted, trace) = sys.take_trace();
     obs.trace_events = pushed;
@@ -295,24 +300,6 @@ pub fn normalized_ipc(
         &window_ipc,
         &Baseline::measure(model_cfg, workload, sample),
     )
-}
-
-fn accumulate(into: &mut SystemStats, w: &SystemStats) {
-    into.user_instructions += w.user_instructions;
-    into.cycles += w.cycles;
-    into.mismatches += w.mismatches;
-    into.input_incoherence += w.input_incoherence;
-    into.recoveries += w.recoveries;
-    into.phase2 += w.phase2;
-    into.failures += w.failures;
-    into.sync_requests += w.sync_requests;
-    into.tlb_misses += w.tlb_misses;
-    into.phantom_garbage_fills += w.phantom_garbage_fills;
-    into.serializing_stall_cycles += w.serializing_stall_cycles;
-    into.reexec_penalty_cycles += w.reexec_penalty_cycles;
-    into.peak_check_events = into.peak_check_events.max(w.peak_check_events);
-    into.peak_store_chain = into.peak_store_chain.max(w.peak_store_chain);
-    into.store_chain_spills += w.store_chain_spills;
 }
 
 #[cfg(test)]
@@ -429,6 +416,79 @@ mod tests {
             assert_eq!(n.ci95, ratios.ci95_half_width(), "{engine:?}");
             assert_eq!(model.system.skipped_cycles(), n.model.skipped_cycles);
         }
+    }
+
+    /// The sampling loop that reset, read and added up every window — the
+    /// oracle [`sampled_run`]'s single read must agree with: counters sum,
+    /// peaks take their maximum and histograms merge.
+    fn read_every_window(
+        cfg: &SystemConfig,
+        workload: &Workload,
+        sample: &SampleConfig,
+    ) -> (SystemStats, ObsReport, Vec<f64>) {
+        let mut sys = CmpSystem::new(cfg, workload);
+        sys.run(sample.warmup);
+        let mut t = SystemStats::default();
+        let mut obs = ObsReport::new();
+        let mut window_ipc = Vec::new();
+        for _ in 0..sample.windows {
+            sys.begin_window();
+            sys.run(sample.window);
+            let w = sys.window_stats();
+            window_ipc.push(w.ipc());
+            t.user_instructions += w.user_instructions;
+            t.cycles += w.cycles;
+            t.mismatches += w.mismatches;
+            t.input_incoherence += w.input_incoherence;
+            t.recoveries += w.recoveries;
+            t.phase2 += w.phase2;
+            t.failures += w.failures;
+            t.sync_requests += w.sync_requests;
+            t.tlb_misses += w.tlb_misses;
+            t.phantom_garbage_fills += w.phantom_garbage_fills;
+            t.serializing_stall_cycles += w.serializing_stall_cycles;
+            t.reexec_penalty_cycles += w.reexec_penalty_cycles;
+            t.peak_check_events = t.peak_check_events.max(w.peak_check_events);
+            t.peak_store_chain = t.peak_store_chain.max(w.peak_store_chain);
+            t.store_chain_spills += w.store_chain_spills;
+            obs.merge(&sys.window_obs());
+        }
+        obs.skipped_cycles = sys.skipped_cycles();
+        (obs.trace_events, obs.trace_evicted, _) = sys.take_trace();
+        (t, obs, window_ipc)
+    }
+
+    /// Reading the system once after the last window gives what reading it
+    /// after every window and adding up gave, with observability on, on
+    /// cells that recover in every window (null-phantom pairs mismatch
+    /// again and again) and that count stall episodes.
+    #[test]
+    fn one_read_of_the_measured_portion_equals_the_sum_of_its_windows() {
+        let sample = SampleConfig {
+            warmup: 3_000,
+            window: 3_000,
+            windows: 3,
+        };
+        let mut stall_episodes = 0;
+        for name in ["em3d", "apache"] {
+            let workload = Workload::by_name(name).unwrap();
+            for engine in [Engine::Skip, Engine::Dense] {
+                let mut cfg = observed(ExecutionMode::Reunion, engine);
+                cfg.phantom = PhantomStrength::Null;
+                let run = sampled_run(&cfg, &workload, &sample);
+                let (totals, obs, window_ipc) = read_every_window(&cfg, &workload, &sample);
+                let what = format!("{name}, {engine:?}");
+                assert!(
+                    totals.recoveries > sample.windows as u64,
+                    "{what}: {totals:?}"
+                );
+                assert_eq!(run.measurement.totals, totals, "{what}");
+                assert_eq!(run.measurement.obs.as_ref(), Some(&obs), "{what}");
+                assert_eq!(run.window_ipc, window_ipc, "{what}");
+                stall_episodes += obs.stall_episodes.episodes();
+            }
+        }
+        assert!(stall_episodes > 0, "no stall episode was measured");
     }
 
     #[test]

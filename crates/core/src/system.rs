@@ -5,7 +5,7 @@ use std::sync::Arc;
 use reunion_cpu::{Core, CoreConfig};
 use reunion_isa::SparseMemory;
 use reunion_kernel::obs::{EpisodeSummary, ObsReport, TraceEvent};
-use reunion_kernel::{Cycle, HorizonTree};
+use reunion_kernel::{Cycle, EventHorizon};
 use reunion_mem::{MemorySystem, Owner};
 use reunion_workloads::Workload;
 
@@ -141,14 +141,11 @@ pub struct CmpSystem {
     /// Engine-dependent by design: the dense engine only skips quiescent
     /// tails, the skip engine also jumps stall windows.
     skip_runs: EpisodeSummary,
-    /// Indexed event horizon: one slot per logical processor, holding the
-    /// bound last reported by that processor. Rebuilt at every `run` entry
-    /// (external mutation may invalidate cached bounds between runs) and
-    /// maintained incrementally inside the skip engine: only ticked
-    /// processors re-report.
-    horizon: HorizonTree,
-    /// Scratch list of ready processor slots (recycled across ticks).
-    ready: Vec<usize>,
+    /// The bound last reported by each logical processor, in
+    /// logical-processor order. Refreshed at every `run` entry (external
+    /// mutation may invalidate cached bounds between runs) and maintained
+    /// inside the skip engine: only ticked processors re-report.
+    bounds: Vec<Option<Cycle>>,
 }
 
 impl CmpSystem {
@@ -219,8 +216,7 @@ impl CmpSystem {
             proc_ticks: 0,
             obs_enabled: cfg.obs.enabled,
             skip_runs: EpisodeSummary::new(),
-            horizon: HorizonTree::new(slots),
-            ready: Vec::with_capacity(slots),
+            bounds: vec![None; slots],
         }
     }
 
@@ -260,11 +256,6 @@ impl CmpSystem {
             Proc::Single(c) => Some(c),
             Proc::Pair(_) => None,
         }
-    }
-
-    /// The timing engine this system runs under.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Cycles fast-forwarded without ticking any logical processor: the
@@ -363,11 +354,24 @@ impl CmpSystem {
     /// whole-system skip engine cycle-for-cycle: the entry cycle of every
     /// iteration is ticked (possibly with an empty ready set) unless the
     /// CMP is fully quiescent, and jumps happen only after that tick.
+    ///
+    /// Each visited cycle is one pass over the processors
+    /// ([`tick_ready`](Self::tick_ready)): a ready processor is ticked and
+    /// its bound re-read at once, before the next processor ticks. That is
+    /// the bound it would report after the whole ready set had ticked,
+    /// because a bound reads only its own processor's state and only that
+    /// processor's tick changes it. Ticks still run in logical-processor
+    /// order, so check-bus grants and `proc_ticks` are unchanged.
     fn run_skip(&mut self, cycles: u64) {
         let end = self.now + cycles;
-        self.rebuild_bounds();
+        let mut horizon = EventHorizon::new();
+        for (bound, proc) in self.bounds.iter_mut().zip(&self.procs) {
+            *bound = proc.next_activity_at(self.now);
+            horizon.note_opt(*bound);
+        }
+        let mut next = horizon.next_ready();
         while self.now < end {
-            if self.horizon.is_silent() {
+            if next.is_none() {
                 // Every bound is `None`: no processor can act without
                 // external input. Fully quiescent → jump the whole budget.
                 // Otherwise (waiting on input that cannot arrive this run)
@@ -381,12 +385,12 @@ impl CmpSystem {
                 }
                 self.now += 1;
             } else {
-                self.tick_ready();
+                next = self.tick_ready();
             }
             if self.now >= end {
                 break;
             }
-            let target = match self.horizon.min() {
+            let target = match next {
                 Some(t) if t < end => t,
                 _ => end,
             };
@@ -397,31 +401,23 @@ impl CmpSystem {
         }
     }
 
-    /// Ticks every processor whose bound has arrived at the current cycle
-    /// and re-indexes their bounds for the next one.
-    fn tick_ready(&mut self) {
-        self.ready.clear();
-        self.horizon.ready_slots(self.now, &mut self.ready);
-        for &i in &self.ready {
-            self.procs[i].tick(self.now, &mut self.mem, &mut self.check_bus);
+    /// Ticks, in logical-processor order, every processor whose bound has
+    /// arrived at the current cycle, re-reads its bound for the next one,
+    /// and returns the earliest bound over all processors (`None`: every
+    /// processor is silent).
+    fn tick_ready(&mut self) -> Option<Cycle> {
+        let now = self.now;
+        let mut horizon = EventHorizon::new();
+        for (bound, proc) in self.bounds.iter_mut().zip(&mut self.procs) {
+            if bound.is_some_and(|b| b <= now) {
+                proc.tick(now, &mut self.mem, &mut self.check_bus);
+                self.proc_ticks += 1;
+                *bound = proc.next_activity_at(now + 1);
+            }
+            horizon.note_opt(*bound);
         }
-        self.proc_ticks += self.ready.len() as u64;
         self.now += 1;
-        for &i in &self.ready {
-            self.horizon
-                .set(i, self.procs[i].next_activity_at(self.now));
-        }
-    }
-
-    /// Reports every processor's bound into the indexed horizon. Run-entry
-    /// only: between runs the caller may mutate processors directly
-    /// (interrupt delivery, fault injection, protocol tests), invalidating
-    /// whatever the tree last saw.
-    fn rebuild_bounds(&mut self) {
-        for i in 0..self.procs.len() {
-            self.horizon
-                .set(i, self.procs[i].next_activity_at(self.now));
-        }
+        horizon.next_ready()
     }
 
     /// Total retired user instructions across logical processors.
@@ -720,8 +716,7 @@ mod tests {
             proc_ticks: 0,
             obs_enabled: false,
             skip_runs: EpisodeSummary::new(),
-            horizon: HorizonTree::new(1),
-            ready: Vec::new(),
+            bounds: vec![None],
         }
     }
 
@@ -905,7 +900,6 @@ mod tests {
         let mut cfg = SystemConfig::small_test(ExecutionMode::Reunion);
         cfg.engine = crate::Engine::Dense;
         let sys = CmpSystem::new(&cfg, &moldyn());
-        assert_eq!(sys.engine(), crate::Engine::Dense);
         assert_eq!(sys.skipped_cycles(), 0);
     }
 

@@ -12,10 +12,10 @@ const NEAR_WINDOW: usize = 64;
 
 /// A queue that delivers items at (or after) a chosen simulation cycle.
 ///
-/// `DelayQueue` models every fixed-latency channel in the simulator: the
-/// fingerprint swap between the vocal and mute cores, crossbar hops, memory
-/// replies. Items pushed for the same delivery cycle pop in FIFO order, which
-/// keeps the simulator deterministic.
+/// Items pushed for the same delivery cycle pop in FIFO order. No
+/// simulator component uses this type: the simulator's fixed latencies are
+/// completion stamps computed at the access. It is kept only because the
+/// benchmark's layer probes (`benchmark/`) time it.
 ///
 /// Internally this is a three-tier calendar queue rather than one binary
 /// heap. Almost every push lands within a few cycles of the consumer's

@@ -10,17 +10,16 @@
 //!   requires replaying the exact interleaving that produced it.
 //! * [`stats`] — counters and ratio statistics used to report the paper's
 //!   metrics (IPC, incoherence events per million instructions, …).
-//! * [`DelayQueue`] — a cycle-indexed delivery queue used to model fixed
-//!   latencies (fingerprint channels, memory replies, crossbar hops).
-//!   Internally a three-tier calendar queue: `O(1)` push/pop for
-//!   near-future deliveries, heap tiers for the overflow.
 //! * [`EventHorizon`] — the fold a time-skipping engine uses to combine
 //!   per-component "earliest activity" reports into the next cycle worth
-//!   simulating.
-//! * [`HorizonTree`] — the indexed form of the same horizon: a tournament
-//!   tree over per-component bounds with `O(log P)` update, `O(1)` minimum,
-//!   and pruned ready-set extraction, for engines that tick many components
-//!   selectively.
+//!   simulating. It is the simulator's one time-advance abstraction: each
+//!   core and pair folds its own bound with it, and the system's skip
+//!   engine folds those bounds with it.
+//! * [`DelayQueue`] — a cycle-indexed delivery queue (a three-tier
+//!   calendar queue) and [`HorizonTree`] — a tournament tree over
+//!   per-component bounds. Nothing in the simulator uses either; both are
+//!   kept only because the benchmark's layer probes (`benchmark/`) name
+//!   them, and go once those probes do.
 //! * [`hash`] — a fixed-seed fast hasher ([`FastHashMap`]) for the
 //!   simulator's hot point-lookup maps, where SipHash's DoS resistance is
 //!   pure overhead.
@@ -240,20 +239,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.pushed(), 2);
         assert_eq!(t.evicted(), 2);
-    }
-
-    #[test]
-    fn trace_kind_round_trips() {
-        for k in [
-            TraceKind::Issue,
-            TraceKind::Grant,
-            TraceKind::Mismatch,
-            TraceKind::Recovery,
-            TraceKind::Failure,
-        ] {
-            assert_eq!(k.as_str().parse::<TraceKind>().unwrap(), k);
-        }
-        assert!("bogus".parse::<TraceKind>().is_err());
     }
 
     #[test]

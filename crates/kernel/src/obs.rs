@@ -226,27 +226,6 @@ impl TraceKind {
     }
 }
 
-impl std::str::FromStr for TraceKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "issue" => Ok(TraceKind::Issue),
-            "grant" => Ok(TraceKind::Grant),
-            "mismatch" => Ok(TraceKind::Mismatch),
-            "recovery" => Ok(TraceKind::Recovery),
-            "failure" => Ok(TraceKind::Failure),
-            other => Err(format!("unknown trace kind {other:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// One cycle-stamped event in the check protocol of one redundant pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {

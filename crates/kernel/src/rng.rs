@@ -48,23 +48,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator, e.g. one per core or workload.
-    ///
-    /// The child stream is a deterministic function of the parent seed state
-    /// and `stream`, so components can be given decorrelated randomness
-    /// without consuming numbers from the parent.
-    pub fn derive(&self, stream: u64) -> SimRng {
-        let mut mix = self.s[0] ^ self.s[2] ^ stream.wrapping_mul(0xA24B_AED4_963E_E407);
-        let mut s = [0u64; 4];
-        for slot in &mut s {
-            *slot = splitmix64(&mut mix);
-        }
-        if s == [0, 0, 0, 0] {
-            s[0] = 1;
-        }
-        SimRng { s }
-    }
-
     /// Returns the next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -219,16 +202,6 @@ mod tests {
         let mut rng = SimRng::seed_from(6);
         let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
         assert!((2_000..3_000).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn derive_is_stable_and_decorrelated() {
-        let parent = SimRng::seed_from(9);
-        let mut c1 = parent.derive(1);
-        let mut c1b = parent.derive(1);
-        let mut c2 = parent.derive(2);
-        assert_eq!(c1.next_u64(), c1b.next_u64());
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

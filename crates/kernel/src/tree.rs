@@ -23,6 +23,10 @@ const SILENT: u64 = u64::MAX;
 ///   arrived — is `O(k log P)` for `k` ready slots, pruning whole subtrees
 ///   whose minimum lies in the future.
 ///
+/// The simulator's skip engine folds its bounds with [`EventHorizon`]
+/// instead; this type is kept only because the benchmark's layer probes
+/// (`benchmark/`) time it.
+///
 /// Slots follow the same two rules as [`EventHorizon`] candidates: a bound
 /// is a conservative *lower* bound on the component's next state change,
 /// and `None` means "never, absent external input".
