@@ -730,29 +730,38 @@ mod tests {
         single_core_system(code, engine)
     }
 
-    /// The soundness oracle for the activity bounds: steps `sys` densely
-    /// for `cycles` and, whenever a processor's bound says it cannot act
-    /// yet (`None`, or later than now), asserts that ticking it anyway
-    /// changes nothing — which is exactly what entitles the skip engine not
-    /// to tick it. "Nothing" is the processor's whole `Debug` rendering
-    /// (both cores, the comparison queues, every counter), the memory
-    /// system's counters and the shared check bus. Returns how many ticks
-    /// were held to that.
+    /// The soundness oracle for the activity bounds the skip engine caches:
+    /// steps `sys` densely for `cycles`, reading each processor's bound
+    /// where `run_skip` does — once for every processor on entry (a call is
+    /// one run), and once after each tick at which its bound had arrived,
+    /// at `now + 1`, as `tick_ready` does — and asserts that every tick
+    /// before that bound arrives changes nothing. That is exactly what
+    /// entitles the skip engine not to tick it. "Nothing" is the
+    /// processor's whole `Debug` rendering (both cores, the comparison
+    /// queues, every counter), the memory system's counters and the shared
+    /// check bus. Returns how many ticks were held to that.
     fn step_checking_bounds(sys: &mut CmpSystem, cycles: u64, ctx: &str) -> u64 {
         let mut held = 0;
         // Only a processor's own tick changes it, so the rendering a held
         // tick left behind is still current at that processor's next tick.
         let mut rendered: Vec<Option<String>> = vec![None; sys.procs.len()];
         let shared = |mem: &MemorySystem, bus: &CheckBus| format!("{:?} {bus:?}", mem.stats());
+        let entry = sys.now;
+        let mut bounds: Vec<Option<Cycle>> = sys
+            .procs
+            .iter()
+            .map(|proc| proc.next_activity_at(entry))
+            .collect();
         for _ in 0..cycles {
             let now = sys.now;
-            for (lp, proc) in sys.procs.iter_mut().enumerate() {
-                let bound = proc.next_activity_at(now);
-                if bound == Some(now) {
+            for (lp, (proc, bound)) in sys.procs.iter_mut().zip(&mut bounds).enumerate() {
+                if bound.is_some_and(|b| b <= now) {
                     proc.tick(now, &mut sys.mem, &mut sys.check_bus);
+                    *bound = proc.next_activity_at(now + 1);
                     rendered[lp] = None;
                     continue;
                 }
+                let bound = *bound;
                 let before = rendered[lp].take().unwrap_or_else(|| format!("{proc:?}"));
                 let shared_before = shared(&sys.mem, &sys.check_bus);
                 proc.tick(now, &mut sys.mem, &mut sys.check_bus);
@@ -760,8 +769,8 @@ mod tests {
                 assert_eq!(
                     shared_before,
                     shared(&sys.mem, &sys.check_bus),
-                    "{ctx}: lp {lp} reported {bound:?} at {now:?}, yet its tick reached memory \
-                     or the check bus"
+                    "{ctx}: lp {lp}'s bound {bound:?} had not arrived at {now:?}, yet its tick \
+                     reached memory or the check bus"
                 );
                 if before != after {
                     let at = before
@@ -771,8 +780,8 @@ mod tests {
                         .unwrap_or(before.len().min(after.len()));
                     let from = at.saturating_sub(200);
                     panic!(
-                        "{ctx}: lp {lp} reported {bound:?} at {now:?}, yet its tick changed \
-                         state:\n  before: …{}\n  after:  …{}",
+                        "{ctx}: lp {lp}'s bound {bound:?} had not arrived at {now:?}, yet its tick \
+                         changed state:\n  before: …{}\n  after:  …{}",
                         &before[from..(at + 80).min(before.len())],
                         &after[from..(at + 80).min(after.len())],
                     );

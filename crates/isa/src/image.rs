@@ -23,6 +23,11 @@ use crate::{Addr, LINE_BYTES, WORDS_PER_LINE};
 /// it under its own write layer
 /// ([`SparseMemory::over`](crate::SparseMemory::over)).
 ///
+/// Construction: [`new`](Self::new) takes words, one at a time;
+/// [`from_progressions`](Self::from_progressions) takes regions
+/// ([`Progression`]) and adds the words that extend a progression in one
+/// step, so a generated image costs its regions to build, not its words.
+///
 /// Lookup: one `partition_point` over the run starts (a handful per image)
 /// finds the run that could hold a word; a mask test and a shift give its
 /// index in the run, and the run's list or step its value.
@@ -95,25 +100,133 @@ impl Run {
     }
 }
 
+/// A region of a memory image: `len` words `stride` bytes apart from
+/// `start`, word `k` holding `first + k·step` (wrapping) — a lone word, a
+/// zeroed region (step 0), or a pointer ring's lines (each word the next
+/// one's address: `first = start + stride`, `step = stride`).
+/// [`BaseImage::from_progressions`] freezes a list of them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Progression {
+    /// The first word's address.
+    pub start: Addr,
+    /// Bytes from one word to the next.
+    pub stride: u64,
+    /// Words in the region; 0 is an empty region.
+    pub len: u64,
+    /// The first word's value.
+    pub first: u64,
+    /// What each word's value adds to the one before, wrapping.
+    pub step: u64,
+}
+
+impl Progression {
+    /// The region of the single word `addr`, holding `value`.
+    pub fn word(addr: Addr, value: u64) -> Self {
+        Progression {
+            start: addr,
+            stride: 8,
+            len: 1,
+            first: value,
+            step: 0,
+        }
+    }
+
+    /// The region's words and their values, in order; addresses wrap past
+    /// the top of the address space as the values do.
+    pub fn words(self) -> impl Iterator<Item = (Addr, u64)> {
+        (0..self.len).map(move |k| {
+            let addr = self
+                .start
+                .as_u64()
+                .wrapping_add(k.wrapping_mul(self.stride));
+            (
+                Addr::new(addr),
+                self.first.wrapping_add(k.wrapping_mul(self.step)),
+            )
+        })
+    }
+
+    /// Whether the region's words stream into runs after word `last`: it
+    /// is empty, or its words are word-aligned, strictly ascending without
+    /// wrapping, and above `last`.
+    fn ascends_from(&self, last: Option<u64>) -> bool {
+        let start = self.start.as_u64();
+        self.len == 0
+            || (self.start == self.start.word()
+                && !last.is_some_and(|last| start <= last)
+                && (self.len == 1
+                    || (self.stride > 0 && self.stride % 8 == 0 && self.end().is_some())))
+    }
+
+    /// The last word's address, `start + (len − 1)·stride`, if the region
+    /// has one below the top of the address space.
+    fn end(&self) -> Option<u64> {
+        (self.len.checked_sub(1)?)
+            .checked_mul(self.stride)?
+            .checked_add(self.start.as_u64())
+    }
+}
+
 impl BaseImage {
     /// Freezes `words`; a later entry for the same word wins. Word-aligned
-    /// input in strictly ascending order (every generated and kernel image)
-    /// streams straight into runs; any other input, a repeated word
-    /// included, is collected and sorted stably first.
+    /// input in strictly ascending order (every kernel image) streams
+    /// straight into runs; any other input, a repeated word included, is
+    /// collected and sorted stably first.
     ///
     /// # Panics
     ///
     /// Panics if a run would hold, or the image would list, more than
     /// `u32::MAX` values.
     pub fn new(words: impl IntoIterator<Item = (Addr, u64)>) -> Self {
-        let mut words = words.into_iter();
+        Self::from_progressions(
+            words
+                .into_iter()
+                .map(|(addr, value)| Progression::word(addr, value)),
+        )
+    }
+
+    /// Freezes `regions`, the image of their words in order: equal to
+    /// [`new`](Self::new) over them, word by word. Regions in ascending
+    /// order, each word-aligned and above the last word of the one
+    /// before (every generated image), are added a run at a time, so a
+    /// region that extends a progression costs the same whatever its
+    /// length; any other input goes through `new`'s sort.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use reunion_isa::{Addr, BaseImage, Progression};
+    ///
+    /// // A ring of 1000 lines, each pointing at the next, as two regions.
+    /// let ring = [
+    ///     Progression { start: Addr::new(0x1000), stride: 64, len: 999, first: 0x1040, step: 64 },
+    ///     Progression::word(Addr::new(0x1000 + 64 * 999), 0x1000),
+    /// ];
+    /// let base = BaseImage::from_progressions(ring);
+    /// let next = |i: u64| 0x1000 + 64 * ((i + 1) % 1000);
+    /// assert!(base == BaseImage::new((0..1000).map(|i| (Addr::new(0x1000 + 64 * i), next(i)))));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn from_progressions(regions: impl IntoIterator<Item = Progression>) -> Self {
+        let mut regions = regions.into_iter();
         let mut runs = RunBuilder::default();
-        while let Some((addr, value)) = words.next() {
-            if addr != addr.word() || runs.last.is_some_and(|last| addr.as_u64() <= last) {
-                let rest = std::iter::once((addr, value)).chain(words);
+        while let Some(region) = regions.next() {
+            if !region.ascends_from(runs.last) {
+                let rest = std::iter::once(region)
+                    .chain(regions)
+                    .flat_map(Progression::words);
                 return Self::sorted(runs.finish().entries().chain(rest));
             }
-            runs.push(addr.as_u64(), value);
+            runs.push_progression(
+                region.start.as_u64(),
+                region.stride,
+                region.len,
+                region.first,
+                region.step,
+            );
         }
         runs.finish()
     }
@@ -127,7 +240,7 @@ impl BaseImage {
         let mut words = words.into_iter().peekable();
         while let Some((addr, value)) = words.next() {
             if !words.peek().is_some_and(|&(next, _)| next == addr) {
-                runs.push(addr, value);
+                runs.push_progression(addr, 8, 1, value, 0);
             }
         }
         runs.finish()
@@ -234,6 +347,38 @@ struct RunBuilder {
 }
 
 impl RunBuilder {
+    /// Appends `len` words `stride` bytes apart from `start` (word-aligned,
+    /// strictly ascending without wrapping, above the last word pushed),
+    /// word `k` holding `first + k·step`: the runs pushing them one at a
+    /// time would make. It pushes single words only until the open run is
+    /// a progression that the remaining words extend, then adds them in one
+    /// step, so a power-of-two-strided region whose values step evenly
+    /// costs a handful of pushes however long it is.
+    fn push_progression(&mut self, start: u64, stride: u64, len: u64, first: u64, step: u64) {
+        for k in 0..len {
+            let addr = start + k * stride;
+            let value = first.wrapping_add(k.wrapping_mul(step));
+            if let (Some(last), Some(run)) = (self.last, self.runs.last_mut()) {
+                if run.progression
+                    && stride == 1 << run.shift
+                    && addr - last == stride
+                    && step == self.values[run.first as usize + 1]
+                    && value == run.value(&self.values, u64::from(run.len))
+                {
+                    let rest = len - k;
+                    assert!(
+                        u64::from(run.len) + rest <= u64::from(u32::MAX),
+                        "a run holds at most u32::MAX words"
+                    );
+                    run.len += rest as u32;
+                    self.last = Some(start + (len - 1) * stride);
+                    return;
+                }
+            }
+            self.push(addr, value);
+        }
+    }
+
     /// Appends word `addr` (word-aligned, above the last one). It extends
     /// the open run when it is one stride on, or sets a lone word's stride
     /// when the gap is a power of two, and, if the open run is a
@@ -444,6 +589,113 @@ mod tests {
             }
             assert_eq!(base, image(&expect));
         }
+    }
+
+    /// The image of `words` (word-aligned, strictly ascending) pushed one
+    /// word at a time.
+    fn word_built(words: impl IntoIterator<Item = (Addr, u64)>) -> BaseImage {
+        let mut runs = RunBuilder::default();
+        for (addr, value) in words {
+            runs.push(addr.as_u64(), value);
+        }
+        runs.finish()
+    }
+
+    /// Seeded: random regions — lone words, zeros, pointer rings, steps
+    /// that wrap past `u64::MAX` or are random, strides of 8–4096 bytes
+    /// (powers of two or not), lengths below `PROGRESSION_MIN` and up to a
+    /// few thousand words, regions that continue the one before so the two
+    /// merge, empty regions, and a few that overlap the one before and so
+    /// take the sort — freeze equal to their words, under `==` and in
+    /// `heap_bytes`.
+    #[test]
+    fn regions_freeze_equal_to_their_words() {
+        let mut rng = reunion_kernel::SimRng::seed_from(0x1A_6E55);
+        for case in 0..400 {
+            let mut regions: Vec<Progression> = Vec::new();
+            let mut next = 0x1000 + 8 * rng.below(1 << 20);
+            let mut ascending = true;
+            for _ in 0..1 + rng.below(8) {
+                let prev = regions.last().copied().filter(|p| p.len > 0);
+                let region = match prev {
+                    Some(prev) if rng.chance(0.25) => Progression {
+                        start: prev.start.offset(prev.len * prev.stride),
+                        len: 1 + rng.below(3 * u64::from(PROGRESSION_MIN)),
+                        first: prev.first.wrapping_add(prev.len.wrapping_mul(prev.step)),
+                        ..prev
+                    },
+                    _ => {
+                        let stride = if rng.chance(0.5) {
+                            8 << rng.below(10)
+                        } else {
+                            8 * (1 + rng.below(512))
+                        };
+                        let len = match rng.below(6) {
+                            0 => 1,
+                            1 => rng.below(u64::from(PROGRESSION_MIN)),
+                            2 => 1_000 + rng.below(3_000),
+                            _ => 2 + rng.below(40),
+                        };
+                        let (first, step) = match rng.below(5) {
+                            0 => (0, 0),
+                            1 => (next + stride, stride),
+                            2 => (rng.below(4), (1 + rng.below(1_000)).wrapping_neg()),
+                            3 => (rng.next_u64(), 0),
+                            _ => (rng.next_u64(), rng.next_u64()),
+                        };
+                        let start = if rng.chance(0.05) {
+                            ascending = false;
+                            next.saturating_sub(8 * rng.below(64))
+                        } else {
+                            next + 8 * rng.below(64)
+                        };
+                        Progression {
+                            start: Addr::new(start),
+                            stride,
+                            len,
+                            first,
+                            step,
+                        }
+                    }
+                };
+                next = region.start.as_u64() + region.len * region.stride;
+                regions.push(region);
+            }
+            let words = || regions.iter().copied().flat_map(Progression::words);
+            let frozen = BaseImage::from_progressions(regions.iter().copied());
+            let listed = BaseImage::new(words());
+            assert!(frozen == listed, "case {case}: {regions:?}");
+            assert_eq!(frozen.heap_bytes(), listed.heap_bytes(), "case {case}");
+            if ascending {
+                assert!(frozen == word_built(words()), "case {case}: {regions:?}");
+            }
+        }
+    }
+
+    /// A region that extends a progression takes its length in one step,
+    /// held to the same `u32::MAX` words a run the word path holds.
+    #[test]
+    fn a_region_extends_a_progression_in_one_step() {
+        let ring = |len| Progression {
+            start: Addr::new(0x1000),
+            stride: 64,
+            len,
+            first: 0x1040,
+            step: 64,
+        };
+        let full = BaseImage::from_progressions([ring(u64::from(u32::MAX))]);
+        assert_eq!(full.len(), u32::MAX as usize);
+        assert_eq!(full.heap_bytes(), 16 + 20);
+        let top = 0x1000 + 64 * (u64::from(u32::MAX) - 1);
+        assert_eq!(full.get(Addr::new(top)), Some(top + 64));
+        let over = std::panic::catch_unwind(|| {
+            BaseImage::from_progressions([ring(u64::from(u32::MAX) + 1)])
+        });
+        let message = over.expect_err("a run of 2^32 words");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"a run holds at most u32::MAX words")
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use exec::{
     alu_compute, atomic_update, effective_address, execute, DataMemory, FunctionalCore,
     SparseMemory, StepEffect,
 };
-pub use image::BaseImage;
+pub use image::{BaseImage, Progression};
 pub use inst::{AluOp, AtomicOp, BranchCond, Instruction, Opcode};
 pub use program::{Program, ProgramError};
 pub use reg::{RegFile, RegId, NUM_REGS};

@@ -35,7 +35,9 @@
 //! | r31 | own producer-consumer flag address |
 //! | r0  | neighbor producer-consumer flag address |
 
-use reunion_isa::{Addr, AluOp, AtomicOp, BranchCond, Instruction as I, Program, RegId};
+use reunion_isa::{
+    Addr, AluOp, AtomicOp, BranchCond, Instruction as I, Program, Progression, RegId,
+};
 use reunion_kernel::SimRng;
 
 use crate::{ProgramBuilder, SharingModel, WorkloadSpec};
@@ -385,26 +387,28 @@ fn emit_producer_consumer(b: &mut ProgramBuilder, rng: &mut SimRng, sharing: &Sh
     b.push(I::alu(AluOp::Xor, r(10), r(10), r(6)));
 }
 
-/// Initial memory contents required by the workload: released locks,
-/// zeroed hot and flag lines, and the pointer-chase ring through the shared
-/// region (one pointer per cache line) — in ascending address order when
-/// each region fits below the next, as in every suite spec.
+/// Initial memory contents required by the workload, as its regions:
+/// released locks, zeroed hot and flag lines, the pointer-chase ring
+/// through the shared region (one pointer per cache line) and the ring's
+/// wrapping word — in ascending address order when each region fits below
+/// the next, as in every suite spec. A region the spec leaves out (the
+/// ring, without a chase) is empty.
 ///
 /// The ring visits every line of the shared region in a strided order, so a
-/// chase's working set is the full region — em3d's defining property. The
-/// words are yielded, not collected: em3d's ring is half a million of them,
-/// and [`BaseImage::new`](reunion_isa::BaseImage::new) stores them as they
-/// come.
-pub fn initial_memory(spec: &WorkloadSpec) -> impl Iterator<Item = (Addr, u64)> {
-    let zeroed = |base: u64, lines: u64| (0..lines).map(move |i| (Addr::new(base + i * 64), 0));
-    // Locks must start released: unwritten words read as a nonzero hash,
-    // which would leave every spin lock permanently "held". Bank 0 is the
-    // globally shared bank; banks 1..=32 are thread-affine.
-    let locks = zeroed(LOCK_BASE, spec.locks * (16 + 32));
-    // Hot shared lines and producer-consumer flags start at zero so reads
-    // observe defined data rather than the uninitialized-word hash.
-    let hot = zeroed(HOT_BASE, spec.sharing.hot_lines);
-    let flags = zeroed(FLAG_BASE, FLAG_SLOTS);
+/// chase's working set is the full region — em3d's defining property. Its
+/// words are one progression, each line's word holding the next line's
+/// address, and the last line's word wraps to the first: em3d's
+/// half-million ring words are two regions, and
+/// [`BaseImage::from_progressions`](reunion_isa::BaseImage::from_progressions)
+/// builds them in one step.
+pub fn initial_memory(spec: &WorkloadSpec) -> [Progression; 5] {
+    let zeroed = |base: u64, len: u64| Progression {
+        start: Addr::new(base),
+        stride: 64,
+        len,
+        first: 0,
+        step: 0,
+    };
     // A sequential ring over every line of the region: the working set is
     // the full region (em3d's defining property) with realistic page
     // locality (one DTLB miss per 128 chased lines).
@@ -413,16 +417,46 @@ pub fn initial_memory(spec: &WorkloadSpec) -> impl Iterator<Item = (Addr, u64)> 
     } else {
         0
     };
-    let pos = move |i: u64| SHARED_BASE + (i % lines) * 64;
-    let ring = (0..lines).map(move |i| (Addr::new(pos(i)), pos(i + 1)));
-    locks.chain(hot).chain(flags).chain(ring)
+    let last = lines.saturating_sub(1);
+    [
+        // Locks must start released: unwritten words read as a nonzero
+        // hash, which would leave every spin lock permanently "held". Bank
+        // 0 is the globally shared bank; banks 1..=32 are thread-affine.
+        zeroed(LOCK_BASE, spec.locks * (16 + 32)),
+        // Hot shared lines and producer-consumer flags start at zero so
+        // reads observe defined data rather than the uninitialized-word
+        // hash.
+        zeroed(HOT_BASE, spec.sharing.hot_lines),
+        zeroed(FLAG_BASE, FLAG_SLOTS),
+        // Each line's word holds the next line's address ...
+        Progression {
+            start: Addr::new(SHARED_BASE),
+            stride: 64,
+            len: last,
+            first: SHARED_BASE + 64,
+            step: 64,
+        },
+        // ... but the last line's, which wraps to the first.
+        Progression {
+            len: lines.min(1),
+            ..Progression::word(Addr::new(SHARED_BASE + last * 64), SHARED_BASE)
+        },
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::WorkloadClass;
-    use reunion_isa::{FunctionalCore, Opcode, SparseMemory};
+    use reunion_isa::{BaseImage, FunctionalCore, Opcode, SparseMemory};
+
+    /// The words of the spec's regions, in order.
+    fn words(s: &WorkloadSpec) -> Vec<(Addr, u64)> {
+        initial_memory(s)
+            .into_iter()
+            .flat_map(Progression::words)
+            .collect()
+    }
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -526,7 +560,7 @@ mod tests {
         let mut s = spec();
         s.chase_weight = 2.0;
         s.shared_bytes = 1 << 16; // 1024 lines for a fast test
-        let init: Vec<_> = initial_memory(&s).collect();
+        let init = words(&s);
         let static_init = (s.locks * 48 + s.sharing.hot_lines + FLAG_SLOTS) as usize;
         assert_eq!(init.len(), (s.shared_bytes / 64) as usize + static_init);
         // Follow the ring; it must return to the start after exactly
@@ -553,12 +587,78 @@ mod tests {
     #[test]
     fn no_chase_still_initializes_locks_and_hot_lines() {
         let s = spec();
-        let init: Vec<_> = initial_memory(&s).collect();
+        let init = words(&s);
         assert_eq!(
             init.len() as u64,
             s.locks * 48 + s.sharing.hot_lines + FLAG_SLOTS
         );
         assert!(init.iter().all(|(a, v)| *v == 0 && a.as_u64() >= LOCK_BASE));
+    }
+
+    /// The generator's regions freeze to the image their words build one
+    /// at a time: without a ring, with a 1-line ring (its one word wraps to
+    /// itself) and with a 1024-line one.
+    #[test]
+    fn regions_freeze_equal_to_their_words() {
+        for (chase_weight, shared_bytes) in [(0.0, 1 << 20), (2.0, 64), (2.0, 1 << 16)] {
+            let s = WorkloadSpec {
+                chase_weight,
+                shared_bytes,
+                ..spec()
+            };
+            let frozen = BaseImage::from_progressions(initial_memory(&s));
+            let listed = BaseImage::new(words(&s));
+            let ctx = format!("chase {chase_weight}, {shared_bytes} B");
+            assert!(frozen == listed, "{ctx}");
+            assert_eq!(frozen.heap_bytes(), listed.heap_bytes(), "{ctx}");
+            assert_eq!(frozen.len(), words(&s).len(), "{ctx}");
+        }
+        let one_line = WorkloadSpec {
+            chase_weight: 2.0,
+            shared_bytes: 64,
+            ..spec()
+        };
+        let ring = BaseImage::from_progressions(initial_memory(&one_line));
+        assert_eq!(ring.get(Addr::new(SHARED_BASE)), Some(SHARED_BASE));
+    }
+
+    /// A spec with its shared region as a ring of `lines` lines.
+    fn ring_spec(lines: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            chase_weight: 2.0,
+            shared_bytes: lines * 64,
+            ..spec()
+        }
+    }
+
+    /// Building an image costs its regions, not its words: a 2^31-word
+    /// ring, which word by word would take minutes, builds in well under
+    /// 100 ms, and so does one whose progression fills a run to its
+    /// `u32::MAX` words exactly.
+    #[test]
+    fn a_ring_of_2_31_lines_builds_from_its_regions() {
+        for lines in [1 << 31, 1 << 32] {
+            let s = ring_spec(lines);
+            let began = std::time::Instant::now();
+            let image = BaseImage::from_progressions(initial_memory(&s));
+            let took = began.elapsed();
+            assert!(took.as_millis() < 100, "{lines} lines: {took:?}");
+            assert_eq!(
+                image.len() as u64,
+                lines + s.locks * 48 + s.sharing.hot_lines + 4
+            );
+            let last = SHARED_BASE + (lines - 1) * 64;
+            assert_eq!(image.get(Addr::new(last - 64)), Some(last));
+            assert_eq!(image.get(Addr::new(last)), Some(SHARED_BASE));
+        }
+    }
+
+    /// A ring whose progression would pass `u32::MAX` words panics as the
+    /// word path does.
+    #[test]
+    #[should_panic(expected = "a run holds at most u32::MAX words")]
+    fn a_ring_longer_than_a_run_panics() {
+        BaseImage::from_progressions(initial_memory(&ring_spec(1 << 33)));
     }
 
     #[test]

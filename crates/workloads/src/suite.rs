@@ -27,8 +27,8 @@ struct ArtifactCache {
     programs: Mutex<HashMap<usize, Program>>,
     /// The initial memory image (pointer rings etc.), frozen as the
     /// read-only base every system layers its stores over — half a million
-    /// words for em3d, built at most once per workload straight from the
-    /// generator's stream (see [`BaseImage`]).
+    /// words for em3d, built at most once per workload from the
+    /// generator's regions (see [`BaseImage`]).
     memory: OnceLock<Arc<BaseImage>>,
     /// The parsed kernel image for an assembly-sourced workload — parsed at
     /// most once per workload; `None` source never touches it.
@@ -203,7 +203,7 @@ impl Workload {
 
     /// Initial memory contents (pointer rings, `.data` images) as a
     /// read-only [`BaseImage`] — built once per workload from the
-    /// generator's word stream or the kernel's `.data` words, and shared. A
+    /// generator's regions or the kernel's `.data` words, and shared. A
     /// system layers its own stores over it with
     /// [`SparseMemory::over`](reunion_isa::SparseMemory::over). An
     /// [`uncached`](Self::uncached) workload builds a private one per call
@@ -211,7 +211,9 @@ impl Workload {
     pub fn initial_memory(&self) -> Arc<BaseImage> {
         let make = || {
             Arc::new(match self.source {
-                ProgramSource::Generated => BaseImage::new(gen::initial_memory(&self.spec)),
+                ProgramSource::Generated => {
+                    BaseImage::from_progressions(gen::initial_memory(&self.spec))
+                }
                 ProgramSource::Kernel(_) => BaseImage::new(
                     self.kernel_image()
                         .expect("kernel source")
@@ -653,7 +655,7 @@ pub fn suite() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reunion_isa::{FunctionalCore, SparseMemory};
+    use reunion_isa::{Addr, FunctionalCore, Progression, SparseMemory};
 
     #[test]
     fn suite_has_eleven_named_workloads() {
@@ -777,5 +779,59 @@ mod tests {
         }
         let len = Workload::by_name("em3d").unwrap().initial_memory().len();
         assert!(len > 500_000, "em3d's pointer ring is {len} words");
+    }
+
+    /// `words` cut into regions: each the longest stretch from its first
+    /// word whose addresses and values step evenly, as a generator would
+    /// write it.
+    fn regions_of(words: &[(Addr, u64)]) -> Vec<Progression> {
+        let mut regions: Vec<Progression> = Vec::new();
+        for &(addr, value) in words {
+            if let Some(open) = regions.last_mut() {
+                let next = open.start.as_u64().wrapping_add(open.len * open.stride);
+                let value_next = open.first.wrapping_add(open.len.wrapping_mul(open.step));
+                if open.len == 1 && addr.as_u64() > open.start.as_u64() {
+                    open.stride = addr.as_u64() - open.start.as_u64();
+                    open.step = value.wrapping_sub(open.first);
+                    open.len = 2;
+                    continue;
+                }
+                if addr.as_u64() == next && value == value_next {
+                    open.len += 1;
+                    continue;
+                }
+            }
+            regions.push(Progression::word(addr, value));
+        }
+        regions
+    }
+
+    /// Every suite and kernel image equals the one its words build one at
+    /// a time, under `==` and in `heap_bytes`: a generated image from the
+    /// generator's regions, a kernel's `.data` words cut into regions.
+    #[test]
+    fn every_image_freezes_equal_to_its_words() {
+        for w in suite().into_iter().chain(crate::kernel_suite()) {
+            let image = w.initial_memory();
+            let (regions, words): (Vec<Progression>, Vec<(Addr, u64)>) = match w.source {
+                ProgramSource::Generated => {
+                    let regions = gen::initial_memory(&w.spec).to_vec();
+                    let words = regions.iter().copied().flat_map(Progression::words);
+                    (regions.clone(), words.collect())
+                }
+                ProgramSource::Kernel(_) => {
+                    let words = w.kernel_image().expect("kernel source").memory().to_vec();
+                    (regions_of(&words), words)
+                }
+            };
+            let listed = BaseImage::new(words.iter().copied());
+            assert!(*image == listed, "{}", w.name());
+            assert_eq!(image.heap_bytes(), listed.heap_bytes(), "{}", w.name());
+            assert!(
+                BaseImage::from_progressions(regions) == listed,
+                "{}",
+                w.name()
+            );
+        }
     }
 }

@@ -720,7 +720,7 @@ fn racy_spec(rng: &mut SimRng, writers: u32) -> reunion_workloads::WorkloadSpec 
 /// the hot shared region, while writer threads eventually do.
 #[test]
 fn sharing_writer_bounds_respected() {
-    use reunion_isa::{FunctionalCore, SparseMemory};
+    use reunion_isa::{FunctionalCore, Progression, SparseMemory};
     use reunion_workloads::{generate_program, initial_memory};
     let hot_base = reunion_workloads::HOT_BASE;
     let mut rng = SimRng::seed_from(0xA1_000B);
@@ -732,7 +732,10 @@ fn sharing_writer_bounds_respected() {
         for thread in [writers as usize, writers as usize + 1] {
             let prog = generate_program(&spec, thread);
             let mut mem = SparseMemory::new();
-            for (addr, value) in initial_memory(&spec) {
+            for (addr, value) in initial_memory(&spec)
+                .into_iter()
+                .flat_map(Progression::words)
+            {
                 mem.poke(addr, value);
             }
             let mut core = FunctionalCore::new();
@@ -749,7 +752,10 @@ fn sharing_writer_bounds_respected() {
         // Thread 0 is always inside the bound and must eventually write.
         let prog = generate_program(&spec, 0);
         let mut mem = SparseMemory::new();
-        for (addr, value) in initial_memory(&spec) {
+        for (addr, value) in initial_memory(&spec)
+            .into_iter()
+            .flat_map(Progression::words)
+        {
             mem.poke(addr, value);
         }
         let mut core = FunctionalCore::new();
