@@ -48,7 +48,7 @@ mod system;
 
 pub use checkbus::CheckBus;
 pub use config::{Engine, ExecutionMode, SystemConfig};
-pub use metrics::{ClassSummary, Measurement, NormalizedResult};
+pub use metrics::{Measurement, NormalizedResult};
 pub use pair::{PairDriver, PairStats, RecoveryPhase};
 pub use sampling::{
     measure, normalize, normalized_ipc, sampled_run, Baseline, Profile, SampleConfig, SampledRun,

@@ -1,7 +1,6 @@
 //! Result types for the evaluation harness.
 
 use reunion_kernel::obs::{ObsReport, TraceEvent};
-use reunion_kernel::stats::RunningStats;
 
 use crate::SystemStats;
 
@@ -67,49 +66,9 @@ pub struct NormalizedResult {
     pub baseline: Measurement,
 }
 
-/// Running aggregation of normalized IPC over the workloads of one class
-/// (the class averages quoted throughout §5).
-#[derive(Clone, Debug, Default)]
-pub struct ClassSummary {
-    stats: RunningStats,
-}
-
-impl ClassSummary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one workload's normalized IPC.
-    pub fn push(&mut self, normalized_ipc: f64) {
-        self.stats.push(normalized_ipc);
-    }
-
-    /// Mean normalized IPC across the class.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Number of workloads aggregated.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn class_summary_means_and_penalty() {
-        let mut s = ClassSummary::new();
-        s.push(0.9);
-        s.push(0.95);
-        assert!((s.mean() - 0.925).abs() < 1e-12);
-        // The paper quotes the penalty, 1 − mean.
-        assert!((1.0 - s.mean() - 0.075).abs() < 1e-12);
-        assert_eq!(s.count(), 2);
-    }
 
     #[test]
     fn measurement_normalizations() {

@@ -15,11 +15,11 @@
 //!   simulating. It is the simulator's one time-advance abstraction: each
 //!   core and pair folds its own bound with it, and the system's skip
 //!   engine folds those bounds with it.
-//! * [`DelayQueue`] — a cycle-indexed delivery queue (a three-tier
-//!   calendar queue) and [`HorizonTree`] — a tournament tree over
-//!   per-component bounds. Nothing in the simulator uses either; both are
-//!   kept only because the benchmark's layer probes (`benchmark/`) name
-//!   them, and go once those probes do.
+//! * [`DelayQueue`] — a cycle-indexed delivery queue (one binary heap) and
+//!   [`HorizonTree`] — a slot vector of per-component bounds whose minimum
+//!   is their [`EventHorizon`] fold. Nothing in the simulator uses either;
+//!   both are kept only because the benchmark's layer probes (`benchmark/`)
+//!   name them, and go once those probes do.
 //! * [`hash`] — a fixed-seed fast hasher ([`FastHashMap`]) for the
 //!   simulator's hot point-lookup maps, where SipHash's DoS resistance is
 //!   pure overhead.

@@ -157,8 +157,9 @@ pub use report::{
 pub use runner::{measure_cell, Runner};
 pub use shard::ShardSpec;
 
-use reunion_core::{sampled_run, ClassSummary, ExecutionMode, SampleConfig, SystemConfig};
-use reunion_workloads::{kernel_suite, suite, Workload, WorkloadClass};
+use reunion_core::{sampled_run, ExecutionMode, SampleConfig, SystemConfig};
+use reunion_kernel::stats::RunningStats;
+use reunion_workloads::{suite, Workload, WorkloadClass};
 
 /// The `reunion-bench` binary: resolves the run options once, at `main`
 /// ([`RunOptions::parse_cli`]), then runs `run <id>` or `counters`. A
@@ -211,11 +212,6 @@ pub(crate) fn banner(id: &str, caption: &str) {
     println!("==============================================================");
 }
 
-/// The workload suite in presentation order.
-pub(crate) fn workloads() -> Vec<Workload> {
-    suite()
-}
-
 /// The commercial (Web+OLTP+DSS) subset of the suite, in presentation
 /// order — the population of Figures 7(b) and the SC ablation.
 pub(crate) fn commercial_workloads() -> Vec<Workload> {
@@ -223,12 +219,6 @@ pub(crate) fn commercial_workloads() -> Vec<Workload> {
         .into_iter()
         .filter(|w| w.class().is_commercial())
         .collect()
-}
-
-/// The real-code kernel suite (`asm/`), in presentation order — the
-/// population of the `kernels` experiment.
-pub(crate) fn kernel_workloads() -> Vec<Workload> {
-    kernel_suite()
 }
 
 /// Executes the grid on [`RunOptions::runner`], writes `BENCH_<id>.json`
@@ -383,7 +373,7 @@ pub(crate) fn class_averages(rows: &[(WorkloadClass, f64)]) -> Vec<(WorkloadClas
     WorkloadClass::ALL
         .iter()
         .map(|&class| {
-            let mut summary = ClassSummary::new();
+            let mut summary = RunningStats::new();
             for &(_, v) in rows.iter().filter(|(c, _)| *c == class) {
                 summary.push(v);
             }
@@ -395,8 +385,8 @@ pub(crate) fn class_averages(rows: &[(WorkloadClass, f64)]) -> Vec<(WorkloadClas
 /// Averages values over the commercial (Web+OLTP+DSS) and scientific
 /// workloads, the paper's two headline groups.
 pub(crate) fn commercial_scientific_averages(rows: &[(WorkloadClass, f64)]) -> (f64, f64) {
-    let mut commercial = ClassSummary::new();
-    let mut scientific = ClassSummary::new();
+    let mut commercial = RunningStats::new();
+    let mut scientific = RunningStats::new();
     for &(class, value) in rows {
         if class.is_commercial() {
             commercial.push(value);
@@ -532,6 +522,7 @@ fn ln_gamma(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use reunion_core::{Engine, Profile};
+    use reunion_workloads::kernel_suite;
 
     use super::*;
 
@@ -614,8 +605,8 @@ mod tests {
 
     #[test]
     fn kernel_suite_is_disjoint_from_the_named_suite() {
-        let named: std::collections::HashSet<_> = workloads().iter().map(|w| w.name()).collect();
-        let kernels = kernel_workloads();
+        let named: std::collections::HashSet<_> = suite().iter().map(|w| w.name()).collect();
+        let kernels = kernel_suite();
         assert_eq!(kernels.len(), 5);
         assert!(kernels.iter().all(|w| !named.contains(w.name())));
     }
@@ -675,7 +666,7 @@ mod tests {
 
     #[test]
     fn commercial_subset_is_proper() {
-        let all = workloads().len();
+        let all = suite().len();
         let commercial = commercial_workloads();
         assert!(!commercial.is_empty());
         assert!(commercial.len() < all);

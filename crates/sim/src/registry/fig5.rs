@@ -2,14 +2,14 @@
 //! non-redundant CMP, at a 10-cycle comparison latency.
 
 use reunion_core::ExecutionMode;
+use reunion_workloads::suite;
 
 use crate::{
-    commercial_scientific_averages, rate_with_ci95, workloads, ExperimentReport, GridBuilder,
-    RunOptions,
+    commercial_scientific_averages, rate_with_ci95, ExperimentReport, GridBuilder, RunOptions,
 };
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
-    grid.workloads(workloads())
+    grid.workloads(suite())
         .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
 }
 
@@ -18,7 +18,7 @@ pub(super) fn print(report: &ExperimentReport) {
         "{:<12} {:<11} {:>9} {:>9} {:>24} {:>9}",
         "workload", "class", "strict", "reunion", "incoh/1M [95 %]", "base-IPC"
     );
-    for w in workloads() {
+    for w in suite() {
         let strict = report
             .get(w.name(), ExecutionMode::Strict, "base")
             .and_then(|r| r.normalized())

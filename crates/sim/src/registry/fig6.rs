@@ -2,11 +2,11 @@
 //! comparison latency (0–40 cycles), averaged per workload class.
 
 use reunion_core::ExecutionMode;
-use reunion_workloads::WorkloadClass;
+use reunion_workloads::{suite, WorkloadClass};
 
 use crate::{
-    banner, class_averages, latency_label, workloads, ConfigPatch, ExperimentReport, GridBuilder,
-    RunOptions, SWEEP_LATENCIES,
+    banner, class_averages, latency_label, ConfigPatch, ExperimentReport, GridBuilder, RunOptions,
+    SWEEP_LATENCIES,
 };
 
 fn panel(report: &ExperimentReport, mode: ExecutionMode) {
@@ -31,7 +31,7 @@ fn panel(report: &ExperimentReport, mode: ExecutionMode) {
 }
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
-    grid.workloads(workloads())
+    grid.workloads(suite())
         .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
         .patches(
             SWEEP_LATENCIES

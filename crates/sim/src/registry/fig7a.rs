@@ -3,8 +3,9 @@
 
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
+use reunion_workloads::suite;
 
-use crate::{workloads, ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
+use crate::{ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
 
 /// The phantom-request strengths, strongest first (shared with Table 3).
 pub(super) const STRENGTHS: [PhantomStrength; 3] = [
@@ -14,7 +15,7 @@ pub(super) const STRENGTHS: [PhantomStrength; 3] = [
 ];
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
-    grid.workloads(workloads())
+    grid.workloads(suite())
         .modes(&[ExecutionMode::Reunion])
         .patches(
             STRENGTHS
@@ -29,7 +30,7 @@ pub(super) fn print(report: &ExperimentReport) {
         "{:<12} {:>9} {:>9} {:>9}",
         "workload", "global", "shared", "null"
     );
-    for w in workloads() {
+    for w in suite() {
         print!("{:<12}", w.name());
         for strength in STRENGTHS {
             let n = report

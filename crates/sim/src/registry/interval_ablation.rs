@@ -2,8 +2,9 @@
 //! difference between intervals of 1 and 50 instructions insignificant.
 
 use reunion_core::ExecutionMode;
+use reunion_workloads::suite;
 
-use crate::{workloads, ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
+use crate::{ConfigPatch, ExperimentReport, GridBuilder, RunOptions};
 
 const INTERVALS: [u32; 3] = [1, 5, 50];
 
@@ -12,7 +13,7 @@ fn interval_label(interval: u32) -> String {
 }
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
-    grid.workloads(workloads())
+    grid.workloads(suite())
         .modes(&[ExecutionMode::Reunion])
         .patches(
             INTERVALS
@@ -27,7 +28,7 @@ pub(super) fn print(report: &ExperimentReport) {
         "{:<12} {:>9} {:>9} {:>9}",
         "workload", "ival=1", "ival=5", "ival=50"
     );
-    for w in workloads() {
+    for w in suite() {
         print!("{:<12}", w.name());
         for &interval in &INTERVALS {
             let n = report

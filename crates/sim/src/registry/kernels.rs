@@ -7,12 +7,13 @@
 //! races drive genuine input incoherence.
 
 use reunion_core::{ExecutionMode, SystemConfig};
+use reunion_workloads::kernel_suite;
 
-use crate::{kernel_workloads, ExperimentReport, GridBuilder, RunOptions};
+use crate::{ExperimentReport, GridBuilder, RunOptions};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.base(SystemConfig::kernel_pair)
-        .workloads(kernel_workloads())
+        .workloads(kernel_suite())
         .modes(&[ExecutionMode::Strict, ExecutionMode::Reunion])
 }
 
@@ -21,7 +22,7 @@ pub(super) fn print(report: &ExperimentReport) {
         "{:<16} {:<11} {:>7} {:>9} {:>9} {:>12} {:>9}",
         "kernel", "class", "threads", "strict", "reunion", "incoh/1M", "base-IPC"
     );
-    for w in kernel_workloads() {
+    for w in kernel_suite() {
         let threads = w.kernel_image().map_or(1, |image| image.threads());
         let strict = report
             .get(w.name(), ExecutionMode::Strict, "base")

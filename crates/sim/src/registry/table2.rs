@@ -1,12 +1,13 @@
 //! Table 2: application parameters of the workload suite.
 
 use reunion_core::ExecutionMode;
+use reunion_workloads::suite;
 
-use crate::{workloads, ExperimentReport, GridBuilder, Metric, RunOptions};
+use crate::{ExperimentReport, GridBuilder, Metric, RunOptions};
 
 pub(super) fn axes(grid: GridBuilder, _: &RunOptions) -> GridBuilder {
     grid.metric(Metric::Static)
-        .workloads(workloads())
+        .workloads(suite())
         .modes(&[ExecutionMode::NonRedundant])
 }
 

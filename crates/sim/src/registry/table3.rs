@@ -3,11 +3,10 @@
 
 use reunion_core::ExecutionMode;
 use reunion_mem::PhantomStrength;
+use reunion_workloads::suite;
 
 use super::fig7a::STRENGTHS;
-use crate::{
-    rate_with_ci95, workloads, ConfigPatch, ExperimentReport, GridBuilder, Metric, RunOptions,
-};
+use crate::{rate_with_ci95, ConfigPatch, ExperimentReport, GridBuilder, Metric, RunOptions};
 
 /// How many cycles em3d's widened measured window under global phantoms
 /// must cover.
@@ -30,7 +29,7 @@ pub(super) fn axes(grid: GridBuilder, opts: &RunOptions) -> GridBuilder {
             PhantomStrength::Global.to_string(),
             opts.sample().widened_to_cycles(EM3D_MEASURED_CYCLES),
         )
-        .workloads(workloads())
+        .workloads(suite())
         .modes(&[ExecutionMode::Reunion])
         .patches(
             STRENGTHS
@@ -46,7 +45,7 @@ pub(super) fn print(report: &ExperimentReport) {
         "workload", "global", "shared", "null", "tlb/1M"
     );
     let mut sci_global = Vec::new();
-    for w in workloads() {
+    for w in suite() {
         print!("{:<12}", w.name());
         let mut tlb = 0.0;
         for strength in STRENGTHS {
