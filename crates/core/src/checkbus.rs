@@ -1,22 +1,23 @@
 //! The shared fingerprint check bus.
 //!
 //! The paper's CMP gives every vocal/mute pair a private comparison channel:
-//! fingerprints cross in a fixed one-way `comparison_latency` and never
-//! contend. That is faithful at 2–4 pairs, but the many-core scaling study
-//! asks what happens when 8 or 16 pairs funnel their fingerprint traffic —
-//! two messages per compared interval, plus a return grant for serializing
+//! fingerprints cross in a fixed one-way latency — the cores'
+//! [`check_latency`](reunion_cpu::Core::check_latency) — and never contend.
+//! That is faithful at 2–4 pairs, but the many-core scaling study asks what
+//! happens when 8 or 16 pairs funnel their fingerprint traffic — two
+//! messages per compared interval, plus a return grant for serializing
 //! instructions — over one shared interconnect.
 //!
 //! [`CheckBus`] models that interconnect as a single pipelined channel with
 //! a per-message *occupancy* (reciprocal bandwidth: the number of bus
-//! cycles each message holds the channel). Propagation time stays in
-//! `comparison_latency`; the bus only adds queueing delay, which is zero
-//! until two messages want the same bus cycles.
+//! cycles each message holds the channel). Propagation time stays in the
+//! check latency; the bus only adds queueing delay, which is zero until two
+//! messages want the same bus cycles.
 //!
-//! An occupancy of `0` is the *unmodeled* sentinel: [`CheckBus::grant`]
-//! returns its argument and mutates nothing, restoring the paper's private
-//! channels exactly — that is what keeps every paper-scale artifact
-//! byte-identical.
+//! Every pair sends every message through [`CheckBus::grant`]. At occupancy
+//! `0` it returns its argument and mutates nothing, restoring the paper's
+//! private channels exactly — that is what keeps every paper-scale
+//! artifact byte-identical.
 //!
 //! Determinism: the bus is only touched from [`PairDriver::tick`], pairs
 //! tick in logical-processor order, and comparisons happen on the same
@@ -39,7 +40,7 @@ pub struct CheckBus {
     /// Cycle the channel next becomes free.
     free_at: u64,
     /// Total cycles messages waited behind the channel (contention only;
-    /// zero whenever the bus is unmodeled or uncontended).
+    /// zero at occupancy `0` or without contention).
     wait_cycles: u64,
     /// Messages granted a slot.
     messages: u64,
@@ -56,11 +57,6 @@ impl CheckBus {
         }
     }
 
-    /// Whether the bus actually models contention (occupancy > 0).
-    pub(crate) fn is_modeled(&self) -> bool {
-        self.occupancy > 0
-    }
-
     /// Grants a transmission slot to a message that is ready to depart at
     /// `ready_at`, returning its departure cycle. With occupancy `0` this
     /// is the identity and records nothing.
@@ -75,12 +71,15 @@ impl CheckBus {
         Cycle::new(depart)
     }
 
-    /// Total cycles messages spent queued behind the shared channel.
+    /// Total cycles messages spent queued behind the shared channel over
+    /// the whole run: [`begin_window`](crate::CmpSystem::begin_window)
+    /// does not reset it.
     pub fn wait_cycles(&self) -> u64 {
         self.wait_cycles
     }
 
-    /// Total messages granted slots.
+    /// Total messages granted slots over the whole run (not reset between
+    /// windows either; `0` at occupancy `0`).
     pub fn messages(&self) -> u64 {
         self.messages
     }
@@ -93,7 +92,6 @@ mod tests {
     #[test]
     fn unmodeled_bus_is_the_identity() {
         let mut bus = CheckBus::new(0);
-        assert!(!bus.is_modeled());
         for t in [0u64, 5, 3, 100, 7] {
             assert_eq!(bus.grant(Cycle::new(t)), Cycle::new(t));
         }

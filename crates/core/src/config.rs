@@ -71,14 +71,14 @@ impl std::str::FromStr for ExecutionMode {
 
 /// Which timing engine advances the simulated CMP.
 ///
-/// Both engines execute the identical per-cycle model ([`tick`]); they
-/// differ only in which cycles they bother to tick. Every deterministic
-/// output — `BENCH_<id>.json` bytes, measured counters, final architectural
-/// state — is guaranteed identical between them; the dual-run
-/// `engine-parity` CI job and the randomized property tests in
+/// Both engines execute the identical per-cycle model (each logical
+/// processor's [`tick`]); they differ only in which cycles they tick.
+/// Every deterministic output — `BENCH_<id>.json` bytes, measured counters,
+/// final architectural state — is guaranteed identical between them; the
+/// dual-run `engine-parity` CI job and the randomized property tests in
 /// `tests/engines.rs` enforce it.
 ///
-/// [`tick`]: crate::CmpSystem::tick
+/// [`tick`]: crate::PairDriver::tick
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Tick every logical processor on every cycle — the reference

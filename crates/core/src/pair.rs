@@ -47,9 +47,6 @@ pub struct PairStats {
     pub failures: Counter,
     /// Synchronizing requests issued.
     pub sync_requests: Counter,
-    /// Cycles this pair's fingerprint messages spent queued behind the
-    /// shared check bus (always zero when the bus is unmodeled).
-    pub check_bus_waits: Counter,
     /// Check round-trip latencies (vocal interval reaching the check stage
     /// to its release grant), recorded only when observability is enabled.
     pub check_latency: LatencyHistogram,
@@ -67,8 +64,9 @@ impl PairStats {
 
 /// A vocal/mute pair with its comparison channel and recovery logic.
 ///
-/// The driver owns both cores, forwards fingerprints between them with the
-/// configured one-way comparison latency, grants retirement releases on
+/// The driver owns both cores, forwards fingerprints between them over the
+/// CMP's [`CheckBus`] and its cores' one-way
+/// [`check_latency`](Core::check_latency), grants retirement releases on
 /// matches, and runs the two-phase re-execution protocol on mismatches.
 ///
 /// For the Strict model the same driver additionally streams the vocal
@@ -77,7 +75,6 @@ impl PairStats {
 pub struct PairDriver {
     vocal: Core,
     mute: Core,
-    comparison_latency: u64,
     vocal_events: VecDeque<CheckEvent>,
     mute_events: VecDeque<CheckEvent>,
     phase: RecoveryPhase,
@@ -109,11 +106,14 @@ impl PairDriver {
     /// the same pair seed. Their roles select the model: two
     /// [`Role::Reunion`] cores, or a [`Role::StrictLeader`] vocal with a
     /// [`Role::StrictTrailer`] mute for the strict-input-replication oracle.
+    /// Their shared [`check_latency`](Core::check_latency) is the pair's
+    /// one-way comparison latency.
     ///
     /// # Panics
     ///
-    /// Panics on any other combination of roles.
-    pub fn new(vocal: Core, mute: Core, comparison_latency: u64) -> Self {
+    /// Panics on any other combination of roles, or if the two halves'
+    /// check latencies differ.
+    pub fn new(vocal: Core, mute: Core) -> Self {
         let roles = (vocal.role(), mute.role());
         assert!(
             matches!(
@@ -122,10 +122,14 @@ impl PairDriver {
             ),
             "{roles:?}: these vocal and mute roles do not make a pair"
         );
+        assert_eq!(
+            vocal.check_latency(),
+            mute.check_latency(),
+            "the two halves of a pair disagree on the check latency"
+        );
         PairDriver {
             vocal,
             mute,
-            comparison_latency,
             vocal_events: VecDeque::new(),
             mute_events: VecDeque::new(),
             phase: RecoveryPhase::Normal,
@@ -217,9 +221,9 @@ impl PairDriver {
 
     /// Advances the pair by one cycle.
     ///
-    /// `bus` is the CMP's shared check bus; with the default unmodeled bus
-    /// (occupancy 0) every grant is the identity and the pair behaves as if
-    /// it owned a private comparison channel.
+    /// `bus` is the CMP's shared check bus; at occupancy 0 every grant is
+    /// the identity and the pair behaves as if it owned a private
+    /// comparison channel.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
         self.vocal.tick(now, mem);
         self.mute.tick(now, mem);
@@ -355,45 +359,32 @@ impl PairDriver {
     }
 
     fn compare_and_release(&mut self, now: Cycle, mem: &mut MemorySystem, bus: &mut CheckBus) {
+        let latency = self.vocal.check_latency();
         while let (Some(v), Some(m)) = (self.vocal_events.front(), self.mute_events.front()) {
             let matched = v.fingerprint == m.fingerprint;
 
             // Both fingerprints cross the shared check bus regardless of
-            // whether they match; each departure waits for a bus slot
-            // (identity when the bus is unmodeled) and then propagates for
-            // `comparison_latency`.
+            // whether they match; each departure waits for a bus slot and
+            // then propagates for the check latency.
             let v_sent = bus.grant(v.ready_at);
             let m_sent = bus.grant(m.ready_at);
-            if bus.is_modeled() {
-                let queued =
-                    v_sent.saturating_since(v.ready_at) + m_sent.saturating_since(m.ready_at);
-                self.stats.check_bus_waits.add(queued);
-            }
 
             if matched {
                 let interval_id = v.fingerprint.interval_id;
                 // The cores swap fingerprints: each can retire once its
                 // partner's fingerprint has crossed the channel.
-                let mut release_v = v.ready_at.max(m_sent + self.comparison_latency);
-                let mut release_m = m.ready_at.max(v_sent + self.comparison_latency);
+                let mut release_v = v.ready_at.max(m_sent + latency);
+                let mut release_m = m.ready_at.max(v_sent + latency);
                 // A serializing instruction's release grant makes a return
                 // trip to the waiting core; that message shares the same
                 // bus. (The strict oracle keeps checking off the
                 // serializing path, so only Reunion pays here.)
-                if self.vocal.role().pays_grant_return() && bus.is_modeled() {
+                if self.vocal.role().pays_grant_return() {
                     if v.serializing {
-                        let sent = bus.grant(release_v);
-                        self.stats
-                            .check_bus_waits
-                            .add(sent.saturating_since(release_v));
-                        release_v = sent;
+                        release_v = bus.grant(release_v);
                     }
                     if m.serializing {
-                        let sent = bus.grant(release_m);
-                        self.stats
-                            .check_bus_waits
-                            .add(sent.saturating_since(release_m));
-                        release_m = sent;
+                        release_m = bus.grant(release_m);
                     }
                 }
                 self.vocal.grant(ReleaseGrant {
@@ -431,7 +422,7 @@ impl PairDriver {
             } else {
                 // The difference becomes observable once both fingerprints
                 // have crossed the channel.
-                let detect_at = v_sent.max(m_sent) + self.comparison_latency;
+                let detect_at = v_sent.max(m_sent) + latency;
                 if now >= detect_at {
                     self.mismatch_detected(now, mem);
                 } else {
@@ -541,12 +532,24 @@ mod tests {
 
     impl Rig {
         fn new(code: Vec<I>, strict: bool) -> Rig {
-            Rig::with_interval(code, strict, 1)
+            Rig::configured(code, strict, |_| {})
         }
 
         /// A rig whose cores close a fingerprint interval every `interval`
         /// instructions.
         fn with_interval(code: Vec<I>, strict: bool, interval: u32) -> Rig {
+            Rig::configured(code, strict, |cfg| cfg.fingerprint_interval = interval)
+        }
+
+        /// A Reunion rig whose cores, and so its comparison channel, have
+        /// a one-way check latency of `latency` cycles.
+        fn with_check_latency(code: Vec<I>, latency: u64) -> Rig {
+            Rig::configured(code, false, |cfg| cfg.check_latency = latency)
+        }
+
+        /// A rig whose cores start from their role's Table 1 configuration
+        /// with `tweak` applied to both.
+        fn configured(code: Vec<I>, strict: bool, tweak: impl Fn(&mut CoreConfig)) -> Rig {
             let program = Arc::new(Program::new("rig", code).unwrap());
             let mut mem = MemorySystem::new(MemConfig::small());
             let vl1 = mem.register_l1(Owner::vocal(0));
@@ -556,15 +559,16 @@ mod tests {
             } else {
                 (Role::Reunion, Role::Reunion)
             };
-            let cfg = |role| CoreConfig {
-                fingerprint_interval: interval,
-                ..CoreConfig::for_role(role)
+            let cfg = |role| {
+                let mut cfg = CoreConfig::for_role(role);
+                tweak(&mut cfg);
+                cfg
             };
             let vocal = Core::new(cfg(vrole), program.clone(), vl1, 42);
             let mute = Core::new(cfg(mrole), program, ml1, 42);
             Rig {
                 mem,
-                pair: PairDriver::new(vocal, mute, 10),
+                pair: PairDriver::new(vocal, mute),
                 bus: CheckBus::new(0),
                 now: 0,
             }
@@ -682,15 +686,13 @@ mod tests {
     }
 
     #[test]
-    fn comparison_latency_delays_retirement() {
-        let mut fast = Rig::new(counting_loop(), false);
-        fast.pair.comparison_latency = 0;
+    fn check_latency_delays_retirement() {
+        let mut fast = Rig::with_check_latency(counting_loop(), 0);
         fast.run(2000);
-        let mut slow = Rig::new(counting_loop(), false);
-        slow.pair.comparison_latency = 40;
+        let mut slow = Rig::with_check_latency(counting_loop(), 40);
         slow.run(2000);
         assert!(
-            fast.pair.retired_user() >= slow.pair.retired_user(),
+            fast.pair.retired_user() > slow.pair.retired_user(),
             "latency 0: {}, latency 40: {}",
             fast.pair.retired_user(),
             slow.pair.retired_user()
@@ -714,10 +716,11 @@ mod tests {
         );
         assert!(shared.bus.messages() > 0);
         assert!(
-            shared.pair.stats().check_bus_waits.value() > 0,
+            shared.bus.wait_cycles() > 0,
             "a single pair saturates an occupancy-8 bus at interval 1"
         );
-        assert_eq!(private.pair.stats().check_bus_waits.value(), 0);
+        assert_eq!(private.bus.messages(), 0);
+        assert_eq!(private.bus.wait_cycles(), 0);
     }
 
     #[test]
@@ -754,7 +757,7 @@ mod tests {
         let cfg = CoreConfig::for_role(Role::Reunion);
         let vocal = Core::new(cfg.clone(), program.clone(), vl1, 9);
         let mute = Core::new(cfg, program, ml1, 9);
-        let mut pair = PairDriver::new(vocal, mute, 10);
+        let mut pair = PairDriver::new(vocal, mute);
         let mut bus = CheckBus::new(0);
 
         let mut wrote = 0u64;
@@ -973,7 +976,7 @@ mod tests {
             5,
         );
         let mute = Core::new(CoreConfig::for_role(Role::StrictTrailer), program, ml1, 5);
-        let mut pair = PairDriver::new(vocal, mute, 10);
+        let mut pair = PairDriver::new(vocal, mute);
         let mut bus = CheckBus::new(0);
         for now in 0..30_000u64 {
             if now % 300 == 150 {
@@ -1003,7 +1006,24 @@ mod tests {
             1,
         );
         let mute = Core::new(CoreConfig::for_role(Role::Reunion), program, ml1, 1);
-        PairDriver::new(vocal, mute, 10);
+        PairDriver::new(vocal, mute);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on the check latency")]
+    fn halves_with_different_check_latencies_cannot_pair() {
+        let program = Arc::new(Program::new("skew", counting_loop()).unwrap());
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let vl1 = mem.register_l1(Owner::vocal(0));
+        let ml1 = mem.register_l1(Owner::mute(0));
+        let cfg = CoreConfig::for_role(Role::Reunion);
+        let slow = CoreConfig {
+            check_latency: cfg.check_latency + 1,
+            ..cfg.clone()
+        };
+        let vocal = Core::new(cfg, program.clone(), vl1, 1);
+        let mute = Core::new(slow, program, ml1, 1);
+        PairDriver::new(vocal, mute);
     }
 
     #[test]

@@ -190,8 +190,7 @@ impl CmpSystem {
                 Some(role) => {
                     let ml1 = mem.register_l1(Owner::mute(lp as u8));
                     let mute = Core::new(core_cfg(role), program, ml1, pair_seed);
-                    let pair = PairDriver::new(vocal, mute, cfg.comparison_latency);
-                    Proc::Pair(Box::new(pair))
+                    Proc::Pair(Box::new(PairDriver::new(vocal, mute)))
                 }
             });
         }
@@ -230,7 +229,8 @@ impl CmpSystem {
         &self.mem
     }
 
-    /// The shared check bus (contention-stats inspection).
+    /// The shared check bus (contention-stats inspection). Its counts cover
+    /// the whole run: [`begin_window`](Self::begin_window) does not reset them.
     pub fn check_bus(&self) -> &CheckBus {
         &self.check_bus
     }
@@ -281,7 +281,7 @@ impl CmpSystem {
     /// logical-processor order, which also fixes the order in which their
     /// comparators are granted shared-check-bus slots — deterministic and
     /// identical under both engines.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         for proc in &mut self.procs {
             proc.tick(self.now, &mut self.mem, &mut self.check_bus);
         }

@@ -37,9 +37,9 @@ pub struct ReleaseGrant {
     /// The interval fingerprint id being released.
     pub interval_id: u64,
     /// Cycle at which the partner's fingerprint has arrived and compared:
-    /// `max(own_ready, partner_ready + comparison_latency)` from the
-    /// receiving core's perspective. Serializing intervals additionally
-    /// wait out the grant's return trip
+    /// `max(own_ready, partner_sent + check_latency)` for the receiving
+    /// core, `partner_sent` being the partner's check-bus departure.
+    /// Serializing intervals also wait out the grant's return trip
     /// ([`CoreConfig::check_latency`](crate::CoreConfig::check_latency)).
     pub at: Cycle,
 }

@@ -117,8 +117,8 @@ pub struct CoreConfig {
     /// grant when an interval ends in a serializing instruction (the grant
     /// itself must cross back to the core before the drained pipeline may
     /// resume), and twice (a full round trip) on every input-incoherence
-    /// re-execution fulfillment. Pair drivers set this to the comparison
-    /// latency.
+    /// re-execution fulfillment. It is also the pair's one-way comparison
+    /// latency, read by the pair driver from both halves, which must agree.
     pub check_latency: u64,
 }
 

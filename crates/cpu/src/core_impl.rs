@@ -242,6 +242,11 @@ impl Core {
         self.cfg.role
     }
 
+    /// The pair's one-way comparison latency ([`CoreConfig::check_latency`]).
+    pub fn check_latency(&self) -> u64 {
+        self.cfg.check_latency
+    }
+
     /// The L1 this core issues requests through.
     pub fn l1(&self) -> L1Id {
         self.l1

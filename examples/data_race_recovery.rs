@@ -45,7 +45,7 @@ fn main() {
     let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vocal_l1, 7);
     let mute = Core::new(cfg, program, mute_l1, 7);
-    let mut pair = PairDriver::new(vocal, mute, 10);
+    let mut pair = PairDriver::new(vocal, mute);
     let mut bus = CheckBus::new(0); // private (unmodeled) check channels
 
     let mut writes = 0u64;

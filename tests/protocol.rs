@@ -42,7 +42,7 @@ fn incoherence_alone_never_produces_unsafe_state() {
     let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 3);
     let mute = Core::new(cfg, program, ml1, 3);
-    let mut pair = PairDriver::new(vocal, mute, 10);
+    let mut pair = PairDriver::new(vocal, mute);
     let mut bus = CheckBus::new(0);
 
     for now in 0..80_000u64 {
@@ -90,7 +90,7 @@ fn reexecution_protocol_guarantees_forward_progress() {
     let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 11);
     let mute = Core::new(cfg, program, ml1, 11);
-    let mut pair = PairDriver::new(vocal, mute, 10);
+    let mut pair = PairDriver::new(vocal, mute);
     let mut bus = CheckBus::new(0);
 
     let mut last_retired = 0;
@@ -138,7 +138,7 @@ fn phase_two_repairs_retired_divergence() {
     let cfg = CoreConfig::for_role(Role::Reunion);
     let vocal = Core::new(cfg.clone(), program.clone(), vl1, 13);
     let mute = Core::new(cfg, program, ml1, 13);
-    let mut pair = PairDriver::new(vocal, mute, 10);
+    let mut pair = PairDriver::new(vocal, mute);
     let mut bus = CheckBus::new(0);
 
     for now in 0..3_000u64 {

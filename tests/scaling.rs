@@ -9,7 +9,7 @@
 //! quick sampling profile, so a violation fails `cargo test` long before
 //! the CI artifact gate sees it.
 
-use reunion_core::{Engine, ExecutionMode, SampleConfig, SystemConfig};
+use reunion_core::{CmpSystem, Engine, ExecutionMode, SampleConfig, SystemConfig};
 use reunion_mem::MemConfig;
 use reunion_sim::{ConfigPatch, ExperimentGrid, RunOptions, Runner};
 use reunion_workloads::Workload;
@@ -92,4 +92,32 @@ fn shared_check_bus_costs_throughput_at_scale() {
         ipc("p16:bw2:lat=10") < ipc("p16:bw0:lat=10"),
         "a saturated shared check bus must slow retirement"
     );
+}
+
+/// The whole-system check-bus counts: private channels (occupancy 0) send
+/// nothing through the bus's books, a shared 2-cycle bus at 8 pairs both
+/// carries messages and queues them, and neither count restarts with a
+/// measurement window.
+#[test]
+fn only_a_shared_check_bus_counts_messages_and_waits() {
+    let workload = Workload::by_name("apache").expect("in suite");
+    let read = |system: &CmpSystem| {
+        let bus = system.check_bus();
+        (bus.messages(), bus.wait_cycles())
+    };
+    let counts = |occupancy| {
+        let cfg = scaling_base(ExecutionMode::Reunion)
+            .with_logical_processors(8)
+            .with_check_bandwidth(occupancy);
+        let mut system = CmpSystem::new(&cfg, &workload);
+        system.run(5_000);
+        let counts = read(&system);
+        system.begin_window();
+        assert_eq!(read(&system), counts, "whole-run counts");
+        counts
+    };
+    assert_eq!(counts(0), (0, 0));
+    let (messages, waits) = counts(2);
+    assert!(messages > 0, "a shared bus carries every fingerprint");
+    assert!(waits > 0, "8 pairs contend for a 2-cycle bus");
 }
