@@ -881,6 +881,34 @@ mod tests {
         assert!(held > 1_000, "only {held} ticks were held to a bound");
     }
 
+    /// Figure 4's ladder starts one recovery per rung it climbs:
+    /// `escalate` counts an input-incoherence event or a phase-two
+    /// recovery, never both, each time it calls `start_recovery`. So the
+    /// sum holds per pair and in the system totals, across a window
+    /// boundary too. Under null phantoms em3d's pairs recover again and
+    /// again; the pair's ladder tests drive the phase-two rung itself.
+    #[test]
+    fn every_recovery_is_one_incoherence_event_or_one_phase_two_escalation() {
+        let workload = Workload::by_name("em3d").expect("suite workload");
+        let mut cfg = SystemConfig::small_test(ExecutionMode::Reunion);
+        cfg.phantom = reunion_mem::PhantomStrength::Null;
+        let mut sys = CmpSystem::new(&cfg, &workload);
+        sys.run(3_000);
+        sys.begin_window();
+        sys.run(20_000);
+        for proc in &sys.procs {
+            let Proc::Pair(pair) = proc else {
+                panic!("a Reunion system runs pairs")
+            };
+            let s = pair.stats();
+            let rungs = s.input_incoherence.value() + s.phase2_recoveries.value();
+            assert_eq!(s.recoveries.value(), rungs, "{s:?}");
+        }
+        let t = sys.window_stats();
+        assert!(t.recoveries > 50, "only {} recoveries", t.recoveries);
+        assert_eq!(t.recoveries, t.input_incoherence + t.phase2, "{t:?}");
+    }
+
     #[test]
     fn all_halted_system_early_exits_under_both_engines() {
         for engine in [crate::Engine::Dense, crate::Engine::Skip] {

@@ -2,65 +2,17 @@
 //!
 //! The skip engine ticks a core only when its bound has arrived, so the
 //! bound must never be later than the first cycle at which `Core::tick`
-//! would do anything. Every reason `dispatch` has to stop short of an
-//! instruction is a predicate defined here and asked by both sides —
-//! `dispatch` at the point it stops, the bound through
-//! [`Core::front_end_blocked`] — so the two cannot list different reasons.
+//! would do anything. The front end's part is a match on [`Core::gate`],
+//! the function `dispatch` loops on, so the two cannot list different
+//! reasons, and a new [`Stall`] does not compile until the bound decides
+//! it.
 
-use reunion_isa::Instruction;
 use reunion_kernel::{Cycle, EventHorizon};
 
+use super::dispatch::{Gate, Stall};
 use super::Core;
-use crate::config::{ROB_ENTRIES, SB_ENTRIES};
 
 impl Core {
-    /// Whether the pipeline accepts no instruction at all this cycle,
-    /// whatever comes next: `dispatch` stops at the head of its loop.
-    pub(super) fn front_end_closed(&self) -> bool {
-        self.halted
-            || self.pending_sync.is_some()
-            || self.serializing_block
-            || self.rob.len() >= ROB_ENTRIES
-            || (self.single_step && !self.rob.is_empty())
-    }
-
-    /// Whether `inst` cannot dispatch until something older retires: a
-    /// serializing instruction enters an empty ROB only (§4.4), and a store
-    /// needs a free store-buffer entry.
-    pub(super) fn awaits_retirement(&self, inst: &Instruction) -> bool {
-        (self.serializes(inst.op) && !self.rob.is_empty())
-            || (inst.op.is_store() && self.sb_count >= SB_ENTRIES)
-    }
-
-    /// Whether this cycle's `dispatch` would change no state at all,
-    /// `fetch_free` aside.
-    ///
-    /// Every wait reported here is lifted only by a retirement (which
-    /// [`next_activity_at`](Self::next_activity_at) schedules from the head
-    /// ROB entry's stamps) or by the pair driver (a grant, a synchronizing
-    /// fulfillment, a rollback — each inside a tick that re-reports the
-    /// bound). The strict trailing core's empty-LVQ wait is deliberately
-    /// absent: its wake-up is the partner's `push_lvq`, which no stamp of
-    /// this core announces, so the bound keeps reporting "now" for it.
-    fn front_end_blocked(&self) -> bool {
-        if self.front_end_closed() {
-            return true;
-        }
-        // Before `dispatch` asks whether the next instruction must wait it
-        // does three things that change state, and a cycle on which it
-        // would do any of them is not one to sit out. A fetch that runs off
-        // the image or onto `halt` halts the core ...
-        let Some(inst) = self.peek_next() else {
-            return false;
-        };
-        self.awaits_retirement(inst)
-            // ... an interrupt that has fallen due is delivered ...
-            && !self.interrupt_due()
-            // ... and an open fingerprint interval is closed ahead of a
-            // serializing instruction, so the older ones can be compared.
-            && !(self.cfg.role.checked() && self.fp.pending() > 0 && self.serializes(inst.op))
-    }
-
     /// The earliest cycle `>= from` at which this core could make forward
     /// progress on its own — the core's contribution to a time-skipping
     /// engine's [`EventHorizon`].
@@ -74,13 +26,12 @@ impl Core {
     ///   engine steps cycle-by-cycle through the round-trip stall window and
     ///   the `serializing_stall_cycles` counter matches dense execution
     ///   exactly.
-    /// * **Dispatch** — `fetch_free` (mispredict/TLB refill), unless the
-    ///   front end is blocked: halt, full ROB, a dispatched serializing
-    ///   instruction, a pending synchronizing request, single-step
-    ///   occupancy, a serializing instruction waiting for the ROB to drain,
-    ///   or a store waiting for a store-buffer entry. A blocked front end
-    ///   contributes nothing; the retirement that unblocks it is already on
-    ///   the horizon.
+    /// * **Dispatch** — the next cycle when the dispatch gate is open or has a
+    ///   state change to make; `fetch_free` for a fetch refill. Every other
+    ///   stall contributes nothing: only a retirement, already on the
+    ///   horizon, or the pair driver lifts it. The strict trailer's empty
+    ///   load-value queue reads the next cycle too: its wake-up is the
+    ///   partner's `push_lvq`, which no stamp of this core announces.
     /// * **Pending check events** — fingerprints emitted after the pair
     ///   driver's collection point (synchronizing-request fulfillment) must
     ///   be compared on the next cycle.
@@ -90,21 +41,21 @@ impl Core {
     /// at all (halted with an empty pipeline).
     pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
         let floor = from.as_u64();
-        let front_end_blocked = self.front_end_blocked();
-        // Fast path: an unblocked front end dispatches on the very next
-        // cycle — no candidate can be earlier, so skip the retire-side
-        // bookkeeping entirely. This keeps the skip engine's per-tick
-        // overhead negligible through dense (always-active) phases.
-        if !front_end_blocked && self.fetch_free <= floor {
-            return Some(from);
-        }
+        let fetch = match self.gate(from) {
+            // Fast path: nothing is earlier, so skip the retire side. This
+            // keeps the skip engine cheap through dense phases.
+            Gate::Open | Gate::Act | Gate::Blocked(Stall::EmptyLvq) => return Some(from),
+            Gate::Blocked(Stall::Fetch) => Some(Cycle::new(self.fetch_free)),
+            Gate::Blocked(Stall::Halted | Stall::Sync | Stall::RobFull | Stall::SingleStep) => None,
+            Gate::Blocked(Stall::Serializing | Stall::RobDrain | Stall::StoreBuffer) => None,
+        };
         if !self.events.is_empty() {
             return Some(from);
         }
 
         let mut horizon = EventHorizon::new();
-        if !front_end_blocked {
-            horizon.note(Cycle::new(self.fetch_free));
+        if let Some(at) = fetch {
+            horizon.note(at);
         }
         if let Some(head) = self.rob.front() {
             if head.check_time != u64::MAX {
@@ -141,6 +92,7 @@ mod tests {
     use reunion_kernel::Cycle;
     use reunion_mem::{MemConfig, MemorySystem, Owner};
 
+    use super::{Gate, Stall};
     use crate::{Core, CoreConfig, ReleaseGrant, Role};
 
     fn r(i: u8) -> RegId {
@@ -203,7 +155,11 @@ mod tests {
         core.tick(wake, &mut mem);
         assert_eq!(core.retired_user(), 2, "the load retires on the bound");
         // ... and with the ROB drained the membar dispatched in that tick.
-        assert!(core.front_end_closed(), "a dispatched membar blocks");
+        assert_eq!(
+            core.gate(wake),
+            Gate::Blocked(Stall::Serializing),
+            "a dispatched membar blocks"
+        );
     }
 
     #[test]

@@ -1,26 +1,26 @@
-//! The core pipeline: dispatch, execution timing, check and retirement.
+//! The core's state and construction; dispatch, retirement and the activity
+//! bound are child modules.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use reunion_fingerprint::{FingerprintUnit, UpdateRecord};
 use reunion_isa::{
-    effective_address, execute, Addr, ArchState, AtomicOp, DataMemory, Instruction, Opcode,
-    Program, StepEffect,
+    execute, Addr, ArchState, AtomicOp, DataMemory, Instruction, Program, StepEffect,
 };
-use reunion_kernel::{Cycle, FastHashMap, SimRng};
+use reunion_kernel::{Cycle, FastHashMap};
 use reunion_mem::{L1Id, MemorySystem};
 
-use crate::config::{FINGERPRINT_WIDTH, MISPREDICT_PENALTY, ROB_ENTRIES, WIDTH};
-use crate::{
-    software_tlb_handler, CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, Role,
-    SyncRequest, Tlb, TlbMode,
-};
+use crate::config::{FINGERPRINT_WIDTH, MISPREDICT_PENALTY, ROB_ENTRIES};
+use crate::{CheckEvent, CoreConfig, CoreStats, Gshare, ReleaseGrant, Role, SyncRequest, Tlb};
 
-// Activity bounds for the skip engine, and the front-end predicate they
-// share with `dispatch`.
+// The pipeline's stages, and the activity bound the skip engine reads.
 #[path = "bounds.rs"]
 mod bounds;
+#[path = "dispatch.rs"]
+mod dispatch;
+#[path = "retire.rs"]
+mod retire;
 
 // The retirement oracle: debug builds check every committed user
 // instruction against the golden model.
@@ -354,8 +354,8 @@ impl Core {
         let pc = self.spec.pc;
         let inst = *self.program.fetch(pc).expect("a program instruction");
         let effect = execute(&inst, &mut self.spec, pc, &mut Replay(value));
-        // A pending request closes the front end, and `dispatch` stops
-        // right after pushing the awaiting entry: it is the youngest.
+        // The gate blocks on a pending request, so the awaiting entry is the
+        // youngest.
         let entry = self.rob.back_mut().expect("sync entry in ROB");
         debug_assert_eq!(entry.check_time, u64::MAX, "youngest entry awaits the sync");
         // A re-executed instruction pays the full check round trip on top of
@@ -408,28 +408,6 @@ impl Core {
         self.error_at = Some((index, bit % 64));
     }
 
-    /// Retires every head-of-ROB instruction whose interval has already
-    /// compared successfully, ignoring release timing.
-    ///
-    /// Used at the start of rollback recovery: both cores of a pair have
-    /// compared the same set of intervals, but one may not have *applied*
-    /// them to its ARF yet (release times differ by the comparison
-    /// latency). Draining granted intervals first lands both cores on the
-    /// same safe-state boundary — the "identical safe states" the
-    /// re-execution protocol starts from.
-    pub fn drain_granted(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        while let Some(head) = self.rob.front() {
-            if head.check_time == u64::MAX {
-                break;
-            }
-            if self.cfg.role.checked() && self.granted_at(head).is_none() {
-                break;
-            }
-            let entry = self.rob.pop_front().expect("head exists");
-            self.commit(entry, now, mem);
-        }
-    }
-
     /// Rolls the pipeline back to the retired (safe) state: flushes the ROB
     /// and speculative store buffer, squashes uncompared fingerprints and
     /// every grant, and restarts interval numbering. Memory needs no
@@ -469,345 +447,6 @@ impl Core {
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem) {
         self.retire(now, mem);
         self.dispatch(now, mem);
-    }
-
-    // ------------------------------------------------------------------
-    // Retirement.
-    // ------------------------------------------------------------------
-
-    /// Frees the retired entry's grant slot once the last ROB entry of its
-    /// interval leaves the pipeline. An entry retires only under its
-    /// interval's grant, which exists only after the whole interval has
-    /// dispatched (its fingerprint must have been emitted and compared
-    /// first), and an interval's entries are contiguous in program order —
-    /// so when the new ROB head belongs to a different interval, nothing
-    /// can look this grant up again.
-    fn release_spent_grant(&mut self, entry: &RobEntry) {
-        if self.cfg.role.checked() && self.rob.front().map(|h| h.interval) != Some(entry.interval) {
-            self.grants[entry.grant_slot()] = u64::MAX;
-        }
-    }
-
-    fn retire(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        let now_raw = now.as_u64();
-        let mut retired = 0;
-        while retired < WIDTH {
-            let Some(head) = self.rob.front() else { break };
-            // An entry awaiting a sync fulfillment has `check_time` MAX.
-            if head.check_time > now_raw {
-                break;
-            }
-            if self.cfg.role.checked() {
-                let Some(granted_at) = self.granted_at(head) else {
-                    break;
-                };
-                // An interval ending in a serializing instruction drains the
-                // pipeline and stalls retirement for the full check round
-                // trip: the release grant must cross back to the core before
-                // the serializing instruction may commit (§4.4).
-                let release_at = if head.serializing && self.cfg.role.pays_grant_return() {
-                    granted_at + self.cfg.check_latency
-                } else {
-                    granted_at
-                };
-                if release_at > now_raw {
-                    if head.serializing && granted_at <= now_raw {
-                        self.stats.serializing_stall_cycles.incr();
-                        self.stall_run += 1;
-                    }
-                    break;
-                }
-            }
-            let entry = self.rob.pop_front().expect("head exists");
-            self.commit(entry, now, mem);
-            retired += 1;
-        }
-    }
-
-    /// Commits one ROB entry, already popped off the head, to architectural
-    /// state: the retired ARF and PC, the entry's memory effect (an
-    /// atomic's write — the memory system applies it for a vocal L1 only —
-    /// or a store's drain, which the strict trailing core leaves to its
-    /// leader), the store buffer, and the retirement statistics.
-    fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
-        self.release_spent_grant(&entry);
-        self.retired.pc = entry.next_pc as usize;
-        match entry.effect {
-            StepEffect::Reg { dst, value } | StepEffect::Load { dst, value, .. } => {
-                self.retired.regs.write(dst, value);
-            }
-            StepEffect::Atomic { dst, addr, old, .. } => {
-                self.retired.regs.write(dst, old);
-                if let Some((op, operand)) = self.atomic_commit.take() {
-                    mem.atomic_commit(self.l1, addr, op, operand, old);
-                }
-            }
-            StepEffect::Store { addr, value } => {
-                if !self.cfg.role.consumes_lvq() {
-                    let acc = mem.drain_store(now, self.l1, addr, value);
-                    self.last_drain_done = self.last_drain_done.max(acc.done_at.as_u64());
-                }
-                self.retire_oldest_store(addr);
-            }
-            _ => {}
-        }
-        self.stats.retired_total.incr();
-        if entry.user {
-            self.stats.retired_user.incr();
-            #[cfg(debug_assertions)]
-            self.shadow
-                .retire(&self.program, &entry, &self.retired, self.user_retire_index);
-            self.user_retire_index += 1;
-        }
-        if entry.serializing {
-            self.stats.serializing.incr();
-            self.serializing_block = false;
-            if self.stall_run > 0 {
-                self.stats.stall_episodes.record(self.stall_run);
-                self.stall_run = 0;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Dispatch: functional execution plus forward timing.
-    // ------------------------------------------------------------------
-
-    /// Whether `op` may only dispatch into an empty ROB (§4.4): the
-    /// serializing opcodes, plus every store under sequential consistency.
-    fn serializes(&self, op: Opcode) -> bool {
-        op.is_serializing() || (self.cfg.store_serializes() && op == Opcode::Store)
-    }
-
-    /// The instruction dispatch takes next — injected handler code first,
-    /// then the program at the speculative PC — or `None` when the fetch
-    /// halts the core (off the image, or `halt`).
-    fn peek_next(&self) -> Option<&Instruction> {
-        self.inject
-            .front()
-            .or_else(|| self.program.fetch(self.spec.pc))
-            .filter(|inst| inst.op != Opcode::Halt)
-    }
-
-    /// Whether a scheduled external interrupt is delivered by this cycle's
-    /// dispatch: its interval boundary has been reached and no handler
-    /// code is already queued.
-    fn interrupt_due(&self) -> bool {
-        self.inject.is_empty()
-            && self
-                .interrupt_at_interval
-                .is_some_and(|k| self.fp.next_interval_id() >= k && self.fp.pending() == 0)
-    }
-
-    fn dispatch(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        let now_raw = now.as_u64();
-        let mut dispatched = 0;
-        while dispatched < WIDTH {
-            if self.fetch_free > now_raw || self.front_end_closed() {
-                break;
-            }
-
-            // Interrupt delivery at the chosen interval boundary.
-            if self.interrupt_due() {
-                self.interrupt_at_interval = None;
-                self.inject.extend([
-                    Instruction::trap(),
-                    Instruction::nop(),
-                    Instruction::nop(),
-                    Instruction::trap(),
-                ]);
-            }
-
-            let from_inject = !self.inject.is_empty();
-            let Some(&inst) = self.peek_next() else {
-                self.halted = true;
-                break;
-            };
-
-            let serializing = self.serializes(inst.op);
-            // End the open fingerprint interval so older instructions can
-            // retire before the serializing instruction executes.
-            if serializing && self.cfg.role.checked() && self.fp.pending() > 0 {
-                self.emit_interval(false);
-            }
-            if self.awaits_retirement(&inst) {
-                break;
-            }
-            // The trailing strict core consumes load values from the LVQ;
-            // it cannot dispatch a load the leader has not yet produced.
-            if self.cfg.role.consumes_lvq()
-                && inst.op.is_load()
-                && !self.single_step
-                && self.lvq.is_empty()
-            {
-                break;
-            }
-
-            // ITLB (instruction-footprint model) for user instructions.
-            if !from_inject && self.itlb_miss_now() {
-                self.stats.itlb_misses.incr();
-                match self.cfg.tlb {
-                    TlbMode::Software => {
-                        self.inject.extend(software_tlb_handler());
-                        continue;
-                    }
-                    TlbMode::Hardware { walk_latency } => {
-                        self.fetch_free = now_raw + walk_latency;
-                        break;
-                    }
-                }
-            }
-
-            // DTLB for memory operations.
-            let mut tlb_walk = 0;
-            if inst.op.is_memory() {
-                let addr = effective_address(&inst, &self.spec);
-                if !self.dtlb.access(addr.page()) {
-                    self.stats.dtlb_misses.incr();
-                    match self.cfg.tlb {
-                        TlbMode::Software => {
-                            self.inject.extend(software_tlb_handler());
-                            continue;
-                        }
-                        TlbMode::Hardware { walk_latency } => tlb_walk = walk_latency,
-                    }
-                }
-            }
-
-            // Commit to dispatching this instruction.
-            if from_inject {
-                self.inject.pop_front();
-            }
-            let user = !from_inject;
-
-            let operands_ready = inst
-                .sources()
-                .map(|r| self.reg_ready[r.index()])
-                .max()
-                .unwrap_or(0);
-            let exec_start = (now_raw + 1).max(operands_ready) + tlb_walk;
-
-            // Bind a load's or atomic's value and its timing. Single-stepping
-            // issues the first memory read as a synchronizing request by both
-            // cores instead (re-execution protocol); it executes on arrival.
-            let rmw = match inst.op {
-                Opcode::Atomic(op) => Some((op, self.spec.regs.read(inst.src2.expect("operand")))),
-                _ => None,
-            };
-            let mut bound = 0;
-            let mut completion = exec_start + inst.op.exec_latency();
-            match inst.op {
-                Opcode::Load | Opcode::Atomic(_) if self.single_step => {
-                    let addr = effective_address(&inst, &self.spec);
-                    self.pending_sync = Some(SyncRequest { addr, rmw });
-                    completion = u64::MAX;
-                }
-                Opcode::Load => {
-                    let addr = effective_address(&inst, &self.spec);
-                    (bound, completion) = self.load_value(mem, addr, exec_start);
-                }
-                Opcode::Atomic(_) if self.cfg.role.consumes_lvq() => {
-                    bound = self.lvq.pop_front().expect("LVQ checked before dispatch");
-                    completion = exec_start + 4;
-                }
-                Opcode::Atomic(_) => {
-                    let addr = effective_address(&inst, &self.spec);
-                    let (op, operand) = rmw.expect("an atomic's update");
-                    let acc = mem.atomic_read(
-                        Cycle::new(exec_start),
-                        self.l1,
-                        addr,
-                        op,
-                        operand,
-                        self.cfg.phantom,
-                    );
-                    bound = acc.value;
-                    completion = acc.done_at.as_u64();
-                    // Mute atomics update the private view at read time;
-                    // vocal atomics commit to memory at retirement.
-                    debug_assert!(self.atomic_commit.is_none(), "atomics serialize");
-                    self.atomic_commit = rmw;
-                }
-                Opcode::Store => completion = exec_start + 1,
-                Opcode::Membar => completion = exec_start.max(self.last_drain_done),
-                _ => {}
-            }
-            let awaiting_sync = completion == u64::MAX;
-
-            // The golden model computes everything else.
-            let pc = self.spec.pc;
-            let mut effect = if awaiting_sync {
-                StepEffect::Nop
-            } else {
-                execute(&inst, &mut self.spec, pc, &mut Replay(bound))
-            };
-            if user {
-                effect = self.maybe_corrupt(effect);
-            } else {
-                // Handler code runs between two program instructions.
-                self.spec.pc = pc;
-            }
-            match effect {
-                StepEffect::Reg { dst, .. } => self.reg_ready[dst.index()] = completion,
-                StepEffect::Load { dst, value, .. }
-                | StepEffect::Atomic {
-                    dst, old: value, ..
-                } => {
-                    self.reg_ready[dst.index()] = completion;
-                    if self.cfg.role.produces_lvq() {
-                        self.load_values_out.push(value);
-                    }
-                }
-                StepEffect::Store { addr, value } => self.buffer_store(addr, value),
-                StepEffect::Branch { taken, .. } => {
-                    self.stats.branches.incr();
-                    let predicted = self.predictor.predict(pc as u64);
-                    self.predictor.update(pc as u64, taken);
-                    if predicted != taken {
-                        self.stats.mispredicts.incr();
-                        self.fetch_free = completion + MISPREDICT_PENALTY;
-                    }
-                }
-                _ => {}
-            }
-            if user {
-                self.user_fetch_index += 1;
-            }
-
-            let check_time = if awaiting_sync {
-                u64::MAX
-            } else {
-                let ct = self.last_check_time.max(completion);
-                self.last_check_time = ct;
-                ct
-            };
-
-            self.rob.push_back(RobEntry {
-                effect,
-                check_time,
-                next_pc: pc_u32(self.spec.pc),
-                interval: self.fp.next_interval_id() as u16,
-                user,
-                serializing,
-            });
-
-            if self.cfg.role.checked() && !awaiting_sync {
-                self.fp.absorb(&update_record(&effect));
-                let interval_full = self.fp.pending() >= self.cfg.fingerprint_interval;
-                if serializing || interval_full || self.single_step {
-                    self.emit_interval(serializing);
-                }
-            }
-
-            dispatched += 1;
-            if serializing {
-                self.serializing_block = true;
-                break;
-            }
-            if awaiting_sync {
-                break;
-            }
-        }
     }
 
     /// Enters a dispatched store into the store buffer: it becomes the
@@ -859,57 +498,24 @@ impl Core {
     }
 
     fn emit_interval(&mut self, serializing: bool) {
-        let ready = Cycle::new(self.last_check_time);
         let fingerprint = self.fp.emit();
         self.stats.intervals.incr();
         self.events.push(CheckEvent {
             fingerprint,
-            ready_at: ready,
+            ready_at: Cycle::new(self.last_check_time),
             serializing,
         });
         self.stats.peak_check_events = self.stats.peak_check_events.max(self.events.len() as u64);
-    }
-
-    fn itlb_miss_now(&mut self) -> bool {
-        if self.cfg.itlb_miss_per_million == 0 {
-            return false;
-        }
-        let idx = self.user_fetch_index;
-        if self.itlb_served == Some(idx) {
-            return false;
-        }
-        let h = SimRng::hash_value(self.itlb_seed ^ idx.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let miss = h % 1_000_000 < self.cfg.itlb_miss_per_million;
-        if miss {
-            self.itlb_served = Some(idx);
-        }
-        miss
-    }
-
-    /// Applies a scheduled soft-error injection to the register result of a
-    /// user instruction (`li`, an ALU operation or a load), in the effect
-    /// and in the speculative ARF.
-    fn maybe_corrupt(&mut self, mut effect: StepEffect) -> StepEffect {
-        let Some((index, bit)) = self.error_at else {
-            return effect;
-        };
-        if let StepEffect::Reg { dst, value } | StepEffect::Load { dst, value, .. } = &mut effect {
-            if self.user_fetch_index >= index {
-                self.error_at = None;
-                *value ^= 1u64 << bit;
-                self.spec.regs.write(*dst, *value);
-                #[cfg(debug_assertions)]
-                self.shadow.expect_corruption(self.user_fetch_index);
-            }
-        }
-        effect
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WIDTH;
+    use crate::TlbMode;
     use reunion_isa::{BranchCond, Instruction as I, RegId};
+    use reunion_kernel::SimRng;
     use reunion_mem::{MemConfig, Owner};
 
     fn r(i: u8) -> RegId {
