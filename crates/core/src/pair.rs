@@ -284,8 +284,7 @@ impl PairDriver {
         horizon.note_opt(vocal);
         horizon.note_opt(mute);
         if self.phase != RecoveryPhase::Normal {
-            let escalate = self.recovery_started + RECOVERY_TIMEOUT + 1;
-            horizon.note(Cycle::new(escalate).max(from));
+            horizon.note(self.escalates_at().max(from));
         }
         if let Some(detect_at) = self.pending_mismatch {
             horizon.note(detect_at.max(from));
@@ -481,11 +480,17 @@ impl PairDriver {
             self.sync_interval = Some(self.vocal.next_interval_id());
             self.vocal.fulfill_sync(outcome.value, outcome.done_at);
             self.mute.fulfill_sync(outcome.value, outcome.done_at);
-        } else if now.as_u64().saturating_sub(self.recovery_started) > RECOVERY_TIMEOUT {
+        } else if now >= self.escalates_at() {
             // Defensive: the protocol guarantees progress, but a halted or
             // wedged core must not hang the simulation.
             self.escalate(now, mem);
         }
+    }
+
+    /// The cycle at which a recovery still in flight escalates: the first
+    /// past `RECOVERY_TIMEOUT` cycles after it started.
+    fn escalates_at(&self) -> Cycle {
+        Cycle::new(self.recovery_started + RECOVERY_TIMEOUT + 1)
     }
 
     fn finish_recovery(&mut self) {

@@ -2,30 +2,26 @@
 //!
 //! The skip engine ticks a core only when its bound has arrived, so the
 //! bound must never be later than the first cycle at which `Core::tick`
-//! would do anything. The front end's part is a match on [`Core::gate`],
-//! the function `dispatch` loops on, so the two cannot list different
-//! reasons, and a new [`Stall`] does not compile until the bound decides
-//! it.
+//! would do anything. The bound is two matches: one on [`Core::gate`], the
+//! function `dispatch` loops on, and one on [`Core::head`], the function
+//! `retire` loops on. Neither has a wildcard arm, so the bound cannot list
+//! different reasons from the stage it bounds, and a new [`Stall`] or
+//! [`Head`] does not compile until the bound decides it.
 
-use reunion_kernel::{Cycle, EventHorizon};
+use reunion_kernel::Cycle;
 
 use super::dispatch::{Gate, Stall};
+use super::retire::Head;
 use super::Core;
 
 impl Core {
     /// The earliest cycle `>= from` at which this core could make forward
     /// progress on its own — the core's contribution to a time-skipping
-    /// engine's [`EventHorizon`].
+    /// engine's [`EventHorizon`](reunion_kernel::EventHorizon).
     ///
     /// The bound is conservative (ticking the core earlier is a no-op, never
     /// wrong), derived from the same completion stamps the pipeline runs on:
     ///
-    /// * **Retirement** — the head ROB entry's in-order check time, plus its
-    ///   release-grant time under checking. Serializing intervals
-    ///   deliberately resolve to `from` once their grant has arrived, so the
-    ///   engine steps cycle-by-cycle through the round-trip stall window and
-    ///   the `serializing_stall_cycles` counter matches dense execution
-    ///   exactly.
     /// * **Dispatch** — the next cycle when the dispatch gate is open or has a
     ///   state change to make; `fetch_free` for a fetch refill. Every other
     ///   stall contributes nothing: only a retirement, already on the
@@ -35,16 +31,21 @@ impl Core {
     /// * **Pending check events** — fingerprints emitted after the pair
     ///   driver's collection point (synchronizing-request fulfillment) must
     ///   be compared on the next cycle.
+    /// * **Retirement** — by what `Core::head` answers: `Ready` the next cycle;
+    ///   `At(t)` cycle `t`; `RoundTrip` the next cycle too, so the engine
+    ///   steps through the return trip and the `serializing_stall_cycles`
+    ///   counter matches dense execution exactly. `Ungranted`, `Sync` and
+    ///   `Empty` contribute nothing: a grant or a fulfillment comes from the
+    ///   pair driver.
     ///
     /// `None` means the core cannot act again without external input: a
     /// grant or synchronizing fulfillment from its pair driver, or nothing
     /// at all (halted with an empty pipeline).
     pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
-        let floor = from.as_u64();
         let fetch = match self.gate(from) {
             // Fast path: nothing is earlier, so skip the retire side. This
             // keeps the skip engine cheap through dense phases.
-            Gate::Open | Gate::Act | Gate::Blocked(Stall::EmptyLvq) => return Some(from),
+            Gate::Open(_) | Gate::Act(_) | Gate::Blocked(Stall::EmptyLvq) => return Some(from),
             Gate::Blocked(Stall::Fetch) => Some(Cycle::new(self.fetch_free)),
             Gate::Blocked(Stall::Halted | Stall::Sync | Stall::RobFull | Stall::SingleStep) => None,
             Gate::Blocked(Stall::Serializing | Stall::RobDrain | Stall::StoreBuffer) => None,
@@ -52,25 +53,13 @@ impl Core {
         if !self.events.is_empty() {
             return Some(from);
         }
-
-        let mut horizon = EventHorizon::new();
-        if let Some(at) = fetch {
-            horizon.note(at);
-        }
-        if let Some(head) = self.rob.front() {
-            if head.check_time != u64::MAX {
-                if self.cfg.role.checked() {
-                    // Ungranted heads wait on the partner's fingerprint —
-                    // the partner core's activity, not this core's.
-                    if let Some(granted_at) = self.granted_at(head) {
-                        horizon.note(Cycle::new(head.check_time.max(granted_at).max(floor)));
-                    }
-                } else {
-                    horizon.note(Cycle::new(head.check_time.max(floor)));
-                }
-            }
-        }
-        horizon.next_ready()
+        let retire = match self.head(from) {
+            // Each cycle of the return trip is a stall cycle `retire` counts.
+            Head::Ready | Head::RoundTrip => return Some(from),
+            Head::At(at) => Some(at),
+            Head::Ungranted | Head::Sync | Head::Empty => None,
+        };
+        fetch.into_iter().chain(retire).min()
     }
 
     /// Whether the core can never act again without external input: halted

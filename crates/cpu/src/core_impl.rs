@@ -328,13 +328,6 @@ impl Core {
         *slot = grant.at.as_u64();
     }
 
-    /// The release time granted to `entry`'s interval, if its grant has
-    /// arrived.
-    fn granted_at(&self, entry: &RobEntry) -> Option<u64> {
-        let at = self.grants[entry.grant_slot()];
-        (at != u64::MAX).then_some(at)
-    }
-
     /// The synchronizing request this core is blocked on, if any.
     pub fn pending_sync(&self) -> Option<SyncRequest> {
         self.pending_sync
@@ -717,7 +710,8 @@ mod tests {
                 for &(id, len, at) in &in_flight {
                     for entry in rob.by_ref().take(len) {
                         assert_eq!(entry.interval, id as u16, "seed {seed} at {now}");
-                        assert_eq!(core.granted_at(entry), at, "seed {seed} at {now}");
+                        let held = core.grants[entry.grant_slot()];
+                        assert_eq!(held, at.unwrap_or(u64::MAX), "seed {seed} at {now}");
                     }
                 }
                 assert!(

@@ -13,13 +13,22 @@ use crate::{software_tlb_handler, SyncRequest, TlbMode};
 /// `dispatch` loops on and the activity bound matches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Gate {
-    /// The next instruction may dispatch.
-    Open,
-    /// A state change `dispatch` makes before it can go on or stop: deliver
-    /// a due interrupt, halt on a fetch off the image or onto `halt`, or
-    /// close the open interval ahead of a serializing instruction.
-    Act,
+    /// This instruction, the next in line, may dispatch.
+    Open(Instruction),
+    /// A state change `dispatch` makes before it can go on or stop.
+    Act(Act),
     Blocked(Stall),
+}
+
+/// The state changes the gate asks of `dispatch`, in the gate's rank:
+/// deliver a due interrupt, halt on a fetch off the image or onto `halt`,
+/// and close the open interval so older instructions can retire before a
+/// serializing instruction executes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Act {
+    Interrupt,
+    Halt,
+    CloseInterval,
 }
 
 /// Why the front end takes no instruction this cycle, in the gate's rank.
@@ -49,36 +58,36 @@ impl Core {
     /// behind it, as `dispatch` makes none while fetch refills.
     #[inline(always)]
     pub(super) fn gate(&self, now: Cycle) -> Gate {
-        let closed = [
-            (self.halted, Stall::Halted),
-            (self.pending_sync.is_some(), Stall::Sync),
-            (self.serializing_block, Stall::Serializing),
-            (self.rob.len() >= ROB_ENTRIES, Stall::RobFull),
-            (self.single_step && !self.rob.is_empty(), Stall::SingleStep),
-        ];
-        if let Some(&(_, stall)) = closed.iter().find(|(blocks, _)| *blocks) {
-            return Gate::Blocked(stall);
-        }
-        let next = self.peek_next();
-        let serializing = next.is_some_and(|inst| self.serializes(inst.op));
-        let act = self.interrupt_due()
-            || next.is_none()
-            || (serializing && self.cfg.role.checked() && self.fp.pending() > 0);
-        // The next instruction, unless a state change comes first.
-        let waiting = |is: fn(Opcode) -> bool| !act && next.is_some_and(|inst| is(inst.op));
-        let lvq_dry = self.cfg.role.consumes_lvq() && !self.single_step && self.lvq.is_empty();
-        let stall = if !act && serializing && !self.rob.is_empty() {
-            Stall::RobDrain
-        } else if waiting(Opcode::is_store) && self.sb_count >= SB_ENTRIES {
-            Stall::StoreBuffer
-        } else if self.fetch_free > now.as_u64() {
-            Stall::Fetch
-        } else if act {
-            return Gate::Act;
-        } else if waiting(Opcode::is_load) && lvq_dry {
-            Stall::EmptyLvq
+        let stall = if self.halted {
+            Stall::Halted
+        } else if self.pending_sync.is_some() {
+            Stall::Sync
+        } else if self.serializing_block {
+            Stall::Serializing
+        } else if self.rob.len() >= ROB_ENTRIES {
+            Stall::RobFull
+        } else if self.single_step && !self.rob.is_empty() {
+            Stall::SingleStep
         } else {
-            return Gate::Open;
+            let closes = self.cfg.role.checked() && self.fp.pending() > 0;
+            let next = match self.peek_next() {
+                _ if self.interrupt_due() => Gate::Act(Act::Interrupt),
+                None => Gate::Act(Act::Halt),
+                Some(i) if closes && self.serializes(i.op) => Gate::Act(Act::CloseInterval),
+                Some(&inst) => Gate::Open(inst),
+            };
+            let lvq_dry = self.cfg.role.consumes_lvq() && !self.single_step && self.lvq.is_empty();
+            // Ranked by arm: the instruction's own stalls, the fetch stamp
+            // (a state change waits it out too), then the empty LVQ.
+            match next {
+                Gate::Open(i) if self.serializes(i.op) && !self.rob.is_empty() => Stall::RobDrain,
+                Gate::Open(i) if i.op.is_store() && self.sb_count >= SB_ENTRIES => {
+                    Stall::StoreBuffer
+                }
+                _ if self.fetch_free > now.as_u64() => Stall::Fetch,
+                Gate::Open(i) if i.op.is_load() && lvq_dry => Stall::EmptyLvq,
+                next => return next,
+            }
         };
         Gate::Blocked(stall)
     }
@@ -115,26 +124,25 @@ impl Core {
         while dispatched < WIDTH {
             match self.gate(now) {
                 Gate::Blocked(_) => break,
-                // Interrupt delivery at the chosen interval boundary.
-                Gate::Act if self.interrupt_due() => {
+                Gate::Act(Act::Interrupt) => {
                     self.interrupt_at_interval = None;
                     let (trap, nop) = (Instruction::trap(), Instruction::nop());
                     self.inject.extend([trap, nop, nop, trap]);
                 }
-                Gate::Act if self.peek_next().is_none() => self.halted = true,
-                // End the open fingerprint interval so older instructions
-                // can retire before the serializing instruction executes.
-                Gate::Act => self.emit_interval(false),
-                Gate::Open => dispatched += usize::from(self.dispatch_next(now.as_u64(), mem)),
+                Gate::Act(Act::Halt) => self.halted = true,
+                Gate::Act(Act::CloseInterval) => self.emit_interval(false),
+                Gate::Open(inst) => {
+                    dispatched += usize::from(self.dispatch_next(inst, now.as_u64(), mem));
+                }
             }
         }
     }
 
-    /// Takes the next instruction through the open gate; `false` when a TLB
-    /// miss injects the software handler or starts a hardware walk instead.
-    fn dispatch_next(&mut self, now_raw: u64, mem: &mut MemorySystem) -> bool {
+    /// Takes `inst`, the next instruction, through the open gate; `false`
+    /// when a TLB miss injects the software handler or starts a hardware
+    /// walk instead.
+    fn dispatch_next(&mut self, inst: Instruction, now_raw: u64, mem: &mut MemorySystem) -> bool {
         let user = self.inject.is_empty();
-        let inst = *self.peek_next().expect("an open gate has an instruction");
         let serializing = self.serializes(inst.op);
 
         // ITLB (instruction-footprint model) for user instructions.
@@ -326,30 +334,36 @@ impl Core {
 
 #[cfg(test)]
 mod tests {
+    use std::mem::discriminant;
     use std::sync::Arc;
 
     use reunion_isa::{Instruction as I, Program, RegId};
     use reunion_kernel::Cycle;
     use reunion_mem::{MemConfig, MemorySystem, Owner};
 
-    use super::{Gate, Stall};
+    use super::super::retire::Head;
+    use super::{Act, Gate, Stall};
     use crate::{Core, CoreConfig, ReleaseGrant, Role};
 
-    /// Ticks a core on `code` until its gate, read between ticks as the
-    /// skip engine reads it, shows `want`; each emitted interval is taken,
-    /// and granted when `grant` holds. Then holds the bound to the gate:
-    /// an open gate, a state change and the empty LVQ bound the core at
-    /// that cycle, and any other stall later or never, so that a tick
-    /// there leaves the core unchanged.
-    fn reach(cfg: CoreConfig, code: Vec<I>, setup: fn(&mut Core), grant: bool, want: Gate) {
-        let program = Arc::new(Program::new("gate", code).unwrap());
+    /// Ticks a core on `code` until `reached` holds, read between ticks as
+    /// the skip engine reads it; each emitted interval is taken, and
+    /// granted when `grant` holds. Returns the core, its memory and the
+    /// cycle it was reached at.
+    fn run_until(
+        cfg: CoreConfig,
+        code: Vec<I>,
+        setup: fn(&mut Core),
+        grant: bool,
+        reached: impl Fn(&Core, Cycle) -> bool,
+    ) -> (Core, MemorySystem, Cycle) {
+        let program = Arc::new(Program::new("stage", code).unwrap());
         let mut mem = MemorySystem::new(MemConfig::small());
         let l1 = mem.register_l1(Owner::vocal(0));
         let mut core = Core::new(cfg, program, l1, 7);
         setup(&mut core);
         let mut now = Cycle::ZERO;
-        while core.gate(now) != want {
-            assert!(now < Cycle::new(10_000), "{want:?} never reached");
+        while !reached(&core, now) {
+            assert!(now < Cycle::new(10_000), "never reached");
             core.tick(now, &mut mem);
             for ev in core.take_check_events() {
                 let (interval_id, at) = (ev.fingerprint.interval_id, ev.ready_at);
@@ -359,8 +373,18 @@ mod tests {
             }
             now = Cycle::new(now.as_u64() + 1);
         }
+        (core, mem, now)
+    }
+
+    /// Reaches `want` from the gate, then holds the bound to it: an open
+    /// gate, a state change and the empty LVQ bound the core at that
+    /// cycle, and any other stall later or never, so that a tick there
+    /// leaves the core unchanged.
+    fn reach(cfg: CoreConfig, code: Vec<I>, setup: fn(&mut Core), grant: bool, want: Gate) {
+        let at_want = |core: &Core, now| core.gate(now) == want;
+        let (mut core, mut mem, now) = run_until(cfg, code, setup, grant, at_want);
         let bound = core.next_activity_at(now);
-        if let Gate::Open | Gate::Act | Gate::Blocked(Stall::EmptyLvq) = want {
+        if let Gate::Open(_) | Gate::Act(_) | Gate::Blocked(Stall::EmptyLvq) = want {
             assert_eq!(bound, Some(now), "{want:?}");
         } else {
             assert!(
@@ -428,12 +452,16 @@ mod tests {
         let stall = Gate::Blocked;
         use Stall::*;
         let cases = [
-            (plain(), spin(), none, false, Gate::Open),
-            // A due interrupt, a fetch onto `halt`, and the open interval
-            // closed ahead of a membar.
-            (plain(), spin(), interrupt, false, Gate::Act),
-            (plain(), vec![I::halt()], none, false, Gate::Act),
-            (eight_wide, four_then_membar, none, false, Gate::Act),
+            (plain(), spin(), none, false, Gate::Open(spin()[0])),
+            (plain(), spin(), interrupt, false, Gate::Act(Act::Interrupt)),
+            (plain(), vec![I::halt()], none, false, Gate::Act(Act::Halt)),
+            (
+                eight_wide,
+                four_then_membar,
+                none,
+                false,
+                Gate::Act(Act::CloseInterval),
+            ),
             (itlb_walks, spin(), none, false, stall(Fetch)),
             (plain(), vec![I::halt()], none, false, stall(Halted)),
             (reunion(), sync_load, step, true, stall(Sync)),
@@ -446,6 +474,109 @@ mod tests {
         ];
         for (cfg, code, setup, grant, want) in cases {
             reach(cfg, code, setup, grant, want);
+        }
+    }
+
+    /// Reaches a head of `want`'s kind while the gate is shut on a stall
+    /// that bounds nothing, so the bound is the head's alone. Then holds
+    /// the bound to it: `Ready` and `RoundTrip` give this cycle, and a tick
+    /// there commits or counts a serializing stall; `At(t)` gives `t`, and
+    /// `Ungranted`, `Sync` and `Empty` nothing, and a tick before it leaves
+    /// the core unchanged. Last, `drain_granted` commits up to the first
+    /// `Ungranted` or `Sync` head and no further.
+    fn reach_head(cfg: CoreConfig, code: Vec<I>, setup: fn(&mut Core), grant: bool, want: Head) {
+        let at_want = |core: &Core, now| {
+            let shut = match core.gate(now) {
+                Gate::Open(_) | Gate::Act(_) => false,
+                Gate::Blocked(stall) => !matches!(stall, Stall::Fetch | Stall::EmptyLvq),
+            };
+            shut && discriminant(&core.head(now)) == discriminant(&want)
+        };
+        let (mut core, mut mem, now) = run_until(cfg, code, setup, grant, at_want);
+        let head = core.head(now);
+        let bound = core.next_activity_at(now);
+        let before = format!("{core:?}");
+        let (retired, stalls) = (
+            core.stats.retired_total.value(),
+            core.stats.serializing_stall_cycles.value(),
+        );
+        core.tick(now, &mut mem);
+        let after = (
+            core.stats.retired_total.value(),
+            core.stats.serializing_stall_cycles.value(),
+        );
+        match head {
+            Head::Ready => {
+                assert_eq!(bound, Some(now));
+                assert!(after.0 > retired, "Ready: the tick commits");
+            }
+            Head::RoundTrip => {
+                assert_eq!(bound, Some(now));
+                assert_eq!(after, (retired, stalls + 1), "RoundTrip: one stall cycle");
+            }
+            Head::At(at) => assert_eq!(bound, Some(at), "{head:?} at {now:?}"),
+            Head::Ungranted | Head::Sync | Head::Empty => assert_eq!(bound, None, "{head:?}"),
+        }
+        if !matches!(head, Head::Ready | Head::RoundTrip) {
+            assert_eq!(
+                format!("{core:?}"),
+                before,
+                "{head:?}: a tick before the bound"
+            );
+        }
+        let head = core.head(now);
+        let before = format!("{core:?}");
+        core.drain_granted(now, &mut mem);
+        match head {
+            Head::Ready | Head::At(_) | Head::RoundTrip => assert!(
+                matches!(core.head(now), Head::Ungranted | Head::Sync | Head::Empty),
+                "{head:?}: drained to {:?}",
+                core.head(now)
+            ),
+            Head::Ungranted | Head::Sync | Head::Empty => {
+                assert_eq!(format!("{core:?}"), before, "{head:?}: drain_granted stops");
+            }
+        }
+    }
+
+    #[test]
+    fn every_head_outcome_is_reached_from_a_small_program_and_bounds_the_core() {
+        let r = RegId::new;
+        let spin = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
+        let miss_then_membar = vec![
+            I::load_imm(r(1), 0x4_0000),
+            I::load(r(2), r(1), 0),
+            I::membar(),
+            I::jump(2),
+        ];
+        let add_then_membar = vec![I::add_imm(r(1), r(1), 1), I::membar(), I::jump(0)];
+        let sync_load = vec![
+            I::add_imm(r(1), r(1), 0xD00),
+            I::load(r(2), r(1), 0),
+            I::jump(0),
+        ];
+        let plain = CoreConfig::default;
+        let reunion = || CoreConfig::for_role(Role::Reunion);
+        let none: fn(&mut Core) = |_| {};
+        let step: fn(&mut Core) = Core::begin_single_step;
+        let cases = [
+            // The missing load completes behind a membar that waits for it.
+            (
+                plain(),
+                miss_then_membar.clone(),
+                none,
+                false,
+                Head::At(Cycle::ZERO),
+            ),
+            (plain(), miss_then_membar, none, false, Head::Ready),
+            // A granted membar waits for the grant to cross back.
+            (reunion(), add_then_membar, none, true, Head::RoundTrip),
+            (reunion(), spin, none, false, Head::Ungranted),
+            (reunion(), sync_load, step, true, Head::Sync),
+            (plain(), vec![I::halt()], none, false, Head::Empty),
+        ];
+        for (cfg, code, setup, grant, want) in cases {
+            reach_head(cfg, code, setup, grant, want);
         }
     }
 }

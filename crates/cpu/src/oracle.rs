@@ -180,7 +180,8 @@ mod tests {
         let mut core = Core::new(CoreConfig::default(), program, l1, 7);
         let panic = catch_unwind(AssertUnwindSafe(|| {
             for &entry in entries {
-                core.commit(entry, Cycle::ZERO, &mut mem);
+                core.rob.push_back(entry);
+                core.commit(Cycle::ZERO, &mut mem);
             }
         }))
         .expect_err("the oracle must report the divergence");

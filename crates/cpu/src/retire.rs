@@ -4,10 +4,59 @@ use reunion_isa::StepEffect;
 use reunion_kernel::Cycle;
 use reunion_mem::MemorySystem;
 
-use super::{Core, RobEntry};
+use super::Core;
 use crate::config::WIDTH;
 
+/// Where the ROB head stands: [`Core::head`]'s answer, which `retire` and
+/// `drain_granted` loop on and the activity bound matches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Head {
+    /// The head commits this cycle.
+    Ready,
+    /// The head completes, or its interval's grant arrives, at this cycle.
+    At(Cycle),
+    /// A granted serializing interval waits for the grant to cross back
+    /// (§4.4); `retire` counts each such cycle as a serializing stall.
+    RoundTrip,
+    /// The head's interval awaits its grant: the partner's fingerprint.
+    Ungranted,
+    /// The head awaits a synchronizing-request fulfillment.
+    Sync,
+    Empty,
+}
+
 impl Core {
+    /// Whether the ROB head may commit at `now`, and if not, what it waits
+    /// for. Under checking, a head commits once it has completed and its
+    /// interval's release grant has arrived; a serializing interval also
+    /// waits out the grant's return trip when the role pays it.
+    #[inline(always)]
+    pub(super) fn head(&self, now: Cycle) -> Head {
+        let Some(head) = self.rob.front() else {
+            return Head::Empty;
+        };
+        if head.check_time == u64::MAX {
+            return Head::Sync;
+        }
+        let (now, mut at) = (now.as_u64(), head.check_time);
+        if self.cfg.role.checked() {
+            let granted = self.grants[head.grant_slot()];
+            if granted == u64::MAX {
+                return Head::Ungranted;
+            }
+            at = at.max(granted);
+            let trip = head.serializing && self.cfg.role.pays_grant_return();
+            if trip && at <= now && granted + self.cfg.check_latency > now {
+                return Head::RoundTrip;
+            }
+        }
+        if at > now {
+            Head::At(Cycle::new(at))
+        } else {
+            Head::Ready
+        }
+    }
+
     /// Retires every head-of-ROB instruction whose interval has already
     /// compared successfully, ignoring release timing.
     ///
@@ -18,57 +67,34 @@ impl Core {
     /// same safe-state boundary — the "identical safe states" the
     /// re-execution protocol starts from.
     pub fn drain_granted(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        while let Some(head) = self.rob.front().filter(|h| h.check_time != u64::MAX) {
-            if self.cfg.role.checked() && self.granted_at(head).is_none() {
-                break;
-            }
-            let entry = self.rob.pop_front().expect("head exists");
-            self.commit(entry, now, mem);
+        while let Head::Ready | Head::At(_) | Head::RoundTrip = self.head(now) {
+            self.commit(now, mem);
         }
     }
 
+    /// Commits up to [`WIDTH`] heads, asking [`head`](Self::head) before
+    /// each.
     pub(super) fn retire(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        let now_raw = now.as_u64();
-        let mut retired = 0;
-        while retired < WIDTH {
-            let Some(head) = self.rob.front() else { break };
-            // An entry awaiting a sync fulfillment has `check_time` MAX.
-            if head.check_time > now_raw {
-                break;
-            }
-            if self.cfg.role.checked() {
-                let Some(granted_at) = self.granted_at(head) else {
-                    break;
-                };
-                // An interval ending in a serializing instruction drains the
-                // pipeline and stalls retirement for the full check round
-                // trip: the release grant must cross back to the core before
-                // the serializing instruction may commit (§4.4).
-                let release_at = if head.serializing && self.cfg.role.pays_grant_return() {
-                    granted_at + self.cfg.check_latency
-                } else {
-                    granted_at
-                };
-                if release_at > now_raw {
-                    if head.serializing && granted_at <= now_raw {
-                        self.stats.serializing_stall_cycles.incr();
-                        self.stall_run += 1;
-                    }
-                    break;
+        for _ in 0..WIDTH {
+            match self.head(now) {
+                Head::Ready => self.commit(now, mem),
+                Head::RoundTrip => {
+                    self.stats.serializing_stall_cycles.incr();
+                    self.stall_run += 1;
+                    return;
                 }
+                Head::At(_) | Head::Ungranted | Head::Sync | Head::Empty => return,
             }
-            let entry = self.rob.pop_front().expect("head exists");
-            self.commit(entry, now, mem);
-            retired += 1;
         }
     }
 
-    /// Commits one ROB entry, already popped off the head, to architectural
-    /// state: the retired ARF and PC, the entry's memory effect (an
-    /// atomic's write — the memory system applies it for a vocal L1 only —
-    /// or a store's drain, which the strict trailing core leaves to its
-    /// leader), the store buffer, and the retirement statistics.
-    pub(super) fn commit(&mut self, entry: RobEntry, now: Cycle, mem: &mut MemorySystem) {
+    /// Pops the ROB head and commits it to architectural state: the retired
+    /// ARF and PC, the entry's memory effect (an atomic's write — the
+    /// memory system applies it for a vocal L1 only — or a store's drain,
+    /// which the strict trailing core leaves to its leader), the store
+    /// buffer, and the retirement statistics.
+    pub(super) fn commit(&mut self, now: Cycle, mem: &mut MemorySystem) {
+        let entry = self.rob.pop_front().expect("a head to commit");
         // Free the entry's grant slot once the last entry of its interval
         // leaves. A grant exists only once the whole interval has
         // dispatched, and an interval's entries are contiguous, so when the
