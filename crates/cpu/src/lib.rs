@@ -28,9 +28,9 @@
 //! can implement Reunion, Strict, or no redundancy at all; the one thing the
 //! core is told about its execution model is its [`Role`].
 //!
-//! The core's stages are child modules of its state: dispatch, which asks
-//! one gate before each instruction; retirement; and the activity bound,
-//! [`Core::next_activity_at`], an exhaustive match on the same gate.
+//! The core's stages are child modules of its state: dispatch and
+//! retirement, which ask one gate and one head state before each step, and
+//! the activity bound [`Core::next_activity_at`], an exhaustive match on each.
 //!
 //! # Examples
 //!
