@@ -526,6 +526,38 @@ mod tests {
         (core, mem)
     }
 
+    /// Ticks a core on `code` until `reached` holds, read between ticks as
+    /// the skip engine reads it; each emitted interval is taken, and
+    /// granted when `grant` holds. Returns the core, its memory and the
+    /// cycle it was reached at. The dispatch and retire tests reach each
+    /// `Gate` and `Head` outcome through it.
+    pub(super) fn run_until(
+        cfg: CoreConfig,
+        code: Vec<I>,
+        setup: fn(&mut Core),
+        grant: bool,
+        reached: impl Fn(&Core, Cycle) -> bool,
+    ) -> (Core, MemorySystem, Cycle) {
+        let program = Arc::new(Program::new("stage", code).unwrap());
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let l1 = mem.register_l1(Owner::vocal(0));
+        let mut core = Core::new(cfg, program, l1, 7);
+        setup(&mut core);
+        let mut now = Cycle::ZERO;
+        while !reached(&core, now) {
+            assert!(now < Cycle::new(10_000), "never reached");
+            core.tick(now, &mut mem);
+            for ev in core.take_check_events() {
+                let (interval_id, at) = (ev.fingerprint.interval_id, ev.ready_at);
+                if grant {
+                    core.grant(ReleaseGrant { interval_id, at });
+                }
+            }
+            now = Cycle::new(now.as_u64() + 1);
+        }
+        (core, mem, now)
+    }
+
     #[test]
     fn straight_line_code_retires_and_matches_golden_model() {
         let code = vec![

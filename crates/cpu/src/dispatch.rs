@@ -334,47 +334,11 @@ impl Core {
 
 #[cfg(test)]
 mod tests {
-    use std::mem::discriminant;
-    use std::sync::Arc;
+    use reunion_isa::{Instruction as I, RegId};
 
-    use reunion_isa::{Instruction as I, Program, RegId};
-    use reunion_kernel::Cycle;
-    use reunion_mem::{MemConfig, MemorySystem, Owner};
-
-    use super::super::retire::Head;
+    use super::super::tests::run_until;
     use super::{Act, Gate, Stall};
-    use crate::{Core, CoreConfig, ReleaseGrant, Role};
-
-    /// Ticks a core on `code` until `reached` holds, read between ticks as
-    /// the skip engine reads it; each emitted interval is taken, and
-    /// granted when `grant` holds. Returns the core, its memory and the
-    /// cycle it was reached at.
-    fn run_until(
-        cfg: CoreConfig,
-        code: Vec<I>,
-        setup: fn(&mut Core),
-        grant: bool,
-        reached: impl Fn(&Core, Cycle) -> bool,
-    ) -> (Core, MemorySystem, Cycle) {
-        let program = Arc::new(Program::new("stage", code).unwrap());
-        let mut mem = MemorySystem::new(MemConfig::small());
-        let l1 = mem.register_l1(Owner::vocal(0));
-        let mut core = Core::new(cfg, program, l1, 7);
-        setup(&mut core);
-        let mut now = Cycle::ZERO;
-        while !reached(&core, now) {
-            assert!(now < Cycle::new(10_000), "never reached");
-            core.tick(now, &mut mem);
-            for ev in core.take_check_events() {
-                let (interval_id, at) = (ev.fingerprint.interval_id, ev.ready_at);
-                if grant {
-                    core.grant(ReleaseGrant { interval_id, at });
-                }
-            }
-            now = Cycle::new(now.as_u64() + 1);
-        }
-        (core, mem, now)
-    }
+    use crate::{Core, CoreConfig, Role};
 
     /// Reaches `want` from the gate, then holds the bound to it: an open
     /// gate, a state change and the empty LVQ bound the core at that
@@ -474,109 +438,6 @@ mod tests {
         ];
         for (cfg, code, setup, grant, want) in cases {
             reach(cfg, code, setup, grant, want);
-        }
-    }
-
-    /// Reaches a head of `want`'s kind while the gate is shut on a stall
-    /// that bounds nothing, so the bound is the head's alone. Then holds
-    /// the bound to it: `Ready` and `RoundTrip` give this cycle, and a tick
-    /// there commits or counts a serializing stall; `At(t)` gives `t`, and
-    /// `Ungranted`, `Sync` and `Empty` nothing, and a tick before it leaves
-    /// the core unchanged. Last, `drain_granted` commits up to the first
-    /// `Ungranted` or `Sync` head and no further.
-    fn reach_head(cfg: CoreConfig, code: Vec<I>, setup: fn(&mut Core), grant: bool, want: Head) {
-        let at_want = |core: &Core, now| {
-            let shut = match core.gate(now) {
-                Gate::Open(_) | Gate::Act(_) => false,
-                Gate::Blocked(stall) => !matches!(stall, Stall::Fetch | Stall::EmptyLvq),
-            };
-            shut && discriminant(&core.head(now)) == discriminant(&want)
-        };
-        let (mut core, mut mem, now) = run_until(cfg, code, setup, grant, at_want);
-        let head = core.head(now);
-        let bound = core.next_activity_at(now);
-        let before = format!("{core:?}");
-        let (retired, stalls) = (
-            core.stats.retired_total.value(),
-            core.stats.serializing_stall_cycles.value(),
-        );
-        core.tick(now, &mut mem);
-        let after = (
-            core.stats.retired_total.value(),
-            core.stats.serializing_stall_cycles.value(),
-        );
-        match head {
-            Head::Ready => {
-                assert_eq!(bound, Some(now));
-                assert!(after.0 > retired, "Ready: the tick commits");
-            }
-            Head::RoundTrip => {
-                assert_eq!(bound, Some(now));
-                assert_eq!(after, (retired, stalls + 1), "RoundTrip: one stall cycle");
-            }
-            Head::At(at) => assert_eq!(bound, Some(at), "{head:?} at {now:?}"),
-            Head::Ungranted | Head::Sync | Head::Empty => assert_eq!(bound, None, "{head:?}"),
-        }
-        if !matches!(head, Head::Ready | Head::RoundTrip) {
-            assert_eq!(
-                format!("{core:?}"),
-                before,
-                "{head:?}: a tick before the bound"
-            );
-        }
-        let head = core.head(now);
-        let before = format!("{core:?}");
-        core.drain_granted(now, &mut mem);
-        match head {
-            Head::Ready | Head::At(_) | Head::RoundTrip => assert!(
-                matches!(core.head(now), Head::Ungranted | Head::Sync | Head::Empty),
-                "{head:?}: drained to {:?}",
-                core.head(now)
-            ),
-            Head::Ungranted | Head::Sync | Head::Empty => {
-                assert_eq!(format!("{core:?}"), before, "{head:?}: drain_granted stops");
-            }
-        }
-    }
-
-    #[test]
-    fn every_head_outcome_is_reached_from_a_small_program_and_bounds_the_core() {
-        let r = RegId::new;
-        let spin = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
-        let miss_then_membar = vec![
-            I::load_imm(r(1), 0x4_0000),
-            I::load(r(2), r(1), 0),
-            I::membar(),
-            I::jump(2),
-        ];
-        let add_then_membar = vec![I::add_imm(r(1), r(1), 1), I::membar(), I::jump(0)];
-        let sync_load = vec![
-            I::add_imm(r(1), r(1), 0xD00),
-            I::load(r(2), r(1), 0),
-            I::jump(0),
-        ];
-        let plain = CoreConfig::default;
-        let reunion = || CoreConfig::for_role(Role::Reunion);
-        let none: fn(&mut Core) = |_| {};
-        let step: fn(&mut Core) = Core::begin_single_step;
-        let cases = [
-            // The missing load completes behind a membar that waits for it.
-            (
-                plain(),
-                miss_then_membar.clone(),
-                none,
-                false,
-                Head::At(Cycle::ZERO),
-            ),
-            (plain(), miss_then_membar, none, false, Head::Ready),
-            // A granted membar waits for the grant to cross back.
-            (reunion(), add_then_membar, none, true, Head::RoundTrip),
-            (reunion(), spin, none, false, Head::Ungranted),
-            (reunion(), sync_load, step, true, Head::Sync),
-            (plain(), vec![I::halt()], none, false, Head::Empty),
-        ];
-        for (cfg, code, setup, grant, want) in cases {
-            reach_head(cfg, code, setup, grant, want);
         }
     }
 }

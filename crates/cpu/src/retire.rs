@@ -140,3 +140,119 @@ impl Core {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use reunion_isa::{Instruction as I, RegId};
+
+    use super::super::dispatch::{Gate, Stall};
+    use super::super::tests::run_until;
+    use super::Head;
+    use crate::{Core, CoreConfig, Role};
+
+    /// Reaches a head that `want` accepts while the gate is shut on a stall
+    /// that bounds nothing, so the bound is the head's alone. Then holds
+    /// the bound to it: `Ready` and `RoundTrip` give this cycle, and a tick
+    /// there commits or counts a serializing stall; `At(t)` gives `t`, and
+    /// `Ungranted`, `Sync` and `Empty` nothing, and a tick before it leaves
+    /// the core unchanged. Last, `drain_granted` commits up to the first
+    /// `Ungranted` or `Sync` head and no further.
+    fn reach_head(
+        cfg: CoreConfig,
+        code: Vec<I>,
+        setup: fn(&mut Core),
+        grant: bool,
+        want: fn(Head) -> bool,
+    ) {
+        let at_want = |core: &Core, now| {
+            let shut = match core.gate(now) {
+                Gate::Open(_) | Gate::Act(_) => false,
+                Gate::Blocked(stall) => !matches!(stall, Stall::Fetch | Stall::EmptyLvq),
+            };
+            shut && want(core.head(now))
+        };
+        let (mut core, mut mem, now) = run_until(cfg, code, setup, grant, at_want);
+        let head = core.head(now);
+        let bound = core.next_activity_at(now);
+        let before = format!("{core:?}");
+        let (retired, stalls) = (
+            core.stats.retired_total.value(),
+            core.stats.serializing_stall_cycles.value(),
+        );
+        core.tick(now, &mut mem);
+        let after = (
+            core.stats.retired_total.value(),
+            core.stats.serializing_stall_cycles.value(),
+        );
+        match head {
+            Head::Ready => {
+                assert_eq!(bound, Some(now));
+                assert!(after.0 > retired, "Ready: the tick commits");
+            }
+            Head::RoundTrip => {
+                assert_eq!(bound, Some(now));
+                assert_eq!(after, (retired, stalls + 1), "RoundTrip: one stall cycle");
+            }
+            Head::At(at) => assert_eq!(bound, Some(at), "{head:?} at {now:?}"),
+            Head::Ungranted | Head::Sync | Head::Empty => assert_eq!(bound, None, "{head:?}"),
+        }
+        if !matches!(head, Head::Ready | Head::RoundTrip) {
+            assert_eq!(
+                format!("{core:?}"),
+                before,
+                "{head:?}: a tick before the bound"
+            );
+        }
+        let head = core.head(now);
+        let before = format!("{core:?}");
+        core.drain_granted(now, &mut mem);
+        match head {
+            Head::Ready | Head::At(_) | Head::RoundTrip => assert!(
+                matches!(core.head(now), Head::Ungranted | Head::Sync | Head::Empty),
+                "{head:?}: drained to {:?}",
+                core.head(now)
+            ),
+            Head::Ungranted | Head::Sync | Head::Empty => {
+                assert_eq!(format!("{core:?}"), before, "{head:?}: drain_granted stops");
+            }
+        }
+    }
+
+    #[test]
+    fn every_head_outcome_is_reached_from_a_small_program_and_bounds_the_core() {
+        let r = RegId::new;
+        let spin = vec![I::add_imm(r(1), r(1), 1), I::jump(0)];
+        let miss_then_membar = vec![
+            I::load_imm(r(1), 0x4_0000),
+            I::load(r(2), r(1), 0),
+            I::membar(),
+            I::jump(2),
+        ];
+        let add_then_membar = vec![I::add_imm(r(1), r(1), 1), I::membar(), I::jump(0)];
+        let sync_load = vec![
+            I::add_imm(r(1), r(1), 0xD00),
+            I::load(r(2), r(1), 0),
+            I::jump(0),
+        ];
+        let plain = CoreConfig::default;
+        let reunion = || CoreConfig::for_role(Role::Reunion);
+        let none: fn(&mut Core) = |_| {};
+        let step: fn(&mut Core) = Core::begin_single_step;
+        let at: fn(Head) -> bool = |h| matches!(h, Head::At(_));
+        let cases = [
+            // The missing load completes behind a membar that waits for it.
+            (plain(), miss_then_membar.clone(), none, false, at),
+            (plain(), miss_then_membar, none, false, |h| h == Head::Ready),
+            // A granted membar waits for the grant to cross back.
+            (reunion(), add_then_membar, none, true, |h| {
+                h == Head::RoundTrip
+            }),
+            (reunion(), spin, none, false, |h| h == Head::Ungranted),
+            (reunion(), sync_load, step, true, |h| h == Head::Sync),
+            (plain(), vec![I::halt()], none, false, |h| h == Head::Empty),
+        ];
+        for (cfg, code, setup, grant, want) in cases {
+            reach_head(cfg, code, setup, grant, want);
+        }
+    }
+}
